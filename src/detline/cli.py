@@ -17,7 +17,7 @@ from .complexes import cohomology_frame
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import sign_M_self
 from .selftest import default_tol, run_selftest
-from .signature import graded_det_finite, spectral_split, torsion_via_split
+from .signature import _torsion_from_split, graded_det_finite, spectral_split
 from .torsion import c_gamma, refined_torsion, sign_R, torsion_norm
 from .workbench import deserialize_document
 
@@ -68,8 +68,7 @@ def _cmd_split(args) -> dict:
     frame = cohomology_frame(c)
     split = spectral_split(c, g, args.lam)
     rho = refined_torsion(c, g, frame)
-    via = torsion_via_split(c, g, args.lam, frame)
-    det_large = graded_det_finite(split.large.complex, split.large.chirality)
+    via, det_large = _torsion_from_split(split, frame)
     residual = float(abs(via.coeff - rho.coeff) / max(abs(rho.coeff), 1e-300))
     out = {
         "lambda": args.lam,
@@ -146,9 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("file", help="JSON complex document with chirality")
     s.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="split level for |spec(B^2)|")
-    s.add_argument("--theta", type=float, default=None,
-                   help="branch angle in (-pi/2, 0) (unused by the residual, "
-                        "reserved for log-determinant reports)")
 
     c = sub.add_parser("circle", help="flat line bundle over the circle")
     c.add_argument("--a", required=True,

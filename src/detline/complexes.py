@@ -96,15 +96,17 @@ def _rank_threshold(s: np.ndarray) -> float:
     return max(RANK_RTOL * float(s[0]), RANK_ATOL)
 
 
-def _range_null(mat: np.ndarray):
-    """Orthonormal bases (columns) of the range and the null space of mat."""
+def _svd_bases(mat: np.ndarray):
+    """Orthonormal bases (columns) of the range, the null space and its
+    orthogonal complement (the coexact part) of mat, from one full SVD."""
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
-        return (np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex))
+        return (np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex),
+                np.zeros((cols, 0), dtype=complex))
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    thr = _rank_threshold(s)
-    rank = int(np.sum(s > thr))
-    return u[:, :rank], vh[rank:, :].conj().T
+    rank = int(np.sum(s > _rank_threshold(s)))
+    v = vh.conj().T
+    return u[:, :rank], v[:, rank:], v[:, :rank]
 
 
 @dataclass(frozen=True)
@@ -134,26 +136,12 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     """Compute the orthogonal B/H/A decomposition of every degree by SVD."""
     d = c.d
     n = c.dims.dims
-    ranges = []
-    kernels = []
-    coexact = []
-    for j in range(d):
-        rng, nul = _range_null(c.partial[j])
-        ranges.append(rng)
-        kernels.append(nul)
-        u, s, vh = np.linalg.svd(c.partial[j]) if min(c.partial[j].shape) \
-            else (None, np.zeros(0), None)
-        thr = _rank_threshold(s)
-        rank = int(np.sum(s > thr))
-        if min(c.partial[j].shape):
-            coexact.append(vh[:rank, :].conj().T)
-        else:
-            coexact.append(np.zeros((n[j], 0), dtype=complex))
+    bases = [_svd_bases(m) for m in c.partial]  # (range, kernel, coexact)
     B, H, A = [], [], []
     for j in range(d + 1):
-        bmat = ranges[j - 1] if j > 0 else np.zeros((n[0], 0), dtype=complex)
-        ker = kernels[j] if j < d else np.eye(n[d], dtype=complex)
-        amat = coexact[j] if j < d else np.zeros((n[d], 0), dtype=complex)
+        bmat = bases[j - 1][0] if j > 0 else np.zeros((n[0], 0), dtype=complex)
+        ker = bases[j][1] if j < d else np.eye(n[d], dtype=complex)
+        amat = bases[j][2] if j < d else np.zeros((n[d], 0), dtype=complex)
         # harmonic part: project the exact directions out of the kernel
         proj = ker - bmat @ (bmat.conj().T @ ker)
         if proj.size:

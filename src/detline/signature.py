@@ -6,6 +6,11 @@ the complex along the spectrum of B^2, and the graded determinant of the even
 part of B recovers the refined torsion.  Log-determinants are taken along a
 chosen branch cut (an Agmon angle) and combine with the finite-dimensional
 eta invariant.
+
+One SVD per differential gives C^j_- = ker d and, through Gamma, C^j_+.
+Gamma commutes with B, so a split takes one sorted Schur form of B^2 per
+degree pair (j, d-j), carries it to degree d-j by Gamma_j, and gets the large
+part from the same Schur form by a triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .complexes import (RANK_ATOL, RANK_RTOL, CochainComplex,
-                        CohomologyElement, CohomologyFrame, cohomology_frame)
+                        CohomologyElement, CohomologyFrame, _svd_bases,
+                        cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims
 from .torsion import ChiralityOp, refined_torsion, validate_chirality
@@ -115,26 +121,20 @@ def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     return SignatureOp(c, g, even, odd)
 
 
-def _null_basis(mat: np.ndarray) -> np.ndarray:
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols, dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    thr = RANK_ATOL if s.size == 0 or s[0] == 0 else \
-        max(RANK_RTOL * float(s[0]), RANK_ATOL)
-    rank = int(np.sum(s > thr))
-    return vh[rank:, :].conj().T
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of a's independent columns."""
+    return np.linalg.qr(a)[0]
 
 
 def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
               tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of image's columns in the span of basis, with a residual
-    check that the span really contains them."""
+    """Coordinates of image's columns in the span of basis (orthonormal
+    columns), with a residual check that the span really contains them."""
     if basis.shape[1] == 0:
         if image.size and np.abs(image).max() > tol:
             raise ValidationError(f"{what}: image does not lie in the subspace")
         return np.zeros((0, image.shape[1]), dtype=complex)
-    x, *_ = np.linalg.lstsq(basis, image, rcond=None)
+    x = basis.conj().T @ image
     res = basis @ x - image
     scale = max(1.0, float(np.abs(image).max()) if image.size else 0.0)
     if res.size and float(np.abs(res).max()) > tol * scale:
@@ -144,17 +144,17 @@ def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
 
 
 def plus_minus_split(c: CochainComplex, g: ChiralityOp):
-    """Bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) in every degree.
+    """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
 
-    Raises SpectralBoundaryError unless the two intersect trivially and span,
-    which is the bijectivity condition for B.
+    C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.  Raises
+    SpectralBoundaryError unless the two intersect trivially and span, which
+    is the bijectivity condition for B.
     """
     d = c.d
-    plus, minus = [], []
-    for j in range(d + 1):
-        p = _null_basis(_dg_block(c, g, j))
-        m = _null_basis(c.partial[j]) if j < d else \
-            np.eye(c.dims.dims[d], dtype=complex)
+    minus = [_svd_bases(m)[1] for m in c.partial]
+    minus.append(np.eye(c.dims.dims[d], dtype=complex))
+    plus = [_orthonormal(g.gamma[d - j] @ minus[d - j]) for j in range(d + 1)]
+    for j, (p, m) in enumerate(zip(plus, minus)):
         if p.shape[1] + m.shape[1] != c.dims.dims[j]:
             raise SpectralBoundaryError(
                 f"degree {j}: ker(dGamma) + ker(d) does not split C^{j} "
@@ -164,8 +164,6 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp):
             if smallest < 1e-10:
                 raise SpectralBoundaryError(
                     f"degree {j}: the +/- subspaces are numerically dependent")
-        plus.append(p)
-        minus.append(m)
     return plus, minus
 
 
@@ -228,6 +226,37 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
                         ChiralityOp(gamma))
 
 
+def _split_degree(bsq: np.ndarray, lam: float, j: int):
+    """Orthonormal bases of the small and large B^2-invariant subspaces of
+    C^j from one Schur form Z T Z^H ordered small eigenvalues first: Z1 spans
+    the small part, Z1 X + Z2 with T11 X - X T22 = -T12 the large one."""
+    n = bsq.shape[0]
+    if n == 0:
+        return bsq, bsq
+    t, z = scipy.linalg.schur(bsq, output="complex")
+    eigs = np.diag(t)
+    scale = max(1.0, float(np.abs(eigs).max()))
+    cut = lam if lam > 0 else RANK_RTOL * scale
+    if lam > 0:
+        gap = np.min(np.abs(np.abs(eigs) - lam))
+        if gap <= _CLUSTER_RTOL * max(lam, scale):
+            raise SpectralBoundaryError(
+                f"degree {j}: split level {lam} inside an eigenvalue "
+                f"cluster (gap {gap:.3e})")
+    t, z, eigs, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(
+        np.abs(eigs) <= cut, t, z, job="N")
+    ldim = int(np.sum(np.abs(eigs[sdim:]) > cut))
+    if sdim + ldim != n:
+        raise SpectralBoundaryError(
+            f"degree {j}: spectral split did not exhaust C^{j}")
+    large = z[:, sdim:]
+    if 0 < sdim < n:
+        x, xscale, _ = scipy.linalg.lapack.ztrsyl(
+            t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
+        large = _orthonormal(z[:, :sdim] @ (x / xscale) + large)
+    return z[:, :sdim], large
+
+
 def spectral_split(c: CochainComplex, g: ChiralityOp,
                    lam: float) -> SpectralSplit:
     """Split the complex along the spectrum of B^2 at level lam >= 0.
@@ -241,33 +270,14 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
         raise ValidationError("split level must be nonnegative")
     validate_chirality(c, g)
     d = c.d
-    small_bases, large_bases = [], []
-    for j in range(d + 1):
-        bsq = _bsq_block(c, g, j)
-        n = bsq.shape[0]
-        if n == 0:
-            z = np.zeros((0, 0), dtype=complex)
-            small_bases.append(z)
-            large_bases.append(z)
-            continue
-        eigs = np.linalg.eigvals(bsq)
-        scale = max(1.0, float(np.abs(eigs).max()))
-        cut = lam if lam > 0 else RANK_RTOL * scale
-        if lam > 0:
-            gap = np.min(np.abs(np.abs(eigs) - lam))
-            if gap <= _CLUSTER_RTOL * max(lam, scale):
-                raise SpectralBoundaryError(
-                    f"degree {j}: split level {lam} inside an eigenvalue "
-                    f"cluster (gap {gap:.3e})")
-        small = lambda z: abs(z) <= cut
-        _, zs, sdim = scipy.linalg.schur(bsq, output="complex", sort=small)
-        _, zl, ldim = scipy.linalg.schur(
-            bsq, output="complex", sort=lambda z: abs(z) > cut)
-        if sdim + ldim != n:
-            raise SpectralBoundaryError(
-                f"degree {j}: spectral split did not exhaust C^{j}")
-        small_bases.append(zs[:, :sdim])
-        large_bases.append(zl[:, :ldim])
+    small_bases, large_bases = [None] * (d + 1), [None] * (d + 1)
+    for j in range((d + 1) // 2):
+        small, large = _split_degree(_bsq_block(c, g, j), lam, j)
+        small_bases[j], large_bases[j] = small, large
+        # Gamma commutes with B^2, so Gamma_j carries the split of C^j onto
+        # that of C^{d-j}
+        small_bases[d - j] = _orthonormal(g.gamma[j] @ small)
+        large_bases[d - j] = _orthonormal(g.gamma[j] @ large)
     return SpectralSplit(lam,
                          _part_from_bases(c, g, small_bases),
                          _part_from_bases(c, g, large_bases))
@@ -280,7 +290,12 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
     mapped into the cohomology frame of the full complex."""
     if frame is None:
         frame = cohomology_frame(c)
-    split = spectral_split(c, g, lam)
+    return _torsion_from_split(spectral_split(c, g, lam), frame)[0]
+
+
+def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
+    """Refined torsion of frame's complex through a split of it, together
+    with the graded determinant of the large part."""
     large, small = split.large, split.small
     det_large = graded_det_finite(large.complex, large.chirality)
     small_frame = cohomology_frame(small.complex)
@@ -289,12 +304,12 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
             "small part does not carry the full cohomology")
     rho_small = refined_torsion(small.complex, small.chirality, small_frame)
     coeff = det_large * rho_small.coeff
-    for j in range(c.d + 1):
+    for j in range(frame.complex.d + 1):
         if frame.betti[j] == 0:
             continue
         w = frame.H[j].conj().T @ small.bases[j] @ small_frame.H[j]
         coeff *= np.linalg.det(w) ** (-1 if j % 2 else 1)
-    return CohomologyElement(coeff, frame)
+    return CohomologyElement(coeff, frame), det_large
 
 
 def _eig_input(m) -> np.ndarray:
@@ -431,8 +446,9 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     d = cl.d
     plus, minus = plus_minus_split(cl, gl)
     b_even, degs, _ = _parity_matrix(cl, gl, 0)
+    eigs = _eig_input(b_even)
     if theta is None:
-        theta = pick_agmon_angle(b_even)
+        theta = pick_agmon_angle(eigs)
     xi = 0.0 + 0.0j
     for j in range(d):
         p = plus[j]
@@ -441,7 +457,7 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
         gd_sq = _gd_block(cl, gl, d - j - 1) @ _gd_block(cl, gl, j)
         rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
         xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
-    eta = eta_finite(b_even).eta
+    eta = eta_finite(eigs).eta
     n_plus = sum(plus[j].shape[1] for j in degs)
     n_minus = sum(minus[j].shape[1] for j in degs)
     return complex(cmath.exp(xi - 1j * math.pi * eta

@@ -1,6 +1,7 @@
 """Unit tests for the odd signature operator, spectral splits and
 branch-cut determinants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from detline import (
     spectral_split,
     torsion_via_split,
 )
+from detline.signature import _restrict
 
 
 def _instance(seed, d, acyclic=True):
@@ -108,6 +110,96 @@ class TestSpectralSplit:
         c, g = _instance(31, 3, acyclic=False)
         sp = spectral_split(c, g, 0.0)
         assert cohomology_frame(sp.large.complex).acyclic
+
+
+def _mid_gap_level(c, g):
+    """A level halfway between two distinct moduli of spec(B^2)."""
+    s = build_signature(c, g)
+    mods = np.unique(np.round(np.concatenate(
+        [np.abs(np.linalg.eigvals(s.bsq_block(j))) for j in range(c.d + 1)]),
+        6))
+    mods = mods[mods > 1e-4]
+    k = len(mods) // 2
+    return 0.5 * (mods[k - 1] + mods[k]) if k else 0.5 * mods[0]
+
+
+class TestSplitStructure:
+    """The Gamma-symmetric split on d up to 7, with and without cohomology."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_split_bases(self, d, acyclic):
+        prof = random_profile(np.random.default_rng(60 + d), d,
+                              acyclic=acyclic, max_blocks=5)
+        c, g = gen_random(60 + d, d, prof)
+        sig = build_signature(c, g)
+        fr = cohomology_frame(c)
+        rho = refined_torsion(c, g, fr).coeff
+        for lam in (0.0, _mid_gap_level(c, g)):
+            sp = spectral_split(c, g, lam)
+            for part in (sp.small, sp.large):
+                for j, q in enumerate(part.bases):
+                    k = q.shape[1]
+                    np.testing.assert_allclose(q.conj().T @ q, np.eye(k),
+                                               atol=1e-8)
+                    bq = sig.bsq_block(j) @ q
+                    res = bq - q @ (q.conj().T @ bq)
+                    assert res.size == 0 or np.abs(res).max() <= 1e-8 * max(
+                        1.0, np.abs(bq).max())
+            for j in range(d + 1):
+                q, t = sp.small.bases[j], sp.small.bases[d - j]
+                img = g.gamma[j] @ q
+                res = img - t @ (t.conj().T @ img)
+                assert res.size == 0 or np.abs(res).max() <= 1e-8
+                assert (sp.small.bases[j].shape[1] + sp.large.bases[j].shape[1]
+                        == c.dims.dims[j])
+            v = torsion_via_split(c, g, lam, fr).coeff
+            np.testing.assert_allclose(v, rho, rtol=1e-8)
+
+    def test_restrict_rejects_non_invariant_subspace(self):
+        basis = np.array([[1.0], [0.0]], dtype=complex)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError):
+            _restrict(basis, swap @ basis, "swap")
+
+
+def _log_block_product(d, blocks):
+    """Log of the torsion of a direct sum of elementary blocks: a middle
+    block gives (-1)^j z^((-1)^j), a mirrored one -z^(2 (-1)^j)."""
+    total = 0j
+    for j, z in blocks:
+        if 2 * j + 1 == d:
+            total += (-1) ** j * cmath.log(z) + (1j * math.pi if j % 2 else 0)
+        else:
+            total += 2 * (-1) ** j * cmath.log(z) + 1j * math.pi
+    return total
+
+
+def _log_error(value, expected_log):
+    diff = cmath.log(complex(value)) - expected_log
+    phase = (diff.imag + math.pi) % (2 * math.pi) - math.pi
+    return max(abs(diff.real), abs(phase))
+
+
+class TestOracleLadder:
+    """Split and xi/eta paths against the exact block product, acyclic
+    instances up to N ~ 200."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("total", [40, 200])
+    def test_block_product(self, d, total):
+        rng = np.random.default_rng(1000 * d + total)
+        r = (d + 1) // 2
+        blocks, n = [], 0
+        while n < total:
+            j = int(rng.integers(0, r))
+            z = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
+            blocks.append((j, z))
+            n += 2 if 2 * j + 1 == d else 4
+        c, g = gen_random(total + d, d, {"blocks": blocks, "harmonic": []})
+        expected = _log_block_product(d, blocks)
+        assert _log_error(torsion_via_split(c, g, 0.0).coeff, expected) <= 1e-8
+        assert _log_error(graded_det_via_xi_eta(c, g, 0.0), expected) <= 1e-8
 
 
 class TestLogDetCut:
