@@ -8,6 +8,7 @@ eta) with closed form 1 - exp(2 pi i a), and the Ray-Singer norm.
 
 Zeta regularization runs through the Hurwitz zeta function, evaluated by an
 Euler-Maclaurin sum; the derivative at s = 0 uses the log-gamma identity.
+The branch-cut test is closed form in n, exact over all of Z: no truncation.
 """
 
 from __future__ import annotations
@@ -43,16 +44,16 @@ DEFAULT_THETA = -math.pi / 4
 _B = bernoulli(30)  # B_0 .. B_30
 _EM_TERMS = 60
 _EM_ORDER = 12
+_CUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CircleModel:
-    """Holonomy exponent a (0 < Re a < 1), metric scale, and the truncation
-    depth used by numeric cross-check sums."""
+    """Holonomy exponent a (0 < Re a < 1) and metric scale.  Every quantity
+    is closed form in a, so there is no truncation depth."""
 
     a: complex
     scale: float = 1.0
-    trunc: int = 1000
 
     def __post_init__(self):
         a = complex(self.a)
@@ -60,8 +61,6 @@ class CircleModel:
             raise ValidationError("need 0 < Re a < 1 (acyclic range)")
         if self.scale <= 0:
             raise ValidationError("scale must be positive")
-        if self.trunc < 100:
-            raise ValidationError("truncation depth must be at least 100")
         object.__setattr__(self, "a", a)
 
 
@@ -97,50 +96,61 @@ def hurwitz_zeta_deriv0(q: complex) -> complex:
     return complex(loggamma(q) - 0.5 * math.log(2.0 * math.pi))
 
 
-def eta_circle(m: CircleModel) -> complex:
+def _zeta0_pair(a: complex) -> tuple[complex, complex]:
+    """(zeta(0, a), zeta(0, 1 - a)), read by eta, xi and zeta_zero_check."""
+    return hurwitz_zeta(0.0, a), hurwitz_zeta(0.0, 1.0 - a)
+
+
+def eta_circle(m: CircleModel, zeta0=None) -> complex:
     """Eta invariant of the spectrum {n + a}: (zeta(0,a) - zeta(0,1-a)) / 2,
     which continues the signed count asymmetry; equals (1 - 2a)/2.
-    Independent of the metric scale."""
-    return 0.5 * (hurwitz_zeta(0.0, m.a) - hurwitz_zeta(0.0, 1.0 - m.a))
+    Independent of the metric scale.  ``zeta0``: that pair, if at hand."""
+    za, zb = zeta0 or _zeta0_pair(m.a)
+    return 0.5 * (za - zb)
 
 
 def _check_cut(m: CircleModel, theta: float) -> None:
+    """Raise if some (n+a)^2, n in Z, lies within _CUT_TOL of the ray 2 theta.
+
+    n + a crosses the line of angle theta only at n* = Im a / tan theta - Re a.
+    Going away from n*, the distance rises monotonically to 2|theta| on one
+    side; on the other it rises to pi, then falls back to 2|theta| from above.
+    So it is least at floor(n*) or ceil(n*); n = 0 covers an overflowing n*."""
     if not -math.pi / 2 < theta < 0.0:
         raise ValidationError("branch angle must lie in (-pi/2, 0)")
-    cut = 2.0 * theta
-    for n in range(-m.trunc, m.trunc + 1):
-        z = (n + m.a) ** 2
-        if z == 0:
-            continue
-        arg = cmath.phase(z)
-        dist = min(abs(arg - cut), abs(arg - cut - 2 * math.pi),
-                   abs(arg - cut + 2 * math.pi))
-        if dist < 1e-9:
+    n_star = m.a.imag / math.tan(theta) - m.a.real
+    n_star = n_star if math.isfinite(n_star) else 0.0
+    for n in sorted({0, math.floor(n_star), math.ceil(n_star)}):
+        # twice the distance of arg(n+a) to the line of angle theta
+        t = (math.atan2(m.a.imag, n + m.a.real) - theta) % math.pi
+        dist = 2.0 * min(t, math.pi - t)
+        if dist < _CUT_TOL:
             raise SpectralBoundaryError(
-                f"squared eigenvalue at n={n} sits on the cut 2*theta")
+                f"squared eigenvalue at n={n} sits on the cut 2*theta: "
+                f"angular distance {dist:.3g} < tolerance {_CUT_TOL:g}")
 
 
-def _zeta0_sum(m: CircleModel) -> complex:
-    return hurwitz_zeta(0.0, m.a) + hurwitz_zeta(0.0, 1.0 - m.a)
-
-
-def xi_circle(m: CircleModel, theta: float = DEFAULT_THETA) -> complex:
+def xi_circle(m: CircleModel, theta: float = DEFAULT_THETA,
+              zeta0=None) -> complex:
     """Half the regularized log-determinant of the squared spectrum
     {scale^2 (n+a)^2 : n in Z}:
 
         xi = -zeta'(0,a) - zeta'(0,1-a) + (zeta(0,a) + zeta(0,1-a)) log(scale)
 
     which for the principal branch equals log(2 sin(pi a)); the scale term
-    vanishes because the zeta values at 0 cancel."""
+    vanishes because the zeta values at 0 cancel.  ``zeta0`` as in eta."""
     _check_cut(m, theta)
+    za, zb = zeta0 or _zeta0_pair(m.a)
     xi = -(hurwitz_zeta_deriv0(m.a) + hurwitz_zeta_deriv0(1.0 - m.a))
-    xi += _zeta0_sum(m) * math.log(m.scale)
+    xi += (za + zb) * math.log(m.scale)
     return complex(xi)
 
 
 def rho_an_circle(m: CircleModel, theta: float = DEFAULT_THETA) -> complex:
     """Analytic torsion of the model, exp(xi - i pi eta)."""
-    return cmath.exp(xi_circle(m, theta) - 1j * math.pi * eta_circle(m))
+    zeta0 = _zeta0_pair(m.a)
+    return cmath.exp(xi_circle(m, theta, zeta0)
+                     - 1j * math.pi * eta_circle(m, zeta0))
 
 
 def rho_an_closed(m: CircleModel) -> complex:
@@ -171,10 +181,9 @@ def duality_check(m: CircleModel) -> float:
 
         conj(rho_an(a)) = rho_an(conj a) * exp(2 pi i conj(eta(a))).
     """
-    lhs = complex(rho_an_circle(m)).conjugate()
-    a_dual = complex(m.a).conjugate()
-    m_dual = CircleModel(a_dual, m.scale, m.trunc)
-    eta = complex(eta_circle(m)).conjugate()
+    lhs = rho_an_circle(m).conjugate()
+    m_dual = CircleModel(m.a.conjugate(), m.scale)
+    eta = eta_circle(m).conjugate()
     rhs = rho_an_circle(m_dual) * cmath.exp(2j * math.pi * eta)
     return abs(lhs - rhs)
 
@@ -184,15 +193,15 @@ def metric_scale_check(m: CircleModel, c: float) -> float:
     the spectral zeta of the model vanishes at s = 0."""
     if c <= 0:
         raise ValidationError("scale must be positive")
-    scaled = CircleModel(m.a, c * m.scale, m.trunc)
-    base = CircleModel(m.a, m.scale, m.trunc)
-    return abs(rho_an_circle(scaled) - rho_an_circle(base))
+    scaled = CircleModel(m.a, c * m.scale)
+    return abs(rho_an_circle(scaled) - rho_an_circle(m))
 
 
 def zeta_zero_check(m: CircleModel) -> float:
     """|zeta_Delta(0)| computed from Hurwitz values; the analytic statement
     says it equals minus the dimension of the kernel, which is 0 here."""
-    return abs(_zeta0_sum(m))
+    za, zb = _zeta0_pair(m.a)
+    return abs(za + zb)
 
 
 def split_check(m: CircleModel, k: int, theta: float = DEFAULT_THETA) -> float:
@@ -202,19 +211,18 @@ def split_check(m: CircleModel, k: int, theta: float = DEFAULT_THETA) -> float:
 
     The finite part contributes its eigenvalue product, its eta count, and
     the phase -i pi/2 per removed eigenvalue (the zeta value at zero of the
-    truncated spectrum drops by one for each removed point)."""
+    truncated spectrum drops by one for each removed point).  The removed n
+    satisfy -k - 1 <= n <= k; one more on each side guards rounding."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
     lam = (k + m.a.real) ** 2
-    small = [n + m.a for n in range(-m.trunc, m.trunc + 1)
-             if abs(n + m.a) ** 2 <= lam]
-    xi_lam = xi_circle(m, theta)
+    small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
+    zeta0 = _zeta0_pair(m.a)
+    xi_lam = xi_circle(m, theta, zeta0)
     for z in small:
         xi_lam -= 0.5 * log_det_cut(np.array([z ** 2]), 2.0 * theta)
-    eta_lam = eta_circle(m) - eta_finite(np.array(small)).eta
+    eta_lam = eta_circle(m, zeta0) - eta_finite(np.array(small)).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))
-    det_small = 1.0 + 0.0j
-    for z in small:
-        det_small *= z
+    det_small = math.prod(small, start=1.0 + 0.0j)
     return abs(det_large * det_small - rho_an_circle(m, theta))

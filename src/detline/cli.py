@@ -100,7 +100,7 @@ def _parse_complex(text: str) -> complex:
 
 def _cmd_circle(args) -> dict:
     a = _parse_complex(args.a)
-    m = ci.CircleModel(a, scale=args.scale, trunc=args.trunc)
+    m = ci.CircleModel(a, scale=args.scale)
     eta = ci.eta_circle(m)
     xi = ci.xi_circle(m)
     rho = ci.rho_an_circle(m)
@@ -150,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a", required=True,
                    help="holonomy exponent, re or re,im with 0 < re < 1")
     c.add_argument("--scale", type=float, default=1.0)
-    c.add_argument("--trunc", type=int, default=1000)
 
     st = sub.add_parser("selftest", help="run the invariant suite")
     st.add_argument("--cases", type=int, default=40)

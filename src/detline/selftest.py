@@ -376,18 +376,14 @@ def _circle_grid(n_complex=10):
 
 
 def check_circle_two_path(cases, seed):
-    worst = 0.0
-    for m in _circle_grid():
-        closed = ci.rho_an_closed(m)
-        worst = max(worst, abs(ci.rho_an_circle(m) - closed) / abs(closed))
+    worst = max(abs(ci.rho_an_circle(m) - ci.rho_an_closed(m))
+                / abs(ci.rho_an_closed(m)) for m in _circle_grid())
     return worst <= 1e-8, f"worst relative residual {worst:.2e}"
 
 
 def check_circle_rs_norm(cases, seed):
-    worst = 0.0
-    for m in _circle_grid():
-        value, target = ci.rs_norm_check(m)
-        worst = max(worst, abs(value - target) / abs(target))
+    worst = max(abs(value - target) / abs(target) for value, target in
+                map(ci.rs_norm_check, _circle_grid()))
     return worst <= 1e-8, f"worst relative residual {worst:.2e}"
 
 
@@ -397,10 +393,8 @@ def check_circle_duality(cases, seed):
 
 
 def check_circle_split(cases, seed):
-    worst = 0.0
-    for m in _circle_grid(n_complex=4):
-        for k in (2, 5):
-            worst = max(worst, ci.split_check(m, k))
+    worst = max(ci.split_check(m, k) for m in _circle_grid(n_complex=4)
+                for k in (2, 5))
     return worst <= 1e-8, f"worst residual {worst:.2e}"
 
 
@@ -410,10 +404,8 @@ def check_circle_zeta_zero(cases, seed):
 
 
 def check_circle_scale(cases, seed):
-    worst = 0.0
-    for m in _circle_grid(n_complex=4):
-        for c in (0.5, 2.0, 5.0):
-            worst = max(worst, ci.metric_scale_check(m, c))
+    worst = max(ci.metric_scale_check(m, c) for m in _circle_grid(n_complex=4)
+                for c in (0.5, 2.0, 5.0))
     return worst <= default_tol(), f"worst residual {worst:.2e}"
 
 

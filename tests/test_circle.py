@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import detline.circle as circle_mod
 from detline import (
     CircleModel,
+    SpectralBoundaryError,
     ValidationError,
     duality_check,
     eta_circle,
@@ -23,6 +27,8 @@ from detline import (
     xi_circle,
     zeta_zero_check,
 )
+from detline.circle import _check_cut
+from detline.cli import main
 
 
 class TestHurwitzZeta:
@@ -71,8 +77,10 @@ class TestCircleModel:
             CircleModel(1.0)
         with pytest.raises(ValidationError):
             CircleModel(0.5, scale=0.0)
-        with pytest.raises(ValidationError):
-            CircleModel(0.5, trunc=10)
+        # the circle command takes no --trunc: argparse exits with 2
+        with pytest.raises(SystemExit) as exc:
+            main(["circle", "--a", "0.25", "--trunc", "10"])
+        assert exc.value.code == 2
 
     def test_eta_real_holonomy(self):
         # eta = (1 - 2a)/2 on the real axis
@@ -132,3 +140,90 @@ class TestCircleModel:
         m = CircleModel(0.3)
         for k in (0, 1, 3):
             assert split_check(m, k) <= 1e-10
+
+
+# The property tests are derandomized so the gate sees the same examples on
+# every run.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+RE_A = st.floats(0.01, 0.99)
+# |theta| >= 1e-6 keeps 2|theta| far above the 1e-9 tolerance, so only the
+# integers near n* and near 0 can come close to the cut
+THETA = st.floats(-math.pi / 2 + 1e-6, -1e-6)
+
+
+def _scan_hits_cut(a: complex, theta: float) -> bool:
+    """Verdict of the former scan, (n+a)^2 against the ray 2 theta at 1e-9,
+    over [n* - 50, n* + 50] and [-50, 50].  ``math.atan2`` stands in for
+    ``cmath.phase``, which raises OverflowError when the angle underflows."""
+    cut = 2.0 * theta
+    centre = round(a.imag / math.tan(theta) - a.real)
+    for n in {*range(centre - 50, centre + 51), *range(-50, 51)}:
+        z = (n + a) ** 2
+        arg = math.atan2(z.imag, z.real)
+        dist = min(abs(arg - cut), abs(arg - cut - 2 * math.pi),
+                   abs(arg - cut + 2 * math.pi))
+        if dist < 1e-9:
+            return True
+    return False
+
+
+def _cut_test_hits(a: complex, theta: float) -> bool:
+    try:
+        _check_cut(CircleModel(a), theta)
+    except SpectralBoundaryError:
+        return True
+    return False
+
+
+class TestCutTest:
+    @PROPERTY
+    @given(re=RE_A, im=st.floats(-10.0, 10.0), theta=THETA)
+    def test_matches_scan_for_random_points(self, re, im, theta):
+        a = complex(re, im)
+        assert _cut_test_hits(a, theta) == _scan_hits_cut(a, theta)
+
+    @PROPERTY
+    @given(re=RE_A, n0=st.integers(-10 ** 6, 10 ** 6),
+           theta=st.floats(-math.pi / 2 + 1e-3, -1e-6),
+           offset=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))
+    def test_matches_scan_on_and_near_the_cut(self, re, n0, theta, offset):
+        # (n0 + a) lies on the line of angle theta, up to an offset in Im a
+        a = complex(re, (n0 + re) * math.tan(theta) + offset)
+        hit = _cut_test_hits(a, theta)
+        assert hit == _scan_hits_cut(a, theta)
+        if offset == 0.0:
+            assert hit
+
+    def test_far_cut_point_raises(self):
+        # (2000 + a)^2 lies on the cut; a scan over |n| <= 1000 missed it
+        theta = -1e-4
+        m = CircleModel(complex(0.3, 2000.3 * math.tan(theta)))
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"n=2000 .*angular distance .* < tolerance "
+                                 r"1e-09"):
+            rho_an_circle(m, theta)
+
+
+class TestSplitSet:
+    @PROPERTY
+    @given(re=RE_A, im=st.one_of(st.just(0.0), st.floats(-60.0, 60.0)),
+           k=st.integers(0, 50))
+    def test_removed_set_matches_brute_force(self, re, im, k):
+        m = CircleModel(complex(re, im))
+        lam = (k + m.a.real) ** 2
+        want = [n + m.a for n in range(-1000, 1001)
+                if abs(n + m.a) ** 2 <= lam]
+        seen = []
+
+        def spy(eigs):
+            seen.append(list(eigs))
+            return eta_finite(eigs)
+
+        eta_finite = circle_mod.eta_finite
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circle_mod, "eta_finite", spy)
+            try:
+                split_check(m, k)
+            except SpectralBoundaryError:  # a removed point on the cut
+                assume(False)
+        assert seen == [want]

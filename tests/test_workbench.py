@@ -160,6 +160,16 @@ class TestCli:
         assert main(["circle", "--a", "1.5"]) == 2
         assert main(["circle", "--a", "zebra"]) == 2
 
+    def test_selftest_default_run_prints_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main(["selftest"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["passed"] is True
+        assert len(out["checks"]) == 27
+        assert all(chk["passed"] for chk in out["checks"])
+
     def test_selftest_subcommand(self, capsys):
         assert main(["selftest", "--cases", "2", "--seed", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
