@@ -7,11 +7,10 @@ from .circle import (CircleModel, duality_check, eta_circle, hurwitz_zeta,
                      split_check, xi_circle, zeta_zero_check)
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         alpha_cohomology, cohomology_frame, direct_sum,
-                        dual_complex, phi, sign_N)
+                        dual_complex, fused_in_sum_frame, phi, sign_N)
 from .errors import SpectralBoundaryError, ValidationError
-from .gradedlinalg import (DetElement, GradedDims, alpha_line, alpha_line_inv,
-                           beta_line, dual_graded, fuse, invert, sign_M,
-                           sign_M_self)
+from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
+                           beta_line, dual_graded, fuse, invert, sign_M)
 from .signature import (EtaData, SignatureOp, SpectralPart, SpectralSplit,
                         build_signature, det_eta_check, eta_finite,
                         graded_det_finite, graded_det_via_xi_eta, log_det_cut,

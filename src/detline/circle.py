@@ -57,8 +57,12 @@ class CircleModel:
 
     def __post_init__(self):
         a = complex(self.a)
+        if not cmath.isfinite(a):
+            raise ValidationError(f"holonomy exponent {a} is not finite")
         if not 0.0 < a.real < 1.0:
             raise ValidationError("need 0 < Re a < 1 (acyclic range)")
+        if not math.isfinite(self.scale):
+            raise ValidationError(f"scale {self.scale} is not finite")
         if self.scale <= 0:
             raise ValidationError("scale must be positive")
         object.__setattr__(self, "a", a)
@@ -146,16 +150,27 @@ def xi_circle(m: CircleModel, theta: float = DEFAULT_THETA,
     return complex(xi)
 
 
+def _exp(z: complex, m: CircleModel) -> complex:
+    """cmath.exp(z), raising SpectralBoundaryError when the value leaves the
+    float range (|rho_an| grows like exp(2 pi |Im a|) for Im a < 0)."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise SpectralBoundaryError(
+            f"exp of real part {z.real:.6g} overflows the float range at "
+            f"Re a = {m.a.real:g}, Im a = {m.a.imag:g}") from None
+
+
 def rho_an_circle(m: CircleModel, theta: float = DEFAULT_THETA) -> complex:
     """Analytic torsion of the model, exp(xi - i pi eta)."""
     zeta0 = _zeta0_pair(m.a)
-    return cmath.exp(xi_circle(m, theta, zeta0)
-                     - 1j * math.pi * eta_circle(m, zeta0))
+    return _exp(xi_circle(m, theta, zeta0)
+                - 1j * math.pi * eta_circle(m, zeta0), m)
 
 
 def rho_an_closed(m: CircleModel) -> complex:
     """Closed form 1 - exp(2 pi i a) (combinatorial value, scale free)."""
-    return 1.0 - cmath.exp(2j * math.pi * m.a)
+    return 1.0 - _exp(2j * math.pi * m.a, m)
 
 
 def rs_torsion_circle(m: CircleModel) -> float:
@@ -164,7 +179,7 @@ def rs_torsion_circle(m: CircleModel) -> float:
     form 1 / |2 sin(pi a)|."""
     # |2 sin(pi a)|^2 = (2 sin pi a)(2 sin pi conj(a)) makes LDet Delta twice
     # the real part of xi; the scale drops out with the zeta values at 0.
-    return math.exp(-xi_circle(m).real)
+    return _exp(-xi_circle(m).real, m).real
 
 
 def rs_norm_check(m: CircleModel) -> tuple[float, float]:
@@ -184,7 +199,7 @@ def duality_check(m: CircleModel) -> float:
     lhs = rho_an_circle(m).conjugate()
     m_dual = CircleModel(m.a.conjugate(), m.scale)
     eta = eta_circle(m).conjugate()
-    rhs = rho_an_circle(m_dual) * cmath.exp(2j * math.pi * eta)
+    rhs = rho_an_circle(m_dual) * _exp(2j * math.pi * eta, m)
     return abs(lhs - rhs)
 
 

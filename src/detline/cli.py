@@ -13,10 +13,10 @@ import json
 import sys
 
 from . import circle as ci
-from .complexes import cohomology_frame
+from .complexes import cohomology_frame, sign_N
 from .errors import SpectralBoundaryError, ValidationError
-from .gradedlinalg import sign_M_self
-from .selftest import default_tol, run_selftest
+from .gradedlinalg import sign_M
+from .selftest import TOL, run_selftest
 from .signature import _torsion_from_split, graded_det_finite, spectral_split
 from .torsion import c_gamma, refined_torsion, sign_R, torsion_norm
 from .workbench import deserialize_document
@@ -45,13 +45,12 @@ def _cmd_torsion(args) -> dict:
     c, g, _ = _load_chiral(args.file)
     frame = cohomology_frame(c)
     rho = refined_torsion(c, g, frame)
-    from .complexes import sign_N
     out = {
         "torsion": _pair(rho.coeff),
         "betti": list(frame.betti),
         "torsion_norm": float(torsion_norm(c, g)),
         "signs": {"N": sign_N(frame), "R": sign_R(c),
-                  "M": sign_M_self(c.dims)},
+                  "M": sign_M(c.dims, c.dims)},
         "c_gamma": _pair(c_gamma(c, g).coeff),
     }
     try:
@@ -78,8 +77,8 @@ def _cmd_split(args) -> dict:
         "torsion_via_split": _pair(via.coeff),
         "refined_torsion": _pair(rho.coeff),
         "consistency_residual": residual,
-        "tolerance": default_tol(),
-        "consistent": bool(residual <= default_tol() * 10),
+        "tolerance": TOL,
+        "consistent": bool(residual <= TOL * 10),
     }
     print(f"split at lambda={args.lam}: small dims {out['d_small']}, "
           f"residual {residual:.2e}", file=sys.stderr)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gradedlinalg import DetElement, GradedDims
+from .gradedlinalg import (DetElement, GradedDims, _duality_parity,
+                           alternating_det, sign_M)
 
 __all__ = [
     "RANK_RTOL",
@@ -30,6 +31,7 @@ __all__ = [
     "dual_complex",
     "direct_sum",
     "alpha_cohomology",
+    "fused_in_sum_frame",
 ]
 
 # Rank decisions: singular values below RANK_RTOL * sigma_max count as zero;
@@ -194,7 +196,7 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
     c = frame.complex
     if x.dims != c.dims or x.dualized:
         raise ValidationError("element does not live on this complex's line")
-    coeff = complex(x.coeff)
+    ts = []
     for j in range(c.d + 1):
         blocks = []
         if j > 0 and frame.A[j - 1].shape[1]:
@@ -207,8 +209,8 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
         t = np.hstack(blocks) if blocks else np.zeros((nj, 0), dtype=complex)
         if t.shape[1] != nj:
             raise ValidationError(f"degree {j}: frame does not span C^{j}")
-        det = np.linalg.det(t) if nj else 1.0
-        coeff *= det ** (1 if j % 2 else -1)
+        ts.append(t)
+    coeff = complex(x.coeff) * alternating_det(ts)
     if sign_N(frame):
         coeff = -coeff
     return CohomologyElement(coeff, frame)
@@ -255,18 +257,30 @@ def alpha_cohomology(x: CohomologyElement,
     betti_hat = frame_hat.betti
     if tuple(betti_hat) != tuple(betti[::-1]):
         raise ValidationError("frames are not dual to each other")
-    parity = 0
-    for j in range(1, d + 1):
-        for k in range(j):
-            parity += betti[j] * betti[k]
-    parity += sum(betti[k] for k in range(0, d + 1, 2))
     coeff = complex(x.coeff).conjugate()
-    if parity % 2:
+    if _duality_parity(GradedDims(betti)):
         coeff = -coeff
-    for j in range(d + 1):
-        if betti_hat[j] == 0:
-            continue
-        # pairing of degree-j dual harmonics against degree-(d-j) harmonics
-        p = frame_hat.H[j].T @ frame.H[d - j].conj()
-        coeff *= np.linalg.det(p) ** (1 if j % 2 else -1)
+    # pairing of degree-j dual harmonics against degree-(d-j) harmonics
+    coeff *= alternating_det(frame_hat.H[j].T @ frame.H[d - j].conj()
+                             for j in range(d + 1))
     return CohomologyElement(coeff, frame_hat)
+
+
+def fused_in_sum_frame(fr_a: CohomologyFrame, fr_b: CohomologyFrame,
+                       coeff_a: complex, coeff_b: complex,
+                       frame_sum: CohomologyFrame) -> complex:
+    """Fuse two cohomology determinant elements and express the result
+    against the harmonic frame of the direct-sum complex (whose harmonic
+    spaces are the orthogonal direct sums of the summands')."""
+    dims_a = fr_a.complex.dims.dims
+    b_a, b_b = fr_a.betti, fr_b.betti
+    coeff = coeff_a * coeff_b
+    if sign_M(GradedDims(b_a), GradedDims(b_b)):
+        coeff = -coeff
+    ts = []
+    for j, h_sum in enumerate(frame_sum.H):
+        k = np.zeros(h_sum.shape, dtype=complex)
+        k[:dims_a[j], :b_a[j]] = fr_a.H[j]
+        k[dims_a[j]:, b_a[j]:] = fr_b.H[j]
+        ts.append(h_sum.conj().T @ k)
+    return coeff / alternating_det(ts)

@@ -5,6 +5,9 @@ of the top exterior powers Det(V^j), taken with exponent (-1)^j.  Every such
 line is one dimensional, so once a standard ordered basis of each V^j is fixed
 an element of the line is a single complex coefficient.  All operations below
 act on that coefficient; sign bookkeeping is done with exact integer parities.
+The two rules every map between such lines obeys live here and nowhere else:
+the alternating determinant of a degreewise change of basis
+(:func:`alternating_det`) and the fusion parity M(V, W) (:func:`sign_M`).
 
 Degrees are over the complex numbers throughout, and duality means the space
 of anti-linear functionals (the tau-dual for tau = complex conjugation).
@@ -14,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "GradedDims",
     "DetElement",
+    "alternating_det",
     "sign_M",
-    "sign_M_self",
     "fuse",
     "invert",
     "alpha_line",
-    "alpha_line_inv",
     "beta_line",
     "dual_graded",
 ]
@@ -73,8 +77,18 @@ class DetElement:
     dims: GradedDims
     dualized: bool = False
 
-    def scaled(self, z: complex) -> "DetElement":
-        return replace(self, coeff=self.coeff * z)
+
+def alternating_det(blocks) -> complex:
+    """prod_j det(blocks[j])^{(-1)^{j+1}} over per-degree square blocks.
+
+    A degreewise change of basis with matrices T_j moves a coefficient on
+    Det(V^0) x Det(V^1)^{-1} x ... by this factor.  An empty block counts 1.
+    """
+    out = 1.0 + 0.0j
+    for j, b in enumerate(blocks):
+        if b.shape[0]:
+            out *= np.linalg.det(b) ** (1 if j % 2 else -1)
+    return out
 
 
 def sign_M(v: GradedDims, w: GradedDims) -> int:
@@ -92,9 +106,10 @@ def sign_M(v: GradedDims, w: GradedDims) -> int:
     return total % 2
 
 
-def sign_M_self(v: GradedDims) -> int:
-    """Parity M(V, V), the sign exponent of the graded duality map."""
-    return sign_M(v, v)
+def _duality_parity(v: GradedDims) -> int:
+    """Parity of M(V, V) + sum_{k even} dim V^k, the sign exponent of the
+    graded duality Det(V) -> Det(V^)."""
+    return (sign_M(v, v) + sum(v.dims[0::2])) % 2
 
 
 def fuse(x: DetElement, y: DetElement) -> DetElement:
@@ -116,24 +131,19 @@ def invert(x: DetElement) -> DetElement:
     return replace(x, coeff=1.0 / x.coeff)
 
 
-def alpha_line(coeff: complex, n: int) -> complex:
-    """Anti-linear map Det(V*) -> Det(V)^{-1} for an n-dimensional V.
+def alpha_line(coeff: complex) -> complex:
+    """Anti-linear map Det(V*) -> Det(V)^{-1}, and its inverse.
 
     Sends the dual-basis wedge e^1 ^ ... ^ e^n to the inverse of the basis
-    wedge, conjugating the coefficient.
+    wedge, conjugating the coefficient, whatever n = dim V.
     """
-    return complex(coeff).conjugate()
-
-
-def alpha_line_inv(coeff: complex, n: int) -> complex:
-    """Inverse of :func:`alpha_line`, Det(V)^{-1} -> Det(V*)."""
     return complex(coeff).conjugate()
 
 
 def beta_line(coeff: complex, n: int) -> complex:
     """Anti-linear map Det(V) -> Det(V*)^{-1} for an n-dimensional V.
 
-    On basis wedges it differs from inverting :func:`alpha_line_inv` by the
+    On basis wedges it differs from inverting :func:`alpha_line` by the
     sign (-1)^n: the basis wedge goes to (-1)^n times the inverse of the
     dual-basis wedge.
     """
@@ -156,8 +166,6 @@ def dual_graded(x: DetElement) -> DetElement:
     dims = x.dims
     if dims.d % 2 == 0:
         raise ValueError("graded duality needs odd top degree")
-    parity = sign_M_self(dims)
-    parity += sum(dims.dims[k] for k in range(0, dims.d + 1, 2))
-    sign = -1 if parity % 2 else 1
+    sign = -1 if _duality_parity(dims) else 1
     return DetElement(sign * complex(x.coeff).conjugate(),
                       dims.reversed(), not x.dualized)

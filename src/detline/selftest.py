@@ -1,22 +1,20 @@
 """Executable invariant suite covering every module's documented properties.
 
 Each check returns (passed, detail).  The suite doubles as the CLI selftest
-and as the backbone of the package's property tests.  The pass thresholds
-default to 1e-9 where not stated otherwise and can be relaxed or tightened
-through the DETLINE_TOL environment variable.
+and as the backbone of the package's property tests.  The pass threshold is
+TOL = 1e-9 where not stated otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from . import circle as ci
-from .complexes import (CochainComplex, CohomologyFrame, alpha_cohomology,
-                        cohomology_frame, direct_sum, dual_complex, phi)
-from .gradedlinalg import (DetElement, GradedDims, alpha_line_inv, beta_line,
+from .complexes import (CohomologyFrame, alpha_cohomology, cohomology_frame,
+                        direct_sum, dual_complex, fused_in_sum_frame, phi)
+from .gradedlinalg import (DetElement, GradedDims, alpha_line, beta_line,
                            dual_graded, fuse)
 from .signature import (build_signature, det_eta_check, graded_det_finite,
                         graded_det_via_xi_eta, pick_agmon_angle,
@@ -26,38 +24,9 @@ from .torsion import (ChiralityOp, dual_torsion_check, refined_torsion,
 from .workbench import (chiral_direct_sum, deserialize_document, gen_random,
                         random_profile, serialize_document)
 
-__all__ = ["default_tol", "fused_in_sum_frame", "run_selftest", "CHECKS"]
+__all__ = ["TOL", "run_selftest", "CHECKS"]
 
-
-def default_tol() -> float:
-    """Default numerical tolerance; override with DETLINE_TOL."""
-    return float(os.environ.get("DETLINE_TOL", "1e-9"))
-
-
-def fused_in_sum_frame(fr_a: CohomologyFrame, fr_b: CohomologyFrame,
-                       coeff_a: complex, coeff_b: complex,
-                       frame_sum: CohomologyFrame) -> complex:
-    """Fuse two cohomology determinant elements and express the result
-    against the harmonic frame of the direct-sum complex (whose harmonic
-    spaces are the orthogonal direct sums of the summands')."""
-    d = fr_a.complex.d
-    dims_a = fr_a.complex.dims.dims
-    b_a, b_b = fr_a.betti, fr_b.betti
-    parity = 0
-    for j in range(1, d + 1):
-        for k in range(j):
-            parity += b_a[j] * b_b[k]
-    coeff = coeff_a * coeff_b * (-1 if parity % 2 else 1)
-    for j in range(d + 1):
-        if frame_sum.betti[j] == 0:
-            continue
-        n_sum = frame_sum.complex.dims.dims[j]
-        k = np.zeros((n_sum, frame_sum.betti[j]), dtype=complex)
-        k[:dims_a[j], :b_a[j]] = fr_a.H[j]
-        k[dims_a[j]:, b_a[j]:] = fr_b.H[j]
-        t = frame_sum.H[j].conj().T @ k
-        coeff *= np.linalg.det(t) ** (-1 if j % 2 else 1)
-    return coeff
+TOL = 1e-9
 
 
 def _rand_dims(rng, d, hi=4):
@@ -97,7 +66,7 @@ def check_alpha_beta(cases, seed):
     for _ in range(cases):
         n = int(rng.integers(0, 7))
         v = _rand_coeff(rng)
-        lhs = 1.0 / alpha_line_inv(1.0 / v, n)
+        lhs = 1.0 / alpha_line(1.0 / v)
         rhs = (-1) ** (n % 2) * beta_line(v, n)
         worst = max(worst, abs(lhs - rhs))
     return worst <= 1e-12, f"worst residual {worst:.2e}"
@@ -110,8 +79,8 @@ def check_fuse_dual_line(cases, seed):
         n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         v, w = _rand_coeff(rng), _rand_coeff(rng)
         lhs = 1.0 / (v * w)
-        dual_v = alpha_line_inv(1.0 / v, n)
-        dual_w = alpha_line_inv(1.0 / w, m)
+        dual_v = alpha_line(1.0 / v)
+        dual_w = alpha_line(1.0 / w)
         rhs = complex(dual_v * dual_w).conjugate()  # alpha on the sum
         worst = max(worst, abs(lhs - rhs))
     return worst <= 1e-12, f"worst residual {worst:.2e}"
@@ -160,7 +129,7 @@ def check_fusion_cohomology(cases, seed):
         rhs = fused_in_sum_frame(fra, frb, phi(xa, fra).coeff,
                                  phi(xb, frb).coeff, frs)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst <= default_tol(), f"worst relative residual {worst:.2e}"
+    return worst <= TOL, f"worst relative residual {worst:.2e}"
 
 
 def check_cohomology_duality(cases, seed):
@@ -177,7 +146,7 @@ def check_cohomology_duality(cases, seed):
         lhs = phi(DetElement(xd.coeff, chat.dims), frh).coeff
         rhs = alpha_cohomology(phi(x, fr), frh).coeff
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    return worst <= default_tol(), f"worst relative residual {worst:.2e}"
+    return worst <= TOL, f"worst relative residual {worst:.2e}"
 
 
 def check_phi_frame_rotation(cases, seed):
@@ -219,7 +188,7 @@ def check_torsion_direct_sum(cases, seed):
                                  refined_torsion(*a, fra).coeff,
                                  refined_torsion(*b, frb).coeff, frs)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst <= default_tol(), f"worst relative residual {worst:.2e}"
+    return worst <= TOL, f"worst relative residual {worst:.2e}"
 
 
 def check_torsion_norm_unitary(cases, seed):
@@ -230,7 +199,7 @@ def check_torsion_norm_unitary(cases, seed):
                               acyclic=(i % 3 > 0))
         c, g = gen_random(seed + i, d, prof, unitary=True)
         worst = max(worst, abs(torsion_norm(c, g) - 1.0))
-    return worst <= default_tol(), f"worst |norm - 1| = {worst:.2e}"
+    return worst <= TOL, f"worst |norm - 1| = {worst:.2e}"
 
 
 def check_variation_order(cases, seed):
@@ -273,7 +242,7 @@ def check_torsion_graded_det(cases, seed):
         rho = refined_torsion(c, g).coeff
         det = graded_det_finite(c, g)
         worst = max(worst, abs(rho - det) / abs(det))
-    return worst <= default_tol(), f"worst relative residual {worst:.2e}"
+    return worst <= TOL, f"worst relative residual {worst:.2e}"
 
 
 def _lambda_choices(c, g):
@@ -323,7 +292,7 @@ def check_odd_even_spectrum(cases, seed):
         od = np.sort_complex(np.linalg.eigvals(s.b_odd))
         if ev.size:
             worst = max(worst, float(np.abs(ev - od).max()))
-    return worst <= default_tol(), f"worst eigenvalue gap {worst:.2e}"
+    return worst <= TOL, f"worst eigenvalue gap {worst:.2e}"
 
 
 def check_det_eta(cases, seed):
@@ -338,7 +307,7 @@ def check_det_eta(cases, seed):
         except Exception:
             continue
         worst = max(worst, det_eta_check(m, theta))
-    return worst <= default_tol(), f"worst residual {worst:.2e}"
+    return worst <= TOL, f"worst residual {worst:.2e}"
 
 
 def check_xi_eta_two_path(cases, seed):
@@ -349,7 +318,7 @@ def check_xi_eta_two_path(cases, seed):
         det = graded_det_finite(c, g)
         v = graded_det_via_xi_eta(c, g, 0.0)
         worst = max(worst, abs(v - det) / abs(det))
-    return worst <= default_tol(), f"worst relative residual {worst:.2e}"
+    return worst <= TOL, f"worst relative residual {worst:.2e}"
 
 
 def check_agmon_independence(cases, seed):
@@ -363,7 +332,7 @@ def check_agmon_independence(cases, seed):
         v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
         v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
         worst = max(worst, abs(v0 - v1) / abs(v0))
-    return worst <= default_tol(), f"worst relative spread {worst:.2e}"
+    return worst <= TOL, f"worst relative spread {worst:.2e}"
 
 
 def _circle_grid(n_complex=10):
@@ -389,7 +358,7 @@ def check_circle_rs_norm(cases, seed):
 
 def check_circle_duality(cases, seed):
     worst = max(ci.duality_check(m) for m in _circle_grid())
-    return worst <= default_tol(), f"worst residual {worst:.2e}"
+    return worst <= TOL, f"worst residual {worst:.2e}"
 
 
 def check_circle_split(cases, seed):
@@ -406,7 +375,7 @@ def check_circle_zeta_zero(cases, seed):
 def check_circle_scale(cases, seed):
     worst = max(ci.metric_scale_check(m, c) for m in _circle_grid(n_complex=4)
                 for c in (0.5, 2.0, 5.0))
-    return worst <= default_tol(), f"worst residual {worst:.2e}"
+    return worst <= TOL, f"worst residual {worst:.2e}"
 
 
 def check_hurwitz_crosscheck(cases, seed):

@@ -26,7 +26,7 @@ from .complexes import (RANK_ATOL, RANK_RTOL, CochainComplex,
                         CohomologyElement, CohomologyFrame, _svd_bases,
                         cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
-from .gradedlinalg import GradedDims
+from .gradedlinalg import GradedDims, alternating_det
 from .torsion import ChiralityOp, refined_torsion, validate_chirality
 
 __all__ = [
@@ -79,7 +79,8 @@ def _bsq_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
 
 
 def _parity_matrix(c: CochainComplex, g: ChiralityOp, parity: int):
-    """Matrix of B on the sum of degrees of the given parity, plus offsets."""
+    """Matrix of B on the sum of degrees of the given parity, and those
+    degrees."""
     d = c.d
     n = c.dims.dims
     degs = [j for j in range(d + 1) if j % 2 == parity]
@@ -98,7 +99,7 @@ def _parity_matrix(c: CochainComplex, g: ChiralityOp, parity: int):
         if 0 <= tgt <= d and tgt % 2 == parity:
             mat[offs[tgt]:offs[tgt] + n[tgt], offs[j]:offs[j] + n[j]] += \
                 _dg_block(c, g, j)
-    return mat, degs, offs
+    return mat, degs
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ class SignatureOp:
 
 def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     validate_chirality(c, g)
-    even, _, _ = _parity_matrix(c, g, 0)
-    odd, _, _ = _parity_matrix(c, g, 1)
+    even, _ = _parity_matrix(c, g, 0)
+    odd, _ = _parity_matrix(c, g, 1)
     return SignatureOp(c, g, even, odd)
 
 
@@ -184,7 +185,7 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
     part, computed in explicit bases of the +/- subspaces."""
     plus, minus = plus_minus_split(c, g)
-    b_even, degs, _ = _parity_matrix(c, g, 0)
+    b_even, degs = _parity_matrix(c, g, 0)
     p = _block_diag_basis(plus, degs)
     m = _block_diag_basis(minus, degs)
     num = _restrict(p, b_even @ p, "B+ even")
@@ -303,13 +304,9 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
     rho_small = refined_torsion(small.complex, small.chirality, small_frame)
-    coeff = det_large * rho_small.coeff
-    for j in range(frame.complex.d + 1):
-        if frame.betti[j] == 0:
-            continue
-        w = frame.H[j].conj().T @ small.bases[j] @ small_frame.H[j]
-        coeff *= np.linalg.det(w) ** (-1 if j % 2 else 1)
-    return CohomologyElement(coeff, frame), det_large
+    w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
+                        for j, h in enumerate(small_frame.H))
+    return CohomologyElement(det_large * rho_small.coeff / w, frame), det_large
 
 
 def _eig_input(m) -> np.ndarray:
@@ -445,7 +442,7 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     cl, gl = split.large.complex, split.large.chirality
     d = cl.d
     plus, minus = plus_minus_split(cl, gl)
-    b_even, degs, _ = _parity_matrix(cl, gl, 0)
+    b_even, degs = _parity_matrix(cl, gl, 0)
     eigs = _eig_input(b_even)
     if theta is None:
         theta = pick_agmon_angle(eigs)

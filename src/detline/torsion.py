@@ -16,7 +16,7 @@ import numpy as np
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         alpha_cohomology, cohomology_frame, dual_complex, phi)
 from .errors import ValidationError
-from .gradedlinalg import DetElement
+from .gradedlinalg import DetElement, alternating_det
 
 __all__ = [
     "ChiralityOp",
@@ -88,11 +88,8 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
     """
     validate_chirality(c, g)
     r = (c.d + 1) // 2
-    coeff = complex(-1 if sign_R(c) else 1)
-    for j in range(r):
-        det = np.linalg.det(g.gamma[j]) if c.dims.dims[j] else 1.0
-        coeff *= det ** (1 if j % 2 else -1)
-    return DetElement(coeff, c.dims)
+    coeff = alternating_det(g.gamma[:r])
+    return DetElement(-coeff if sign_R(c) else coeff, c.dims)
 
 
 def refined_torsion(c: CochainComplex, g: ChiralityOp,

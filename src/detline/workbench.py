@@ -32,11 +32,6 @@ __all__ = [
 # generators
 
 
-def _empty(d: int):
-    dims = [0] * (d + 1)
-    return dims
-
-
 def _zeros(dims):
     d = len(dims) - 1
     return [np.zeros((dims[j + 1], dims[j]), dtype=complex) for j in range(d)]
@@ -54,7 +49,7 @@ def gen_elementary(d: int, j: int, z: complex):
         raise ValidationError(f"block degree {j} out of range [0, {r})")
     if z == 0:
         raise ValidationError("acyclic block needs z != 0")
-    dims = _empty(d)
+    dims = [0] * (d + 1)
     dims[j] += 1
     dims[j + 1] += 1
     mirrored = (d - j - 1) != j
@@ -85,7 +80,7 @@ def gen_harmonic(d: int, k: int):
         raise ValidationError("top degree must be odd")
     if not 0 <= k <= d:
         raise ValidationError("degree out of range")
-    dims = _empty(d)
+    dims = [0] * (d + 1)
     dims[k] += 1
     if d - k != k:
         dims[d - k] += 1

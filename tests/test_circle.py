@@ -1,6 +1,7 @@
 """Unit tests for the closed-form torsion model over the circle."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -227,3 +228,44 @@ class TestSplitSet:
             except SpectralBoundaryError:  # a removed point on the cut
                 assume(False)
         assert seen == [want]
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("argv", [
+        ["--a", "0.3,nan"], ["--a", "0.3,inf"],
+        ["--a", "0.25", "--scale", "nan"], ["--a", "0.25", "--scale", "inf"]])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(["circle", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("a, named", [
+        ("0.3,-115", "Im a = -115"),
+        # rho_an(a) is finite; duality_check overflows at conj(a)
+        ("0.3,115", "Im a = -115"),
+        # the Ray-Singer torsion 1/|2 sin(pi a)| leaves the float range
+        ("5e-324", "Re a = 4.94066e-324")])
+    def test_overflow_exits_3(self, a, named, capsys):
+        assert main(["circle", "--a", a]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert named in out.err
+
+    def test_overflow_in_library(self):
+        with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
+            rho_an_circle(CircleModel(complex(0.3, -115.0)))
+        with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
+            rho_an_closed(CircleModel(complex(0.3, -115.0)))
+
+    def test_large_finite_imaginary_part_exits_0(self, capsys):
+        assert main(["circle", "--a", "0.3,100"]) == 0
+
+        def reject(name):
+            raise AssertionError(f"non-finite {name} in the JSON")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["a"] == [0.3, 100.0]
+        rho, closed = complex(*out["rho_an"]), complex(*out["rho_closed"])
+        assert abs(rho - closed) <= 1e-12 * abs(closed)
+        np.testing.assert_allclose(out["rs_norm_value"],
+                                   out["rs_norm_target"], rtol=1e-9)
+        assert out["duality_residual"] <= 1e-9

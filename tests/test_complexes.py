@@ -13,16 +13,10 @@ from detline import (
     direct_sum,
     dual_complex,
     dual_graded,
-    gen_random,
     phi,
-    random_profile,
     sign_N,
 )
-
-
-def _instance(seed, d, acyclic=True):
-    prof = random_profile(np.random.default_rng(seed), d, acyclic=acyclic)
-    return gen_random(seed, d, prof)[0]
+from detline.selftest import _instance
 
 
 class TestCochainComplex:
@@ -60,7 +54,7 @@ class TestCohomologyFrame:
 
     def test_decomposition_is_orthonormal(self):
         for seed in range(5):
-            c = _instance(seed, 3, acyclic=(seed % 2 == 0))
+            c = _instance(seed, 3, acyclic=(seed % 2 == 0))[0]
             fr = cohomology_frame(c)
             for j in range(c.d + 1):
                 basis = np.hstack([fr.B[j], fr.H[j], fr.A[j]])
@@ -74,8 +68,8 @@ class TestCohomologyFrame:
                         c.partial[j] @ fr.H[j], 0.0, atol=1e-10)
 
     def test_betti_adds_under_direct_sum(self):
-        a = _instance(10, 3, acyclic=False)
-        b = _instance(11, 3, acyclic=False)
+        a = _instance(10, 3, acyclic=False)[0]
+        b = _instance(11, 3, acyclic=False)[0]
         s = direct_sum(a, b)
         fa, fb, fs = (cohomology_frame(x) for x in (a, b, s))
         assert fs.betti == tuple(x + y for x, y in zip(fa.betti, fb.betti))
@@ -111,7 +105,7 @@ class TestPhi:
 
 class TestDuality:
     def test_dual_complex_shape(self):
-        c = _instance(20, 3, acyclic=False)
+        c = _instance(20, 3, acyclic=False)[0]
         chat = dual_complex(c)
         assert chat.dims == c.dims.reversed()
         chat.validate()
@@ -125,7 +119,7 @@ class TestDuality:
         rng = np.random.default_rng(4)
         for seed in range(8):
             d = 3 if seed % 2 else 1
-            c = _instance(seed + 30, d, acyclic=(seed % 3 == 0))
+            c = _instance(seed + 30, d, acyclic=(seed % 3 == 0))[0]
             fr = cohomology_frame(c)
             chat = dual_complex(c)
             frh = cohomology_frame(chat)

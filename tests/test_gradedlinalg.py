@@ -7,23 +7,18 @@ from detline import (
     DetElement,
     GradedDims,
     alpha_line,
-    alpha_line_inv,
+    alternating_det,
     beta_line,
     dual_graded,
     fuse,
     invert,
     sign_M,
-    sign_M_self,
 )
+from detline.selftest import _rand_coeff
 
 
 def _rand_dims(rng, d, hi=5):
     return GradedDims(tuple(int(rng.integers(0, hi)) for _ in range(d + 1)))
-
-
-def _rand_coeff(rng):
-    z = complex(rng.normal(), rng.normal())
-    return z if abs(z) > 0.1 else z + 0.5
 
 
 class TestGradedDims:
@@ -51,11 +46,36 @@ class TestSignM:
         # single cross term dim V^1 * dim W^0 = 1
         assert sign_M(one, one) == 1
         assert sign_M(GradedDims((1, 0)), GradedDims((0, 1))) == 0
-        assert sign_M_self(GradedDims((2, 1))) == 0  # 1*2 = 2 even
+        v = GradedDims((2, 1))
+        assert sign_M(v, v) == 0  # 1*2 = 2 even
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             sign_M(GradedDims((1,)), GradedDims((1, 1)))
+
+
+class TestAlternatingDet:
+    def test_diagonal_blocks_with_empty_degrees(self, monkeypatch):
+        # The determinant of a diagonal block is the product of its diagonal,
+        # so the exact value is prod_j (prod diag_j)^{(-1)^{j+1}}; an empty
+        # degree counts 1 and costs no determinant.
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det",
+                            lambda a: calls.append(a.shape) or det(a))
+        rng = np.random.default_rng(5)
+        for sizes in [(0,), (0, 0), (2, 0, 3, 1), (0, 4, 1, 0, 0, 2),
+                      (1, 3, 0, 0)]:
+            calls.clear()
+            diags = [rng.normal(size=n) + 1j * rng.normal(size=n)
+                     for n in sizes]
+            expect = 1.0 + 0.0j
+            for j, diag in enumerate(diags):
+                for z in diag:
+                    expect = expect * z if j % 2 else expect / z
+            got = alternating_det([np.diag(diag) for diag in diags])
+            np.testing.assert_allclose(got, expect, rtol=1e-13)
+            assert calls == [(n, n) for n in sizes if n]
 
 
 class TestFuse:
@@ -113,7 +133,7 @@ class TestInvert:
 class TestAlphaBeta:
     def test_values(self):
         z = 3.0 + 4.0j
-        assert alpha_line(z, 2) == np.conj(z)
+        assert alpha_line(z) == np.conj(z)
         assert beta_line(z, 2) == np.conj(z)
         assert beta_line(z, 3) == -np.conj(z)
 
@@ -123,7 +143,7 @@ class TestAlphaBeta:
         rng = np.random.default_rng(2)
         for n in range(5):
             z = _rand_coeff(rng)
-            lhs = 1.0 / alpha_line_inv(1.0 / z, n)
+            lhs = 1.0 / alpha_line(1.0 / z)
             sign = -1.0 if n % 2 else 1.0
             np.testing.assert_allclose(lhs, sign * beta_line(z, n), rtol=1e-13)
 

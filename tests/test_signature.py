@@ -26,12 +26,8 @@ from detline import (
     spectral_split,
     torsion_via_split,
 )
+from detline.selftest import _instance
 from detline.signature import _restrict
-
-
-def _instance(seed, d, acyclic=True):
-    prof = random_profile(np.random.default_rng(seed), d, acyclic=acyclic)
-    return gen_random(seed, d, prof)
 
 
 class TestGradedDet:

@@ -21,12 +21,8 @@ from detline import (
     validate_chirality,
     variation_check,
 )
-from detline.selftest import fused_in_sum_frame
-
-
-def _instance(seed, d, acyclic=True, unitary=False):
-    prof = random_profile(np.random.default_rng(seed), d, acyclic=acyclic)
-    return gen_random(seed, d, prof, unitary=unitary)
+from detline.complexes import fused_in_sum_frame
+from detline.selftest import _instance
 
 
 class TestValidateChirality:
@@ -73,7 +69,9 @@ class TestRefinedTorsion:
     def test_norm_is_one_for_unitary_chirality(self):
         for seed in range(20):
             d = 3 if seed % 2 else 1
-            c, g = _instance(seed, d, acyclic=(seed % 3 > 0), unitary=True)
+            prof = random_profile(np.random.default_rng(seed), d,
+                                  acyclic=(seed % 3 > 0))
+            c, g = gen_random(seed, d, prof, unitary=True)
             np.testing.assert_allclose(torsion_norm(c, g), 1.0, atol=1e-12)
 
     def test_direct_sum_multiplicativity(self):
