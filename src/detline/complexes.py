@@ -34,8 +34,9 @@ __all__ = [
     "fused_in_sum_frame",
 ]
 
-# Rank decisions: singular values below RANK_RTOL * sigma_max count as zero;
-# when sigma_max itself vanishes the absolute floor RANK_ATOL applies.
+# Zero decisions (singular values and eigenvalues alike): a magnitude counts
+# as zero when it is at most RANK_RTOL times the largest one, or at most the
+# absolute floor RANK_ATOL.
 RANK_RTOL = 1e-8
 RANK_ATOL = 1e-12
 
@@ -91,11 +92,24 @@ class CochainComplex:
                 f"d.d residual {res:.3e} exceeds tolerance {tol:.3e}")
 
 
-def _rank_threshold(s: np.ndarray) -> float:
-    if s.size == 0 or s[0] == 0.0:
-        return RANK_ATOL
-    # the absolute floor keeps numerically-zero matrices at rank zero
-    return max(RANK_RTOL * float(s[0]), RANK_ATOL)
+def _zero_cut(scale: float) -> float:
+    """Largest magnitude that counts as zero in a spectrum of the given scale;
+    the absolute floor keeps numerically-zero matrices at rank zero."""
+    return max(RANK_RTOL * scale, RANK_ATOL)
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Complex block-diagonal matrix of the given blocks, in order; blocks
+    may be rectangular or empty."""
+    blocks = list(blocks)
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 def _svd_bases(mat: np.ndarray):
@@ -106,7 +120,7 @@ def _svd_bases(mat: np.ndarray):
         return (np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex),
                 np.zeros((cols, 0), dtype=complex))
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > _rank_threshold(s)))
+    rank = int(np.sum(s > _zero_cut(float(s[0]))))
     v = vh.conj().T
     return u[:, :rank], v[:, rank:], v[:, :rank]
 
@@ -224,20 +238,17 @@ def dual_complex(c: CochainComplex) -> CochainComplex:
     return CochainComplex(dims, partial)
 
 
-def direct_sum(c1: CochainComplex, c2: CochainComplex) -> CochainComplex:
-    """Degreewise direct sum, first summand's coordinates first."""
-    if c1.d != c2.d:
+def direct_sum(*complexes: CochainComplex) -> CochainComplex:
+    """Degreewise direct sum, summands' coordinates in argument order."""
+    if not complexes:
+        raise ValidationError("direct sum needs at least one summand")
+    d = complexes[0].d
+    if any(c.d != d for c in complexes):
         raise ValidationError("degree mismatch in direct sum")
-    dims = c1.dims + c2.dims
-    partial = []
-    for j in range(c1.d):
-        a, b = c1.partial[j], c2.partial[j]
-        m = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
-                     dtype=complex)
-        m[:a.shape[0], :a.shape[1]] = a
-        m[a.shape[0]:, a.shape[1]:] = b
-        partial.append(m)
-    return CochainComplex(dims, tuple(partial))
+    dims = GradedDims(tuple(sum(c.dims.dims[j] for c in complexes)
+                            for j in range(d + 1)))
+    return CochainComplex(dims, tuple(
+        _block_diag(c.partial[j] for c in complexes) for j in range(d)))
 
 
 def alpha_cohomology(x: CohomologyElement,
@@ -272,15 +283,9 @@ def fused_in_sum_frame(fr_a: CohomologyFrame, fr_b: CohomologyFrame,
     """Fuse two cohomology determinant elements and express the result
     against the harmonic frame of the direct-sum complex (whose harmonic
     spaces are the orthogonal direct sums of the summands')."""
-    dims_a = fr_a.complex.dims.dims
-    b_a, b_b = fr_a.betti, fr_b.betti
     coeff = coeff_a * coeff_b
-    if sign_M(GradedDims(b_a), GradedDims(b_b)):
+    if sign_M(GradedDims(fr_a.betti), GradedDims(fr_b.betti)):
         coeff = -coeff
-    ts = []
-    for j, h_sum in enumerate(frame_sum.H):
-        k = np.zeros(h_sum.shape, dtype=complex)
-        k[:dims_a[j], :b_a[j]] = fr_a.H[j]
-        k[dims_a[j]:, b_a[j]:] = fr_b.H[j]
-        ts.append(h_sum.conj().T @ k)
-    return coeff / alternating_det(ts)
+    return coeff / alternating_det(
+        h_sum.conj().T @ _block_diag([fr_a.H[j], fr_b.H[j]])
+        for j, h_sum in enumerate(frame_sum.H))

@@ -14,6 +14,7 @@ import numpy as np
 from . import circle as ci
 from .complexes import (CohomologyFrame, alpha_cohomology, cohomology_frame,
                         direct_sum, dual_complex, fused_in_sum_frame, phi)
+from .errors import ValidationError
 from .gradedlinalg import (DetElement, GradedDims, alpha_line, beta_line,
                            dual_graded, fuse)
 from .signature import (build_signature, det_eta_check, graded_det_finite,
@@ -433,7 +434,10 @@ CHECKS = [
 
 
 def run_selftest(cases: int = 40, seed: int = 12345):
-    """Run every registered check; returns (all_passed, list of reports)."""
+    """Run every registered check; returns (all_passed, list of reports).
+    Raises ValidationError unless cases >= 1."""
+    if cases < 1:
+        raise ValidationError(f"selftest needs at least one case, got {cases}")
     reports = []
     ok = True
     for name, fn in CHECKS:

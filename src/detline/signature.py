@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .complexes import (RANK_ATOL, RANK_RTOL, CochainComplex,
-                        CohomologyElement, CohomologyFrame, _svd_bases,
-                        cohomology_frame)
+from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
+                        _block_diag, _svd_bases, _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import ChiralityOp, refined_torsion, validate_chirality
@@ -168,26 +167,13 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp):
     return plus, minus
 
 
-def _block_diag_basis(bases, degs):
-    cols = [bases[j] for j in degs]
-    rows = [b.shape[0] for b in cols]
-    width = [b.shape[1] for b in cols]
-    out = np.zeros((sum(rows), sum(width)), dtype=complex)
-    r = c0 = 0
-    for b in cols:
-        out[r:r + b.shape[0], c0:c0 + b.shape[1]] = b
-        r += b.shape[0]
-        c0 += b.shape[1]
-    return out
-
-
 def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
     part, computed in explicit bases of the +/- subspaces."""
     plus, minus = plus_minus_split(c, g)
     b_even, degs = _parity_matrix(c, g, 0)
-    p = _block_diag_basis(plus, degs)
-    m = _block_diag_basis(minus, degs)
+    p = _block_diag(plus[j] for j in degs)
+    m = _block_diag(minus[j] for j in degs)
     num = _restrict(p, b_even @ p, "B+ even")
     den = _restrict(m, -b_even @ m, "B- even")
     det_num = np.linalg.det(num) if num.size else 1.0
@@ -237,7 +223,7 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     t, z = scipy.linalg.schur(bsq, output="complex")
     eigs = np.diag(t)
     scale = max(1.0, float(np.abs(eigs).max()))
-    cut = lam if lam > 0 else RANK_RTOL * scale
+    cut = lam if lam > 0 else _zero_cut(scale)
     if lam > 0:
         gap = np.min(np.abs(np.abs(eigs) - lam))
         if gap <= _CLUSTER_RTOL * max(lam, scale):
@@ -260,15 +246,15 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
 
 def spectral_split(c: CochainComplex, g: ChiralityOp,
                    lam: float) -> SpectralSplit:
-    """Split the complex along the spectrum of B^2 at level lam >= 0.
+    """Split the complex along the spectrum of B^2 at a finite level lam >= 0.
 
     The small part collects the generalized eigenspaces with |eigenvalue|
     at most lam (for lam = 0: the numerically zero eigenvalues); the large
     part is its B^2-invariant complement.  Raises SpectralBoundaryError when
     lam falls inside an eigenvalue cluster.
     """
-    if lam < 0:
-        raise ValidationError("split level must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
     d = c.d
     small_bases, large_bases = [None] * (d + 1), [None] * (d + 1)
@@ -323,9 +309,7 @@ def _eig_input(m) -> np.ndarray:
 def _split_zero(eigs: np.ndarray):
     if eigs.size == 0:
         return eigs, 0
-    scale = float(np.abs(eigs).max())
-    thr = RANK_ATOL if scale == 0 else RANK_RTOL * scale
-    nonzero = eigs[np.abs(eigs) > thr]
+    nonzero = eigs[np.abs(eigs) > _zero_cut(float(np.abs(eigs).max()))]
     return nonzero, int(eigs.size - nonzero.size)
 
 

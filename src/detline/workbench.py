@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 
-from .complexes import CochainComplex, cohomology_frame
+from .complexes import (CochainComplex, _block_diag, cohomology_frame,
+                        direct_sum)
 from .errors import ValidationError
 from .gradedlinalg import GradedDims
 from .torsion import ChiralityOp, validate_chirality
@@ -94,31 +95,11 @@ def gen_harmonic(d: int, k: int):
 
 
 def chiral_direct_sum(parts):
-    """Direct sum of (complex, chirality) pairs with matching top degree."""
-    cs = [p[0] for p in parts]
-    gs = [p[1] for p in parts]
-    d = cs[0].d
-    dims = [sum(c.dims.dims[q] for c in cs) for q in range(d + 1)]
-    partial = _zeros(dims)
-    gamma = [np.zeros((dims[d - q], dims[q]), dtype=complex)
-             for q in range(d + 1)]
-    row = [[0] * (d + 1) for _ in cs]
-    pos = [0] * (d + 1)
-    for i, c in enumerate(cs):
-        for q in range(d + 1):
-            row[i][q] = pos[q]
-            pos[q] += c.dims.dims[q]
-    for i, (c, g) in enumerate(zip(cs, gs)):
-        for q in range(d):
-            nq, nq1 = c.dims.dims[q], c.dims.dims[q + 1]
-            partial[q][row[i][q + 1]:row[i][q + 1] + nq1,
-                       row[i][q]:row[i][q] + nq] = c.partial[q]
-        for q in range(d + 1):
-            nq, nt = c.dims.dims[q], c.dims.dims[d - q]
-            gamma[q][row[i][d - q]:row[i][d - q] + nt,
-                     row[i][q]:row[i][q] + nq] = g.gamma[q]
-    return (CochainComplex(GradedDims(tuple(dims)), tuple(partial)),
-            ChiralityOp(tuple(gamma)))
+    """Direct sum of (complex, chirality) pairs with matching top degree.
+    Each Gamma_q is block diagonal in summand order."""
+    c = direct_sum(*(p[0] for p in parts))
+    return c, ChiralityOp(tuple(_block_diag(p[1].gamma[q] for p in parts)
+                                for q in range(c.d + 1)))
 
 
 def _well_conditioned(rng: np.random.Generator, n: int,

@@ -39,6 +39,23 @@ class TestCochainComplex:
         c.validate()
 
 
+    def test_direct_sum_of_three_is_iterated_sum(self):
+        a, b, c = (_instance(seed, 3, acyclic=False)[0] for seed in (1, 2, 3))
+        s3 = direct_sum(a, b, c)
+        s2 = direct_sum(direct_sum(a, b), c)
+        assert s3.dims == s2.dims
+        for m3, m2 in zip(s3.partial, s2.partial):
+            assert np.array_equal(m3, m2)
+
+    def test_direct_sum_rejects_bad_summands(self):
+        a = _instance(1, 1, acyclic=False)[0]
+        b = _instance(2, 3, acyclic=False)[0]
+        with pytest.raises(ValidationError):
+            direct_sum(a, b)
+        with pytest.raises(ValidationError):
+            direct_sum()
+
+
 class TestCohomologyFrame:
     def test_acyclic_scalar_complex(self):
         c = CochainComplex(GradedDims((1, 1)), (np.array([[2.0]]),))

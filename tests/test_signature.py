@@ -26,6 +26,7 @@ from detline import (
     spectral_split,
     torsion_via_split,
 )
+from detline.complexes import _svd_bases
 from detline.selftest import _instance
 from detline.signature import _restrict
 
@@ -86,6 +87,12 @@ class TestSpectralSplit:
         c, g = gen_elementary(1, 0, 2.0)
         with pytest.raises(ValidationError):
             spectral_split(c, g, -1.0)
+
+    def test_non_finite_level_is_rejected(self):
+        c, g = gen_elementary(1, 0, 2.0)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                spectral_split(c, g, lam)
 
     def test_split_agrees_with_torsion(self):
         for seed in range(6):
@@ -226,6 +233,13 @@ class TestEta:
         np.testing.assert_allclose(e.eta, 0.5)
         np.testing.assert_allclose(eta_finite(np.diag([1.0, -1.0])).eta, 0.0)
         np.testing.assert_allclose(eta_finite(np.zeros((1, 1))).eta, 0.5)
+
+    def test_zero_count_matches_svd_rank(self):
+        # a tiny spectrum still has the absolute floor under its zero cut,
+        # as the singular values of the same matrix do
+        m = np.diag([1e-5, 5e-13])
+        assert eta_finite(m).m_zero == 1
+        assert _svd_bases(m.astype(complex))[0].shape[1] == 1
 
     def test_det_eta_hand_examples(self):
         assert det_eta_check(np.diag([2.0]), -math.pi / 4) <= 1e-14

@@ -19,6 +19,7 @@ from detline import (
     validate_chirality,
 )
 from detline.cli import main
+from detline.selftest import run_selftest
 
 
 class TestGenerators:
@@ -54,6 +55,32 @@ class TestGenerators:
         c, g = chiral_direct_sum(parts)
         c.validate()
         validate_chirality(c, g)
+
+    def test_direct_sum_places_blocks_by_offsets(self):
+        parts = [gen_random(3, 3), gen_harmonic(3, 1),
+                 gen_elementary(3, 1, 1.0 + 1.0j)]
+        c, g = chiral_direct_sum(parts)
+        # offset-placement oracle: summand i occupies the coordinates after
+        # those of summands 0..i-1 in every degree
+        dims = [sum(p[0].dims.dims[q] for p in parts) for q in range(4)]
+        partial = [np.zeros((dims[q + 1], dims[q]), dtype=complex)
+                   for q in range(3)]
+        gamma = [np.zeros((dims[3 - q], dims[q]), dtype=complex)
+                 for q in range(4)]
+        off = [0] * 4
+        for pc, pg in parts:
+            n = pc.dims.dims
+            for q in range(3):
+                partial[q][off[q + 1]:off[q + 1] + n[q + 1],
+                           off[q]:off[q] + n[q]] = pc.partial[q]
+            for q in range(4):
+                gamma[q][off[3 - q]:off[3 - q] + n[3 - q],
+                         off[q]:off[q] + n[q]] = pg.gamma[q]
+            off = [o + k for o, k in zip(off, n)]
+        assert c.dims.dims == tuple(dims)
+        for got, want in zip(c.partial + g.gamma, partial + gamma):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_random_is_deterministic(self):
         a = gen_random(1234, 3)
@@ -142,6 +169,11 @@ class TestCli:
         # lambda right on the B^2 eigenvalue 4
         assert main(["split", doc_path, "--lambda", "4.0"]) == 3
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_split_rejects_non_finite_lambda(self, doc_path, capsys, lam):
+        assert main(["split", doc_path, f"--lambda={lam}"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_document_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
@@ -175,3 +207,10 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
         assert all(chk["passed"] for chk in out["checks"])
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_selftest_rejects_cases_below_one(self, capsys, cases):
+        assert main(["selftest", "--cases", cases]) == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValidationError):
+            run_selftest(cases=int(cases))
