@@ -2,8 +2,10 @@
 
 Subcommands: torsion, split, circle, selftest.  Machine-readable JSON goes to
 stdout, a short human summary to stderr.  Exit codes: 0 success, 2 validation
-error (bad input or document), 3 numerical boundary (eigenvalue on a cut,
-split level in a cluster, singular operator, or a failed selftest).
+error (bad input or document, including a non-finite or boolean matrix
+entry), 3 numerical boundary (eigenvalue on a cut, split level in a cluster,
+singular operator, a non-finite result, or a failed selftest).  stdout holds
+strict JSON (no NaN or Infinity) or nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import circle as ci
 from .complexes import cohomology_frame, sign_N
@@ -156,28 +160,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _strict_json(out: dict) -> str:
+    """JSON text of a report; a non-finite number in it is a numerical
+    boundary, named by its top-level field."""
+    for key, value in out.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise SpectralBoundaryError(
+                f"non-finite result in field {key!r}") from None
+    return json.dumps(out, allow_nan=False)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    ok = True
     try:
-        if args.command == "torsion":
-            out = _cmd_torsion(args)
-        elif args.command == "split":
-            out = _cmd_split(args)
+        if args.command in ("torsion", "split"):
+            # a document's numbers may overflow; the result check below
+            # reports that as a numerical boundary, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                cmd = _cmd_torsion if args.command == "torsion" else _cmd_split
+                out = cmd(args)
         elif args.command == "circle":
             out = _cmd_circle(args)
         else:
             out, ok = _cmd_selftest(args)
-            print(json.dumps(out))
-            return 0 if ok else 3
+        text = _strict_json(out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SpectralBoundaryError as exc:
         print(f"numerical boundary: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(out))
-    return 0
+    print(text)
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

@@ -4,13 +4,16 @@ A complex is a dimension vector together with differentials
 d_j : C^j -> C^{j+1} satisfying d_{j+1} d_j = 0.  Each C^j carries the
 standard Hermitian inner product of its coordinates.  The main tool is the
 orthogonal decomposition C^j = B^j + H^j + A^j into exact, harmonic and
-coexact parts computed by SVD; it induces the canonical isomorphism ``phi``
-between the determinant line of the complex and the determinant line of its
-cohomology.
+coexact parts; it induces the canonical isomorphism ``phi`` between the
+determinant line of the complex and the determinant line of its cohomology.
+The decomposition takes one SVD per degree, chained down the complex: d_j
+vanishes on B^j, so it is factorized on the orthogonal complement of B^j
+only, and its left singular vectors give B^{j+1} and the next complement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +78,12 @@ class CochainComplex:
         return self.dims.d
 
     def differential_residual(self) -> float:
-        """Largest entry of any d_{j+1} d_j, relative to the scale of d."""
-        scale = max([1.0] + [np.abs(m).max() if m.size else 0.0
-                             for m in self.partial])
+        """Largest entry of any d_{j+1} d_j, relative to the scale of d;
+        NaN when an entry of d is not finite."""
+        scale = float(np.max([1.0] + [np.abs(m).max() for m in self.partial
+                                      if m.size]))
+        if not np.isfinite(scale):
+            return math.nan
         worst = 0.0
         for j in range(self.d - 1):
             prod = self.partial[j + 1] @ self.partial[j]
@@ -87,7 +93,7 @@ class CochainComplex:
 
     def validate(self, tol: float = 1e-10) -> None:
         res = self.differential_residual()
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise ValidationError(
                 f"d.d residual {res:.3e} exceeds tolerance {tol:.3e}")
 
@@ -110,19 +116,6 @@ def _block_diag(blocks) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
-
-
-def _svd_bases(mat: np.ndarray):
-    """Orthonormal bases (columns) of the range, the null space and its
-    orthogonal complement (the coexact part) of mat, from one full SVD."""
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return (np.zeros((rows, 0), dtype=complex), np.eye(cols, dtype=complex),
-                np.zeros((cols, 0), dtype=complex))
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > _zero_cut(float(s[0]))))
-    v = vh.conj().T
-    return u[:, :rank], v[:, rank:], v[:, :rank]
 
 
 @dataclass(frozen=True)
@@ -149,29 +142,36 @@ class CohomologyFrame:
 
 
 def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
-    """Compute the orthogonal B/H/A decomposition of every degree by SVD."""
-    d = c.d
+    """Compute the orthogonal B/H/A decomposition of every degree from one
+    SVD per degree, chained down the complex.
+
+    With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
+    vanishes on B^j, so one full SVD d_j P_j = U S V^H splits P_j into
+    A^j = P_j V_lead and H^j = P_j V_trail, and its left singular vectors
+    are U_{j+1}: B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree
+    H^d = P_d.
+    """
+    c.validate()
     n = c.dims.dims
-    bases = [_svd_bases(m) for m in c.partial]  # (range, kernel, coexact)
-    B, H, A = [], [], []
-    for j in range(d + 1):
-        bmat = bases[j - 1][0] if j > 0 else np.zeros((n[0], 0), dtype=complex)
-        ker = bases[j][1] if j < d else np.eye(n[d], dtype=complex)
-        amat = bases[j][2] if j < d else np.zeros((n[d], 0), dtype=complex)
-        # harmonic part: project the exact directions out of the kernel
-        proj = ker - bmat @ (bmat.conj().T @ ker)
-        if proj.size:
-            u, s, _ = np.linalg.svd(proj, full_matrices=False)
-            hmat = u[:, s > 0.5]
+    B = [np.zeros((n[0], 0), dtype=complex)]
+    H, A = [], []
+    perp = None  # P_j; None stands for the identity of C^0
+    for m in c.partial:
+        dp = m if perp is None else m @ perp
+        rows, cols = dp.shape
+        if rows == 0 or cols == 0:
+            u, rank = np.eye(rows, dtype=complex), 0
+            v = np.eye(cols, dtype=complex) if perp is None else perp
         else:
-            hmat = np.zeros((n[j], 0), dtype=complex)
-        if hmat.shape[1] != ker.shape[1] - bmat.shape[1]:
-            raise ValidationError(
-                f"degree {j}: image of d is not contained in the kernel "
-                f"(is this a complex?)")
-        B.append(bmat)
-        H.append(hmat)
-        A.append(amat)
+            u, s, vh = np.linalg.svd(dp, full_matrices=True)
+            rank = int(np.sum(s > _zero_cut(float(s[0]))))
+            v = vh.conj().T if perp is None else perp @ vh.conj().T
+        A.append(v[:, :rank])
+        H.append(v[:, rank:])
+        B.append(u[:, :rank])
+        perp = u[:, rank:]
+    H.append(np.eye(n[0], dtype=complex) if perp is None else perp)
+    A.append(np.zeros((n[-1], 0), dtype=complex))
     return CohomologyFrame(c, tuple(B), tuple(H), tuple(A))
 
 

@@ -7,10 +7,11 @@ part of B recovers the refined torsion.  Log-determinants are taken along a
 chosen branch cut (an Agmon angle) and combine with the finite-dimensional
 eta invariant.
 
-One SVD per differential gives C^j_- = ker d and, through Gamma, C^j_+.
-Gamma commutes with B, so a split takes one sorted Schur form of B^2 per
-degree pair (j, d-j), carries it to degree d-j by Gamma_j, and gets the large
-part from the same Schur form by a triangular Sylvester solve.
+The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
+C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
+(by QR).  Gamma commutes with B, so a split takes one sorted Schur form of
+B^2 per degree pair (j, d-j), carries it to degree d-j by Gamma_j, and gets
+the large part from the same Schur form by a triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _block_diag, _svd_bases, _zero_cut, cohomology_frame)
+                        _block_diag, _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import ChiralityOp, refined_torsion, validate_chirality
@@ -121,9 +122,16 @@ def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     return SignatureOp(c, g, even, odd)
 
 
-def _orthonormal(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of a's independent columns."""
-    return np.linalg.qr(a)[0]
+def _gamma_image(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of gamma applied to the span of basis
+    (independent columns; gamma invertible).  An empty image stays empty and
+    a full one is the whole space, so neither is formed or factorized."""
+    rows, cols = gamma.shape[0], basis.shape[1]
+    if cols == 0:
+        return np.zeros((rows, 0), dtype=complex)
+    if cols == rows:
+        return np.eye(rows, dtype=complex)
+    return np.linalg.qr(gamma @ basis)[0]
 
 
 def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
@@ -146,14 +154,15 @@ def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
 def plus_minus_split(c: CochainComplex, g: ChiralityOp):
     """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
 
-    C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.  Raises
+    C^j_- = B^j + H^j is read off the cohomology frame, and C^j_+ is
+    Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.  Raises
     SpectralBoundaryError unless the two intersect trivially and span, which
     is the bijectivity condition for B.
     """
     d = c.d
-    minus = [_svd_bases(m)[1] for m in c.partial]
-    minus.append(np.eye(c.dims.dims[d], dtype=complex))
-    plus = [_orthonormal(g.gamma[d - j] @ minus[d - j]) for j in range(d + 1)]
+    frame = cohomology_frame(c)
+    minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
+    plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
         if p.shape[1] + m.shape[1] != c.dims.dims[j]:
             raise SpectralBoundaryError(
@@ -240,7 +249,7 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     if 0 < sdim < n:
         x, xscale, _ = scipy.linalg.lapack.ztrsyl(
             t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
-        large = _orthonormal(z[:, :sdim] @ (x / xscale) + large)
+        large = np.linalg.qr(z[:, :sdim] @ (x / xscale) + large)[0]
     return z[:, :sdim], large
 
 
@@ -263,8 +272,8 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
         small_bases[j], large_bases[j] = small, large
         # Gamma commutes with B^2, so Gamma_j carries the split of C^j onto
         # that of C^{d-j}
-        small_bases[d - j] = _orthonormal(g.gamma[j] @ small)
-        large_bases[d - j] = _orthonormal(g.gamma[j] @ large)
+        small_bases[d - j] = _gamma_image(g.gamma[j], small)
+        large_bases[d - j] = _gamma_image(g.gamma[j], large)
     return SpectralSplit(lam,
                          _part_from_bases(c, g, small_bases),
                          _part_from_bases(c, g, large_bases))

@@ -64,7 +64,7 @@ def validate_chirality(c: CochainComplex, g: ChiralityOp,
     for j in range(d + 1):
         prod = g.gamma[d - j] @ g.gamma[j]
         res = float(np.abs(prod - np.eye(n[j])).max()) if n[j] else 0.0
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise ValidationError(
                 f"Gamma^2 - 1 residual {res:.3e} in degree {j} exceeds {tol:.3e}")
 

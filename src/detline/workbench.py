@@ -10,6 +10,7 @@ serialize(deserialize(serialize(x))) is byte identical.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -198,6 +199,16 @@ def serialize_document(c: CochainComplex, g: ChiralityOp | None = None,
     return "{" + ",".join(parts) + "}"
 
 
+def _finite(v) -> bool:
+    """Whether a parsed JSON value is a finite number (booleans are not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != rows:
         raise ValidationError(f"{what}: expected {rows} rows")
@@ -207,8 +218,9 @@ def _parse_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:
             raise ValidationError(f"{what}: row {r} must have {cols} entries")
         for cidx, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
-                raise ValidationError(f"{what}: entries must be [re, im] pairs")
+                    or not all(_finite(v) for v in cell)):
+                raise ValidationError(
+                    f"{what}: entries must be [re, im] pairs of finite numbers")
             out[r, cidx] = complex(cell[0], cell[1])
     return out
 
@@ -224,7 +236,7 @@ def deserialize_document(text: str):
     try:
         d = int(doc["d"])
         dims = [int(n) for n in doc["dims"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"missing or bad d/dims: {exc}") from exc
     if len(dims) != d + 1:
         raise ValidationError("dims length must be d+1")

@@ -14,9 +14,29 @@ from detline import (
     dual_complex,
     dual_graded,
     phi,
+    gen_random,
     sign_N,
 )
 from detline.selftest import _instance
+
+
+def _ladder_instance(seed, d, n, n_harmonic):
+    """Seeded complex of about n dimensions, with n_harmonic harmonic
+    summands, and the Betti numbers its profile implies."""
+    rng = np.random.default_rng(seed)
+    r = (d + 1) // 2
+    blocks, size = [], 0
+    while size < n:
+        j = len(blocks) % r
+        blocks.append((j, complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))))
+        size += 2 if d - j - 1 == j else 4
+    harmonic = [int(k) for k in rng.integers(0, d + 1, size=n_harmonic)]
+    betti = [0] * (d + 1)
+    for k in harmonic:
+        betti[k] += 1
+        betti[d - k] += 1
+    c, _ = gen_random(seed, d, {"blocks": blocks, "harmonic": harmonic})
+    return c, tuple(betti)
 
 
 class TestCochainComplex:
@@ -83,6 +103,54 @@ class TestCohomologyFrame:
                     # harmonic vectors are closed
                     np.testing.assert_allclose(
                         c.partial[j] @ fr.H[j], 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_harmonic", [0, 2])
+    def test_frame_oracle_ladder(self, d, n_harmonic):
+        for n in (20, 100, 300):
+            c, betti = _ladder_instance(1000 * d + n, d, n, n_harmonic)
+            fr = cohomology_frame(c)
+            assert fr.betti == betti
+            for j in range(d + 1):
+                nj = c.dims.dims[j]
+                u = np.hstack([fr.B[j], fr.H[j], fr.A[j]])
+                assert u.shape == (nj, nj)
+                np.testing.assert_allclose(u.conj().T @ u, np.eye(nj),
+                                           atol=1e-12)
+                if j > 0:
+                    # the image of d_{j-1} lies in B^j
+                    img = c.partial[j - 1] @ fr.A[j - 1]
+                    off = img - fr.B[j] @ (fr.B[j].conj().T @ img)
+                    assert np.abs(off).max(initial=0.0) <= 1e-10
+                    # harmonic vectors are co-closed
+                    assert np.abs(c.partial[j - 1].conj().T @ fr.H[j]).max(
+                        initial=0.0) <= 1e-10
+                if j < d:
+                    assert np.abs(c.partial[j] @ fr.H[j]).max(
+                        initial=0.0) <= 1e-10
+
+    def test_non_complex_is_rejected(self):
+        c = CochainComplex(GradedDims((1, 1, 1, 1)),
+                           (np.array([[1.0]]),) * 3)
+        with pytest.raises(ValidationError):
+            cohomology_frame(c)
+
+    def test_non_finite_differential_is_rejected(self):
+        for bad in (np.nan, np.inf):
+            c = CochainComplex(GradedDims((1, 1)), (np.array([[bad]]),))
+            with pytest.raises(ValidationError):
+                c.validate()
+            with pytest.raises(ValidationError):
+                cohomology_frame(c)
+
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_one_svd_per_differential_and_no_qr(self, count_factorizations,
+                                                acyclic):
+        c = _instance(4, 5, acyclic=acyclic)[0]
+        calls = count_factorizations()
+        cohomology_frame(c)
+        assert calls["svd"] <= c.d
+        assert calls["qr"] == 0
 
     def test_betti_adds_under_direct_sum(self):
         a = _instance(10, 3, acyclic=False)[0]

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from detline import (
+    ChiralityOp,
+    CochainComplex,
+    GradedDims,
     SpectralBoundaryError,
     ValidationError,
     build_signature,
@@ -26,7 +29,6 @@ from detline import (
     spectral_split,
     torsion_via_split,
 )
-from detline.complexes import _svd_bases
 from detline.selftest import _instance
 from detline.signature import _restrict
 
@@ -55,6 +57,14 @@ class TestSignatureOp:
         plus, minus = plus_minus_split(c, g)
         for j in range(c.d + 1):
             assert plus[j].shape[1] + minus[j].shape[1] == c.dims.dims[j]
+
+    def test_plus_minus_split_rejects_non_complex(self):
+        # d_1 d_0 = 1 != 0; the chirality itself is valid
+        c = CochainComplex(GradedDims((1, 1, 1, 1)),
+                           (np.array([[1.0]]),) * 3)
+        g = ChiralityOp((np.array([[1.0]]),) * 4)
+        with pytest.raises(ValidationError):
+            plus_minus_split(c, g)
 
     def test_even_and_odd_parts_share_spectrum(self):
         for seed in range(5):
@@ -184,6 +194,35 @@ def _log_error(value, expected_log):
     return max(abs(diff.real), abs(phase))
 
 
+class TestFactorizationCounts:
+    """One SVD per differential, shared by the frame and the +/- split, and
+    no QR of an empty or a whole-degree basis."""
+
+    def test_graded_det_d1_is_one_svd(self, count_factorizations):
+        c, g = _instance(6, 1, acyclic=True)
+        calls = count_factorizations()
+        graded_det_finite(c, g)
+        assert calls == {"svd": 1, "qr": 0}
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_split_at_zero_of_acyclic_complex_makes_no_qr(
+            self, count_factorizations, d):
+        # the small part is empty and the large part fills every degree, so
+        # carrying either through Gamma needs no factorization
+        c, g = _instance(7, d, acyclic=True)
+        calls = count_factorizations()
+        sp = spectral_split(c, g, 0.0)
+        assert all(b.shape[1] == 0 for b in sp.small.bases)
+        assert sp.large.complex.dims == c.dims
+        assert calls["qr"] == 0
+
+    def test_torsion_via_split_d1_makes_no_qr(self, count_factorizations):
+        c, g = _instance(7, 1, acyclic=True)
+        calls = count_factorizations()
+        torsion_via_split(c, g, 0.0)
+        assert calls["qr"] == 0
+
+
 class TestOracleLadder:
     """Split and xi/eta paths against the exact block product, acyclic
     instances up to N ~ 200."""
@@ -239,7 +278,8 @@ class TestEta:
         # as the singular values of the same matrix do
         m = np.diag([1e-5, 5e-13])
         assert eta_finite(m).m_zero == 1
-        assert _svd_bases(m.astype(complex))[0].shape[1] == 1
+        fr = cohomology_frame(CochainComplex(GradedDims((2, 2)), (m,)))
+        assert fr.B[1].shape[1] == 1
 
     def test_det_eta_hand_examples(self):
         assert det_eta_check(np.diag([2.0]), -math.pi / 4) <= 1e-14

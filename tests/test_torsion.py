@@ -43,6 +43,13 @@ class TestValidateChirality:
         with pytest.raises(ValidationError):
             validate_chirality(c, g)
 
+    def test_rejects_non_finite_entry(self):
+        # a NaN residual must fail the tolerance test, not slip past it
+        c = CochainComplex(GradedDims((1, 1)), (np.array([[2.0]]),))
+        g = ChiralityOp((np.array([[np.nan]]), np.array([[1.0]])))
+        with pytest.raises(ValidationError):
+            validate_chirality(c, g)
+
     def test_rejects_shape_mismatch(self):
         c = CochainComplex(GradedDims((2, 1)), (np.zeros((1, 2)),))
         g = ChiralityOp((np.eye(2), np.eye(2)))

@@ -135,6 +135,8 @@ class TestDocuments:
             deserialize_document("{}")
         with pytest.raises(ValidationError):
             deserialize_document('{"d":1,"dims":[1,1],"differential":[[[[1]]]]}')
+        with pytest.raises(ValidationError):
+            deserialize_document('{"d":Infinity,"dims":[1,1]}')
 
     def test_rejects_non_finite_numbers(self):
         c, g = gen_elementary(1, 0, 2.0)
@@ -191,6 +193,34 @@ class TestCli:
     def test_circle_rejects_bad_holonomy(self, capsys):
         assert main(["circle", "--a", "1.5"]) == 2
         assert main(["circle", "--a", "zebra"]) == 2
+
+    @pytest.mark.parametrize("field", ["differential", "chirality"])
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"),
+                                       float("-inf"), True, 10 ** 400],
+                             ids=["nan", "inf", "-inf", "true", "big-int"])
+    def test_non_finite_or_boolean_entry_exits_2(self, tmp_path, capsys,
+                                                 field, entry):
+        # the running example, where a true in place of a 2 or a 1 would
+        # pass every other check; 10**400 is an integer beyond the float range
+        doc = json.loads(serialize_document(*gen_elementary(1, 0, 2.0)))
+        doc[field][0][0][0][0] = entry
+        text = json.dumps(doc)  # writes NaN / Infinity / true tokens
+        with pytest.raises(ValidationError):
+            deserialize_document(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["torsion", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_result_exits_3(self, tmp_path, capsys):
+        # log|rho| = 200 log 50 ~ 782 overflows a double
+        c, g = gen_random(0, 1, {"blocks": [(0, 50.0)] * 200, "harmonic": []})
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        assert main(["torsion", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'torsion'" in captured.err
 
     def test_selftest_default_run_prints_strict_json(self, capsys):
         def reject(token):
