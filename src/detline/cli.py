@@ -3,9 +3,10 @@
 Subcommands: torsion, split, circle, selftest.  Machine-readable JSON goes to
 stdout, a short human summary to stderr.  Exit codes: 0 success, 2 validation
 error (bad input or document, including a non-finite or boolean matrix
-entry), 3 numerical boundary (eigenvalue on a cut, split level in a cluster,
-singular operator, a non-finite result, or a failed selftest).  stdout holds
-strict JSON (no NaN or Infinity) or nothing.
+entry and a d or dims entry that is not a JSON integer), 3 numerical
+boundary (eigenvalue on a cut, split level in a cluster, singular operator,
+a non-finite result, or a failed selftest).  stdout holds strict JSON (no NaN
+or Infinity) or nothing.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import sys
 import numpy as np
 
 from . import circle as ci
-from .complexes import cohomology_frame, sign_N
+from .complexes import cohomology_frame, phi, sign_N
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import sign_M
 from .selftest import TOL, run_selftest
 from .signature import _torsion_from_split, graded_det_finite, spectral_split
-from .torsion import c_gamma, refined_torsion, sign_R, torsion_norm
+from .torsion import c_gamma, refined_torsion, sign_R
 from .workbench import deserialize_document
 
 __all__ = ["main"]
@@ -48,17 +49,19 @@ def _load_chiral(path: str):
 def _cmd_torsion(args) -> dict:
     c, g, _ = _load_chiral(args.file)
     frame = cohomology_frame(c)
-    rho = refined_torsion(c, g, frame)
+    cg = c_gamma(c, g)
+    rho = phi(cg, frame)  # refined_torsion(c, g, frame), sharing cg
     out = {
         "torsion": _pair(rho.coeff),
         "betti": list(frame.betti),
-        "torsion_norm": float(torsion_norm(c, g)),
+        # torsion_norm(c, g): the modulus of the c_Gamma coefficient
+        "torsion_norm": float(abs(cg.coeff)),
         "signs": {"N": sign_N(frame), "R": sign_R(c),
                   "M": sign_M(c.dims, c.dims)},
-        "c_gamma": _pair(c_gamma(c, g).coeff),
+        "c_gamma": _pair(cg.coeff),
     }
     try:
-        out["graded_det"] = _pair(graded_det_finite(c, g))
+        out["graded_det"] = _pair(graded_det_finite(c, g, frame))
     except SpectralBoundaryError:
         out["graded_det"] = None
     print(f"torsion = {rho.coeff:.12g}, betti = {tuple(frame.betti)}",

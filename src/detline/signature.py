@@ -9,9 +9,12 @@ eta invariant.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
-(by QR).  Gamma commutes with B, so a split takes one sorted Schur form of
-B^2 per degree pair (j, d-j), carries it to degree d-j by Gamma_j, and gets
-the large part from the same Schur form by a triangular Sylvester solve.
+(by QR).  Gamma commutes with B, so a split decides each degree pair
+(j, d-j) in degree j from the eigenvalues of B^2 and carries the result to
+degree d-j by Gamma_j.  When one side of the split is empty the other is the
+whole degree, so nothing is factorized; only a proper split takes a sorted
+Schur form of B^2, and gets the large part from it by a triangular Sylvester
+solve.
 """
 
 from __future__ import annotations
@@ -151,16 +154,18 @@ def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
     return x
 
 
-def plus_minus_split(c: CochainComplex, g: ChiralityOp):
+def plus_minus_split(c: CochainComplex, g: ChiralityOp,
+                     frame: CohomologyFrame | None = None):
     """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
 
-    C^j_- = B^j + H^j is read off the cohomology frame, and C^j_+ is
-    Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.  Raises
-    SpectralBoundaryError unless the two intersect trivially and span, which
-    is the bijectivity condition for B.
+    C^j_- = B^j + H^j is read off the cohomology frame of c (built when not
+    given), and C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
+    Raises SpectralBoundaryError unless the two intersect trivially and span,
+    which is the bijectivity condition for B.
     """
     d = c.d
-    frame = cohomology_frame(c)
+    if frame is None:
+        frame = cohomology_frame(c)
     minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
@@ -176,10 +181,12 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp):
     return plus, minus
 
 
-def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
+def graded_det_finite(c: CochainComplex, g: ChiralityOp,
+                      frame: CohomologyFrame | None = None) -> complex:
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
-    part, computed in explicit bases of the +/- subspaces."""
-    plus, minus = plus_minus_split(c, g)
+    part, computed in explicit bases of the +/- subspaces (read off frame,
+    the cohomology frame of c, when given)."""
+    plus, minus = plus_minus_split(c, g, frame)
     b_even, degs = _parity_matrix(c, g, 0)
     p = _block_diag(plus[j] for j in degs)
     m = _block_diag(minus[j] for j in degs)
@@ -224,32 +231,38 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
 
 def _split_degree(bsq: np.ndarray, lam: float, j: int):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
-    C^j from one Schur form Z T Z^H ordered small eigenvalues first: Z1 spans
-    the small part, Z1 X + Z2 with T11 X - X T22 = -T12 the large one."""
+    C^j.  The eigenvalues decide how many are small; when one side is empty
+    the other is all of C^j.  A proper split takes one Schur form Z T Z^H
+    ordered small eigenvalues first: Z1 spans the small part, Z1 X + Z2 with
+    T11 X - X T22 = -T12 the large one."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
-    t, z = scipy.linalg.schur(bsq, output="complex")
-    eigs = np.diag(t)
-    scale = max(1.0, float(np.abs(eigs).max()))
+    mods = np.abs(np.linalg.eigvals(bsq))
+    scale = max(1.0, float(mods.max()))
     cut = lam if lam > 0 else _zero_cut(scale)
     if lam > 0:
-        gap = np.min(np.abs(np.abs(eigs) - lam))
+        gap = np.min(np.abs(mods - lam))
         if gap <= _CLUSTER_RTOL * max(lam, scale):
             raise SpectralBoundaryError(
                 f"degree {j}: split level {lam} inside an eigenvalue "
                 f"cluster (gap {gap:.3e})")
+    k = int(np.sum(mods <= cut))
+    if k == 0:
+        return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
+    if k == n:
+        return np.eye(n, dtype=complex), np.zeros((n, 0), dtype=complex)
+    t, z = scipy.linalg.schur(bsq, output="complex")
     t, z, eigs, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(
-        np.abs(eigs) <= cut, t, z, job="N")
+        np.abs(np.diag(t)) <= cut, t, z, job="N")
     ldim = int(np.sum(np.abs(eigs[sdim:]) > cut))
-    if sdim + ldim != n:
+    if sdim != k or sdim + ldim != n:
         raise SpectralBoundaryError(
-            f"degree {j}: spectral split did not exhaust C^{j}")
-    large = z[:, sdim:]
-    if 0 < sdim < n:
-        x, xscale, _ = scipy.linalg.lapack.ztrsyl(
-            t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
-        large = np.linalg.qr(z[:, :sdim] @ (x / xscale) + large)[0]
+            f"degree {j}: the sorted Schur form has {sdim} small and {ldim} "
+            f"large eigenvalues where the spectrum has {k} small of {n}")
+    x, xscale, _ = scipy.linalg.lapack.ztrsyl(
+        t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
+    large = np.linalg.qr(z[:, :sdim] @ (x / xscale) + z[:, sdim:])[0]
     return z[:, :sdim], large
 
 

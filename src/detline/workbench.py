@@ -209,6 +209,11 @@ def _finite(v) -> bool:
         return False
 
 
+def _integer(v) -> bool:
+    """Whether a parsed JSON value is an integer (booleans are not)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != rows:
         raise ValidationError(f"{what}: expected {rows} rows")
@@ -233,11 +238,11 @@ def deserialize_document(text: str):
         raise ValidationError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
-    try:
-        d = int(doc["d"])
-        dims = [int(n) for n in doc["dims"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"missing or bad d/dims: {exc}") from exc
+    d, dims = doc.get("d"), doc.get("dims")
+    if (not _integer(d) or not isinstance(dims, list)
+            or not all(_integer(n) and n >= 0 for n in dims)):
+        raise ValidationError(
+            "d must be a JSON integer and dims a list of nonnegative ones")
     if len(dims) != d + 1:
         raise ValidationError("dims length must be d+1")
     raw_diff = doc.get("differential")

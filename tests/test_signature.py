@@ -30,7 +30,7 @@ from detline import (
     torsion_via_split,
 )
 from detline.selftest import _instance
-from detline.signature import _restrict
+from detline.signature import _bsq_block, _restrict, _split_degree
 
 
 class TestGradedDet:
@@ -125,6 +125,12 @@ class TestSpectralSplit:
         assert cohomology_frame(sp.large.complex).acyclic
 
 
+def _spectral_radius(c, g):
+    """max |spec(B^2)| over all degrees."""
+    return max(float(np.abs(np.linalg.eigvals(_bsq_block(c, g, j))).max())
+               for j in range(c.d + 1) if c.dims.dims[j])
+
+
 def _mid_gap_level(c, g):
     """A level halfway between two distinct moduli of spec(B^2)."""
     s = build_signature(c, g)
@@ -202,7 +208,7 @@ class TestFactorizationCounts:
         c, g = _instance(6, 1, acyclic=True)
         calls = count_factorizations()
         graded_det_finite(c, g)
-        assert calls == {"svd": 1, "qr": 0}
+        assert calls == {"svd": 1, "qr": 0, "schur": 0}
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_split_at_zero_of_acyclic_complex_makes_no_qr(
@@ -222,26 +228,85 @@ class TestFactorizationCounts:
         torsion_via_split(c, g, 0.0)
         assert calls["qr"] == 0
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
+    def test_split_with_an_empty_side_takes_no_schur_form(
+            self, count_factorizations, d, above):
+        # at 0 nothing of an acyclic complex is small, above the spectrum
+        # nothing is large, so the other side is every degree as it stands
+        c, g = _instance(7, d, acyclic=True)
+        lam = 2.0 * _spectral_radius(c, g) if above else 0.0
+        calls = count_factorizations()
+        sp = spectral_split(c, g, lam)
+        assert calls["schur"] == 0
+        full, empty = (sp.small, sp.large) if above else (sp.large, sp.small)
+        assert all(b.shape[1] == 0 for b in empty.bases)
+        for n, b in zip(c.dims.dims, full.bases):
+            assert np.array_equal(b, np.eye(n))
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False],
+                             ids=["mid-gap", "zero-harmonic"])
+    def test_one_schur_form_per_proper_pair(self, count_factorizations, d,
+                                            acyclic):
+        # seed 8 gives a proper pair for every d, and for d >= 3 also a pair
+        # whose split is not proper
+        c, g = _instance(8, d, acyclic=acyclic)
+        lam = _mid_gap_level(c, g) if acyclic else 0.0
+        calls = count_factorizations()
+        sp = spectral_split(c, g, lam)
+        proper = sum(0 < sp.small.bases[j].shape[1] < c.dims.dims[j]
+                     for j in range((d + 1) // 2))
+        assert proper >= 1
+        assert calls["schur"] == proper
+
+    def test_eigenvalue_count_disagreeing_with_schur_form_is_rejected(
+            self, monkeypatch):
+        # B^2 with spectrum {1, 2, 3, 4} split at 2.5; the injected spectrum
+        # moves the 3 below the level, so eigvals counts 3 small eigenvalues
+        # where the sorted Schur form finds 2
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4))
+                         + 0j)[0]
+        bsq = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.conj().T
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda m: np.array([1.0, 2.0, 0.5, 4.0]))
+        with pytest.raises(SpectralBoundaryError, match="3 small of 4"):
+            _split_degree(bsq, 2.5, 0)
+
+
+def _ladder_instance(d, total):
+    """Acyclic instance of about total dimensions with its block list."""
+    rng = np.random.default_rng(1000 * d + total)
+    r = (d + 1) // 2
+    blocks, n = [], 0
+    while n < total:
+        j = int(rng.integers(0, r))
+        z = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
+        blocks.append((j, z))
+        n += 2 if 2 * j + 1 == d else 4
+    c, g = gen_random(total + d, d, {"blocks": blocks, "harmonic": []})
+    return c, g, blocks
+
 
 class TestOracleLadder:
     """Split and xi/eta paths against the exact block product, acyclic
-    instances up to N ~ 200."""
+    instances up to N ~ 300."""
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7])
     @pytest.mark.parametrize("total", [40, 200])
     def test_block_product(self, d, total):
-        rng = np.random.default_rng(1000 * d + total)
-        r = (d + 1) // 2
-        blocks, n = [], 0
-        while n < total:
-            j = int(rng.integers(0, r))
-            z = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
-            blocks.append((j, z))
-            n += 2 if 2 * j + 1 == d else 4
-        c, g = gen_random(total + d, d, {"blocks": blocks, "harmonic": []})
+        c, g, blocks = _ladder_instance(d, total)
         expected = _log_block_product(d, blocks)
         assert _log_error(torsion_via_split(c, g, 0.0).coeff, expected) <= 1e-8
         assert _log_error(graded_det_via_xi_eta(c, g, 0.0), expected) <= 1e-8
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_block_product_above_spectrum(self, d):
+        # everything is small: the torsion of the small part is the torsion
+        c, g, blocks = _ladder_instance(d, 300)
+        lam = 2.0 * _spectral_radius(c, g)
+        assert _log_error(torsion_via_split(c, g, lam).coeff,
+                          _log_block_product(d, blocks)) <= 1e-8
 
 
 class TestLogDetCut:

@@ -138,6 +138,39 @@ class TestDocuments:
         with pytest.raises(ValidationError):
             deserialize_document('{"d":Infinity,"dims":[1,1]}')
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", 3.5), ("d", "3"), ("d", True), ("dims", 1.9), ("dims", True)],
+        ids=["d-3.5", "d-string", "d-true", "dims-1.9", "dims-true"])
+    def test_header_must_hold_json_integers(self, tmp_path, capsys, field,
+                                            value):
+        # d = True stands for 1 on the d = 1 running example, a dims entry of
+        # 1.9 or True for its 1; d = 3.5 and "3" go on a d = 3 document
+        if field == "d" and value is not True:
+            doc = json.loads(serialize_document(*gen_random(2, 3)))
+        else:
+            doc = json.loads(serialize_document(*gen_elementary(1, 0, 2.0)))
+        if field == "d":
+            doc["d"] = value
+        else:
+            doc["dims"][-1] = value
+        text = json.dumps(doc)
+        with pytest.raises(ValidationError):
+            deserialize_document(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["torsion", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_dimension_exits_2(self, tmp_path, capsys):
+        # with d = 0 no differential's shape checks the dimension
+        text = '{"d":0,"dims":[-1],"differential":[]}'
+        with pytest.raises(ValidationError):
+            deserialize_document(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["torsion", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_rejects_non_finite_numbers(self):
         c, g = gen_elementary(1, 0, 2.0)
         broken = type(c)(c.dims, (np.array([[float("nan")]]),))
@@ -160,6 +193,26 @@ class TestCli:
         np.testing.assert_allclose(out["torsion"], [2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out["graded_det"], [2.0, 0.0], atol=1e-12)
         assert out["betti"] == [0, 0]
+
+    def test_torsion_builds_one_frame(self, tmp_path, capsys, monkeypatch):
+        import detline.cli
+        import detline.signature
+        import detline.torsion
+        calls = {"cohomology_frame": 0, "c_gamma": 0}
+        for mod in (detline.cli, detline.signature, detline.torsion):
+            for name in calls:
+                if hasattr(mod, name):
+                    def spy(*args, _orig=getattr(mod, name), _name=name):
+                        calls[_name] += 1
+                        return _orig(*args)
+                    monkeypatch.setattr(mod, name, spy)
+        path = tmp_path / "d3.json"
+        path.write_text(serialize_document(*gen_random(5, 3)),
+                        encoding="utf-8")
+        assert main(["torsion", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["graded_det"] is not None
+        assert calls == {"cohomology_frame": 1, "c_gamma": 1}
 
     def test_split_subcommand(self, doc_path, capsys):
         assert main(["split", doc_path, "--lambda", "1.0"]) == 0
