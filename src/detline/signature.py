@@ -9,12 +9,15 @@ eta invariant.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
-(by QR).  Gamma commutes with B, so a split decides each degree pair
-(j, d-j) in degree j from the eigenvalues of B^2 and carries the result to
-degree d-j by Gamma_j.  When one side of the split is empty the other is the
-whole degree, so nothing is factorized; only a proper split takes a sorted
-Schur form of B^2, and gets the large part from it by a triangular Sylvester
-solve.
+(by QR), and the +/- independence test reads principal angles off the
+unitary frame.  The blocks of B_even on the even + and - subspaces give the
+graded determinant and, through their spectra, eta.  Gamma commutes with B,
+so a split decides each degree pair (j, d-j) in degree j from the
+eigenvalues of B^2 and carries the result to degree d-j by Gamma_j.  When
+one side of a degree is empty the other is the whole degree, so nothing is
+factorized, and a side that fills every degree is the complex itself; only
+a proper split takes a sorted Schur form of B^2, and gets the large part
+from it by a triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
 
 _RAY_TOL = 1e-10  # angular distance below which an eigenvalue sits on a cut
 _CLUSTER_RTOL = 1e-8  # relative gap required between lambda and |spec(B^2)|
+_PM_TOL = 1e-10  # least sigma_min([C_+ | C_-]) of independent +/- subspaces
 
 
 def _gd_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
@@ -161,7 +165,10 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     C^j_- = B^j + H^j is read off the cohomology frame of c (built when not
     given), and C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
     Raises SpectralBoundaryError unless the two intersect trivially and span,
-    which is the bijectivity condition for B.
+    which is the bijectivity condition for B.  [B^j | H^j | A^j] is unitary,
+    so s = sigma_min((A^j)^H P) is the sine of the smallest angle between
+    P = C^j_+ and M = C^j_-, and the test reads
+    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.
     """
     d = c.d
     if frame is None:
@@ -174,11 +181,24 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
                 f"degree {j}: ker(dGamma) + ker(d) does not split C^{j} "
                 f"(B is not bijective)")
         if p.shape[1] and m.shape[1]:
-            smallest = np.linalg.svd(np.hstack([p, m]), compute_uv=False)[-1]
-            if smallest < 1e-10:
+            s = float(np.linalg.svd(frame.A[j].conj().T @ p,
+                                    compute_uv=False)[-1])
+            smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
+            if smallest < _PM_TOL:
                 raise SpectralBoundaryError(
-                    f"degree {j}: the +/- subspaces are numerically dependent")
+                    f"degree {j}: the +/- subspaces are numerically dependent "
+                    f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
     return plus, minus
+
+
+def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
+    """B_even restricted to the even + subspaces, and -B_even restricted to
+    the even - subspaces, in the given bases."""
+    b_even, degs = _parity_matrix(c, g, 0)
+    p = _block_diag(plus[j] for j in degs)
+    m = _block_diag(minus[j] for j in degs)
+    return (_restrict(p, b_even @ p, "B+ even"),
+            _restrict(m, -b_even @ m, "B- even"))
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp,
@@ -186,12 +206,7 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
     part, computed in explicit bases of the +/- subspaces (read off frame,
     the cohomology frame of c, when given)."""
-    plus, minus = plus_minus_split(c, g, frame)
-    b_even, degs = _parity_matrix(c, g, 0)
-    p = _block_diag(plus[j] for j in degs)
-    m = _block_diag(minus[j] for j in degs)
-    num = _restrict(p, b_even @ p, "B+ even")
-    den = _restrict(m, -b_even @ m, "B- even")
+    num, den = _even_blocks(c, g, *plus_minus_split(c, g, frame))
     det_num = np.linalg.det(num) if num.size else 1.0
     det_den = np.linalg.det(den) if den.size else 1.0
     if det_den == 0 or det_num == 0:
@@ -217,6 +232,10 @@ class SpectralSplit:
 
 
 def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
+    """The part of (c, g) spanned by bases; when every basis fills its degree
+    (it is then the identity) the part is (c, g) itself."""
+    if all(b.shape[0] == b.shape[1] for b in bases):
+        return SpectralPart(tuple(bases), c, g)
     d = c.d
     dims = GradedDims(tuple(b.shape[1] for b in bases))
     partial = tuple(
@@ -304,10 +323,14 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
 
 def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
-    with the graded determinant of the large part."""
+    with the graded determinant of the large part.  A part that is the
+    complex itself shares frame."""
     large, small = split.large, split.small
-    det_large = graded_det_finite(large.complex, large.chirality)
-    small_frame = cohomology_frame(small.complex)
+    det_large = graded_det_finite(
+        large.complex, large.chirality,
+        frame if large.complex is frame.complex else None)
+    small_frame = (frame if small.complex is frame.complex
+                   else cohomology_frame(small.complex))
     if small_frame.betti != frame.betti:
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
@@ -448,8 +471,9 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     cl, gl = split.large.complex, split.large.chirality
     d = cl.d
     plus, minus = plus_minus_split(cl, gl)
-    b_even, degs = _parity_matrix(cl, gl, 0)
-    eigs = _eig_input(b_even)
+    num, den = _even_blocks(cl, gl, plus, minus)
+    # spec(B_even) is the union of its spectra on the + and - subspaces
+    eigs = np.concatenate([_eig_input(num), -_eig_input(den)])
     if theta is None:
         theta = pick_agmon_angle(eigs)
     xi = 0.0 + 0.0j
@@ -461,7 +485,5 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
         rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
         xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
     eta = eta_finite(eigs).eta
-    n_plus = sum(plus[j].shape[1] for j in degs)
-    n_minus = sum(minus[j].shape[1] for j in degs)
     return complex(cmath.exp(xi - 1j * math.pi * eta
-                             + 1j * math.pi * (n_plus - n_minus) / 2.0))
+                             + 1j * math.pi * (len(num) - len(den)) / 2.0))

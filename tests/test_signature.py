@@ -58,6 +58,28 @@ class TestSignatureOp:
         for j in range(c.d + 1):
             assert plus[j].shape[1] + minus[j].shape[1] == c.dims.dims[j]
 
+    @pytest.mark.parametrize("scale, dependent", [(1.3, True), (1.5, False)])
+    def test_plus_minus_dependence_guard_at_its_threshold(self, scale,
+                                                          dependent):
+        # Gamma_1 tilts ker d_1 = span(e1) by eps against im d_1 = span(f1),
+        # so in degree 2 sigma_min([C_+ | C_-]) = sqrt(2) sin(eps / 2), which
+        # crosses 1e-10 at eps = 1.414e-10; Gamma_2 = Gamma_1^{-1} leaves
+        # degree 1 near 1e-6, far from the threshold
+        eps = scale * 1e-10
+        c = CochainComplex(GradedDims((1, 2, 2, 1)), (
+            np.array([[1.0], [0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[0.0, 1.0]])))
+        g1 = np.array([[math.cos(eps), 0.0], [math.sin(eps), 1e-4]])
+        g = ChiralityOp((np.eye(1), g1, np.linalg.inv(g1), np.eye(1)))
+        if dependent:
+            with pytest.raises(SpectralBoundaryError, match=(
+                    r"^degree 2: the \+/- subspaces are numerically "
+                    r"dependent \(sigma_min 9\.2e-11 < 1e-10\)$")):
+                plus_minus_split(c, g)
+        else:
+            plus, minus = plus_minus_split(c, g)
+            assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
         c = CochainComplex(GradedDims((1, 1, 1, 1)),
@@ -201,14 +223,73 @@ def _log_error(value, expected_log):
 
 
 class TestFactorizationCounts:
-    """One SVD per differential, shared by the frame and the +/- split, and
-    no QR of an empty or a whole-degree basis."""
+    """One SVD per differential, shared by the frame and the +/- split, no
+    QR of an empty or a whole-degree basis, and each complex factorized once
+    per call."""
 
     def test_graded_det_d1_is_one_svd(self, count_factorizations):
         c, g = _instance(6, 1, acyclic=True)
         calls = count_factorizations()
         graded_det_finite(c, g)
-        assert calls == {"svd": 1, "qr": 0, "schur": 0}
+        assert calls == {"svd": 1, "qr": 0, "eigvals": 0, "schur": 0}
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
+    def test_whole_degree_side_is_the_complex_and_reuses_its_frame(
+            self, count_factorizations, d, above):
+        # at 0 the large part of an acyclic complex is the complex itself,
+        # above the spectrum the small part is; either way the caller's frame
+        # serves it, and without one a single frame is built
+        c, g = _instance(7, d, acyclic=True)
+        lam = 2.0 * _spectral_radius(c, g) if above else 0.0
+        sp = spectral_split(c, g, lam)
+        assert (sp.small if above else sp.large).complex is c
+        fr = cohomology_frame(c)
+        calls = count_factorizations()
+        torsion_via_split(c, g, lam, fr)
+        assert calls.shapes("svd", compute_uv=True) == []
+        calls = count_factorizations()
+        cohomology_frame(c)
+        one_frame = calls.shapes("svd", compute_uv=True)
+        calls = count_factorizations()
+        torsion_via_split(c, g, lam)
+        assert calls.shapes("svd", compute_uv=True) == one_frame
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_plus_minus_test_is_one_a_by_a_svd_per_proper_degree(
+            self, count_factorizations, d):
+        # (at d = 1 no degree of an acyclic complex has both sides nonempty)
+        c, g, _ = _ladder_instance(d, 40)
+        fr = cohomology_frame(c)
+        a = [x.shape[1] for x in fr.A]
+        kernel = [b.shape[1] + h.shape[1] for b, h in zip(fr.B, fr.H)]
+        expected = [(a[j], a[j]) for j in range(d + 1) if a[j] and kernel[j]]
+        assert expected
+        calls = count_factorizations()
+        graded_det_finite(c, g, fr)
+        assert calls.shapes("svd", compute_uv=True) == []
+        assert calls.shapes("svd", compute_uv=False) == expected
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_xi_eta_takes_eigenvalues_of_the_plus_minus_blocks(
+            self, count_factorizations, d):
+        # besides the split's B^2 block in each degree j < (d+1)/2, eigvals
+        # sees the even + and - blocks and (Gamma d)^2 on each C^j_+, never
+        # the whole even part
+        c, g, _ = _ladder_instance(d, 40)
+        plus, minus = plus_minus_split(c, g)
+        n = c.dims.dims
+        p_even = sum(plus[j].shape[1] for j in range(0, d + 1, 2))
+        m_even = sum(minus[j].shape[1] for j in range(0, d + 1, 2))
+        split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
+        rest = [(k, k) for k in (p_even, m_even) if k]
+        rest += [(p.shape[1],) * 2 for p in plus[:d] if p.shape[1]]
+        calls = count_factorizations()
+        graded_det_via_xi_eta(c, g, 0.0)
+        assert sorted(calls.shapes("eigvals")) == sorted(split + rest)
+        assert max(k for k, _ in rest) == max(p_even, m_even)
+        if d > 1:
+            assert p_even + m_even > max(k for k, _ in split + rest)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_split_at_zero_of_acyclic_complex_makes_no_qr(
