@@ -73,8 +73,10 @@ def _cmd_split(args) -> dict:
     c, g, _ = _load_chiral(args.file)
     frame = cohomology_frame(c)
     split = spectral_split(c, g, args.lam)
-    rho = refined_torsion(c, g, frame)
-    via, det_large = _torsion_from_split(split, frame)
+    via, det_large, rho_small = _torsion_from_split(split, frame)
+    # above the spectrum the small part is the complex itself, in frame
+    rho = (rho_small if split.small.complex is c
+           else refined_torsion(c, g, frame))
     residual = float(abs(via.coeff - rho.coeff) / max(abs(rho.coeff), 1e-300))
     out = {
         "lambda": args.lam,

@@ -11,13 +11,16 @@ The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
 (by QR), and the +/- independence test reads principal angles off the
 unitary frame.  The blocks of B_even on the even + and - subspaces give the
-graded determinant and, through their spectra, eta.  Gamma commutes with B,
-so a split decides each degree pair (j, d-j) in degree j from the
-eigenvalues of B^2 and carries the result to degree d-j by Gamma_j.  When
-one side of a degree is empty the other is the whole degree, so nothing is
-factorized, and a side that fills every degree is the complex itself; only
-a proper split takes a sorted Schur form of B^2, and gets the large part
-from it by a triangular Sylvester solve.
+graded determinant and, through their spectra, eta and xi (whose squares
+are the spectra of (Gamma d)^2 on the + subspaces).  Gamma commutes with B,
+so a split decides each degree pair (j, d-j) in degree j from the spectrum
+of B^2 and carries the result to degree d-j by Gamma_j.  The singular
+values of B^2 bound the moduli of its eigenvalues, and settle a degree
+with one side empty; only a degree they leave open takes eigenvalues.
+When one side of a degree is empty the other is the whole degree, so
+nothing is factorized, and a side that fills every degree is the complex
+itself; only a proper split takes a sorted Schur form of B^2, and gets the
+large part from it by a triangular Sylvester solve.
 """
 
 from __future__ import annotations
@@ -250,23 +253,34 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
 
 def _split_degree(bsq: np.ndarray, lam: float, j: int):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
-    C^j.  The eigenvalues decide how many are small; when one side is empty
-    the other is all of C^j.  A proper split takes one Schur form Z T Z^H
-    ordered small eigenvalues first: Z1 spans the small part, Z1 X + Z2 with
+    C^j.  Every eigenvalue mu has sigma_min <= |mu| <= sigma_max, so when the
+    singular values put the whole spectrum on one side of the cut, clear of
+    the cluster margin, that side is all of C^j and the other is empty, as
+    the eigenvalue rule would find.  Otherwise the eigenvalues decide how
+    many are small, and a proper split takes one Schur form Z T Z^H ordered
+    small eigenvalues first: Z1 spans the small part, Z1 X + Z2 with
     T11 X - X T22 = -T12 the large one."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
-    mods = np.abs(np.linalg.eigvals(bsq))
-    scale = max(1.0, float(mods.max()))
-    cut = lam if lam > 0 else _zero_cut(scale)
+    sv = np.linalg.svd(bsq, compute_uv=False)
+    s_min, s_max = float(sv[-1]), float(sv[0])
     if lam > 0:
-        gap = np.min(np.abs(mods - lam))
-        if gap <= _CLUSTER_RTOL * max(lam, scale):
-            raise SpectralBoundaryError(
-                f"degree {j}: split level {lam} inside an eigenvalue "
-                f"cluster (gap {gap:.3e})")
-    k = int(np.sum(mods <= cut))
+        margin = _CLUSTER_RTOL * max(lam, 1.0, s_max)
+        k = 0 if s_min - lam > margin else n if lam - s_max > margin else None
+    else:
+        k = 0 if s_min > _zero_cut(max(1.0, s_max)) else None
+    if k is None:
+        mods = np.abs(np.linalg.eigvals(bsq))
+        scale = max(1.0, float(mods.max()))
+        cut = lam if lam > 0 else _zero_cut(scale)
+        if lam > 0:
+            gap = np.min(np.abs(mods - lam))
+            if gap <= _CLUSTER_RTOL * max(lam, scale):
+                raise SpectralBoundaryError(
+                    f"degree {j}: split level {lam} inside an eigenvalue "
+                    f"cluster (gap {gap:.3e})")
+        k = int(np.sum(mods <= cut))
     if k == 0:
         return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
     if k == n:
@@ -323,8 +337,8 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
 
 def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
-    with the graded determinant of the large part.  A part that is the
-    complex itself shares frame."""
+    with the graded determinant of the large part and the refined torsion of
+    the small part.  A part that is the complex itself shares frame."""
     large, small = split.large, split.small
     det_large = graded_det_finite(
         large.complex, large.chirality,
@@ -337,7 +351,8 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     rho_small = refined_torsion(small.complex, small.chirality, small_frame)
     w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
                         for j, h in enumerate(small_frame.H))
-    return CohomologyElement(det_large * rho_small.coeff / w, frame), det_large
+    return (CohomologyElement(det_large * rho_small.coeff / w, frame),
+            det_large, rho_small)
 
 
 def _eig_input(m) -> np.ndarray:
@@ -361,11 +376,7 @@ def _split_zero(eigs: np.ndarray):
 def _arg_in_window(z: complex, theta: float) -> float:
     """Argument of z in the window (theta, theta + 2*pi]."""
     a = cmath.phase(z)
-    while a <= theta:
-        a += 2 * math.pi
-    while a > theta + 2 * math.pi:
-        a -= 2 * math.pi
-    return a
+    return a + 2 * math.pi * (math.floor((theta - a) / (2 * math.pi)) + 1)
 
 
 def log_det_cut(m, theta: float) -> complex:
@@ -373,8 +384,11 @@ def log_det_cut(m, theta: float) -> complex:
     the ray of angle theta: sum of log|z| + i arg(z), arg in (theta, theta+2pi).
 
     Accepts a square matrix or a vector of eigenvalues.  Raises
-    SpectralBoundaryError when an eigenvalue sits on the cut.
+    ValidationError for a non-finite theta and SpectralBoundaryError when an
+    eigenvalue sits on the cut.
     """
+    if not math.isfinite(theta):
+        raise ValidationError("branch angle must be finite")
     eigs, _ = _split_zero(_eig_input(m))
     total = 0.0 + 0.0j
     for z in eigs:
@@ -466,24 +480,22 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     xi = (1/2) sum_{j<d} (-1)^j LDet_{2 theta}((Gamma d)^2 | C^j_+), and
     N+/- the even-degree dimensions of the +/- subspaces.  The correction
     term carries the finite-dimensional zeta(0) values (eigenvalue counts).
+    On C_+ the operator B is Gamma d, so (Gamma d)^2 on the even C^j_+ is
+    the square of the + block of B_even; Gamma_j carries (Gamma d)^2 on an
+    odd C^j_+ to (d Gamma)^2 on the even C^{d-j}_-, the square of the -
+    block.  So xi = (1/2) (LDet_{2 theta}(spec(B+)^2) -
+    LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.
     """
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    d = cl.d
-    plus, minus = plus_minus_split(cl, gl)
-    num, den = _even_blocks(cl, gl, plus, minus)
+    num, den = _even_blocks(cl, gl, *plus_minus_split(cl, gl))
+    eig_num, eig_den = _eig_input(num), _eig_input(den)
     # spec(B_even) is the union of its spectra on the + and - subspaces
-    eigs = np.concatenate([_eig_input(num), -_eig_input(den)])
+    eigs = np.concatenate([eig_num, -eig_den])
     if theta is None:
         theta = pick_agmon_angle(eigs)
-    xi = 0.0 + 0.0j
-    for j in range(d):
-        p = plus[j]
-        if p.shape[1] == 0:
-            continue
-        gd_sq = _gd_block(cl, gl, d - j - 1) @ _gd_block(cl, gl, j)
-        rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
-        xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
+    xi = 0.5 * (log_det_cut(eig_num ** 2, 2 * theta)
+                - log_det_cut(eig_den ** 2, 2 * theta))
     eta = eta_finite(eigs).eta
     return complex(cmath.exp(xi - 1j * math.pi * eta
                              + 1j * math.pi * (len(num) - len(den)) / 2.0))

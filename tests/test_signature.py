@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import detline.signature as signature_mod
 from detline import (
     ChiralityOp,
+    CircleModel,
     CochainComplex,
     GradedDims,
     SpectralBoundaryError,
@@ -27,10 +29,13 @@ from detline import (
     random_profile,
     refined_torsion,
     spectral_split,
+    split_check,
     torsion_via_split,
 )
+from detline.complexes import _zero_cut
 from detline.selftest import _instance
-from detline.signature import _bsq_block, _restrict, _split_degree
+from detline.signature import (_bsq_block, _even_blocks, _gd_block, _restrict,
+                               _split_degree)
 
 
 class TestGradedDet:
@@ -273,23 +278,28 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_xi_eta_takes_eigenvalues_of_the_plus_minus_blocks(
             self, count_factorizations, d):
-        # besides the split's B^2 block in each degree j < (d+1)/2, eigvals
-        # sees the even + and - blocks and (Gamma d)^2 on each C^j_+, never
-        # the whole even part
+        # the singular values of the B^2 block settle each degree pair
+        # j < (d+1)/2 of the split, and the +/- test takes one a_j x a_j SVD
+        # per proper degree; eigvals sees the even + and - blocks and nothing
+        # else: no split block, no (Gamma d)^2 and never the whole even part
         c, g, _ = _ladder_instance(d, 40)
-        plus, minus = plus_minus_split(c, g)
+        fr = cohomology_frame(c)
+        plus, minus = plus_minus_split(c, g, fr)
         n = c.dims.dims
+        a = [x.shape[1] for x in fr.A]
         p_even = sum(plus[j].shape[1] for j in range(0, d + 1, 2))
         m_even = sum(minus[j].shape[1] for j in range(0, d + 1, 2))
         split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
-        rest = [(k, k) for k in (p_even, m_even) if k]
-        rest += [(p.shape[1],) * 2 for p in plus[:d] if p.shape[1]]
+        pm_test = [(a[j], a[j]) for j in range(d + 1)
+                   if plus[j].shape[1] and minus[j].shape[1]]
         calls = count_factorizations()
         graded_det_via_xi_eta(c, g, 0.0)
-        assert sorted(calls.shapes("eigvals")) == sorted(split + rest)
-        assert max(k for k, _ in rest) == max(p_even, m_even)
+        assert calls.shapes("svd", compute_uv=False) == split + pm_test
+        assert calls.shapes("eigvals") == [(k, k) for k in (p_even, m_even)
+                                           if k]
+        assert calls["schur"] == 0
         if d > 1:
-            assert p_even + m_even > max(k for k, _ in split + rest)
+            assert p_even and m_even
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_split_at_zero_of_acyclic_complex_makes_no_qr(
@@ -355,6 +365,75 @@ class TestFactorizationCounts:
             _split_degree(bsq, 2.5, 0)
 
 
+def _normal_block(spectrum, seed=3):
+    """Q diag(spectrum) Q^H for a random unitary Q: its singular values are
+    the moduli of its eigenvalues."""
+    n = len(spectrum)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
+
+
+class TestSplitCertificate:
+    """sigma_min <= |mu| <= sigma_max settles an empty split side without
+    eigenvalues; whatever the bounds leave open goes to the eigenvalue
+    rule, which gives the same count."""
+
+    # the cluster margin at lam = 2 and the zero cut at lam = 0 are 1e-8
+    # times the spectral radius: 3e-8, or 2e-8 for the all-small case
+    @pytest.mark.parametrize("spectrum, lam, k, certified", [
+        ([3.1e-8, 1.0, 3.0], 0.0, 0, True),
+        ([2.9e-8, 1.0, 3.0], 0.0, 1, False),
+        ([2.0 + 3.1e-8, 2.5, -3.0], 2.0, 0, True),
+        ([1.0, -(2.0 - 3.1e-8), 1.5j], 2.0, 3, True),
+        ([1.0, 1.5, 3.0], 2.0, 2, False),
+        ([1e-13, 1e-14, 0.0], 0.0, 3, False),
+    ])
+    def test_normal_block(self, count_factorizations, spectrum, lam, k,
+                          certified):
+        bsq = _normal_block(spectrum)
+        calls = count_factorizations()
+        small, large = _split_degree(bsq, lam, 0)
+        assert (small.shape[1], large.shape[1]) == (k, len(spectrum) - k)
+        assert calls.shapes("svd", compute_uv=False) == [bsq.shape]
+        assert calls["eigvals"] == (0 if certified else 1)
+        proper = 0 < k < len(spectrum)
+        assert calls["schur"] == int(proper)
+        if not proper:
+            full = small if k else large
+            assert np.array_equal(full, np.eye(len(spectrum)))
+
+    @pytest.mark.parametrize("spectrum", [[2.0 + 2.9e-8, 2.5, 3.0],
+                                          [1.0, 2.0 - 2.9e-8, 3.0]])
+    def test_level_inside_the_margin_is_a_cluster(self, count_factorizations,
+                                                  spectrum):
+        # the certificate needs the same margin as the cluster rule, so a
+        # level it cannot clear is one the eigenvalues reject
+        calls = count_factorizations()
+        with pytest.raises(SpectralBoundaryError, match="cluster"):
+            _split_degree(_normal_block(spectrum), 2.0, 0)
+        assert calls["eigvals"] == 1
+
+    @pytest.mark.parametrize("mu, lam", [(1e-4, 0.0), (2.5, 2.0)])
+    def test_non_normal_block_falls_through(self, count_factorizations, mu,
+                                            lam):
+        # a Jordan-like block: sigma_min ~ mu^2 / t lies below the cut while
+        # |mu| lies above it, so only the eigenvalues can decide; they give
+        # the eigenvalue rule's count, here no small eigenvalue
+        bsq = np.array([[mu, 1e3], [0.0, mu]], dtype=complex)
+        sv = np.linalg.svd(bsq, compute_uv=False)
+        cut = lam if lam > 0 else _zero_cut(max(1.0, sv[0]))
+        assert sv[-1] < cut < mu
+        calls = count_factorizations()
+        small, large = _split_degree(bsq, lam, 0)
+        assert calls["eigvals"] == 1
+        assert calls["schur"] == 0
+        assert small.shape[1] == int(np.sum(
+            np.abs(np.linalg.eigvals(bsq)) <= cut)) == 0
+        assert np.array_equal(large, np.eye(2))
+
+
 def _ladder_instance(d, total):
     """Acyclic instance of about total dimensions with its block list."""
     rng = np.random.default_rng(1000 * d + total)
@@ -380,6 +459,16 @@ class TestOracleLadder:
         expected = _log_block_product(d, blocks)
         assert _log_error(torsion_via_split(c, g, 0.0).coeff, expected) <= 1e-8
         assert _log_error(graded_det_via_xi_eta(c, g, 0.0), expected) <= 1e-8
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_xi_eta_at_mid_gap_is_the_large_part_graded_det(self, d):
+        c, g, _ = _ladder_instance(d, 200)
+        lam = _mid_gap_level(c, g)
+        large = spectral_split(c, g, lam).large
+        assert 0 < sum(large.complex.dims.dims) < sum(c.dims.dims)
+        expected = graded_det_finite(large.complex, large.chirality)
+        assert _log_error(graded_det_via_xi_eta(c, g, lam),
+                          cmath.log(expected)) <= 1e-8
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7])
     def test_block_product_above_spectrum(self, d):
@@ -409,6 +498,48 @@ class TestLogDetCut:
     def test_eigenvalue_on_cut_is_rejected(self):
         with pytest.raises(SpectralBoundaryError):
             log_det_cut(np.diag([-1.0j]), -math.pi / 2)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_is_rejected(self, theta):
+        with pytest.raises(ValidationError, match="branch angle"):
+            log_det_cut(np.diag([4.0]), theta)
+        with pytest.raises(ValidationError, match="branch angle"):
+            det_eta_check(np.diag([2.0, -3.0]), theta)
+        c, g = gen_elementary(1, 0, 2.0)
+        with pytest.raises(ValidationError, match="branch angle"):
+            graded_det_via_xi_eta(c, g, 0.0, theta)
+
+    def test_far_angle_is_one_period_shift(self):
+        # the window (theta, theta + 2 pi] is found in one step: theta = 1e6
+        # shifts every argument by 2 pi k from theta - 2 pi k
+        eigs = np.array([4.0, -1.0 + 2.0j, 0.5 - 3.0j])
+        theta = 1e6
+        k = math.floor(theta / (2 * math.pi))
+        near = log_det_cut(eigs, theta - 2 * math.pi * k)
+        far = log_det_cut(eigs, theta)
+        np.testing.assert_allclose(far, near + 2j * math.pi * k * eigs.size,
+                                   rtol=1e-12)
+
+    def test_window_agrees_with_stepping_by_periods(self, monkeypatch):
+        def by_steps(z, theta):
+            a = cmath.phase(z)
+            while a <= theta:
+                a += 2 * math.pi
+            while a > theta + 2 * math.pi:
+                a -= 2 * math.pi
+            return a
+
+        rng = np.random.default_rng(11)
+        eigs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        thetas = (-math.pi / 4, -2.5, 1.0, -7.0, 30.0)
+        models = [CircleModel(a) for a in (0.3, 0.71, 0.3 + 0.2j, 0.6 - 0.4j)]
+        new = ([log_det_cut(eigs, t) for t in thetas],
+               [split_check(m, k) for m in models for k in (2, 5)])
+        monkeypatch.setattr(signature_mod, "_arg_in_window", by_steps)
+        old = ([log_det_cut(eigs, t) for t in thetas],
+               [split_check(m, k) for m in models for k in (2, 5)])
+        np.testing.assert_allclose(new[0], old[0], rtol=1e-12)
+        np.testing.assert_allclose(new[1], old[1], rtol=0, atol=1e-12)
 
 
 class TestEta:
@@ -441,7 +572,40 @@ class TestEta:
             assert det_eta_check(m, theta) <= 1e-9
 
 
+def _xi_eta_by_degree(c, g, lam):
+    """graded_det_via_xi_eta with xi summed degree by degree over
+    (Gamma d)^2 restricted to each C^j_+ of the large part."""
+    large = spectral_split(c, g, lam).large
+    cl, gl = large.complex, large.chirality
+    d = cl.d
+    plus, minus = plus_minus_split(cl, gl)
+    num, den = _even_blocks(cl, gl, plus, minus)
+    eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
+                           -np.linalg.eigvals(den) if den.size else []])
+    theta = pick_agmon_angle(eigs)
+    xi = 0j
+    for j in range(d):
+        p = plus[j]
+        if p.shape[1]:
+            gd_sq = _gd_block(cl, gl, d - j - 1) @ _gd_block(cl, gl, j)
+            rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
+            xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
+    return cmath.exp(xi - 1j * math.pi * eta_finite(eigs).eta
+                     + 1j * math.pi * (len(num) - len(den)) / 2.0)
+
+
 class TestGradedDetViaXiEta:
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_xi_from_plus_minus_spectra_matches_degree_sum(self, d, acyclic):
+        prof = random_profile(np.random.default_rng(60 + d), d,
+                              acyclic=acyclic, max_blocks=5)
+        c, g = gen_random(60 + d, d, prof)
+        for lam in (0.0, _mid_gap_level(c, g)):
+            np.testing.assert_allclose(graded_det_via_xi_eta(c, g, lam),
+                                       _xi_eta_by_degree(c, g, lam),
+                                       rtol=1e-10)
+
     def test_hand_examples(self):
         c, g = gen_elementary(1, 0, 2.0)
         np.testing.assert_allclose(

@@ -7,6 +7,7 @@ import pytest
 
 from detline import (
     ValidationError,
+    build_signature,
     chiral_direct_sum,
     deserialize_document,
     gen_elementary,
@@ -16,6 +17,7 @@ from detline import (
     random_profile,
     refined_torsion,
     serialize_document,
+    torsion_via_split,
     validate_chirality,
 )
 from detline.cli import main
@@ -213,6 +215,38 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["graded_det"] is not None
         assert calls == {"cohomology_frame": 1, "c_gamma": 1}
+
+    def test_split_above_the_spectrum_builds_one_torsion(
+            self, tmp_path, capsys, monkeypatch):
+        # the small part is then the complex itself, and its torsion is the
+        # refined torsion the report prints
+        import detline.cli
+        import detline.signature
+        import detline.torsion
+        c, g = gen_random(5, 3)
+        lam = 2.0 * max(float(np.abs(np.linalg.eigvals(
+            build_signature(c, g).bsq_block(j))).max())
+            for j in range(c.d + 1) if c.dims.dims[j])
+        rho = refined_torsion(c, g).coeff
+        via = torsion_via_split(c, g, lam).coeff
+        calls = {"phi": 0, "c_gamma": 0}
+        for mod in (detline.cli, detline.signature, detline.torsion):
+            for name in calls:
+                if hasattr(mod, name):
+                    def spy(*args, _orig=getattr(mod, name), _name=name):
+                        calls[_name] += 1
+                        return _orig(*args)
+                    monkeypatch.setattr(mod, name, spy)
+        path = tmp_path / "d3.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        assert main(["split", str(path), f"--lambda={lam!r}"]) == 0
+        text = capsys.readouterr().out
+        out = json.loads(text)
+        assert calls == {"phi": 1, "c_gamma": 1}
+        assert out["d_large"] == [0] * (c.d + 1)
+        assert out["refined_torsion"] == [rho.real, rho.imag]
+        assert out["torsion_via_split"] == [via.real, via.imag]
+        assert text == json.dumps(out, allow_nan=False) + "\n"
 
     def test_split_subcommand(self, doc_path, capsys):
         assert main(["split", doc_path, "--lambda", "1.0"]) == 0
