@@ -4,9 +4,9 @@ Subcommands: torsion, split, circle, selftest.  Machine-readable JSON goes to
 stdout, a short human summary to stderr.  Exit codes: 0 success, 2 validation
 error (bad input or document, including a non-finite or boolean matrix
 entry and a d or dims entry that is not a JSON integer), 3 numerical
-boundary (eigenvalue on a cut, split level in a cluster, singular operator,
-a non-finite result, or a failed selftest).  stdout holds strict JSON (no NaN
-or Infinity) or nothing.
+boundary (eigenvalue on a cut, split level in a cluster, an overflowing
+B^2 block, singular operator, a non-finite result, or a failed selftest).
+stdout holds strict JSON (no NaN or Infinity) or nothing.
 """
 
 from __future__ import annotations

@@ -6,9 +6,12 @@ standard Hermitian inner product of its coordinates.  The main tool is the
 orthogonal decomposition C^j = B^j + H^j + A^j into exact, harmonic and
 coexact parts; it induces the canonical isomorphism ``phi`` between the
 determinant line of the complex and the determinant line of its cohomology.
-The decomposition takes one SVD per degree, chained down the complex: d_j
-vanishes on B^j, so it is factorized on the orthogonal complement of B^j
-only, and its left singular vectors give B^{j+1} and the next complement.
+The decomposition is chained down the complex: d_j vanishes on B^j, so it
+is factorized on the orthogonal complement of B^j only, and its left
+singular vectors give B^{j+1} and the next complement.  Singular values
+settle a square invertible degree: there d_j maps that complement onto
+C^{j+1}, so every basis is known without singular vectors.  Any other
+degree takes one full SVD.
 """
 
 from __future__ import annotations
@@ -104,6 +107,17 @@ def _zero_cut(scale: float) -> float:
     return max(RANK_RTOL * scale, RANK_ATOL)
 
 
+def _rank_cut(s: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of descending singular values s, and its margin:
+    min(smallest kept / cut, cut / largest dropped), a side that is empty or
+    all zero counting as infinitely far from the cut."""
+    cut = _zero_cut(float(s[0]))
+    rank = int(np.sum(s > cut))
+    kept = float(s[rank - 1]) / cut if rank else math.inf
+    dropped = float(s[rank]) if rank < len(s) else 0.0
+    return rank, min(kept, cut / dropped if dropped else math.inf)
+
+
 def _block_diag(blocks) -> np.ndarray:
     """Complex block-diagonal matrix of the given blocks, in order; blocks
     may be rectangular or empty."""
@@ -124,13 +138,16 @@ class CohomologyFrame:
 
     B^j is the image of d_{j-1}, H^j the orthogonal complement of B^j inside
     ker d_j (the harmonic space), and A^j the orthogonal complement of the
-    kernel.  ``betti[j]`` is dim H^j.
+    kernel.  ``betti[j]`` is dim H^j.  ``rank_margin[j]`` says how far the
+    rank decision on d_j was from going the other way (see ``_rank_cut``);
+    it is empty for a frame assembled by hand.
     """
 
     complex: CochainComplex
     B: tuple[np.ndarray, ...]
     H: tuple[np.ndarray, ...]
     A: tuple[np.ndarray, ...]
+    rank_margin: tuple[float, ...] = ()
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -142,37 +159,44 @@ class CohomologyFrame:
 
 
 def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
-    """Compute the orthogonal B/H/A decomposition of every degree from one
-    SVD per degree, chained down the complex.
+    """Compute the orthogonal B/H/A decomposition of every degree, chained
+    down the complex; singular values settle a square invertible degree.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
-    vanishes on B^j, so one full SVD d_j P_j = U S V^H splits P_j into
-    A^j = P_j V_lead and H^j = P_j V_trail, and its left singular vectors
-    are U_{j+1}: B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree
-    H^d = P_d.
+    vanishes on B^j.  When d_j P_j is square, its singular values come
+    first: at full rank it maps P_j onto C^{j+1} one-to-one, so A^j = P_j,
+    B^{j+1} = C^{j+1} (the identity) and H^j, P_{j+1} are empty.  Otherwise
+    one full SVD d_j P_j = U S V^H splits P_j into A^j = P_j V_lead and
+    H^j = P_j V_trail, and its left singular vectors are U_{j+1}:
+    B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree H^d = P_d.
     """
     c.validate()
     n = c.dims.dims
     B = [np.zeros((n[0], 0), dtype=complex)]
-    H, A = [], []
+    H, A, margins = [], [], []
     perp = None  # P_j; None stands for the identity of C^0
     for m in c.partial:
         dp = m if perp is None else m @ perp
         rows, cols = dp.shape
-        if rows == 0 or cols == 0:
-            u, rank = np.eye(rows, dtype=complex), 0
-            v = np.eye(cols, dtype=complex) if perp is None else perp
-        else:
+        rank, margin = 0, math.inf
+        if rows == cols > 0:
+            rank, margin = _rank_cut(np.linalg.svd(dp, compute_uv=False))
+        if rows and cols and not rank == rows == cols:
             u, s, vh = np.linalg.svd(dp, full_matrices=True)
-            rank = int(np.sum(s > _zero_cut(float(s[0]))))
+            rank, margin = _rank_cut(s)
             v = vh.conj().T if perp is None else perp @ vh.conj().T
+        else:
+            # d_j P_j is empty, or maps P_j onto C^{j+1} one-to-one
+            u = np.eye(rows, dtype=complex)
+            v = np.eye(cols, dtype=complex) if perp is None else perp
         A.append(v[:, :rank])
         H.append(v[:, rank:])
         B.append(u[:, :rank])
+        margins.append(margin)
         perp = u[:, rank:]
     H.append(np.eye(n[0], dtype=complex) if perp is None else perp)
     A.append(np.zeros((n[-1], 0), dtype=complex))
-    return CohomologyFrame(c, tuple(B), tuple(H), tuple(A))
+    return CohomologyFrame(c, tuple(B), tuple(H), tuple(A), tuple(margins))
 
 
 def sign_N(frame: CohomologyFrame) -> int:

@@ -12,7 +12,9 @@ C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
 (by QR), and the +/- independence test reads principal angles off the
 unitary frame.  The blocks of B_even on the even + and - subspaces give the
 graded determinant and, through their spectra, eta and xi (whose squares
-are the spectra of (Gamma d)^2 on the + subspaces).  Gamma commutes with B,
+are the spectra of (Gamma d)^2 on the + subspaces); a side whose bases
+fill the even part is that whole space, so its block is +-B_even as it
+stands and the other side's is empty.  Gamma commutes with B,
 so a split decides each degree pair (j, d-j) in degree j from the spectrum
 of B^2 and carries the result to degree d-j by Gamma_j.  The singular
 values of B^2 bound the moduli of its eigenvalues, and settle a degree
@@ -196,8 +198,16 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
 
 def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
     """B_even restricted to the even + subspaces, and -B_even restricted to
-    the even - subspaces, in the given bases."""
+    the even - subspaces, in the given bases.  A side whose bases fill the
+    even part is that whole space: its block is B_even (or -B_even) as it
+    stands, and the other side's block is empty."""
     b_even, degs = _parity_matrix(c, g, 0)
+    n_even = b_even.shape[0]
+    empty = np.zeros((0, 0), dtype=complex)
+    if sum(plus[j].shape[1] for j in degs) == n_even:
+        return b_even, empty
+    if sum(minus[j].shape[1] for j in degs) == n_even:
+        return empty, -b_even
     p = _block_diag(plus[j] for j in degs)
     m = _block_diag(minus[j] for j in degs)
     return (_restrict(p, b_even @ p, "B+ even"),
@@ -253,7 +263,8 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
 
 def _split_degree(bsq: np.ndarray, lam: float, j: int):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
-    C^j.  Every eigenvalue mu has sigma_min <= |mu| <= sigma_max, so when the
+    C^j; a block that is not finite (an overflow) is a numerical boundary.
+    Every eigenvalue mu has sigma_min <= |mu| <= sigma_max, so when the
     singular values put the whole spectrum on one side of the cut, clear of
     the cluster margin, that side is all of C^j and the other is empty, as
     the eigenvalue rule would find.  Otherwise the eigenvalues decide how
@@ -263,6 +274,9 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
+    if not np.isfinite(bsq).all():
+        raise SpectralBoundaryError(
+            f"degree {j}: the B^2 block is not finite (overflow)")
     sv = np.linalg.svd(bsq, compute_uv=False)
     s_min, s_max = float(sv[-1]), float(sv[0])
     if lam > 0:
@@ -306,7 +320,7 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     The small part collects the generalized eigenspaces with |eigenvalue|
     at most lam (for lam = 0: the numerically zero eigenvalues); the large
     part is its B^2-invariant complement.  Raises SpectralBoundaryError when
-    lam falls inside an eigenvalue cluster.
+    lam falls inside an eigenvalue cluster or a block of B^2 overflows.
     """
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")

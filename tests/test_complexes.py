@@ -1,5 +1,7 @@
 """Unit tests for cochain complexes, cohomology frames and the canonical map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,44 @@ def _ladder_instance(seed, d, n, n_harmonic):
         betti[d - k] += 1
     c, _ = gen_random(seed, d, {"blocks": blocks, "harmonic": harmonic})
     return c, tuple(betti)
+
+
+def _normal(spectrum, seed=3):
+    """Q diag(spectrum) Q^H for a random unitary Q: its singular values are
+    the moduli of spectrum."""
+    n = len(spectrum)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
+
+
+def _svd_log(calls):
+    """(shape, compute_uv) of every SVD, in call order."""
+    return [(shape, uv) for name, shape, uv in calls.log if name == "svd"]
+
+
+def _all_svd_frame(c):
+    """B, H and A bases from one full SVD of every d_j on the complement of
+    B^j, its rank cut on the largest singular value."""
+    n = c.dims.dims
+    B, H, A = [np.zeros((n[0], 0))], [], []
+    perp = np.eye(n[0])
+    for m in c.partial:
+        dp = m @ perp
+        if dp.size:
+            u, s, vh = np.linalg.svd(dp)
+            rank = int(np.sum(s > max(1e-8 * s[0], 1e-12)))
+            v = perp @ vh.conj().T
+        else:
+            u, rank, v = np.eye(dp.shape[0]), 0, perp
+        A.append(v[:, :rank])
+        H.append(v[:, rank:])
+        B.append(u[:, :rank])
+        perp = u[:, rank:]
+    H.append(perp)
+    A.append(np.zeros((n[-1], 0)))
+    return B, H, A
 
 
 class TestCochainComplex:
@@ -143,14 +183,100 @@ class TestCohomologyFrame:
             with pytest.raises(ValidationError):
                 cohomology_frame(c)
 
-    @pytest.mark.parametrize("acyclic", [True, False])
+    @pytest.mark.parametrize("acyclic, expected", [
+        # dims (1, 1, 2, 2, 1, 1): every nonempty d_j P_j is square and
+        # invertible, so singular values alone settle it
+        (True, [((1, 1), False), ((2, 2), False), ((1, 1), False)]),
+        # dims 2 throughout, Betti (1, 1, 0, 0, 1, 1): d_0 P_0 and d_4 P_4
+        # are square of rank 1 (values, then a full SVD), d_1 P_1 is 2 x 1
+        # (a full SVD) and d_2 P_2 is square and invertible
+        (False, [((2, 2), False), ((2, 2), True), ((2, 1), True),
+                 ((2, 2), False), ((2, 2), False), ((2, 2), True)]),
+    ])
     def test_one_svd_per_differential_and_no_qr(self, count_factorizations,
-                                                acyclic):
+                                                acyclic, expected):
+        # at most one full SVD per differential; a square one takes its
+        # singular values first
         c = _instance(4, 5, acyclic=acyclic)[0]
         calls = count_factorizations()
         cohomology_frame(c)
-        assert calls["svd"] <= c.d
+        assert _svd_log(calls) == expected
         assert calls["qr"] == 0
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_square_invertible_degree_takes_singular_values_only(
+            self, count_factorizations, n):
+        c = CochainComplex(GradedDims((n, n)), (_normal(range(1, n + 1)),))
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        assert _svd_log(calls) == [((n, n), False)]
+        assert np.array_equal(fr.B[1], np.eye(n))
+        assert np.array_equal(fr.A[0], np.eye(n))
+        assert fr.betti == (0, 0)
+
+    def test_short_rank_square_degree_takes_a_full_svd_after_its_values(
+            self, count_factorizations):
+        c = CochainComplex(GradedDims((3, 3)), (_normal([2.0, 1.0, 0.0]),))
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        assert _svd_log(calls) == [((3, 3), False), ((3, 3), True)]
+        assert fr.betti == (1, 1)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_harmonic", [0, 2])
+    def test_projectors_match_an_all_svd_frame(self, d, n_harmonic):
+        # the subspaces B^j, H^j, A^j are unique, so their projectors agree
+        # with those of a frame that takes a full SVD of every degree
+        for n in (20, 100):
+            c, _ = _ladder_instance(7000 * d + n, d, n, n_harmonic)
+            fr = cohomology_frame(c)
+            ref = _all_svd_frame(c)
+            for bases, ref_bases in zip((fr.B, fr.H, fr.A), ref):
+                for x, y in zip(bases, ref_bases):
+                    assert x.shape == y.shape
+                    np.testing.assert_allclose(
+                        x @ x.conj().T, y @ y.conj().T, rtol=0, atol=1e-10)
+
+
+class TestRankMargin:
+    """min(smallest kept / cut, cut / largest dropped) per differential;
+    the cut is 1e-8 times the largest singular value."""
+
+    @pytest.mark.parametrize("spectrum, rank, margin", [
+        ([1.0, 1.01e-8, 0.5], 3, 1.01),  # just above the cut: kept
+        ([1.0, 0.99e-8, 0.5], 2, 1 / 0.99),  # just below it: dropped
+        ([1.0, 2e-8, 0.0], 2, 2.0),  # an exact zero is infinitely far
+        ([1.0, 0.5, 0.25], 3, 0.25e8),  # nothing dropped
+    ])
+    def test_square_differential(self, spectrum, rank, margin):
+        n = len(spectrum)
+        fr = cohomology_frame(
+            CochainComplex(GradedDims((n, n)), (_normal(spectrum),)))
+        assert fr.A[0].shape[1] == rank
+        assert len(fr.rank_margin) == 1
+        np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)
+
+    @pytest.mark.parametrize("scale, margin", [(1.01e-8, 1.01),
+                                               (0.99e-8, 1 / 0.99)])
+    def test_rectangular_differential(self, scale, margin):
+        # a 3 x 2 differential takes the full SVD
+        q = _normal([1.0, 1.0, 1.0], seed=5)
+        m = q[:, :2] @ np.diag([1.0, scale])
+        fr = cohomology_frame(CochainComplex(GradedDims((2, 3)), (m,)))
+        np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)
+
+    def test_zero_and_empty_differentials_are_infinitely_far(self):
+        for dims in ((2, 2), (0, 3), (3, 0)):
+            c = CochainComplex(GradedDims(dims),
+                               (np.zeros((dims[1], dims[0])),))
+            assert cohomology_frame(c).rank_margin == (math.inf,)
+
+    def test_one_margin_per_differential(self):
+        for seed, d in ((4, 5), (5, 3), (6, 7)):
+            c = _instance(seed, d, acyclic=False)[0]
+            margins = cohomology_frame(c).rank_margin
+            assert len(margins) == d
+            assert all(m > 1 for m in margins)
 
     def test_betti_adds_under_direct_sum(self):
         a = _instance(10, 3, acyclic=False)[0]

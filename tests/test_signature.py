@@ -151,6 +151,30 @@ class TestSpectralSplit:
         sp = spectral_split(c, g, 0.0)
         assert cohomology_frame(sp.large.complex).acyclic
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_overflowing_b_squared_is_a_boundary(self, lam):
+        # |z|^2 = 1e400 overflows, so the B^2 block is not finite; numpy's
+        # overflow warning is silenced as the CLI does
+        c, g = gen_elementary(1, 0, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralBoundaryError,
+                               match=r"^degree 0: .* not finite"):
+                spectral_split(c, g, lam)
+            with pytest.raises(SpectralBoundaryError,
+                               match=r"^degree 0: .* not finite"):
+                graded_det_via_xi_eta(c, g, lam)
+
+    def test_overflow_is_caught_before_any_factorization(
+            self, count_factorizations):
+        # d = 3 with the overflowing block in degree 1 only
+        c, g = gen_random(2, 3, {"blocks": [(0, 1.5), (1, 1e200)],
+                                 "harmonic": []})
+        calls = count_factorizations()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralBoundaryError, match=r"^degree 1: "):
+                _split_degree(_bsq_block(c, g, 1), 0.0, 1)
+        assert calls.log == []
+
 
 def _spectral_radius(c, g):
     """max |spec(B^2)| over all degrees."""
@@ -292,14 +316,29 @@ class TestFactorizationCounts:
         split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
         pm_test = [(a[j], a[j]) for j in range(d + 1)
                    if plus[j].shape[1] and minus[j].shape[1]]
+        # the frame of the large part (c itself) takes the singular values
+        # of each square d_j P_j; at this full rank no singular vectors
+        frame = [(n[j + 1], n[j + 1]) for j in range(d)
+                 if n[j + 1] == n[j] - fr.B[j].shape[1] > 0]
+        assert frame
         calls = count_factorizations()
         graded_det_via_xi_eta(c, g, 0.0)
-        assert calls.shapes("svd", compute_uv=False) == split + pm_test
+        assert calls.shapes("svd", compute_uv=False) == (split + frame
+                                                         + pm_test)
         assert calls.shapes("eigvals") == [(k, k) for k in (p_even, m_even)
                                            if k]
         assert calls["schur"] == 0
         if d > 1:
             assert p_even and m_even
+
+    @pytest.mark.parametrize("seed", [6, 7, 9])
+    def test_whole_side_block_is_b_even_itself(self, seed):
+        # an acyclic d = 1 complex has C^0_+ = C^0, so the + block is B_even
+        # as it stands, with nothing restricted, and the - block is empty
+        c, g = _instance(seed, 1, acyclic=True)
+        num, den = _even_blocks(c, g, *plus_minus_split(c, g))
+        assert np.array_equal(num, build_signature(c, g).b_even)
+        assert den.shape == (0, 0)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_split_at_zero_of_acyclic_complex_makes_no_qr(

@@ -1,9 +1,13 @@
 """Unit tests for generators, the canonical JSON document format and the CLI."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detline import (
     ValidationError,
@@ -263,6 +267,19 @@ class TestCli:
         assert main(["split", doc_path, f"--lambda={lam}"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("lam", ["0", "1"])
+    def test_split_of_overflowing_b_squared_exits_3(self, tmp_path, capsys,
+                                                    lam):
+        # z^2 = 1e400 overflows B^2; the torsion itself, 1e200, is finite
+        path = tmp_path / "big.json"
+        path.write_text(serialize_document(*gen_elementary(1, 0, 1e200)),
+                        encoding="utf-8")
+        assert main(["split", str(path), "--lambda", lam]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degree 0" in captured.err and "not finite" in captured.err
+        assert main(["torsion", str(path)]) == 0
+
     def test_malformed_document_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
@@ -331,3 +348,65 @@ class TestCli:
         assert capsys.readouterr().out == ""
         with pytest.raises(ValidationError):
             run_selftest(cases=int(cases))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@st.composite
+def _documents(draw):
+    """Serialized gen_elementary / gen_random instances with |z| up to
+    1e200, as a JSON object, each with or without one mutation: an entry
+    set to 0 or +-1e300, or a row dropped."""
+    d = draw(st.sampled_from([1, 3, 5]))
+    r = (d + 1) // 2
+
+    def coeff():
+        modulus = 10.0 ** draw(st.floats(-2.0, 200.0))
+        return modulus * complex(np.exp(1j * draw(st.floats(-3.2, 3.2))))
+
+    if draw(st.booleans()):
+        pair = gen_elementary(d, draw(st.integers(0, r - 1)), coeff())
+    else:
+        blocks = [(draw(st.integers(0, r - 1)), coeff())
+                  for _ in range(draw(st.integers(1, 3)))]
+        harmonic = draw(st.lists(st.integers(0, d), max_size=2))
+        pair = gen_random(draw(st.integers(0, 2 ** 16)), d,
+                          {"blocks": blocks, "harmonic": harmonic})
+    doc = json.loads(serialize_document(*pair))
+    mutation = draw(st.sampled_from([None, 0.0, 1e300, -1e300, "drop"]))
+    if mutation is not None:
+        field = draw(st.sampled_from(["differential", "chirality"]))
+        mats = [m for m in doc[field] if m and m[0]]
+        m = draw(st.sampled_from(mats))
+        row = draw(st.integers(0, len(m) - 1))
+        if mutation == "drop":
+            del m[row]
+        else:
+            entry = m[row][draw(st.integers(0, len(m[row]) - 1))]
+            entry[draw(st.integers(0, 1))] = mutation
+    return doc
+
+
+class TestCliFuzz:
+    """torsion and split keep the 0/2/3 contract on generated documents,
+    intact or mutated: exit 0 with strict JSON on stdout, or exit 2 or 3
+    with nothing on stdout, and never an exception."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(doc=_documents())
+    def test_exit_code_and_stdout(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["torsion"], ["split", "--lambda", "0"],
+                     ["split", "--lambda", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in (0, 2, 3)
+            if code == 0:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+            else:
+                assert out.getvalue() == ""
