@@ -1,7 +1,8 @@
 """Finite-dimensional cochain complexes and their determinant lines.
 
 A complex is a dimension vector together with differentials
-d_j : C^j -> C^{j+1} satisfying d_{j+1} d_j = 0.  Each C^j carries the
+d_j : C^j -> C^{j+1} satisfying d_{j+1} d_j = 0, checked once, when it is
+built; it keeps read-only views of them.  Each C^j carries the
 standard Hermitian inner product of its coordinates.  The main tool is the
 orthogonal decomposition C^j = B^j + H^j + A^j into exact, harmonic and
 coexact parts; it induces the canonical isomorphism ``phi`` between the
@@ -45,13 +46,15 @@ __all__ = [
 # absolute floor RANK_ATOL.
 RANK_RTOL = 1e-8
 RANK_ATOL = 1e-12
+_VALIDATION_TOL = 1e-10  # of d.d = 0 in a complex, Gamma^2 = 1 in a chirality
 
 
 def _as_matrix(m, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m, dtype=complex).view()
     if a.shape != (rows, cols):
         raise ValidationError(
             f"differential has shape {a.shape}, expected {(rows, cols)}")
+    a.flags.writeable = False
     return a
 
 
@@ -60,7 +63,8 @@ class CochainComplex:
     """Cochain complex of standard coordinate spaces.
 
     ``partial[j]`` is the matrix of d_j : C^j -> C^{j+1}; the list has one
-    entry per degree 0..d-1.
+    entry per degree 0..d-1.  Construction checks the shapes and d.d = 0;
+    the matrices are read-only views (the caller's arrays keep their flags).
     """
 
     dims: GradedDims
@@ -75,6 +79,10 @@ class CochainComplex:
             _as_matrix(self.partial[j], self.dims.dims[j + 1], self.dims.dims[j])
             for j in range(d))
         object.__setattr__(self, "partial", mats)
+        res = self.differential_residual()
+        if not res <= _VALIDATION_TOL:  # a NaN residual fails too
+            raise ValidationError(f"d.d residual {res:.3e} exceeds "
+                                  f"tolerance {_VALIDATION_TOL:.3e}")
 
     @property
     def d(self) -> int:
@@ -93,12 +101,6 @@ class CochainComplex:
             if prod.size:
                 worst = max(worst, float(np.abs(prod).max()))
         return worst / (scale * scale)
-
-    def validate(self, tol: float = 1e-10) -> None:
-        res = self.differential_residual()
-        if not res <= tol:  # a NaN residual fails too
-            raise ValidationError(
-                f"d.d residual {res:.3e} exceeds tolerance {tol:.3e}")
 
 
 def _zero_cut(scale: float) -> float:
@@ -170,7 +172,6 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     H^j = P_j V_trail, and its left singular vectors are U_{j+1}:
     B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree H^d = P_d.
     """
-    c.validate()
     n = c.dims.dims
     B = [np.zeros((n[0], 0), dtype=complex)]
     H, A, margins = [], [], []

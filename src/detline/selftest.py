@@ -435,9 +435,11 @@ CHECKS = [
 
 def run_selftest(cases: int = 40, seed: int = 12345):
     """Run every registered check; returns (all_passed, list of reports).
-    Raises ValidationError unless cases >= 1."""
+    Raises ValidationError unless cases >= 1 and seed >= 0."""
     if cases < 1:
         raise ValidationError(f"selftest needs at least one case, got {cases}")
+    if seed < 0:
+        raise ValidationError(f"selftest seed must be nonnegative, got {seed}")
     reports = []
     ok = True
     for name, fn in CHECKS:

@@ -60,6 +60,7 @@ __all__ = [
 _RAY_TOL = 1e-10  # angular distance below which an eigenvalue sits on a cut
 _CLUSTER_RTOL = 1e-8  # relative gap required between lambda and |spec(B^2)|
 _PM_TOL = 1e-10  # least sigma_min([C_+ | C_-]) of independent +/- subspaces
+_RESTRICT_TOL = 1e-8  # relative residual of an image outside its subspace
 
 
 def _gd_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
@@ -146,18 +147,17 @@ def _gamma_image(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.linalg.qr(gamma @ basis)[0]
 
 
-def _restrict(basis: np.ndarray, image: np.ndarray, what: str,
-              tol: float = 1e-8) -> np.ndarray:
+def _restrict(basis: np.ndarray, image: np.ndarray, what: str) -> np.ndarray:
     """Coordinates of image's columns in the span of basis (orthonormal
     columns), with a residual check that the span really contains them."""
     if basis.shape[1] == 0:
-        if image.size and np.abs(image).max() > tol:
+        if image.size and np.abs(image).max() > _RESTRICT_TOL:
             raise ValidationError(f"{what}: image does not lie in the subspace")
         return np.zeros((0, image.shape[1]), dtype=complex)
     x = basis.conj().T @ image
     res = basis @ x - image
     scale = max(1.0, float(np.abs(image).max()) if image.size else 0.0)
-    if res.size and float(np.abs(res).max()) > tol * scale:
+    if res.size and float(np.abs(res).max()) > _RESTRICT_TOL * scale:
         raise ValidationError(f"{what}: subspace is not invariant "
                               f"(residual {np.abs(res).max():.3e})")
     return x

@@ -1,10 +1,11 @@
 """Refined torsion of a cochain complex with a chirality operator.
 
 A chirality operator on a complex of odd top degree d is a degreewise map
-Gamma_j : C^j -> C^{d-j} squaring to the identity.  It singles out an element
-c_Gamma of the determinant line of the complex; its image under the canonical
-map phi is the refined torsion, an element of the determinant line of
-cohomology.
+Gamma_j : C^j -> C^{d-j} squaring to the identity, checked once, when it is
+built (validate_chirality only checks that it fits a complex).  It singles out
+an element c_Gamma of the determinant line of the complex; its image under the
+canonical map phi is the refined torsion, an element of the determinant line
+of cohomology.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        alpha_cohomology, cohomology_frame, dual_complex, phi)
+from .complexes import (_VALIDATION_TOL, CochainComplex, CohomologyElement,
+                        CohomologyFrame, alpha_cohomology, cohomology_frame,
+                        dual_complex, phi)
 from .errors import ValidationError
 from .gradedlinalg import DetElement, alternating_det
 
@@ -34,39 +36,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChiralityOp:
-    """Degreewise blocks gamma[j] of Gamma_j : C^j -> C^{d-j}."""
+    """Degreewise blocks gamma[j] of Gamma_j : C^j -> C^{d-j}, read-only;
+    construction checks that d is odd and Gamma_{d-j} Gamma_j = 1."""
 
     gamma: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "gamma", tuple(np.asarray(g, dtype=complex) for g in self.gamma))
+        gamma = tuple(np.asarray(g, dtype=complex).view() for g in self.gamma)
+        d = len(gamma) - 1
+        if d % 2 == 0:
+            raise ValidationError("chirality requires odd top degree")
+        for j, a in enumerate(gamma):
+            if a.ndim != 2:
+                raise ValidationError(
+                    f"Gamma_{j} has shape {a.shape}, expected a matrix")
+            a.flags.writeable = False
+        n = [a.shape[1] for a in gamma]  # n[j] = dim C^j
+        for j, a in enumerate(gamma):
+            if a.shape != (n[d - j], n[j]):
+                raise ValidationError(
+                    f"Gamma_{j} has shape {a.shape}, expected {(n[d - j], n[j])}")
+        for j, a in enumerate(gamma):
+            res = float(np.abs(gamma[d - j] @ a - np.eye(n[j])).max(initial=0))
+            if not res <= _VALIDATION_TOL:  # a NaN residual fails too
+                raise ValidationError(
+                    f"Gamma^2 - 1 residual {res:.3e} in degree {j} exceeds "
+                    f"{_VALIDATION_TOL:.3e}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def d(self) -> int:
         return len(self.gamma) - 1
 
 
-def validate_chirality(c: CochainComplex, g: ChiralityOp,
-                       tol: float = 1e-10) -> None:
-    """Check shapes, odd top degree and Gamma_{d-j} Gamma_j = identity."""
-    d = c.d
-    if d % 2 == 0:
-        raise ValidationError("chirality requires odd top degree")
+def validate_chirality(c: CochainComplex, g: ChiralityOp) -> None:
+    """Check that g fits c: the same top degree and Gamma_j : C^j -> C^{d-j}."""
+    d, n = c.d, c.dims.dims
     if g.d != d:
         raise ValidationError("chirality degree does not match the complex")
-    n = c.dims.dims
-    for j in range(d + 1):
-        if g.gamma[j].shape != (n[d - j], n[j]):
+    for j, a in enumerate(g.gamma):
+        if a.shape != (n[d - j], n[j]):
             raise ValidationError(
-                f"Gamma_{j} has shape {g.gamma[j].shape}, "
-                f"expected {(n[d - j], n[j])}")
-    for j in range(d + 1):
-        prod = g.gamma[d - j] @ g.gamma[j]
-        res = float(np.abs(prod - np.eye(n[j])).max()) if n[j] else 0.0
-        if not res <= tol:  # a NaN residual fails too
-            raise ValidationError(
-                f"Gamma^2 - 1 residual {res:.3e} in degree {j} exceeds {tol:.3e}")
+                f"Gamma_{j} has shape {a.shape}, expected {(n[d - j], n[j])}")
 
 
 def sign_R(c: CochainComplex) -> int:
@@ -120,12 +131,6 @@ def supertrace(blocks) -> complex:
     return complex(total)
 
 
-def _gamma_dot_gamma_blocks(g: ChiralityOp, g_dot: ChiralityOp):
-    """Blocks of (dGamma/dt) Gamma on each C^j."""
-    d = g.d
-    return [g_dot.gamma[d - j] @ g.gamma[j] for j in range(d + 1)]
-
-
 def variation_check(c: CochainComplex, gamma_of_t, t0: float,
                     h: float = 1e-4) -> float:
     """Residual of the variation identity for an acyclic family Gamma(t):
@@ -139,16 +144,13 @@ def variation_check(c: CochainComplex, gamma_of_t, t0: float,
     frame = cohomology_frame(c)
     if not frame.acyclic:
         raise ValidationError("variation identity requires an acyclic complex")
-
-    def rho(t):
-        return refined_torsion(c, gamma_of_t(t), frame).coeff
-
-    lhs = (np.log(rho(t0 + h)) - np.log(rho(t0 - h))) / (2 * h)
     gp, gm = gamma_of_t(t0 + h), gamma_of_t(t0 - h)
-    g0 = gamma_of_t(t0)
-    g_dot = ChiralityOp(tuple((a - b) / (2 * h)
-                              for a, b in zip(gp.gamma, gm.gamma)))
-    rhs = 0.5 * supertrace(_gamma_dot_gamma_blocks(g0, g_dot))
+    lhs = (np.log(refined_torsion(c, gp, frame).coeff)
+           - np.log(refined_torsion(c, gm, frame).coeff)) / (2 * h)
+    # Gamma' is not an involution, so its blocks stay a plain list
+    g_dot = [(a - b) / (2 * h) for a, b in zip(gp.gamma, gm.gamma)]
+    g0, d = gamma_of_t(t0), c.d
+    rhs = 0.5 * supertrace(g_dot[d - j] @ g0.gamma[j] for j in range(d + 1))
     return abs(lhs - rhs)
 
 

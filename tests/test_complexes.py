@@ -88,15 +88,24 @@ class TestCochainComplex:
 
     def test_validate_rejects_non_complex(self):
         # d=2 with d_1 d_0 = [2] != 0
-        c = CochainComplex(GradedDims((1, 1, 1)),
+        with pytest.raises(ValidationError, match=r"d\.d residual 5\.000e-01 "
+                           r"exceeds tolerance 1\.000e-10"):
+            CochainComplex(GradedDims((1, 1, 1)),
                            (np.array([[1.0]]), np.array([[2.0]])))
-        with pytest.raises(ValidationError):
-            c.validate()
+
+    def test_matrices_are_read_only_views(self):
+        m = np.array([[0.0, 2.0j]])
+        c = CochainComplex(GradedDims((2, 1)), (m,))
+        assert np.shares_memory(c.partial[0], m)
+        assert not c.partial[0].flags.writeable
+        assert m.flags.writeable  # the caller's array keeps its flags
+        with pytest.raises(ValueError):
+            c.partial[0][0, 0] = 1.0
 
     def test_validate_accepts_complex(self):
         c = CochainComplex(GradedDims((1, 1, 1)),
                            (np.array([[1.0]]), np.array([[0.0]])))
-        c.validate()
+        assert c.differential_residual() <= 1e-10
 
 
     def test_direct_sum_of_three_is_iterated_sum(self):
@@ -170,18 +179,13 @@ class TestCohomologyFrame:
                         initial=0.0) <= 1e-10
 
     def test_non_complex_is_rejected(self):
-        c = CochainComplex(GradedDims((1, 1, 1, 1)),
-                           (np.array([[1.0]]),) * 3)
         with pytest.raises(ValidationError):
-            cohomology_frame(c)
+            CochainComplex(GradedDims((1, 1, 1, 1)), (np.array([[1.0]]),) * 3)
 
     def test_non_finite_differential_is_rejected(self):
         for bad in (np.nan, np.inf):
-            c = CochainComplex(GradedDims((1, 1)), (np.array([[bad]]),))
-            with pytest.raises(ValidationError):
-                c.validate()
-            with pytest.raises(ValidationError):
-                cohomology_frame(c)
+            with pytest.raises(ValidationError, match=r"d\.d residual nan "):
+                CochainComplex(GradedDims((1, 1)), (np.array([[bad]]),))
 
     @pytest.mark.parametrize("acyclic, expected", [
         # dims (1, 1, 2, 2, 1, 1): every nonempty d_j P_j is square and
@@ -319,7 +323,7 @@ class TestDuality:
         c = _instance(20, 3, acyclic=False)[0]
         chat = dual_complex(c)
         assert chat.dims == c.dims.reversed()
-        chat.validate()
+        assert chat.differential_residual() <= 1e-10
         # double dual restores the original matrices
         back = dual_complex(chat)
         for m1, m2 in zip(back.partial, c.partial):

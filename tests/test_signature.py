@@ -18,6 +18,7 @@ from detline import (
     build_signature,
     cohomology_frame,
     det_eta_check,
+    dual_torsion_check,
     eta_finite,
     gen_elementary,
     gen_random,
@@ -87,10 +88,10 @@ class TestSignatureOp:
 
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
-        c = CochainComplex(GradedDims((1, 1, 1, 1)),
-                           (np.array([[1.0]]),) * 3)
         g = ChiralityOp((np.array([[1.0]]),) * 4)
         with pytest.raises(ValidationError):
+            c = CochainComplex(GradedDims((1, 1, 1, 1)),
+                               (np.array([[1.0]]),) * 3)
             plus_minus_split(c, g)
 
     def test_even_and_odd_parts_share_spectrum(self):
@@ -191,6 +192,44 @@ def _mid_gap_level(c, g):
     mods = mods[mods > 1e-4]
     k = len(mods) // 2
     return 0.5 * (mods[k - 1] + mods[k]) if k else 0.5 * mods[0]
+
+
+class TestValidateOnce:
+    """The input complex and chirality were checked when they were built,
+    and no call that reads them checks them again; a call checks only the
+    values it builds (split parts, the dual pair), each once."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_calls_do_not_recheck_their_input(self, count_validations, d,
+                                              acyclic):
+        c, g = _instance(11 + d, d, acyclic)
+        shapes_c = tuple(m.shape for m in c.partial)
+        shapes_g = tuple(m.shape for m in g.gamma)
+        fr = cohomology_frame(c)
+        mid = _mid_gap_level(c, g)
+        calls = [lambda: refined_torsion(c, g),
+                 lambda: torsion_via_split(c, g, 0.0),
+                 lambda: torsion_via_split(c, g, mid, fr)]
+        if acyclic:
+            calls += [lambda: graded_det_finite(c, g),
+                      lambda: graded_det_via_xi_eta(c, g, 0.0)]
+        for call in calls:
+            checks = count_validations()
+            call()
+            assert shapes_c not in checks.shapes("d.d")
+            assert shapes_g not in checks.shapes("gamma^2")
+        # a call that builds nothing checks nothing
+        checks = count_validations()
+        refined_torsion(c, g, fr)
+        assert checks == {"d.d": 0, "gamma^2": 0}
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_duality_checks_only_the_dual_pair(self, count_validations, d):
+        c, g = _instance(20 + d, d, acyclic=False)
+        checks = count_validations()
+        dual_torsion_check(c, g)
+        assert checks == {"d.d": 1, "gamma^2": 1}
 
 
 class TestSplitStructure:

@@ -33,27 +33,61 @@ class TestValidateChirality:
     def test_rejects_even_degree(self):
         c = CochainComplex(GradedDims((1, 1, 1)),
                            (np.zeros((1, 1)), np.zeros((1, 1))))
-        g = ChiralityOp((np.eye(1),) * 3)
         with pytest.raises(ValidationError):
+            g = ChiralityOp((np.eye(1),) * 3)
             validate_chirality(c, g)
 
     def test_rejects_non_involution(self):
         c = CochainComplex(GradedDims((1, 1)), (np.array([[2.0]]),))
-        g = ChiralityOp((np.array([[2.0]]), np.array([[1.0]])))
         with pytest.raises(ValidationError):
+            g = ChiralityOp((np.array([[2.0]]), np.array([[1.0]])))
             validate_chirality(c, g)
 
     def test_rejects_non_finite_entry(self):
         # a NaN residual must fail the tolerance test, not slip past it
         c = CochainComplex(GradedDims((1, 1)), (np.array([[2.0]]),))
-        g = ChiralityOp((np.array([[np.nan]]), np.array([[1.0]])))
         with pytest.raises(ValidationError):
+            g = ChiralityOp((np.array([[np.nan]]), np.array([[1.0]])))
+            validate_chirality(c, g)
+
+    @pytest.mark.parametrize("gamma, message", [
+        ((np.eye(1),) * 3, "chirality requires odd top degree"),
+        ((np.array([[2.0]]), np.array([[1.0]])),
+         r"Gamma\^2 - 1 residual 1\.000e\+00 in degree 0 exceeds 1\.000e-10"),
+        ((np.array([[np.nan]]), np.array([[1.0]])),
+         r"Gamma\^2 - 1 residual nan in degree 0 exceeds 1\.000e-10"),
+        ((np.eye(2), np.eye(1)),
+         r"Gamma_0 has shape \(2, 2\), expected \(1, 2\)"),
+        ((np.ones(1), np.eye(1)),
+         r"Gamma_0 has shape \(1,\), expected a matrix"),
+        ((np.eye(1), np.ones((1, 1, 1))),
+         r"Gamma_1 has shape \(1, 1, 1\), expected a matrix"),
+    ], ids=["even-degree", "not-involution", "nan", "shapes", "1-d", "3-d"])
+    def test_construction_rejects_with_message(self, gamma, message):
+        with pytest.raises(ValidationError, match=message):
+            ChiralityOp(gamma)
+
+    def test_blocks_are_read_only_views(self):
+        g0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        g = ChiralityOp((g0, g0))
+        for block in g.gamma:
+            assert np.shares_memory(block, g0)
+            assert not block.flags.writeable
+        assert g0.flags.writeable
+        with pytest.raises(ValueError):
+            g.gamma[1][0, 0] = 1.0
+
+    def test_rejects_degree_mismatch(self):
+        c = gen_elementary(3, 0, 1.5)[0]
+        g = gen_elementary(1, 0, 2.0)[1]
+        with pytest.raises(ValidationError, match="degree does not match"):
             validate_chirality(c, g)
 
     def test_rejects_shape_mismatch(self):
         c = CochainComplex(GradedDims((2, 1)), (np.zeros((1, 2)),))
         g = ChiralityOp((np.eye(2), np.eye(2)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"Gamma_0 has shape \(2, 2\), expected \(1, 2\)"):
             validate_chirality(c, g)
 
 

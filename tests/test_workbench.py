@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestGenerators:
     def test_elementary_has_mirror_block(self):
         c, g = gen_elementary(3, 0, 1.5)
         assert c.dims.dims == (1, 1, 1, 1)
-        c.validate()
+        assert c.differential_residual() <= 1e-10
         validate_chirality(c, g)
 
     def test_elementary_rejects_bad_input(self):
@@ -59,7 +60,7 @@ class TestGenerators:
         parts = [gen_elementary(3, 0, 2.0), gen_harmonic(3, 0),
                  gen_elementary(3, 1, 1.0 + 1.0j)]
         c, g = chiral_direct_sum(parts)
-        c.validate()
+        assert c.differential_residual() <= 1e-10
         validate_chirality(c, g)
 
     def test_direct_sum_places_blocks_by_offsets(self):
@@ -102,8 +103,20 @@ class TestGenerators:
         prof = random_profile(rng, 3, acyclic=True)
         assert prof["harmonic"] == []
         c, g = gen_random(7, 3, prof)
-        c.validate()
+        assert c.differential_residual() <= 1e-10
         validate_chirality(c, g)
+
+    def test_random_checks_each_instance_once(self, count_validations):
+        # three summands, then the conjugated instance straight from their
+        # blocks: no direct sum in between
+        profile = {"blocks": [(0, 1.5), (1, 0.5 + 1.0j)], "harmonic": [2]}
+        checks = count_validations()
+        c, g = gen_random(5, 3, profile)
+        assert checks == {"d.d": 4, "gamma^2": 4}
+        shapes_c = tuple(m.shape for m in c.partial)
+        shapes_g = tuple(m.shape for m in g.gamma)
+        assert checks.shapes("d.d").count(shapes_c) == 1
+        assert checks.shapes("gamma^2").count(shapes_g) == 1
 
     def test_random_unitary_chirality_is_self_adjoint(self):
         c, g = gen_random(8, 3, unitary=True)
@@ -179,7 +192,10 @@ class TestDocuments:
 
     def test_rejects_non_finite_numbers(self):
         c, g = gen_elementary(1, 0, 2.0)
-        broken = type(c)(c.dims, (np.array([[float("nan")]]),))
+        # a complex cannot hold a NaN, so a stand-in carries one to the
+        # serializer's own guard
+        broken = SimpleNamespace(d=c.d, dims=c.dims,
+                                 partial=(np.array([[float("nan")]]),))
         with pytest.raises(ValidationError):
             serialize_document(broken, g)
 
@@ -348,6 +364,17 @@ class TestCli:
         assert capsys.readouterr().out == ""
         with pytest.raises(ValidationError):
             run_selftest(cases=int(cases))
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345"])
+    def test_selftest_rejects_a_negative_seed(self, capsys, seed):
+        # numpy's generators take no negative seed; that is bad input, not a
+        # failed check
+        assert main(["selftest", "--cases", "1", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be nonnegative" in captured.err
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            run_selftest(cases=1, seed=int(seed))
 
 
 def _reject_constant(token):
