@@ -90,17 +90,17 @@ class CochainComplex:
 
     def differential_residual(self) -> float:
         """Largest entry of any d_{j+1} d_j, relative to the scale of d;
-        NaN when an entry of d is not finite."""
+        NaN when an entry of d is not finite.  Each differential is divided
+        by the scale before the product, so large entries do not overflow."""
         scale = float(np.max([1.0] + [np.abs(m).max() for m in self.partial
                                       if m.size]))
         if not np.isfinite(scale):
             return math.nan
         worst = 0.0
         for j in range(self.d - 1):
-            prod = self.partial[j + 1] @ self.partial[j]
-            if prod.size:
-                worst = max(worst, float(np.abs(prod).max()))
-        return worst / (scale * scale)
+            prod = (self.partial[j + 1] / scale) @ (self.partial[j] / scale)
+            worst = max(worst, float(np.abs(prod).max(initial=0.0)))
+        return worst
 
 
 def _zero_cut(scale: float) -> float:

@@ -1,8 +1,20 @@
 """Executable invariant suite covering every module's documented properties.
 
-Each check returns (passed, detail).  The suite doubles as the CLI selftest
-and as the backbone of the package's property tests.  The pass threshold is
+Each check takes (cases, seed) and returns (passed, detail).  The suite is
+the CLI selftest, and the acceptance criteria that have a twin here run the
+check itself (tests/test_acceptance.py).
+
+Verdict rule: a check that measures a residual takes the worst one over all
+its cases and passes when it is at most the check's bound; a NaN or inf
+residual fails.  Every such check goes through ``_verdict``, and its detail
+reads ``worst <quantity> <value> (bound <bound>)``.  The bound is
 TOL = 1e-9 where not stated otherwise.
+
+The six circle checks ignore ``cases`` and ``seed``: they run the fixed grid
+of ``_circle_grid``, 20 real holonomy exponents and 10 complex ones drawn
+with seed 77.  The 8th complex point lies past the Agmon ray of the default
+branch angle, so circle-split-levels runs the first four complex points only
+until the circle model picks its angle by the Agmon-sector rule.
 """
 
 from __future__ import annotations
@@ -44,38 +56,47 @@ def _instance(seed, d, acyclic):
     return gen_random(seed, d, prof)
 
 
+def _verdict(residuals, bound, quantity="residual"):
+    """Pass rule of every worst-residual check: the worst residual over all
+    cases is at most bound.  np.max keeps a NaN, so a NaN or inf fails."""
+    worst = float(np.max(np.asarray(list(residuals), dtype=float),
+                         initial=0.0))
+    passed = bool(worst <= bound)
+    return passed, f"worst {quantity} {worst:.2e} (bound {bound:.0e})"
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each takes (cases, seed) and returns (passed, detail)
 
 
 def check_fuse_associative(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(cases):
         d = int(rng.choice([1, 3]))
         xs = [DetElement(_rand_coeff(rng), _rand_dims(rng, d))
               for _ in range(3)]
         lhs = fuse(fuse(xs[0], xs[1]), xs[2]).coeff
         rhs = fuse(xs[0], fuse(xs[1], xs[2])).coeff
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return worst <= 1e-12, f"worst residual {worst:.2e}"
+        res.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return _verdict(res, 1e-12)
 
 
 def check_alpha_beta(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(cases):
         n = int(rng.integers(0, 7))
         v = _rand_coeff(rng)
         lhs = 1.0 / alpha_line(1.0 / v)
         rhs = (-1) ** (n % 2) * beta_line(v, n)
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-12, f"worst residual {worst:.2e}"
+        res.append(abs(lhs - rhs))
+    return _verdict(res, 1e-12)
 
 
 def check_fuse_dual_line(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(cases):
         n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
         v, w = _rand_coeff(rng), _rand_coeff(rng)
@@ -83,13 +104,14 @@ def check_fuse_dual_line(cases, seed):
         dual_v = alpha_line(1.0 / v)
         dual_w = alpha_line(1.0 / w)
         rhs = complex(dual_v * dual_w).conjugate()  # alpha on the sum
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-12, f"worst residual {worst:.2e}"
+        res.append(abs(lhs - rhs))
+    return _verdict(res, 1e-12)
 
 
 def check_fuse_anticommute(cases, seed):
+    """Against the wedge-permutation oracle."""
     rng = np.random.default_rng(seed)
-    ok = True
+    res = []
     for _ in range(cases):
         d = int(rng.choice([1, 3]))
         dv, dw = _rand_dims(rng, d), _rand_dims(rng, d)
@@ -98,25 +120,25 @@ def check_fuse_anticommute(cases, seed):
         perm = sum(a * b for a, b in zip(dv.dims, dw.dims)) % 2
         expect = fuse(y, x).coeff * (-1) ** perm \
             * (-1) ** ((dv.total * dw.total) % 2)
-        ok &= abs(fuse(x, y).coeff - expect) <= 1e-12 * max(1, abs(expect))
-    return ok, "wedge-permutation oracle"
+        res.append(abs(fuse(x, y).coeff - expect) / max(1.0, abs(expect)))
+    return _verdict(res, 1e-12)
 
 
 def check_dual_involution(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(cases):
         d = int(rng.choice([1, 3]))
         x = DetElement(_rand_coeff(rng), _rand_dims(rng, d))
         y = dual_graded(dual_graded(x))
         expect = (-1) ** (x.dims.total % 2) * x.coeff
-        worst = max(worst, abs(y.coeff - expect))
-    return worst <= 1e-12, f"worst residual {worst:.2e}"
+        res.append(abs(y.coeff - expect))
+    return _verdict(res, 1e-12)
 
 
 def check_fusion_cohomology(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         ca, ga = _instance(seed + 2 * i, d, acyclic=(i % 3 == 0))
@@ -129,13 +151,13 @@ def check_fusion_cohomology(cases, seed):
         lhs = phi(fuse(xa, xb), frs).coeff
         rhs = fused_in_sum_frame(fra, frb, phi(xa, fra).coeff,
                                  phi(xb, frb).coeff, frs)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst <= TOL, f"worst relative residual {worst:.2e}"
+        res.append(abs(lhs - rhs) / abs(lhs))
+    return _verdict(res, TOL, "relative residual")
 
 
 def check_cohomology_duality(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, _ = _instance(seed + i, d, acyclic=(i % 3 == 0))
@@ -146,13 +168,13 @@ def check_cohomology_duality(cases, seed):
         xd = dual_graded(x)
         lhs = phi(DetElement(xd.coeff, chat.dims), frh).coeff
         rhs = alpha_cohomology(phi(x, fr), frh).coeff
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    return worst <= TOL, f"worst relative residual {worst:.2e}"
+        res.append(abs(lhs - rhs) / max(abs(lhs), 1e-30))
+    return _verdict(res, TOL, "relative residual")
 
 
 def check_phi_frame_rotation(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, _ = _instance(seed + i, d, acyclic=False)
@@ -171,12 +193,12 @@ def check_phi_frame_rotation(cases, seed):
                 hs.append(fr.H[j])
         fr2 = CohomologyFrame(c, fr.B, tuple(hs), fr.A)
         rot = phi(x, fr2).coeff
-        worst = max(worst, abs(rot - base * factor) / abs(base))
-    return worst <= 1e-10, f"worst relative residual {worst:.2e}"
+        res.append(abs(rot - base * factor) / abs(base))
+    return _verdict(res, 1e-10, "relative residual")
 
 
 def check_torsion_direct_sum(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         a = _instance(seed + 2 * i, d, acyclic=(i % 3 == 0))
@@ -188,62 +210,77 @@ def check_torsion_direct_sum(cases, seed):
         rhs = fused_in_sum_frame(fra, frb,
                                  refined_torsion(*a, fra).coeff,
                                  refined_torsion(*b, frb).coeff, frs)
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst <= TOL, f"worst relative residual {worst:.2e}"
+        res.append(abs(lhs - rhs) / abs(lhs))
+    return _verdict(res, TOL, "relative residual")
 
 
 def check_torsion_norm_unitary(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         prof = random_profile(np.random.default_rng(seed + i), d,
                               acyclic=(i % 3 > 0))
         c, g = gen_random(seed + i, d, prof, unitary=True)
-        worst = max(worst, abs(torsion_norm(c, g) - 1.0))
-    return worst <= TOL, f"worst |norm - 1| = {worst:.2e}"
+        res.append(abs(torsion_norm(c, g) - 1.0))
+    return _verdict(res, TOL, "|norm - 1|")
+
+
+def _gamma_family(c, g, seed):
+    """Chiralities through g at t = 0 that do not commute with one another:
+    Gamma_j + t H_j for j < (d+1)/2 with random H_j, and Gamma_{d-j} its
+    inverse."""
+    d, n = c.d, c.dims.dims
+    rng = np.random.default_rng(seed)
+    gens = [rng.standard_normal((n[d - j], n[j]))
+            + 1j * rng.standard_normal((n[d - j], n[j]))
+            for j in range((d + 1) // 2)]
+
+    def gamma_of_t(t):
+        blocks = list(g.gamma)
+        for j, h in enumerate(gens):
+            blocks[j] = g.gamma[j] + t * h
+            blocks[d - j] = np.linalg.inv(blocks[j])
+        return ChiralityOp(tuple(blocks))
+
+    return gamma_of_t
 
 
 def check_variation_order(cases, seed):
-    rng = np.random.default_rng(seed)
-    ok = True
-    detail = ""
+    """The variation identity's residual is second order in h: from
+    h = 1e-2 to 1e-3 it must shrink by a ratio in [50, 200], on the family
+    of _gamma_family at t0 = 0.1."""
+    ratios = []
     for i in range(max(1, cases // 10)):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
-        rates = [float(rng.uniform(0.2, 1.0)) * (-1) ** q for q in range(d + 1)]
-        for q in range(d + 1):
-            rates[d - q] = -rates[q]
-
-        def fam(t, g=g, rates=rates):
-            return ChiralityOp(tuple(math.exp(rates[q] * t) * g.gamma[q]
-                                     for q in range(g.d + 1)))
-
-        r2 = variation_check(c, fam, 0.3, h=1e-2)
-        r3 = variation_check(c, fam, 0.3, h=1e-3)
-        ratio = r2 / r3 if r3 > 0 else float("inf")
-        detail = f"last ratio {ratio:.1f}"
-        ok &= 50.0 <= ratio <= 200.0
-    return ok, detail
+        fam = _gamma_family(c, g, seed + i)
+        r2 = variation_check(c, fam, 0.1, h=1e-2)
+        r3 = variation_check(c, fam, 0.1, h=1e-3)
+        ratios.append(r2 / r3 if r3 > 0 else math.inf)
+    far = max(ratios, key=lambda r: abs(math.log(r / 100.0))
+              if 0.0 < r < math.inf else math.inf)  # a NaN ratio too
+    return (all(50.0 <= r <= 200.0 for r in ratios),
+            f"ratio farthest from 100: {far:.1f} (band [50, 200])")
 
 
 def check_torsion_duality(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = _instance(seed + i, d, acyclic=(i % 3 == 0))
-        worst = max(worst, dual_torsion_check(c, g))
-    return worst <= 1e-8, f"worst relative residual {worst:.2e}"
+        res.append(dual_torsion_check(c, g))
+    return _verdict(res, 1e-8, "relative residual")
 
 
 def check_torsion_graded_det(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
         rho = refined_torsion(c, g).coeff
         det = graded_det_finite(c, g)
-        worst = max(worst, abs(rho - det) / abs(det))
-    return worst <= TOL, f"worst relative residual {worst:.2e}"
+        res.append(abs(rho - det) / abs(det))
+    return _verdict(res, TOL, "relative residual")
 
 
 def _lambda_choices(c, g):
@@ -260,7 +297,7 @@ def _lambda_choices(c, g):
 
 
 def check_split_consistency(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = _instance(seed + i, d, acyclic=(i % 2 == 0))
@@ -268,8 +305,8 @@ def check_split_consistency(cases, seed):
         rho = refined_torsion(c, g, fr).coeff
         for lam in _lambda_choices(c, g):
             v = torsion_via_split(c, g, lam, fr).coeff
-            worst = max(worst, abs(v - rho) / abs(rho))
-    return worst <= 1e-8, f"worst relative residual {worst:.2e}"
+            res.append(abs(v - rho) / abs(rho))
+    return _verdict(res, 1e-8, "relative residual")
 
 
 def check_large_part_acyclic(cases, seed):
@@ -284,46 +321,40 @@ def check_large_part_acyclic(cases, seed):
 
 
 def check_odd_even_spectrum(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = _instance(seed + i, d, acyclic=(i % 2 == 0))
         s = build_signature(c, g)
         ev = np.sort_complex(np.linalg.eigvals(s.b_even))
         od = np.sort_complex(np.linalg.eigvals(s.b_odd))
-        if ev.size:
-            worst = max(worst, float(np.abs(ev - od).max()))
-    return worst <= TOL, f"worst eigenvalue gap {worst:.2e}"
+        res.extend(np.abs(ev - od))
+    return _verdict(res, TOL, "eigenvalue gap")
 
 
 def check_det_eta(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(cases):
         n = int(rng.integers(1, 7))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        eigs = np.linalg.eigvals(m)
-        try:
-            theta = pick_agmon_angle(eigs)
-        except Exception:
-            continue
-        worst = max(worst, det_eta_check(m, theta))
-    return worst <= TOL, f"worst residual {worst:.2e}"
+        res.append(det_eta_check(m, pick_agmon_angle(m)))
+    return _verdict(res, TOL)
 
 
 def check_xi_eta_two_path(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
         det = graded_det_finite(c, g)
         v = graded_det_via_xi_eta(c, g, 0.0)
-        worst = max(worst, abs(v - det) / abs(det))
-    return worst <= TOL, f"worst relative residual {worst:.2e}"
+        res.append(abs(v - det) / abs(det))
+    return _verdict(res, TOL, "relative residual")
 
 
 def check_agmon_independence(cases, seed):
-    worst = 0.0
+    res = []
     for i in range(max(1, cases // 2)):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
@@ -332,8 +363,8 @@ def check_agmon_independence(cases, seed):
         theta1 = (theta0 - math.pi / 2) / 2.0  # halfway to the arc edge
         v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
         v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
-        worst = max(worst, abs(v0 - v1) / abs(v0))
-    return worst <= TOL, f"worst relative spread {worst:.2e}"
+        res.append(abs(v0 - v1) / abs(v0))
+    return _verdict(res, TOL, "relative spread")
 
 
 def _circle_grid(n_complex=10):
@@ -346,48 +377,46 @@ def _circle_grid(n_complex=10):
 
 
 def check_circle_two_path(cases, seed):
-    worst = max(abs(ci.rho_an_circle(m) - ci.rho_an_closed(m))
-                / abs(ci.rho_an_closed(m)) for m in _circle_grid())
-    return worst <= 1e-8, f"worst relative residual {worst:.2e}"
+    return _verdict((abs(ci.rho_an_circle(m) - ci.rho_an_closed(m))
+                     / abs(ci.rho_an_closed(m)) for m in _circle_grid()),
+                    1e-8, "relative residual")
 
 
 def check_circle_rs_norm(cases, seed):
-    worst = max(abs(value - target) / abs(target) for value, target in
-                map(ci.rs_norm_check, _circle_grid()))
-    return worst <= 1e-8, f"worst relative residual {worst:.2e}"
+    return _verdict((abs(value - target) / abs(target) for value, target in
+                     map(ci.rs_norm_check, _circle_grid())),
+                    1e-8, "relative residual")
 
 
 def check_circle_duality(cases, seed):
-    worst = max(ci.duality_check(m) for m in _circle_grid())
-    return worst <= TOL, f"worst residual {worst:.2e}"
+    return _verdict(map(ci.duality_check, _circle_grid()), TOL)
 
 
 def check_circle_split(cases, seed):
-    worst = max(ci.split_check(m, k) for m in _circle_grid(n_complex=4)
-                for k in (2, 5))
-    return worst <= 1e-8, f"worst residual {worst:.2e}"
+    return _verdict((ci.split_check(m, k) for m in _circle_grid(n_complex=4)
+                     for k in (2, 5)), 1e-8)
 
 
 def check_circle_zeta_zero(cases, seed):
-    worst = max(ci.zeta_zero_check(m) for m in _circle_grid())
-    return worst <= 1e-10, f"worst |zeta(0)| = {worst:.2e}"
+    return _verdict(map(ci.zeta_zero_check, _circle_grid()), 1e-10,
+                    "|zeta(0)|")
 
 
 def check_circle_scale(cases, seed):
-    worst = max(ci.metric_scale_check(m, c) for m in _circle_grid(n_complex=4)
-                for c in (0.5, 2.0, 5.0))
-    return worst <= TOL, f"worst residual {worst:.2e}"
+    return _verdict((ci.metric_scale_check(m, c)
+                     for m in _circle_grid(n_complex=4)
+                     for c in (0.5, 2.0, 5.0)), TOL)
 
 
 def check_hurwitz_crosscheck(cases, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(max(5, cases // 10)):
         q = complex(rng.uniform(0.1, 2.0), rng.uniform(-0.3, 0.3))
         h = 1e-5
         numeric = (ci.hurwitz_zeta(h, q) - ci.hurwitz_zeta(-h, q)) / (2 * h)
-        worst = max(worst, abs(numeric - ci.hurwitz_zeta_deriv0(q)))
-    return worst <= 1e-8, f"worst derivative gap {worst:.2e}"
+        res.append(abs(numeric - ci.hurwitz_zeta_deriv0(q)))
+    return _verdict(res, 1e-8, "derivative gap")
 
 
 def check_round_trip(cases, seed):

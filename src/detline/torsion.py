@@ -139,14 +139,16 @@ def variation_check(c: CochainComplex, gamma_of_t, t0: float,
 
     Both sides are formed to second order: log rho by a central difference of
     the torsion coefficients (acyclic, so rho is a scalar), Gamma' by a
-    central difference of the blocks.
+    central difference of the blocks.  The difference is the log of the
+    ratio rho(t0 + h) / rho(t0 - h), so it does not jump where arg rho
+    crosses the branch cut of the principal log.
     """
     frame = cohomology_frame(c)
     if not frame.acyclic:
         raise ValidationError("variation identity requires an acyclic complex")
     gp, gm = gamma_of_t(t0 + h), gamma_of_t(t0 - h)
-    lhs = (np.log(refined_torsion(c, gp, frame).coeff)
-           - np.log(refined_torsion(c, gm, frame).coeff)) / (2 * h)
+    lhs = np.log(refined_torsion(c, gp, frame).coeff
+                 / refined_torsion(c, gm, frame).coeff) / (2 * h)
     # Gamma' is not an involution, so its blocks stay a plain list
     g_dot = [(a - b) / (2 * h) for a, b in zip(gp.gamma, gm.gamma)]
     g0, d = gamma_of_t(t0), c.d

@@ -1,6 +1,7 @@
 """Unit tests for cochain complexes, cohomology frames and the canonical map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestCochainComplex:
         assert m.flags.writeable  # the caller's array keeps its flags
         with pytest.raises(ValueError):
             c.partial[0][0, 0] = 1.0
+
+    def test_large_entries_do_not_overflow_the_residual(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c, _ = gen_random(3, 3, {"blocks": [(0, 1e200), (1, 1e200)],
+                                     "harmonic": []})
+            assert c.differential_residual() <= 1e-10
+
+    def test_large_non_complex_names_its_residual(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError,
+                               match=r"d\.d residual 1\.000e\+00 "):
+                CochainComplex(GradedDims((1, 1, 1)),
+                               (np.array([[1e200]]), np.array([[1e200]])))
 
     def test_validate_accepts_complex(self):
         c = CochainComplex(GradedDims((1, 1, 1)),

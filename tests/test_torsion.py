@@ -22,7 +22,7 @@ from detline import (
     variation_check,
 )
 from detline.complexes import fused_in_sum_frame
-from detline.selftest import _instance
+from detline.selftest import _gamma_family, _instance
 
 
 class TestValidateChirality:
@@ -143,32 +143,25 @@ class TestSupertrace:
 
 
 class TestVariation:
-    @staticmethod
-    def _family(c, g):
-        d = c.d
-        n = c.dims.dims
-        rng = np.random.default_rng(99)
-        gens = [rng.standard_normal((n[d - j], n[j]))
-                + 1j * rng.standard_normal((n[d - j], n[j]))
-                for j in range((d + 1) // 2)]
-
-        def gamma_of_t(t):
-            blocks = list(g.gamma)
-            for j, h in enumerate(gens):
-                blocks[j] = g.gamma[j] + t * h
-            # restore the involution by solving for the mirror blocks
-            for j, _ in enumerate(gens):
-                blocks[d - j] = np.linalg.inv(blocks[j])
-            return ChiralityOp(tuple(blocks))
-
-        return gamma_of_t
-
     def test_second_order_accuracy(self):
         c, g = _instance(7, 3, acyclic=True)
-        fam = self._family(c, g)
+        fam = _gamma_family(c, g, 99)
         r_coarse = variation_check(c, fam, 0.1, h=1e-2)
         r_fine = variation_check(c, fam, 0.1, h=1e-3)
         assert 50.0 <= r_coarse / r_fine <= 200.0
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    def test_branch_cut_crossing_does_not_wrap(self, h):
+        # rho = -2 lies on the cut of the principal log, and the family
+        # (e^{it} Gamma_0, e^{-it} Gamma_1) turns arg rho across it at t = 0;
+        # the residual is the h^2/6 error of the central difference only
+        c, g = gen_elementary(1, 0, -2.0)
+
+        def fam(t):
+            return ChiralityOp((np.exp(1j * t) * g.gamma[0],
+                                np.exp(-1j * t) * g.gamma[1]))
+
+        assert variation_check(c, fam, 0.0, h=h) <= h * h
 
     def test_rejects_non_acyclic(self):
         c, g = _instance(8, 3, acyclic=False)
