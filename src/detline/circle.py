@@ -6,9 +6,11 @@ Every quantity of interest is a function of this spectrum: the eta invariant,
 the regularized log-determinant xi, the analytic torsion rho = exp(xi - i pi
 eta) with closed form 1 - exp(2 pi i a), and the Ray-Singer norm.
 
-Zeta regularization runs through the Hurwitz zeta function, evaluated by an
-Euler-Maclaurin sum; the derivative at s = 0 uses the log-gamma identity.
-The branch-cut test is closed form in n, exact over all of Z: no truncation.
+Zeta regularization runs through the Hurwitz zeta function, whose value
+1/2 - q and derivative log Gamma(q) - (1/2) log(2 pi) at s = 0 are closed
+form.  The branch angle obeys the finite model's Agmon rule on a and a - 1,
+which carry the arguments nearest the sector edges over all n in Z: exact,
+with no truncation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import bernoulli, loggamma
 
 from .errors import SpectralBoundaryError, ValidationError
-from .signature import eta_finite, log_det_cut
+from .signature import _agmon_bound, eta_finite, log_det_cut, pick_agmon_angle
 
 __all__ = [
     "CircleModel",
@@ -39,12 +41,10 @@ __all__ = [
     "split_check",
 ]
 
-DEFAULT_THETA = -math.pi / 4
-
 _B = bernoulli(30)  # B_0 .. B_30
 _EM_TERMS = 60
 _EM_ORDER = 12
-_CUT_TOL = 1e-9
+_CUT_TOL = 1e-9  # least sector margin of a branch angle, on the squares
 
 
 @dataclass(frozen=True)
@@ -100,53 +100,52 @@ def hurwitz_zeta_deriv0(q: complex) -> complex:
     return complex(loggamma(q) - 0.5 * math.log(2.0 * math.pi))
 
 
-def _zeta0_pair(a: complex) -> tuple[complex, complex]:
-    """(zeta(0, a), zeta(0, 1 - a)), read by eta, xi and zeta_zero_check."""
-    return hurwitz_zeta(0.0, a), hurwitz_zeta(0.0, 1.0 - a)
+def _zeta0(q: complex) -> complex:
+    """zeta(0, q) = 1/2 - q, to which the Euler-Maclaurin series telescopes."""
+    return 0.5 - q
 
 
-def eta_circle(m: CircleModel, zeta0=None) -> complex:
+def eta_circle(m: CircleModel) -> complex:
     """Eta invariant of the spectrum {n + a}: (zeta(0,a) - zeta(0,1-a)) / 2,
     which continues the signed count asymmetry; equals (1 - 2a)/2.
-    Independent of the metric scale.  ``zeta0``: that pair, if at hand."""
-    za, zb = zeta0 or _zeta0_pair(m.a)
-    return 0.5 * (za - zb)
+    Independent of the metric scale."""
+    return 0.5 * (_zeta0(m.a) - _zeta0(1.0 - m.a))
 
 
-def _check_cut(m: CircleModel, theta: float) -> None:
-    """Raise if some (n+a)^2, n in Z, lies within _CUT_TOL of the ray 2 theta.
-
-    n + a crosses the line of angle theta only at n* = Im a / tan theta - Re a.
-    Going away from n*, the distance rises monotonically to 2|theta| on one
-    side; on the other it rises to pi, then falls back to 2|theta| from above.
-    So it is least at floor(n*) or ceil(n*); n = 0 covers an overflowing n*."""
+def _agmon_angle(m: CircleModel, theta: float | None) -> float:
+    """theta when it is an Agmon angle of the spectrum {n + a}; when None,
+    the finite model's pick.  Over n in Z the arguments nearest the sector
+    edges belong to n = 0 and n = -1, so the rule on a and a - 1 is exact.
+    theta must lie in the admissible arc (-pi/2, bound) at least _CUT_TOL
+    from either end, measured on the squares (the cut is 2 theta); if not,
+    SpectralBoundaryError names the n that sets bound, and the margin."""
+    if theta is None:
+        theta = pick_agmon_angle([m.a, m.a - 1.0])
     if not -math.pi / 2 < theta < 0.0:
         raise ValidationError("branch angle must lie in (-pi/2, 0)")
-    n_star = m.a.imag / math.tan(theta) - m.a.real
-    n_star = n_star if math.isfinite(n_star) else 0.0
-    for n in sorted({0, math.floor(n_star), math.ceil(n_star)}):
-        # twice the distance of arg(n+a) to the line of angle theta
-        t = (math.atan2(m.a.imag, n + m.a.real) - theta) % math.pi
-        dist = 2.0 * min(t, math.pi - t)
-        if dist < _CUT_TOL:
-            raise SpectralBoundaryError(
-                f"squared eigenvalue at n={n} sits on the cut 2*theta: "
-                f"angular distance {dist:.3g} < tolerance {_CUT_TOL:g}")
+    bounds = {n: _agmon_bound([n + m.a]) for n in (0, -1)}
+    n = min(bounds, key=bounds.get)
+    margin = 2.0 * min(bounds[n] - theta, theta + math.pi / 2)
+    if not margin >= _CUT_TOL:
+        raise SpectralBoundaryError(
+            f"theta {theta:.17g} is not an Agmon angle clear of the sector "
+            f"edges: the admissible arc is (-pi/2, {bounds[n]:.17g}), set by "
+            f"n={n}; sector margin {margin:.3g} < tolerance {_CUT_TOL:g}")
+    return theta
 
 
-def xi_circle(m: CircleModel, theta: float = DEFAULT_THETA,
-              zeta0=None) -> complex:
+def xi_circle(m: CircleModel, theta: float | None = None) -> complex:
     """Half the regularized log-determinant of the squared spectrum
     {scale^2 (n+a)^2 : n in Z}:
 
         xi = -zeta'(0,a) - zeta'(0,1-a) + (zeta(0,a) + zeta(0,1-a)) log(scale)
 
     which for the principal branch equals log(2 sin(pi a)); the scale term
-    vanishes because the zeta values at 0 cancel.  ``zeta0`` as in eta."""
-    _check_cut(m, theta)
-    za, zb = zeta0 or _zeta0_pair(m.a)
+    vanishes because the zeta values at 0 cancel.  theta (as in _agmon_angle)
+    does not enter: no squared eigenvalue lies between two admissible cuts."""
+    _agmon_angle(m, theta)
     xi = -(hurwitz_zeta_deriv0(m.a) + hurwitz_zeta_deriv0(1.0 - m.a))
-    xi += (za + zb) * math.log(m.scale)
+    xi += (_zeta0(m.a) + _zeta0(1.0 - m.a)) * math.log(m.scale)
     return complex(xi)
 
 
@@ -161,11 +160,9 @@ def _exp(z: complex, m: CircleModel) -> complex:
             f"Re a = {m.a.real:g}, Im a = {m.a.imag:g}") from None
 
 
-def rho_an_circle(m: CircleModel, theta: float = DEFAULT_THETA) -> complex:
-    """Analytic torsion of the model, exp(xi - i pi eta)."""
-    zeta0 = _zeta0_pair(m.a)
-    return _exp(xi_circle(m, theta, zeta0)
-                - 1j * math.pi * eta_circle(m, zeta0), m)
+def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
+    """Analytic torsion of the model, exp(xi - i pi eta); theta as in xi."""
+    return _exp(xi_circle(m, theta) - 1j * math.pi * eta_circle(m), m)
 
 
 def rho_an_closed(m: CircleModel) -> complex:
@@ -213,13 +210,12 @@ def metric_scale_check(m: CircleModel, c: float) -> float:
 
 
 def zeta_zero_check(m: CircleModel) -> float:
-    """|zeta_Delta(0)| computed from Hurwitz values; the analytic statement
-    says it equals minus the dimension of the kernel, which is 0 here."""
-    za, zb = _zeta0_pair(m.a)
-    return abs(za + zb)
+    """|zeta_Delta(0)| from the Hurwitz series; the analytic statement says
+    it equals minus the dimension of the kernel, which is 0 here."""
+    return abs(hurwitz_zeta(0.0, m.a) + hurwitz_zeta(0.0, 1.0 - m.a))
 
 
-def split_check(m: CircleModel, k: int, theta: float = DEFAULT_THETA) -> float:
+def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     """Residual of the spectral-split factorization at lam = (k + Re a)^2:
     removing the finitely many eigenvalues with |n+a|^2 <= lam from the
     zeta data and multiplying back their plain product reproduces rho_an.
@@ -227,16 +223,17 @@ def split_check(m: CircleModel, k: int, theta: float = DEFAULT_THETA) -> float:
     The finite part contributes its eigenvalue product, its eta count, and
     the phase -i pi/2 per removed eigenvalue (the zeta value at zero of the
     truncated spectrum drops by one for each removed point).  The removed n
-    satisfy -k - 1 <= n <= k; one more on each side guards rounding."""
+    satisfy -k - 1 <= n <= k; one more on each side guards rounding.  theta
+    as in xi, and the finite part's log-determinants take its cut."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
+    theta = _agmon_angle(m, theta)
     lam = (k + m.a.real) ** 2
     small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
-    zeta0 = _zeta0_pair(m.a)
-    xi_lam = xi_circle(m, theta, zeta0)
+    xi_lam = xi_circle(m, theta)
     for z in small:
         xi_lam -= 0.5 * log_det_cut(np.array([z ** 2]), 2.0 * theta)
-    eta_lam = eta_circle(m, zeta0) - eta_finite(np.array(small)).eta
+    eta_lam = eta_circle(m) - eta_finite(np.array(small)).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))
     det_small = math.prod(small, start=1.0 + 0.0j)

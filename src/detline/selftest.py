@@ -10,11 +10,13 @@ residual fails.  Every such check goes through ``_verdict``, and its detail
 reads ``worst <quantity> <value> (bound <bound>)``.  The bound is
 TOL = 1e-9 where not stated otherwise.
 
-The six circle checks ignore ``cases`` and ``seed``: they run the fixed grid
-of ``_circle_grid``, 20 real holonomy exponents and 10 complex ones drawn
-with seed 77.  The 8th complex point lies past the Agmon ray of the default
-branch angle, so circle-split-levels runs the first four complex points only
-until the circle model picks its angle by the Agmon-sector rule.
+The six circle checks ignore ``cases`` and ``seed``: they run the whole
+fixed grid of ``_circle_grid``, 20 real holonomy exponents and 10 complex
+ones drawn with seed 77.  circle-zeta-zero and circle-scale-invariance are
+identities at s = 0 (zeta(0, a) + zeta(0, 1 - a) cancels), so they cannot
+detect a wrong Hurwitz series; its correction terms are checked by
+hurwitz-derivative-crosscheck and by the s = -1 case of the unit test
+TestHurwitzZeta.test_special_values.
 """
 
 from __future__ import annotations
@@ -367,10 +369,10 @@ def check_agmon_independence(cases, seed):
     return _verdict(res, TOL, "relative spread")
 
 
-def _circle_grid(n_complex=10):
+def _circle_grid():
     grid = [ci.CircleModel(a) for a in np.linspace(0.045, 0.955, 20)]
     rng = np.random.default_rng(77)
-    for _ in range(n_complex):
+    for _ in range(10):
         a = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.3, 0.3))
         grid.append(ci.CircleModel(a))
     return grid
@@ -393,7 +395,7 @@ def check_circle_duality(cases, seed):
 
 
 def check_circle_split(cases, seed):
-    return _verdict((ci.split_check(m, k) for m in _circle_grid(n_complex=4)
+    return _verdict((ci.split_check(m, k) for m in _circle_grid()
                      for k in (2, 5)), 1e-8)
 
 
@@ -403,8 +405,7 @@ def check_circle_zeta_zero(cases, seed):
 
 
 def check_circle_scale(cases, seed):
-    return _verdict((ci.metric_scale_check(m, c)
-                     for m in _circle_grid(n_complex=4)
+    return _verdict((ci.metric_scale_check(m, c) for m in _circle_grid()
                      for c in (0.5, 2.0, 5.0)), TOL)
 
 

@@ -149,17 +149,14 @@ def _gamma_image(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _restrict(basis: np.ndarray, image: np.ndarray, what: str) -> np.ndarray:
     """Coordinates of image's columns in the span of basis (orthonormal
-    columns), with a residual check that the span really contains them."""
-    if basis.shape[1] == 0:
-        if image.size and np.abs(image).max() > _RESTRICT_TOL:
-            raise ValidationError(f"{what}: image does not lie in the subspace")
-        return np.zeros((0, image.shape[1]), dtype=complex)
+    columns), with a residual check that the span really contains them; a
+    NaN residual fails it."""
     x = basis.conj().T @ image
-    res = basis @ x - image
-    scale = max(1.0, float(np.abs(image).max()) if image.size else 0.0)
-    if res.size and float(np.abs(res).max()) > _RESTRICT_TOL * scale:
-        raise ValidationError(f"{what}: subspace is not invariant "
-                              f"(residual {np.abs(res).max():.3e})")
+    if image.size:
+        res = float(np.abs(basis @ x - image).max())
+        if not res <= _RESTRICT_TOL * max(1.0, float(np.abs(image).max())):
+            raise ValidationError(f"{what}: subspace is not invariant "
+                                  f"(residual {res:.3e})")
     return x
 
 
@@ -463,24 +460,26 @@ def det_eta_check(m, theta: float) -> float:
     return abs(lhs - rhs)
 
 
-def pick_agmon_angle(m, lo: float = -math.pi / 2, hi: float = 0.0) -> float:
-    """Deterministic Agmon angle in (lo, hi) for the det/eta identities.
-
-    Both sectors swept by the identity, (lo, theta] and (lo + pi, theta + pi],
-    must stay free of the spectrum, which pins theta below the smallest
-    obstruction; the midpoint of the remaining arc is returned.
-    """
-    eigs, _ = _split_zero(_eig_input(m))
-    bound = hi
+def _agmon_bound(eigs) -> float:
+    """Upper end of the Agmon angles theta in (-pi/2, 0) of nonzero eigs: no
+    z may lie in the sectors (-pi/2, theta] and (pi/2, theta + pi]."""
+    bound = 0.0
     for z in eigs:
         a = cmath.phase(z)  # (-pi, pi]
-        for cand in (a, a - math.pi, a + math.pi):
-            if lo < cand < bound:
+        for cand in (a, a - math.pi):
+            if -math.pi / 2 < cand < bound:
                 bound = cand
-    if bound - lo < 1e-8:
+    return bound
+
+
+def pick_agmon_angle(m) -> float:
+    """Deterministic Agmon angle in (-pi/2, 0) for the det/eta identities:
+    the midpoint of the admissible arc (-pi/2, _agmon_bound)."""
+    bound = _agmon_bound(_split_zero(_eig_input(m))[0])
+    if bound + math.pi / 2 < 1e-8:
         raise SpectralBoundaryError(
-            "no admissible branch angle in the requested arc")
-    return (lo + bound) / 2.0
+            "no admissible branch angle in (-pi/2, 0)")
+    return (bound - math.pi / 2) / 2.0
 
 
 def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,

@@ -20,6 +20,7 @@ from detline import (
     hurwitz_zeta,
     hurwitz_zeta_deriv0,
     metric_scale_check,
+    pick_agmon_angle,
     rho_an_circle,
     rho_an_closed,
     rs_norm_check,
@@ -28,7 +29,7 @@ from detline import (
     xi_circle,
     zeta_zero_check,
 )
-from detline.circle import _check_cut
+from detline.circle import _agmon_angle
 from detline.cli import main
 
 
@@ -147,18 +148,25 @@ class TestCircleModel:
 # every run.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 RE_A = st.floats(0.01, 0.99)
-# |theta| >= 1e-6 keeps 2|theta| far above the 1e-9 tolerance, so only the
-# integers near n* and near 0 can come close to the cut
 THETA = st.floats(-math.pi / 2 + 1e-6, -1e-6)
+# the three points of the former known defect: a (or a - 1) lies past the
+# ray arg = -pi/4 of the former default angle
+PAST_RAY = (0.15 - 0.25j, 0.3 + 0.8j, 0.1 - 0.5j)
+
+
+def _scan_range(a: complex, theta: float):
+    """n in [-50, 50] and [n* - 50, n* + 50], where n* + a crosses the line
+    of angle theta."""
+    centre = round(a.imag / math.tan(theta) - a.real)
+    return {*range(centre - 50, centre + 51), *range(-50, 51)}
 
 
 def _scan_hits_cut(a: complex, theta: float) -> bool:
-    """Verdict of the former scan, (n+a)^2 against the ray 2 theta at 1e-9,
-    over [n* - 50, n* + 50] and [-50, 50].  ``math.atan2`` stands in for
+    """Verdict of the former on-cut test, (n+a)^2 against the ray 2 theta at
+    1e-9, over the scan range.  ``math.atan2`` stands in for
     ``cmath.phase``, which raises OverflowError when the angle underflows."""
     cut = 2.0 * theta
-    centre = round(a.imag / math.tan(theta) - a.real)
-    for n in {*range(centre - 50, centre + 51), *range(-50, 51)}:
+    for n in _scan_range(a, theta):
         z = (n + a) ** 2
         arg = math.atan2(z.imag, z.real)
         dist = min(abs(arg - cut), abs(arg - cut - 2 * math.pi),
@@ -168,20 +176,45 @@ def _scan_hits_cut(a: complex, theta: float) -> bool:
     return False
 
 
-def _cut_test_hits(a: complex, theta: float) -> bool:
+def _scan_sector(a: complex, theta: float) -> tuple[bool, bool]:
+    """Brute-force sector rule over the scan range: whether some n + a lies
+    in (-pi/2, theta] or (pi/2, theta + pi], and whether theta keeps less
+    than 1e-9, on the squares, from either end of the admissible arc."""
+    inside, bound = False, 0.0
+    for n in _scan_range(a, theta):
+        z = n + a
+        w = math.atan2(z.imag, z.real)
+        w = w - math.pi if w > math.pi / 2 else w
+        if -math.pi / 2 < w < 0.0:
+            inside = inside or w <= theta
+            bound = min(bound, w)
+    return inside, 2.0 * min(bound - theta, theta + math.pi / 2) < 1e-9
+
+
+def _rule_raises(a: complex, theta: float) -> bool:
     try:
-        _check_cut(CircleModel(a), theta)
+        _agmon_angle(CircleModel(a), theta)
     except SpectralBoundaryError:
         return True
     return False
 
 
+def _check_against_scans(a: complex, theta: float) -> bool:
+    raised = _rule_raises(a, theta)
+    inside, near = _scan_sector(a, theta)
+    assert raised == (inside or near)
+    # the sector rule rejects whatever the former on-cut test rejected
+    assert raised or not _scan_hits_cut(a, theta)
+    return raised
+
+
 class TestCutTest:
+    """The circle's branch angle obeys the finite model's Agmon rule."""
+
     @PROPERTY
     @given(re=RE_A, im=st.floats(-10.0, 10.0), theta=THETA)
     def test_matches_scan_for_random_points(self, re, im, theta):
-        a = complex(re, im)
-        assert _cut_test_hits(a, theta) == _scan_hits_cut(a, theta)
+        _check_against_scans(complex(re, im), theta)
 
     @PROPERTY
     @given(re=RE_A, n0=st.integers(-10 ** 6, 10 ** 6),
@@ -190,19 +223,113 @@ class TestCutTest:
     def test_matches_scan_on_and_near_the_cut(self, re, n0, theta, offset):
         # (n0 + a) lies on the line of angle theta, up to an offset in Im a
         a = complex(re, (n0 + re) * math.tan(theta) + offset)
-        hit = _cut_test_hits(a, theta)
-        assert hit == _scan_hits_cut(a, theta)
+        hit = _check_against_scans(a, theta)
         if offset == 0.0:
             assert hit
 
+    @PROPERTY
+    @given(re=RE_A, im=st.floats(-2.0, 2.0), theta=THETA,
+           k=st.integers(0, 6))
+    def test_split_vanishes_exactly_where_theta_is_admissible(self, re, im,
+                                                               theta, k):
+        m = CircleModel(complex(re, im))
+        if _rule_raises(m.a, theta):
+            with pytest.raises(SpectralBoundaryError):
+                split_check(m, k, theta)
+        else:
+            assert split_check(m, k, theta) <= 1e-12 * max(
+                1.0, abs(rho_an_closed(m)))
+
+    @pytest.mark.parametrize("a, theta, message", [
+        # past the former default ray: a lies inside the sector
+        (0.15 - 0.25j, -math.pi / 4,
+         "theta -0.78539816339744828 is not an Agmon angle clear of the "
+         "sector edges: the admissible arc is (-pi/2, -1.0303768265243125), "
+         "set by n=0; sector margin -0.49 < tolerance 1e-09"),
+        # a - 1 lies inside the upper sector (pi/2, theta + pi]
+        (0.3 + 0.8j, -math.pi / 4,
+         "theta -0.78539816339744828 is not an Agmon angle clear of the "
+         "sector edges: the admissible arc is (-pi/2, -0.85196632717327203), "
+         "set by n=-1; sector margin -0.133 < tolerance 1e-09"),
+        # admissible, but within the tolerance of the eigenvalue a
+        (0.3 - 0.3j, -math.pi / 4 - 2e-10,
+         "theta -0.7853981635974483 is not an Agmon angle clear of the "
+         "sector edges: the admissible arc is (-pi/2, -0.78539816339744828), "
+         "set by n=0; sector margin 4e-10 < tolerance 1e-09"),
+        # within the tolerance of either end of the arc
+        (0.3, -math.pi / 2 + 1e-10,
+         "theta -1.5707963266948965 is not an Agmon angle clear of the "
+         "sector edges: the admissible arc is (-pi/2, 0), set by n=0; "
+         "sector margin 2e-10 < tolerance 1e-09"),
+        (0.3, -1e-10,
+         "theta -1e-10 is not an Agmon angle clear of the sector edges: the "
+         "admissible arc is (-pi/2, 0), set by n=0; sector margin 2e-10 < "
+         "tolerance 1e-09")])
+    def test_rejection_names_n_and_margin(self, a, theta, message):
+        m = CircleModel(a)
+        for f in (xi_circle, rho_an_circle, lambda m, t: split_check(m, 2, t)):
+            with pytest.raises(SpectralBoundaryError) as exc:
+                f(m, theta)
+            assert str(exc.value) == message
+
     def test_far_cut_point_raises(self):
-        # (2000 + a)^2 lies on the cut; a scan over |n| <= 1000 missed it
+        # (2000 + a)^2 lies on the cut 2 theta, far from n = 0; a itself is
+        # deep inside the sector (-pi/2, theta]
         theta = -1e-4
         m = CircleModel(complex(0.3, 2000.3 * math.tan(theta)))
-        with pytest.raises(SpectralBoundaryError,
-                           match=r"n=2000 .*angular distance .* < tolerance "
-                                 r"1e-09"):
+        with pytest.raises(SpectralBoundaryError) as exc:
             rho_an_circle(m, theta)
+        assert str(exc.value) == (
+            "theta -0.0001 is not an Agmon angle clear of the sector edges: "
+            "the admissible arc is (-pi/2, -0.58807183266011931), set by "
+            "n=0; sector margin -1.18 < tolerance 1e-09")
+
+    @pytest.mark.parametrize("theta", [0.0, -math.pi / 2, 0.1, -2.0,
+                                       math.nan])
+    def test_angle_outside_the_arc_is_invalid(self, theta):
+        with pytest.raises(ValidationError,
+                           match=r"^branch angle must lie in \(-pi/2, 0\)$"):
+            rho_an_circle(CircleModel(0.3), theta)
+
+    def test_default_angle_is_the_finite_models_pick(self):
+        for a in (0.3, 0.15 - 0.25j, 0.3 + 0.8j, 0.6 + 40j):
+            m = CircleModel(a)
+            assert _agmon_angle(m, None) == pick_agmon_angle(
+                np.array([m.a, m.a - 1.0]))
+        # on the real axis it is the midpoint of the whole arc
+        assert _agmon_angle(CircleModel(0.3), None) == -math.pi / 4
+
+    def test_no_admissible_angle_far_up_the_line(self):
+        # at |Im a| = 1e9 the arc left by a (or a - 1) is below 1e-8 wide
+        for im in (1e9, -1e9):
+            with pytest.raises(SpectralBoundaryError,
+                               match=r"^no admissible branch angle in "
+                                     r"\(-pi/2, 0\)$"):
+                rho_an_circle(CircleModel(complex(0.3, im)))
+
+    @pytest.mark.parametrize("a", PAST_RAY)
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_split_past_the_former_default_ray(self, a, k):
+        assert split_check(CircleModel(a), k) <= 1e-12
+
+    def test_zeta_at_zero_takes_no_series(self, monkeypatch):
+        calls = []
+
+        def spy(s, q):
+            calls.append((s, q))
+            return hurwitz_zeta(s, q)
+
+        monkeypatch.setattr(circle_mod, "hurwitz_zeta", spy)
+        for a in (0.3, 0.15 - 0.25j):
+            m = CircleModel(a, scale=2.0)
+            eta_circle(m)
+            xi_circle(m)
+            rho_an_circle(m)
+            split_check(m, 2)
+        assert calls == []
+        # the check itself still sums the series, once per Hurwitz value
+        zeta_zero_check(m)
+        assert calls == [(0.0, m.a), (0.0, 1.0 - m.a)]
 
 
 class TestSplitSet:

@@ -271,6 +271,24 @@ class TestSplitStructure:
         with pytest.raises(ValidationError):
             _restrict(basis, swap @ basis, "swap")
 
+    def test_restrict_to_an_empty_basis(self):
+        basis = np.zeros((2, 0), dtype=complex)
+        with pytest.raises(ValidationError,
+                           match=r"^empty: subspace is not invariant "
+                                 r"\(residual 1\.000e\+00\)$"):
+            _restrict(basis, np.array([[1.0], [0.0]], dtype=complex), "empty")
+        assert _restrict(basis, np.zeros((2, 3), dtype=complex),
+                         "empty").shape == (0, 3)
+
+    @pytest.mark.parametrize("cols", [0, 1])
+    def test_restrict_rejects_a_nan_image(self, cols):
+        basis = np.eye(2, cols, dtype=complex)
+        image = np.array([[math.nan], [0.0]], dtype=complex)
+        with pytest.raises(ValidationError,
+                           match=r"^nan: subspace is not invariant "
+                                 r"\(residual nan\)$"):
+            _restrict(basis, image, "nan")
+
 
 def _log_block_product(d, blocks):
     """Log of the torsion of a direct sum of elementary blocks: a middle
