@@ -8,9 +8,12 @@ eta) with closed form 1 - exp(2 pi i a), and the Ray-Singer norm.
 
 Zeta regularization runs through the Hurwitz zeta function, whose value
 1/2 - q and derivative log Gamma(q) - (1/2) log(2 pi) at s = 0 are closed
-form.  The branch angle obeys the finite model's Agmon rule on a and a - 1,
-which carry the arguments nearest the sector edges over all n in Z: exact,
-with no truncation.
+form.  Both are pure Python on one exact table of the Bernoulli numbers
+B_0 .. B_24: the Euler-Maclaurin continuation of the Hurwitz series, and
+log Gamma as Stirling's series at q + 7 shifted back by the recurrence
+Gamma(q + 1) = q Gamma(q).  The branch angle obeys the finite model's
+Agmon rule on a and a - 1, which carry the arguments nearest the sector
+edges over all n in Z: exact, with no truncation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bernoulli, loggamma
 
 from .errors import SpectralBoundaryError, ValidationError
 from .signature import _agmon_bound, eta_finite, log_det_cut, pick_agmon_angle
@@ -41,7 +43,16 @@ __all__ = [
     "split_check",
 ]
 
-_B = bernoulli(30)  # B_0 .. B_30
+# B_0 .. B_24; every numerator and denominator is below 2^53, so each entry
+# is the correctly rounded rational
+_B = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
+      5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0,
+      43867 / 798, 0.0, -174611 / 330, 0.0, 854513 / 138, 0.0,
+      -236364091 / 2730)
+# Stirling coefficients B_2k / (2k (2k - 1)), k = 1 .. 9, highest first;
+# the first omitted term is below 2e-16 at |q + 7| >= 7
+_STIRLING = tuple(_B[2 * k] / (2 * k * (2 * k - 1)) for k in range(9, 0, -1))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _EM_TERMS = 60
 _EM_ORDER = 12
 _CUT_TOL = 1e-9  # least sector margin of a branch angle, on the squares
@@ -92,12 +103,28 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
     return complex(total)
 
 
+def _loggamma(q: complex) -> complex:
+    """log Gamma(q) for Re q > 0, on the branch continuous from the positive
+    axis: Stirling's series at z = q + 7, minus log(q (q+1) ... (q+6)).
+    That log is taken in pairs: each factor has its argument in
+    (-pi/2, pi/2), so a product of two stays on the principal branch."""
+    z = q + 7
+    w = 1.0 / (z * z)
+    tail = 0.0
+    for c in _STIRLING:
+        tail = tail * w + c
+    log_z = cmath.log(z)
+    return (z * log_z - z - 0.5 * log_z + _HALF_LOG_2PI + tail / z
+            - cmath.log(q * (q + 1)) - cmath.log((q + 2) * (q + 3))
+            - cmath.log((q + 4) * (q + 5)) - cmath.log(q + 6))
+
+
 def hurwitz_zeta_deriv0(q: complex) -> complex:
     """d/ds at s=0 of the Hurwitz zeta: log Gamma(q) - (1/2) log(2 pi)."""
     q = complex(q)
     if q.real <= 0:
         raise ValidationError("hurwitz_zeta_deriv0 needs Re q > 0")
-    return complex(loggamma(q) - 0.5 * math.log(2.0 * math.pi))
+    return _loggamma(q) - _HALF_LOG_2PI
 
 
 def _zeta0(q: complex) -> complex:
@@ -162,7 +189,11 @@ def _exp(z: complex, m: CircleModel) -> complex:
 
 def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
     """Analytic torsion of the model, exp(xi - i pi eta); theta as in xi."""
-    return _exp(xi_circle(m, theta) - 1j * math.pi * eta_circle(m), m)
+    return _rho_from_xi(m, xi_circle(m, theta))
+
+
+def _rho_from_xi(m: CircleModel, xi: complex) -> complex:
+    return _exp(xi - 1j * math.pi * eta_circle(m), m)
 
 
 def rho_an_closed(m: CircleModel) -> complex:
@@ -180,9 +211,10 @@ def rs_torsion_circle(m: CircleModel) -> float:
 
 
 def rs_norm_check(m: CircleModel) -> tuple[float, float]:
-    """Ray-Singer norm of rho_an versus the closed-form target exp(pi Im eta).
-    For real a both are 1."""
-    value = abs(rho_an_circle(m)) * rs_torsion_circle(m)
+    """Ray-Singer norm of rho_an versus the closed-form target exp(pi Im eta),
+    both factors from one xi.  For real a both are 1."""
+    xi = xi_circle(m)
+    value = abs(_rho_from_xi(m, xi)) * _exp(-xi.real, m).real
     target = math.exp(math.pi * complex(eta_circle(m)).imag)
     return value, target
 
@@ -230,11 +262,11 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     theta = _agmon_angle(m, theta)
     lam = (k + m.a.real) ** 2
     small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
-    xi_lam = xi_circle(m, theta)
+    xi = xi_lam = xi_circle(m, theta)
     for z in small:
         xi_lam -= 0.5 * log_det_cut(np.array([z ** 2]), 2.0 * theta)
     eta_lam = eta_circle(m) - eta_finite(np.array(small)).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))
     det_small = math.prod(small, start=1.0 + 0.0j)
-    return abs(det_large * det_small - rho_an_circle(m, theta))
+    return abs(det_large * det_small - _rho_from_xi(m, xi))

@@ -16,7 +16,11 @@ ones drawn with seed 77.  circle-zeta-zero and circle-scale-invariance are
 identities at s = 0 (zeta(0, a) + zeta(0, 1 - a) cancels), so they cannot
 detect a wrong Hurwitz series; its correction terms are checked by
 hurwitz-derivative-crosscheck and by the s = -1 case of the unit test
-TestHurwitzZeta.test_special_values.
+TestHurwitzZeta.test_special_values.  hurwitz-derivative-crosscheck
+compares a central difference of the Hurwitz series with log Gamma, and
+both read the one Bernoulli table of the circle module, so a wrong entry
+there could cancel; circle-two-path stays independent, comparing rho_an
+with the closed form 1 - exp(2 pi i a), which uses neither.
 """
 
 from __future__ import annotations

@@ -20,9 +20,12 @@ of B^2 and carries the result to degree d-j by Gamma_j.  The singular
 values of B^2 bound the moduli of its eigenvalues, and settle a degree
 with one side empty; only a degree they leave open takes eigenvalues.
 When one side of a degree is empty the other is the whole degree, so
-nothing is factorized, and a side that fills every degree is the complex
-itself; only a proper split takes a sorted Schur form of B^2, and gets the
-large part from it by a triangular Sylvester solve.
+nothing is factorized; a side that fills every degree is the complex
+itself, and a side empty in every degree is the zero complex.  Only a
+proper split factorizes, with numpy alone: the matrix disk function, the
+sign of a Cayley transform of B^2 by a scaled Newton iteration, gives the
+spectral projector onto the small part, and one SVD of it gives
+orthonormal bases of both parts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         _block_diag, _zero_cut, cohomology_frame)
@@ -61,6 +63,8 @@ _RAY_TOL = 1e-10  # angular distance below which an eigenvalue sits on a cut
 _CLUSTER_RTOL = 1e-8  # relative gap required between lambda and |spec(B^2)|
 _PM_TOL = 1e-10  # least sigma_min([C_+ | C_-]) of independent +/- subspaces
 _RESTRICT_TOL = 1e-8  # relative residual of an image outside its subspace
+_SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
+_SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
 
 def _gd_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
@@ -243,11 +247,16 @@ class SpectralSplit:
 
 def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
     """The part of (c, g) spanned by bases; when every basis fills its degree
-    (it is then the identity) the part is (c, g) itself."""
+    (it is then the identity) the part is (c, g) itself, and when every basis
+    is empty it is the zero complex."""
     if all(b.shape[0] == b.shape[1] for b in bases):
         return SpectralPart(tuple(bases), c, g)
     d = c.d
     dims = GradedDims(tuple(b.shape[1] for b in bases))
+    if not any(dims.dims):
+        empty = np.zeros((0, 0), dtype=complex)
+        return SpectralPart(tuple(bases), CochainComplex(dims, (empty,) * d),
+                            ChiralityOp((empty,) * (d + 1)))
     partial = tuple(
         _restrict(bases[j + 1], c.partial[j] @ bases[j], f"d restricted, degree {j}")
         for j in range(d))
@@ -258,6 +267,12 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
                         ChiralityOp(gamma))
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm; on the small blocks of a split np.linalg.norm takes
+    about twice as long per call."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
 def _split_degree(bsq: np.ndarray, lam: float, j: int):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
     C^j; a block that is not finite (an overflow) is a numerical boundary.
@@ -265,9 +280,11 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     singular values put the whole spectrum on one side of the cut, clear of
     the cluster margin, that side is all of C^j and the other is empty, as
     the eigenvalue rule would find.  Otherwise the eigenvalues decide how
-    many are small, and a proper split takes one Schur form Z T Z^H ordered
-    small eigenvalues first: Z1 spans the small part, Z1 X + Z2 with
-    T11 X - X T22 = -T12 the large one."""
+    many are small, k, and a proper split (0 < k < n) takes the disk split
+    at a level mu inside the gap they leave: lam itself when lam > 0.  At
+    lam = 0 it is half the smallest modulus outside the zero cluster, or
+    the geometric mean of that and the largest modulus inside when this is
+    larger; B^2 + mu then stays as well conditioned as the gap allows."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
@@ -291,23 +308,68 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
                 raise SpectralBoundaryError(
                     f"degree {j}: split level {lam} inside an eigenvalue "
                     f"cluster (gap {gap:.3e})")
-        k = int(np.sum(mods <= cut))
+        small = mods <= cut
+        k = int(np.sum(small))
     if k == 0:
         return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
     if k == n:
         return np.eye(n, dtype=complex), np.zeros((n, 0), dtype=complex)
-    t, z = scipy.linalg.schur(bsq, output="complex")
-    t, z, eigs, sdim, _, _, _ = scipy.linalg.lapack.ztrsen(
-        np.abs(np.diag(t)) <= cut, t, z, job="N")
-    ldim = int(np.sum(np.abs(eigs[sdim:]) > cut))
-    if sdim != k or sdim + ldim != n:
+    if lam > 0:
+        mu = lam
+    else:
+        lo, hi = float(mods[small].max()), float(mods[~small].min())
+        mu = max(math.sqrt(lo * hi), 0.5 * hi)
+    return _disk_split(bsq, mu, k, j)
+
+
+def _disk_split(bsq: np.ndarray, mu: float, k: int, j: int):
+    """Orthonormal bases of the B^2-invariant subspaces of C^j inside and
+    outside the circle |z| = mu, which must hold k of the n eigenvalues.
+
+    The Cayley transform X0 = (B^2 + mu)^-1 (B^2 - mu) sends |z| < mu to the
+    open left half-plane, so P = (I - sign X0) / 2 projects onto the small
+    part along the large one.  sign X0 comes from the Newton iteration
+    X <- (g X + (g X)^-1) / 2, scaled by g = sqrt(|X^-1|_F / |X|_F) until the
+    relative step falls below _SIGN_SCALE_STOP, and stopped by Higham's
+    quadratic-convergence rule |X_new - X| <= sqrt(eta |X_new| / |X^-1|),
+    eta = n eps (Functions of Matrices, 2008, ch. 5).  A projector's nonzero
+    singular values are at least 1, so with P = U S V^H its rank is the
+    count of S > 1/2, range P = U[:, :k] is the small part and
+    ker P = range(I - P) = V[:, k:] the large one.  An iteration that does
+    not stop within _SIGN_STEPS steps (with its residual, the last relative
+    step), or a rank other than k, raises SpectralBoundaryError."""
+    n = bsq.shape[0]
+    eye = np.eye(n, dtype=complex)
+    eta = n * float(np.finfo(float).eps)
+    scaled = True
+    try:
+        x = np.linalg.solve(bsq + mu * eye, bsq - mu * eye)
+        for _ in range(_SIGN_STEPS):
+            x_inv = np.linalg.inv(x)
+            n_inv = _frobenius(x_inv)
+            g = math.sqrt(n_inv / _frobenius(x)) if scaled else 1.0
+            new = (0.5 * g) * x + (0.5 / g) * x_inv
+            step, size = _frobenius(new - x), _frobenius(new)
+            x = new
+            if step <= math.sqrt(eta * size / n_inv):  # NaN continues
+                break
+            scaled = scaled and step > _SIGN_SCALE_STOP * size
+        else:
+            raise SpectralBoundaryError(
+                f"degree {j}: the sign iteration at level {mu:.6g} did not "
+                f"converge in {_SIGN_STEPS} steps (residual "
+                f"{step / size:.3e})")
+    except np.linalg.LinAlgError:
         raise SpectralBoundaryError(
-            f"degree {j}: the sorted Schur form has {sdim} small and {ldim} "
-            f"large eigenvalues where the spectrum has {k} small of {n}")
-    x, xscale, _ = scipy.linalg.lapack.ztrsyl(
-        t[:sdim, :sdim], t[sdim:, sdim:], -t[:sdim, sdim:], isgn=-1)
-    large = np.linalg.qr(z[:, :sdim] @ (x / xscale) + z[:, sdim:])[0]
-    return z[:, :sdim], large
+            f"degree {j}: the sign iteration at level {mu:.6g} met a "
+            f"singular matrix") from None
+    u, s, vh = np.linalg.svd(0.5 * (eye - x))
+    rank = int(np.sum(s > 0.5))
+    if rank != k:
+        raise SpectralBoundaryError(
+            f"degree {j}: the spectral projector at level {mu:.6g} has rank "
+            f"{rank} where the spectrum has {k} small of {n}")
+    return u[:, :k], vh[k:].conj().T
 
 
 def spectral_split(c: CochainComplex, g: ChiralityOp,
@@ -317,7 +379,9 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     The small part collects the generalized eigenspaces with |eigenvalue|
     at most lam (for lam = 0: the numerically zero eigenvalues); the large
     part is its B^2-invariant complement.  Raises SpectralBoundaryError when
-    lam falls inside an eigenvalue cluster or a block of B^2 overflows.
+    lam falls inside an eigenvalue cluster, a block of B^2 overflows, or the
+    disk split of a degree does not converge to a projector of the counted
+    rank.
     """
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")

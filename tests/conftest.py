@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import detline.signature as signature_mod
 from detline import ChiralityOp, CochainComplex
 
 
@@ -26,21 +26,24 @@ class FactorizationCounts(dict):
 @pytest.fixture
 def count_factorizations(monkeypatch):
     """Call the fixture's value to start counting np.linalg.svd,
-    np.linalg.qr, np.linalg.eigvals and scipy.linalg.schur calls; it
-    returns the live FactorizationCounts."""
+    np.linalg.qr, np.linalg.eigvals and proper spectral splits (calls of
+    the disk-function kernel signature._disk_split, under the name "disk",
+    with the B^2 block as the logged matrix); it returns the live
+    FactorizationCounts."""
     def start():
-        spied = ((np.linalg, "svd"), (np.linalg, "qr"),
-                 (np.linalg, "eigvals"), (scipy.linalg, "schur"))
-        calls = FactorizationCounts(name for _, name in spied)
-        for module, name in spied:
-            orig = getattr(module, name)
+        spied = ((np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
+                 (np.linalg, "eigvals", "eigvals"),
+                 (signature_mod, "_disk_split", "disk"))
+        calls = FactorizationCounts(name for _, _, name in spied)
+        for module, attr, name in spied:
+            orig = getattr(module, attr)
 
             def spy(*args, _orig=orig, _name=name, **kwargs):
                 calls[_name] += 1
                 uv = kwargs.get("compute_uv", True) if _name == "svd" else None
                 calls.log.append((_name, np.shape(args[0]), uv))
                 return _orig(*args, **kwargs)
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, attr, spy)
         return calls
     return start
 

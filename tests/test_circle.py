@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,29 @@ class TestHurwitzZeta:
                 target = scipy.special.loggamma(q) - 0.5 * math.log(2 * math.pi)
                 np.testing.assert_allclose(hurwitz_zeta_deriv0(q), target,
                                            rtol=1e-12)
+
+
+class TestLogGamma:
+    def test_matches_scipy_loggamma(self):
+        # scipy.special.loggamma is an independent oracle, needed by the tests
+        # only: 0 < Re q <= 1 with |Im q| <= 115 (the holonomy range of the
+        # CLI), and a few q further out
+        qs = [complex(x, y) for x in np.linspace(0.01, 1.0, 12)
+              for y in np.linspace(-115.0, 115.0, 47)]
+        qs += [1.5, 2.0, 3.7, 10.0, 55.5, 1000.0, 2.0 + 30.0j]
+        for q in qs:
+            ref = complex(scipy.special.loggamma(q))
+            assert abs(circle_mod._loggamma(complex(q)) - ref) <= 5e-15 * (
+                1.0 + abs(ref))
+
+    def test_bernoulli_table_is_exact(self):
+        # B_m from sum_{k <= m} C(m + 1, k) B_k = 0 in exact rationals; each
+        # entry is the correctly rounded float of B_m
+        exact = [Fraction(1)]
+        for m in range(1, 25):
+            exact.append(-sum(math.comb(m + 1, k) * exact[k]
+                              for k in range(m)) / (m + 1))
+        assert circle_mod._B == tuple(float(b) for b in exact)
 
 
 class TestCircleModel:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import detline.signature as signature_mod
 from detline import (
@@ -317,7 +318,7 @@ class TestFactorizationCounts:
         c, g = _instance(6, 1, acyclic=True)
         calls = count_factorizations()
         graded_det_finite(c, g)
-        assert calls == {"svd": 1, "qr": 0, "eigvals": 0, "schur": 0}
+        assert calls == {"svd": 1, "qr": 0, "eigvals": 0, "disk": 0}
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
@@ -384,7 +385,7 @@ class TestFactorizationCounts:
                                                          + pm_test)
         assert calls.shapes("eigvals") == [(k, k) for k in (p_even, m_even)
                                            if k]
-        assert calls["schur"] == 0
+        assert calls["disk"] == 0
         if d > 1:
             assert p_even and m_even
 
@@ -417,7 +418,7 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
-    def test_split_with_an_empty_side_takes_no_schur_form(
+    def test_split_with_an_empty_side_takes_no_disk_split(
             self, count_factorizations, d, above):
         # at 0 nothing of an acyclic complex is small, above the spectrum
         # nothing is large, so the other side is every degree as it stands
@@ -425,7 +426,7 @@ class TestFactorizationCounts:
         lam = 2.0 * _spectral_radius(c, g) if above else 0.0
         calls = count_factorizations()
         sp = spectral_split(c, g, lam)
-        assert calls["schur"] == 0
+        assert calls["disk"] == 0
         full, empty = (sp.small, sp.large) if above else (sp.large, sp.small)
         assert all(b.shape[1] == 0 for b in empty.bases)
         for n, b in zip(c.dims.dims, full.bases):
@@ -434,7 +435,7 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("acyclic", [True, False],
                              ids=["mid-gap", "zero-harmonic"])
-    def test_one_schur_form_per_proper_pair(self, count_factorizations, d,
+    def test_one_disk_split_per_proper_pair(self, count_factorizations, d,
                                             acyclic):
         # seed 8 gives a proper pair for every d, and for d >= 3 also a pair
         # whose split is not proper
@@ -445,19 +446,21 @@ class TestFactorizationCounts:
         proper = sum(0 < sp.small.bases[j].shape[1] < c.dims.dims[j]
                      for j in range((d + 1) // 2))
         assert proper >= 1
-        assert calls["schur"] == proper
+        assert calls["disk"] == proper
 
-    def test_eigenvalue_count_disagreeing_with_schur_form_is_rejected(
+    def test_eigenvalue_count_disagreeing_with_projector_rank_is_rejected(
             self, monkeypatch):
         # B^2 with spectrum {1, 2, 3, 4} split at 2.5; the injected spectrum
         # moves the 3 below the level, so eigvals counts 3 small eigenvalues
-        # where the sorted Schur form finds 2
+        # where the spectral projector has rank 2
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4))
                          + 0j)[0]
         bsq = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.conj().T
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda m: np.array([1.0, 2.0, 0.5, 4.0]))
-        with pytest.raises(SpectralBoundaryError, match="3 small of 4"):
+        with pytest.raises(SpectralBoundaryError,
+                           match="projector at level 2.5 has rank 2 where "
+                                 "the spectrum has 3 small of 4"):
             _split_degree(bsq, 2.5, 0)
 
 
@@ -495,7 +498,7 @@ class TestSplitCertificate:
         assert calls.shapes("svd", compute_uv=False) == [bsq.shape]
         assert calls["eigvals"] == (0 if certified else 1)
         proper = 0 < k < len(spectrum)
-        assert calls["schur"] == int(proper)
+        assert calls["disk"] == int(proper)
         if not proper:
             full = small if k else large
             assert np.array_equal(full, np.eye(len(spectrum)))
@@ -524,10 +527,96 @@ class TestSplitCertificate:
         calls = count_factorizations()
         small, large = _split_degree(bsq, lam, 0)
         assert calls["eigvals"] == 1
-        assert calls["schur"] == 0
+        assert calls["disk"] == 0
         assert small.shape[1] == int(np.sum(
             np.abs(np.linalg.eigvals(bsq)) <= cut)) == 0
         assert np.array_equal(large, np.eye(2))
+
+
+def _triangular_block(diag, seed, off, couplings=()):
+    """Q T Q^H for a random unitary Q, T upper triangular with the given
+    diagonal, a random strict upper part scaled by off, and the given
+    (row, col, value) entries on top."""
+    n = len(diag)
+    rng = np.random.default_rng(seed)
+    t = off * np.triu(rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n)), 1)
+    t += np.diag(np.asarray(diag, dtype=complex))
+    for row, col, value in couplings:
+        t[row, col] = value
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ t @ q.conj().T
+
+
+def _schur_bases(bsq, cut):
+    """The reference split: a sorted Schur form Z T Z^H with the moduli at
+    most cut first; Z1 spans the small part and Z1 X + Z2, with
+    T11 X - X T22 = -T12, the large one."""
+    t, z, k = scipy.linalg.schur(bsq, output="complex",
+                                 sort=lambda e: abs(e) <= cut)
+    x = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], -t[:k, k:])
+    return z[:, :k], np.linalg.qr(z[:, :k] @ x + z[:, k:])[0]
+
+
+def _subspace_gap(basis, reference):
+    """Largest entry of the part of reference outside the span of basis
+    (both with orthonormal columns)."""
+    return float(np.abs(reference
+                        - basis @ (basis.conj().T @ reference)).max())
+
+
+class TestDiskSplit:
+    """A proper split from the sign of the Cayley transform of B^2, against
+    bases read off a sorted Schur form."""
+
+    def test_non_normal_block_of_order_400(self):
+        # moduli log-uniform in [0.1, 10] with random phases and a scaled
+        # random upper part: cond(sign X0) = 3.5e3 at the level 1
+        rng = np.random.default_rng(1)
+        diag = (np.exp(rng.uniform(np.log(0.1), np.log(10.0), 400))
+                * np.exp(1j * rng.uniform(-1.0, 1.0, 400)))
+        bsq = _triangular_block(diag, 1, 0.056)
+        small, large = _split_degree(bsq, 1.0, 0)
+        ref_small, ref_large = _schur_bases(bsq, 1.0)
+        assert small.shape == ref_small.shape
+        assert large.shape == ref_large.shape
+        assert _subspace_gap(small, ref_small) <= 1e-12
+        assert _subspace_gap(large, ref_large) <= 1e-12
+
+    def test_zero_cluster_of_a_non_normal_block(self):
+        # at lam = 0 the level sits at half the smallest nonzero modulus, so
+        # B^2 + mu stays well conditioned next to the zero eigenvalues
+        bsq = _triangular_block([0.0, 0.0, 1.0, 1.1, 4.5], 4, 1.0)
+        small, large = _split_degree(bsq, 0.0, 0)
+        ref_small, ref_large = _schur_bases(
+            bsq, _zero_cut(float(np.abs(np.linalg.eigvals(bsq)).max())))
+        assert (small.shape[1], large.shape[1]) == (2, 3)
+        assert _subspace_gap(small, ref_small) <= 1e-13
+        assert _subspace_gap(large, ref_large) <= 1e-13
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3])
+    def test_coupled_pair_across_a_wide_gap(self, delta):
+        bsq = _triangular_block([0.5, 1 - delta, 1 + delta, 2.0], 0, 0.0,
+                                [(1, 2, 1.0)])
+        small, large = _split_degree(bsq, 1.0, 0)
+        ref_small, ref_large = _schur_bases(bsq, 1.0)
+        assert (small.shape[1], large.shape[1]) == (2, 2)
+        assert _subspace_gap(small, ref_small) <= 1e-10
+        assert _subspace_gap(large, ref_large) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-7])
+    def test_level_too_close_to_the_spectrum_does_not_converge(self, delta):
+        # the level 1 clears the cluster margin (2e-8) but sits between two
+        # coupled eigenvalues 1 -+ delta; the projector has norm ~ 1/delta,
+        # and the iteration stalls at its rounding floor
+        bsq = _triangular_block([0.5, 1 - delta, 1 + delta, 2.0], 0, 0.0,
+                                [(1, 2, 1.0)])
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^degree 0: the sign iteration at level 1 "
+                                 r"did not converge in 50 steps \(residual "
+                                 r"\d\.\d{3}e-\d\d\)$"):
+            _split_degree(bsq, 1.0, 0)
 
 
 def _ladder_instance(d, total):

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import detline
 from detline import (
     ValidationError,
     build_signature,
@@ -22,11 +27,12 @@ from detline import (
     random_profile,
     refined_torsion,
     serialize_document,
+    spectral_split,
     torsion_via_split,
     validate_chirality,
 )
 from detline.cli import main
-from detline.selftest import run_selftest
+from detline.selftest import _instance, run_selftest
 
 
 class TestGenerators:
@@ -206,6 +212,57 @@ def doc_path(tmp_path):
     path = tmp_path / "elementary.json"
     path.write_text(serialize_document(c, g), encoding="utf-8")
     return str(path)
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import detline
+from detline.cli import main
+sys.exit(main(sys.argv[1:]) if sys.argv[1:] else 0)
+"""
+
+
+class TestWithoutScipy:
+    """numpy is the only runtime dependency: the package imports, and every
+    subcommand runs, in an interpreter where scipy cannot be imported."""
+
+    @pytest.fixture(scope="class")
+    def cohomology_doc(self, tmp_path_factory):
+        # seed 2, d = 3 with cohomology: both degree pairs split properly at
+        # 0 (the zero cluster) and at the mid-gap level
+        c, g = _instance(2, 3, acyclic=False)
+        mods = np.unique(np.round(np.concatenate(
+            [np.abs(np.linalg.eigvals(build_signature(c, g).bsq_block(j)))
+             for j in range(c.d + 1)]), 6))
+        mods = mods[mods > 1e-4]
+        k = len(mods) // 2
+        mid = float(0.5 * (mods[k - 1] + mods[k]))
+        for lam in (0.0, mid):
+            small = spectral_split(c, g, lam).small.bases
+            assert all(0 < small[j].shape[1] < c.dims.dims[j]
+                       for j in range(2))
+        path = tmp_path_factory.mktemp("noscipy") / "d3.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        return str(path), mid
+
+    @pytest.mark.parametrize("argv", [
+        [], ["selftest"], ["torsion", "DOC"], ["split", "DOC", "--lambda=0"],
+        ["split", "DOC", "--lambda=MID"], ["circle", "--a", "0.3,0.2"]],
+        ids=["import", "selftest", "torsion", "split-zero", "split-mid-gap",
+             "circle"])
+    def test_subcommand_exits_0(self, cohomology_doc, argv):
+        doc, mid = cohomology_doc
+        argv = [a.replace("DOC", doc).replace("MID", repr(mid))
+                for a in argv]
+        src = str(pathlib.Path(detline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestCli:
