@@ -228,8 +228,13 @@ def duality_check(m: CircleModel) -> float:
     lhs = rho_an_circle(m).conjugate()
     m_dual = CircleModel(m.a.conjugate(), m.scale)
     eta = eta_circle(m).conjugate()
-    rhs = rho_an_circle(m_dual) * _exp(2j * math.pi * eta, m)
-    return abs(lhs - rhs)
+    try:
+        rho_dual = rho_an_circle(m_dual)
+    except SpectralBoundaryError as exc:  # exc names the exponent conj(a)
+        raise SpectralBoundaryError(
+            f"dual model at conj(a), input Re a = {m.a.real:g}, "
+            f"Im a = {m.a.imag:g}: {exc}") from None
+    return abs(lhs - rho_dual * _exp(2j * math.pi * eta, m))
 
 
 def metric_scale_check(m: CircleModel, c: float) -> float:

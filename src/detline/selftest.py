@@ -33,8 +33,8 @@ from . import circle as ci
 from .complexes import (CohomologyFrame, alpha_cohomology, cohomology_frame,
                         direct_sum, dual_complex, fused_in_sum_frame, phi)
 from .errors import ValidationError
-from .gradedlinalg import (DetElement, GradedDims, alpha_line, beta_line,
-                           dual_graded, fuse)
+from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
+                           beta_line, dual_graded, fuse)
 from .signature import (build_signature, det_eta_check, graded_det_finite,
                         graded_det_via_xi_eta, pick_agmon_angle,
                         spectral_split, torsion_via_split)
@@ -187,19 +187,12 @@ def check_phi_frame_rotation(cases, seed):
         fr = cohomology_frame(c)
         x = DetElement(_rand_coeff(rng), c.dims)
         base = phi(x, fr).coeff
-        hs, factor = [], 1.0 + 0.0j
-        for j in range(d + 1):
-            b = fr.betti[j]
-            if b:
-                q, _ = np.linalg.qr(rng.standard_normal((b, b))
-                                    + 1j * rng.standard_normal((b, b)))
-                hs.append(fr.H[j] @ q)
-                factor *= np.linalg.det(q) ** (1 if j % 2 else -1)
-            else:
-                hs.append(fr.H[j])
-        fr2 = CohomologyFrame(c, fr.B, tuple(hs), fr.A)
-        rot = phi(x, fr2).coeff
-        res.append(abs(rot - base * factor) / abs(base))
+        qs = [np.linalg.qr(rng.standard_normal((b, b))
+                           + 1j * rng.standard_normal((b, b)))[0]
+              if b else np.eye(0) for b in fr.betti]
+        hs = tuple(h @ q for h, q in zip(fr.H, qs))
+        rot = phi(x, CohomologyFrame(c, fr.B, hs, fr.A)).coeff
+        res.append(abs(rot - base * alternating_det(qs)) / abs(base))
     return _verdict(res, 1e-10, "relative residual")
 
 
@@ -291,10 +284,9 @@ def check_torsion_graded_det(cases, seed):
 
 def _lambda_choices(c, g):
     s = build_signature(c, g)
-    mods = []
-    for j in range(c.d + 1):
-        mods.extend(abs(z) for z in np.linalg.eigvals(s.bsq_block(j)))
-    mods = sorted(set(round(m, 6) for m in mods if m > 1e-4))
+    mods = sorted({round(abs(z), 6) for j in range(c.d + 1)
+                   for z in np.linalg.eigvals(s.bsq_block(j))
+                   if abs(z) > 1e-4})
     lams = [0.0]
     if len(mods) > 1:
         lams.append((mods[0] + mods[1]) / 2.0)

@@ -5,16 +5,19 @@ B = Gamma d + d Gamma.  Its square preserves degrees, which allows splitting
 the complex along the spectrum of B^2, and the graded determinant of the even
 part of B recovers the refined torsion.  Log-determinants are taken along a
 chosen branch cut (an Agmon angle) and combine with the finite-dimensional
-eta invariant.
+eta invariant.  A call forms B once, as a table of its nonzero degree blocks
+Gamma_{j+1} d_j : C^j -> C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1},
+and reads B_even, B_odd, each B^2_j = sum_t B[j, t] B[t, j] and the +/-
+blocks off it.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
 (by QR), and the +/- independence test reads principal angles off the
-unitary frame.  The blocks of B_even on the even + and - subspaces give the
-graded determinant and, through their spectra, eta and xi (whose squares
-are the spectra of (Gamma d)^2 on the + subspaces); a side whose bases
-fill the even part is that whole space, so its block is +-B_even as it
-stands and the other side's is empty.  Gamma commutes with B,
+unitary frame.  B_even on the even + and - subspaces, restricted one table
+block at a time, gives the graded determinant and, through its spectra,
+eta and xi (whose squares are the spectra of (Gamma d)^2 on the + subspaces);
+a side whose bases fill the even part is that whole space, so its block is
++-B_even as it stands and the other side's is empty.  Gamma commutes with B,
 so a split decides each degree pair (j, d-j) in degree j from the spectrum
 of B^2 and carries the result to degree d-j by Gamma_j.  The singular
 values of B^2 bound the moduli of its eigenvalues, and settle a degree
@@ -32,15 +35,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _block_diag, _zero_cut, cohomology_frame)
+                        _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
-from .torsion import ChiralityOp, refined_torsion, validate_chirality
+from .torsion import (ChiralityOp, _frame_for, refined_torsion,
+                      validate_chirality)
 
 __all__ = [
     "SignatureOp",
@@ -67,56 +71,38 @@ _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
 
-def _gd_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
-    """(Gamma d)|_{C^j} : C^j -> C^{d-j-1}; zero map in top degree."""
+def _b_blocks(c: CochainComplex, g: ChiralityOp,
+              parity: int | None = None) -> dict:
+    """B's nonzero degree blocks {(target, source): block} from the sources
+    of the given parity (all when None).  No two share a key, each keeps the
+    parity of its source (d is odd), and in the whole table (t, j) is a key
+    exactly when (j, t) is."""
     d = c.d
-    if j >= d:
-        return np.zeros((c.dims.dims[0], c.dims.dims[d]), dtype=complex)
-    return g.gamma[j + 1] @ c.partial[j]
+    blocks = {}
+    for j in range(d + 1) if parity is None else range(parity, d + 1, 2):
+        if j < d:
+            blocks[d - j - 1, j] = g.gamma[j + 1] @ c.partial[j]
+        if j > 0:
+            blocks[d - j + 1, j] = c.partial[d - j] @ g.gamma[j]
+    return blocks
 
 
-def _dg_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
-    """(d Gamma)|_{C^j} : C^j -> C^{d-j+1}; zero map in degree zero."""
-    d = c.d
-    if j == 0:
-        return np.zeros((c.dims.dims[d], c.dims.dims[0]), dtype=complex)
-    return c.partial[d - j] @ g.gamma[j]
+def _bsq(blocks: dict, j: int) -> np.ndarray:
+    """B^2 restricted to C^j: the sum over t of B[j, t] B[t, j]."""
+    return sum(blocks[j, t] @ b for (t, s), b in blocks.items() if s == j)
 
 
-def _bsq_block(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
-    """B^2 restricted to C^j: (Gamma d)^2 + (d Gamma)^2."""
-    d = c.d
-    n = c.dims.dims
-    out = np.zeros((n[j], n[j]), dtype=complex)
-    if j < d:
-        out += g.gamma[d - j] @ c.partial[d - j - 1] @ g.gamma[j + 1] @ c.partial[j]
-    if j > 0:
-        out += c.partial[j - 1] @ g.gamma[d - j + 1] @ c.partial[d - j] @ g.gamma[j]
+def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
+    """Matrix of the degree blocks {(target, source): block} of the given
+    parity on the sum of those degrees, degree j of dimension sizes[j]."""
+    offs, pos = {}, 0
+    for j in range(parity, len(sizes), 2):
+        offs[j], pos = pos, pos + sizes[j]
+    out = np.zeros((pos, pos), dtype=complex)
+    for (t, s), b in blocks.items():
+        if s % 2 == parity:
+            out[offs[t]:offs[t] + sizes[t], offs[s]:offs[s] + sizes[s]] = b
     return out
-
-
-def _parity_matrix(c: CochainComplex, g: ChiralityOp, parity: int):
-    """Matrix of B on the sum of degrees of the given parity, and those
-    degrees."""
-    d = c.d
-    n = c.dims.dims
-    degs = [j for j in range(d + 1) if j % 2 == parity]
-    offs = {}
-    pos = 0
-    for j in degs:
-        offs[j] = pos
-        pos += n[j]
-    mat = np.zeros((pos, pos), dtype=complex)
-    for j in degs:
-        tgt = d - j - 1
-        if 0 <= tgt <= d and tgt % 2 == parity:
-            mat[offs[tgt]:offs[tgt] + n[tgt], offs[j]:offs[j] + n[j]] += \
-                _gd_block(c, g, j)
-        tgt = d - j + 1
-        if 0 <= tgt <= d and tgt % 2 == parity:
-            mat[offs[tgt]:offs[tgt] + n[tgt], offs[j]:offs[j] + n[j]] += \
-                _dg_block(c, g, j)
-    return mat, degs
 
 
 @dataclass(frozen=True)
@@ -127,16 +113,17 @@ class SignatureOp:
     chirality: ChiralityOp
     b_even: np.ndarray
     b_odd: np.ndarray
+    _blocks: dict = field(repr=False, compare=False)
 
     def bsq_block(self, j: int) -> np.ndarray:
-        return _bsq_block(self.complex, self.chirality, j)
+        return _bsq(self._blocks, j)
 
 
 def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     validate_chirality(c, g)
-    even, _ = _parity_matrix(c, g, 0)
-    odd, _ = _parity_matrix(c, g, 1)
-    return SignatureOp(c, g, even, odd)
+    blocks = _b_blocks(c, g)
+    return SignatureOp(c, g, _assemble(blocks, c.dims.dims, 0),
+                       _assemble(blocks, c.dims.dims, 1), blocks)
 
 
 def _gamma_image(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -164,6 +151,14 @@ def _restrict(basis: np.ndarray, image: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _restricted(op, source, target, what: str) -> np.ndarray:
+    """Matrix of op from span(source) to span(target) through _restrict;
+    empty, with nothing formed, when either basis is empty."""
+    if source.shape[1] and target.shape[1]:
+        return _restrict(target, op @ source, what)
+    return np.zeros((target.shape[1], source.shape[1]), dtype=complex)
+
+
 def plus_minus_split(c: CochainComplex, g: ChiralityOp,
                      frame: CohomologyFrame | None = None):
     """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
@@ -177,8 +172,7 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.
     """
     d = c.d
-    if frame is None:
-        frame = cohomology_frame(c)
+    frame = _frame_for(c, g, frame)
     minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
@@ -199,20 +193,21 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
 
 def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
     """B_even restricted to the even + subspaces, and -B_even restricted to
-    the even - subspaces, in the given bases.  A side whose bases fill the
-    even part is that whole space: its block is B_even (or -B_even) as it
-    stands, and the other side's block is empty."""
-    b_even, degs = _parity_matrix(c, g, 0)
-    n_even = b_even.shape[0]
+    the even - subspaces, in the given bases, one block of B at a time.  A
+    side whose bases fill the even part is that whole space: its block is
+    B_even (or -B_even) as it stands, and the other side's is empty."""
+    blocks, n = _b_blocks(c, g, 0), c.dims.dims
     empty = np.zeros((0, 0), dtype=complex)
-    if sum(plus[j].shape[1] for j in degs) == n_even:
-        return b_even, empty
-    if sum(minus[j].shape[1] for j in degs) == n_even:
-        return empty, -b_even
-    p = _block_diag(plus[j] for j in degs)
-    m = _block_diag(minus[j] for j in degs)
-    return (_restrict(p, b_even @ p, "B+ even"),
-            _restrict(m, -b_even @ m, "B- even"))
+    if all(plus[j].shape[1] == n[j] for j in range(0, c.d + 1, 2)):
+        return _assemble(blocks, n, 0), empty
+    if all(minus[j].shape[1] == n[j] for j in range(0, c.d + 1, 2)):
+        return empty, -_assemble(blocks, n, 0)
+
+    def side(bases, what):
+        return _assemble({(t, s): _restricted(b, bases[s], bases[t], what)
+                          for (t, s), b in blocks.items()},
+                         [b.shape[1] for b in bases], 0)
+    return side(plus, "B+ even"), -side(minus, "B- even")
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp,
@@ -221,11 +216,12 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     part, computed in explicit bases of the +/- subspaces (read off frame,
     the cohomology frame of c, when given)."""
     num, den = _even_blocks(c, g, *plus_minus_split(c, g, frame))
-    det_num = np.linalg.det(num) if num.size else 1.0
-    det_den = np.linalg.det(den) if den.size else 1.0
-    if det_den == 0 or det_num == 0:
+    # a singular + block gives 0, a singular - block 0 ** -1 = nan + nan i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = alternating_det((den, num))
+    if value == 0 or (math.isnan(value.real) and math.isnan(value.imag)):
         raise SpectralBoundaryError("B_even is not bijective")
-    return complex(det_num / det_den)
+    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -253,15 +249,13 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
         return SpectralPart(tuple(bases), c, g)
     d = c.d
     dims = GradedDims(tuple(b.shape[1] for b in bases))
-    if not any(dims.dims):
-        empty = np.zeros((0, 0), dtype=complex)
-        return SpectralPart(tuple(bases), CochainComplex(dims, (empty,) * d),
-                            ChiralityOp((empty,) * (d + 1)))
     partial = tuple(
-        _restrict(bases[j + 1], c.partial[j] @ bases[j], f"d restricted, degree {j}")
+        _restricted(c.partial[j], bases[j], bases[j + 1],
+                    f"d restricted, degree {j}")
         for j in range(d))
     gamma = tuple(
-        _restrict(bases[d - j], g.gamma[j] @ bases[j], f"Gamma restricted, degree {j}")
+        _restricted(g.gamma[j], bases[j], bases[d - j],
+                    f"Gamma restricted, degree {j}")
         for j in range(d + 1))
     return SpectralPart(tuple(bases), CochainComplex(dims, partial),
                         ChiralityOp(gamma))
@@ -386,10 +380,10 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
-    d = c.d
+    d, blocks = c.d, _b_blocks(c, g)
     small_bases, large_bases = [None] * (d + 1), [None] * (d + 1)
     for j in range((d + 1) // 2):
-        small, large = _split_degree(_bsq_block(c, g, j), lam, j)
+        small, large = _split_degree(_bsq(blocks, j), lam, j)
         small_bases[j], large_bases[j] = small, large
         # Gamma commutes with B^2, so Gamma_j carries the split of C^j onto
         # that of C^{d-j}
@@ -405,8 +399,7 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
     """Refined torsion computed through a spectral split at level lam:
     graded determinant of the large part times the torsion of the small part,
     mapped into the cohomology frame of the full complex."""
-    if frame is None:
-        frame = cohomology_frame(c)
+    frame = _frame_for(c, g, frame)
     return _torsion_from_split(spectral_split(c, g, lam), frame)[0]
 
 
@@ -431,20 +424,26 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
 
 
 def _eig_input(m) -> np.ndarray:
+    """Eigenvalues of a finite square matrix, or a vector of them as given."""
     a = np.asarray(m, dtype=complex)
     if a.ndim == 2:
         if a.shape[0] != a.shape[1]:
             raise ValidationError("matrix must be square")
         if a.shape[0] == 0:
             return np.zeros(0, dtype=complex)
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix is not finite")
         return np.linalg.eigvals(a)
     return a.ravel()
 
 
 def _split_zero(eigs: np.ndarray):
-    if eigs.size == 0:
-        return eigs, 0
-    nonzero = eigs[np.abs(eigs) > _zero_cut(float(np.abs(eigs).max()))]
+    """Nonzero eigenvalues and the count of zero ones of a finite spectrum."""
+    mods = np.abs(eigs)
+    top = float(mods.max(initial=0.0))
+    if not math.isfinite(top):  # NaN too
+        raise ValidationError("spectrum is not finite")
+    nonzero = eigs[mods > _zero_cut(top)]
     return nonzero, int(eigs.size - nonzero.size)
 
 

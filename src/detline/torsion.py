@@ -10,6 +10,7 @@ of cohomology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,22 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
     return DetElement(-coeff if sign_R(c) else coeff, c.dims)
 
 
+def _frame_for(c: CochainComplex, g: ChiralityOp,
+               frame: CohomologyFrame | None) -> CohomologyFrame:
+    """The cohomology frame of c: frame when given, which must be c's own,
+    or a new one; g is checked to fit c first."""
+    validate_chirality(c, g)
+    if frame is None:
+        return cohomology_frame(c)
+    if frame.complex is not c:
+        raise ValidationError("the cohomology frame is not of this complex")
+    return frame
+
+
 def refined_torsion(c: CochainComplex, g: ChiralityOp,
                     frame: CohomologyFrame | None = None) -> CohomologyElement:
     """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line."""
-    if frame is None:
-        frame = cohomology_frame(c)
+    frame = _frame_for(c, g, frame)
     return phi(c_gamma(c, g), frame)
 
 
@@ -123,12 +135,8 @@ def torsion_norm(c: CochainComplex, g: ChiralityOp) -> float:
 
 def supertrace(blocks) -> complex:
     """Alternating trace sum_j (-1)^j tr(blocks[j]) of a degreewise operator."""
-    total = 0.0 + 0.0j
-    for j, b in enumerate(blocks):
-        b = np.asarray(b)
-        t = np.trace(b) if b.size else 0.0
-        total += (-1) ** j * t
-    return complex(total)
+    return complex(sum((-1) ** j * np.trace(np.asarray(b))
+                       for j, b in enumerate(blocks)))
 
 
 def variation_check(c: CochainComplex, gamma_of_t, t0: float,
@@ -143,6 +151,8 @@ def variation_check(c: CochainComplex, gamma_of_t, t0: float,
     ratio rho(t0 + h) / rho(t0 - h), so it does not jump where arg rho
     crosses the branch cut of the principal log.
     """
+    if not 0 < h < math.inf:
+        raise ValidationError("step h must be finite and positive")
     frame = cohomology_frame(c)
     if not frame.acyclic:
         raise ValidationError("variation identity requires an acyclic complex")
@@ -159,8 +169,7 @@ def variation_check(c: CochainComplex, gamma_of_t, t0: float,
 def dual_chirality(g: ChiralityOp) -> ChiralityOp:
     """Chirality on the dual complex: degree-j block is the conjugate
     transpose of Gamma_j."""
-    d = g.d
-    return ChiralityOp(tuple(g.gamma[j].conj().T for j in range(d + 1)))
+    return ChiralityOp(tuple(a.conj().T for a in g.gamma))
 
 
 def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:

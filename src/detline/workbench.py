@@ -76,14 +76,9 @@ def gen_harmonic(d: int, k: int):
     if not 0 <= k <= d:
         raise ValidationError("degree out of range")
     dims = [0] * (d + 1)
-    dims[k] += 1
-    if d - k != k:
-        dims[d - k] += 1
-    gamma = [np.zeros((dims[d - q], dims[q]), dtype=complex)
+    dims[k] = dims[d - k] = 1
+    gamma = [np.eye(dims[d - q], dims[q], dtype=complex)
              for q in range(d + 1)]
-    for q in (k, d - k):
-        for col in range(dims[q]):
-            gamma[q][col, col] = 1.0
     return (CochainComplex(GradedDims(tuple(dims)), tuple(_zeros(dims))),
             ChiralityOp(tuple(gamma)))
 

@@ -7,10 +7,21 @@ import detline.signature as signature_mod
 from detline import ChiralityOp, CochainComplex
 
 
+def normal_matrix(spectrum, seed=3):
+    """Q diag(spectrum) Q^H for a random unitary Q: its singular values are
+    the moduli of spectrum."""
+    n = len(spectrum)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
+
+
 class FactorizationCounts(dict):
     """Live call counts per spied name; ``log`` lists every call as
     (name, shape of the matrix, compute_uv), compute_uv None but for svd.
-    count_validations logs a tuple of matrix shapes in place of the shape."""
+    count_validations, and the "restrict" entries of count_factorizations,
+    log a tuple of matrix shapes in place of the shape."""
 
     def __init__(self, names):
         super().__init__((name, 0) for name in names)
@@ -29,7 +40,8 @@ def count_factorizations(monkeypatch):
     np.linalg.qr, np.linalg.eigvals and proper spectral splits (calls of
     the disk-function kernel signature._disk_split, under the name "disk",
     with the B^2 block as the logged matrix); it returns the live
-    FactorizationCounts."""
+    FactorizationCounts.  Calls of signature._restrict are logged, not
+    counted, under the name "restrict" with the shapes (basis, image)."""
     def start():
         spied = ((np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                  (np.linalg, "eigvals", "eigvals"),
@@ -44,6 +56,12 @@ def count_factorizations(monkeypatch):
                 calls.log.append((_name, np.shape(args[0]), uv))
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(module, attr, spy)
+        orig_restrict = signature_mod._restrict
+
+        def restrict_spy(basis, image, what):
+            calls.log.append(("restrict", (basis.shape, image.shape), None))
+            return orig_restrict(basis, image, what)
+        monkeypatch.setattr(signature_mod, "_restrict", restrict_spy)
         return calls
     return start
 

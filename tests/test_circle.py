@@ -401,6 +401,15 @@ class TestCliContract:
         assert out.out == ""
         assert named in out.err
 
+    def test_dual_model_overflow_names_the_dual_model(self, capsys):
+        # rho_an(0.5 + 200i) is finite; the dual model at conj(a) overflows
+        assert main(["circle", "--a", "0.5,200"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert ("dual model at conj(a), input Re a = 0.5, Im a = 200: "
+                in out.err)
+        assert "Im a = -200" in out.err
+
     def test_overflow_in_library(self):
         with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
             rho_an_circle(CircleModel(complex(0.3, -115.0)))

@@ -22,6 +22,8 @@ from detline import (
 )
 from detline.selftest import _instance
 
+from conftest import normal_matrix
+
 
 def _ladder_instance(seed, d, n, n_harmonic):
     """Seeded complex of about n dimensions, with n_harmonic harmonic
@@ -40,16 +42,6 @@ def _ladder_instance(seed, d, n, n_harmonic):
         betti[d - k] += 1
     c, _ = gen_random(seed, d, {"blocks": blocks, "harmonic": harmonic})
     return c, tuple(betti)
-
-
-def _normal(spectrum, seed=3):
-    """Q diag(spectrum) Q^H for a random unitary Q: its singular values are
-    the moduli of spectrum."""
-    n = len(spectrum)
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))[0]
-    return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
 
 
 def _svd_log(calls):
@@ -226,7 +218,8 @@ class TestCohomologyFrame:
     @pytest.mark.parametrize("n", [1, 4])
     def test_square_invertible_degree_takes_singular_values_only(
             self, count_factorizations, n):
-        c = CochainComplex(GradedDims((n, n)), (_normal(range(1, n + 1)),))
+        c = CochainComplex(GradedDims((n, n)),
+                           (normal_matrix(range(1, n + 1)),))
         calls = count_factorizations()
         fr = cohomology_frame(c)
         assert _svd_log(calls) == [((n, n), False)]
@@ -236,7 +229,8 @@ class TestCohomologyFrame:
 
     def test_short_rank_square_degree_takes_a_full_svd_after_its_values(
             self, count_factorizations):
-        c = CochainComplex(GradedDims((3, 3)), (_normal([2.0, 1.0, 0.0]),))
+        c = CochainComplex(GradedDims((3, 3)),
+                           (normal_matrix([2.0, 1.0, 0.0]),))
         calls = count_factorizations()
         fr = cohomology_frame(c)
         assert _svd_log(calls) == [((3, 3), False), ((3, 3), True)]
@@ -271,7 +265,7 @@ class TestRankMargin:
     def test_square_differential(self, spectrum, rank, margin):
         n = len(spectrum)
         fr = cohomology_frame(
-            CochainComplex(GradedDims((n, n)), (_normal(spectrum),)))
+            CochainComplex(GradedDims((n, n)), (normal_matrix(spectrum),)))
         assert fr.A[0].shape[1] == rank
         assert len(fr.rank_margin) == 1
         np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)
@@ -280,7 +274,7 @@ class TestRankMargin:
                                                (0.99e-8, 1 / 0.99)])
     def test_rectangular_differential(self, scale, margin):
         # a 3 x 2 differential takes the full SVD
-        q = _normal([1.0, 1.0, 1.0], seed=5)
+        q = normal_matrix([1.0, 1.0, 1.0], seed=5)
         m = q[:, :2] @ np.diag([1.0, scale])
         fr = cohomology_frame(CochainComplex(GradedDims((2, 3)), (m,)))
         np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)

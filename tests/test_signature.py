@@ -36,8 +36,10 @@ from detline import (
 )
 from detline.complexes import _zero_cut
 from detline.selftest import _instance
-from detline.signature import (_bsq_block, _even_blocks, _gd_block, _restrict,
+from detline.signature import (_b_blocks, _bsq, _even_blocks, _restrict,
                                _split_degree)
+
+from conftest import normal_matrix
 
 
 class TestGradedDet:
@@ -48,6 +50,17 @@ class TestGradedDet:
     def test_negative_scalar(self):
         c, g = gen_elementary(1, 0, -2.0)
         np.testing.assert_allclose(graded_det_finite(c, g), -2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("singular", [0, 1], ids=["plus", "minus"])
+    def test_singular_block_is_a_boundary(self, monkeypatch, singular):
+        blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        blocks[singular] = np.zeros((2, 2), dtype=complex)
+        monkeypatch.setattr(signature_mod, "_even_blocks",
+                            lambda *args: tuple(blocks))
+        c, g = gen_elementary(1, 0, 2.0)
+        with pytest.raises(SpectralBoundaryError,
+                           match="^B_even is not bijective$"):
+            graded_det_finite(c, g)
 
     def test_equals_refined_torsion_when_acyclic(self):
         for seed in range(10):
@@ -102,6 +115,93 @@ class TestSignatureOp:
             ev = np.sort_complex(np.linalg.eigvals(s.b_even))
             od = np.sort_complex(np.linalg.eigvals(s.b_odd))
             np.testing.assert_allclose(ev, od, atol=1e-10)
+
+
+def _dense_b(c, g):
+    """B = Gamma d + d Gamma on the whole of C, from the total d and Gamma
+    placed as N x N matrices, with the offset of each degree."""
+    d, n = c.d, c.dims.dims
+    offs = np.concatenate([[0], np.cumsum(n)])
+    total_d = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    total_g = np.zeros_like(total_d)
+    for j in range(d):
+        total_d[offs[j + 1]:offs[j + 2], offs[j]:offs[j + 1]] = c.partial[j]
+    for j in range(d + 1):
+        total_g[offs[d - j]:offs[d - j + 1], offs[j]:offs[j + 1]] = g.gamma[j]
+    return total_g @ total_d + total_d @ total_g, offs
+
+
+def _rel_error(x, ref):
+    return float(np.abs(x - ref).max(initial=0)
+                 / max(np.abs(ref).max(initial=0), 1e-300))
+
+
+class TestBlockTable:
+    """The degree blocks of B give what the dense operator gives."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_matches_a_dense_oracle(self, d, acyclic):
+        prof = random_profile(np.random.default_rng(80 + d), d,
+                              acyclic=acyclic, max_blocks=5)
+        c, g = gen_random(80 + d, d, prof)
+        b, offs = _dense_b(c, g)
+        bsq = b @ b
+        s = build_signature(c, g)
+        for parity, part in ((0, s.b_even), (1, s.b_odd)):
+            idx = np.concatenate([np.arange(offs[j], offs[j + 1])
+                                  for j in range(parity, d + 1, 2)])
+            ref = b[np.ix_(idx, idx)]
+            assert part.shape == ref.shape
+            assert _rel_error(part, ref) <= 1e-12
+        for j in range(d + 1):
+            ref = bsq[offs[j]:offs[j + 1], offs[j]:offs[j + 1]]
+            assert s.bsq_block(j).shape == ref.shape
+            assert _rel_error(s.bsq_block(j), ref) <= 1e-12
+
+    def test_keys_are_unique_and_keep_parity(self):
+        c, g = _instance(5, 5, acyclic=False)
+        blocks = _b_blocks(c, g)
+        assert len(blocks) == 2 * c.d
+        for (t, s), block in blocks.items():
+            assert t % 2 == s % 2
+            assert (s, t) in blocks
+            assert block.shape == (c.dims.dims[t], c.dims.dims[s])
+
+
+_FRAME_ENTRY_POINTS = {
+    "refined_torsion": refined_torsion,
+    "plus_minus_split": plus_minus_split,
+    "graded_det_finite": graded_det_finite,
+    "torsion_via_split": lambda c, g, fr: torsion_via_split(c, g, 0.0, fr),
+}
+
+
+class TestFrameAndChirality:
+    """An entry point that takes a frame accepts only the complex's own, and
+    a chirality that does not fit the complex is a ValidationError."""
+
+    @pytest.mark.parametrize("name", list(_FRAME_ENTRY_POINTS))
+    def test_frame_of_another_complex_is_rejected(self, name):
+        call = _FRAME_ENTRY_POINTS[name]
+        c2, _ = gen_elementary(1, 0, 2.0)
+        c3, g3 = gen_elementary(1, 0, 3.0)
+        with pytest.raises(ValidationError, match="frame"):
+            call(c3, g3, cohomology_frame(c2))
+        call(c3, g3, cohomology_frame(c3))
+
+    @pytest.mark.parametrize("name", list(_FRAME_ENTRY_POINTS))
+    @pytest.mark.parametrize("with_frame", [False, True])
+    def test_chirality_of_another_shape_is_rejected(self, name, with_frame):
+        call = _FRAME_ENTRY_POINTS[name]
+        c, _ = gen_random(1, 1, {"blocks": [(0, 2.0), (0, 3.0)],
+                                 "harmonic": []})
+        _, g = gen_elementary(1, 0, 2.0)
+        fr = cohomology_frame(c) if with_frame else None
+        with pytest.raises(ValidationError, match=r"^Gamma_0 has shape "
+                                                  r"\(1, 1\), expected "
+                                                  r"\(2, 2\)$"):
+            call(c, g, fr)
 
 
 class TestSpectralSplit:
@@ -174,13 +274,14 @@ class TestSpectralSplit:
         calls = count_factorizations()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SpectralBoundaryError, match=r"^degree 1: "):
-                _split_degree(_bsq_block(c, g, 1), 0.0, 1)
+                _split_degree(_bsq(_b_blocks(c, g), 1), 0.0, 1)
         assert calls.log == []
 
 
 def _spectral_radius(c, g):
     """max |spec(B^2)| over all degrees."""
-    return max(float(np.abs(np.linalg.eigvals(_bsq_block(c, g, j))).max())
+    b = _b_blocks(c, g)
+    return max(float(np.abs(np.linalg.eigvals(_bsq(b, j))).max())
                for j in range(c.d + 1) if c.dims.dims[j])
 
 
@@ -313,6 +414,23 @@ class TestFactorizationCounts:
     """One SVD per differential, shared by the frame and the +/- split, no
     QR of an empty or a whole-degree basis, and each complex factorized once
     per call."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_no_restriction_through_an_empty_basis(self, count_factorizations,
+                                                   d, acyclic):
+        # an empty source or target basis gives an empty block directly
+        c, g = _instance(7, d, acyclic)
+        fr = cohomology_frame(c)
+        calls = count_factorizations()
+        for lam in (0.0, _mid_gap_level(c, g), 2.0 * _spectral_radius(c, g)):
+            torsion_via_split(c, g, lam, fr)
+            graded_det_via_xi_eta(c, g, lam)
+        if acyclic:
+            graded_det_finite(c, g, fr)
+        shapes = calls.shapes("restrict")
+        assert shapes
+        assert all(0 not in basis + image for basis, image in shapes)
 
     def test_graded_det_d1_is_one_svd(self, count_factorizations):
         c, g = _instance(6, 1, acyclic=True)
@@ -464,16 +582,6 @@ class TestFactorizationCounts:
             _split_degree(bsq, 2.5, 0)
 
 
-def _normal_block(spectrum, seed=3):
-    """Q diag(spectrum) Q^H for a random unitary Q: its singular values are
-    the moduli of its eigenvalues."""
-    n = len(spectrum)
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))[0]
-    return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
-
-
 class TestSplitCertificate:
     """sigma_min <= |mu| <= sigma_max settles an empty split side without
     eigenvalues; whatever the bounds leave open goes to the eigenvalue
@@ -491,7 +599,7 @@ class TestSplitCertificate:
     ])
     def test_normal_block(self, count_factorizations, spectrum, lam, k,
                           certified):
-        bsq = _normal_block(spectrum)
+        bsq = normal_matrix(spectrum)
         calls = count_factorizations()
         small, large = _split_degree(bsq, lam, 0)
         assert (small.shape[1], large.shape[1]) == (k, len(spectrum) - k)
@@ -511,7 +619,7 @@ class TestSplitCertificate:
         # level it cannot clear is one the eigenvalues reject
         calls = count_factorizations()
         with pytest.raises(SpectralBoundaryError, match="cluster"):
-            _split_degree(_normal_block(spectrum), 2.0, 0)
+            _split_degree(normal_matrix(spectrum), 2.0, 0)
         assert calls["eigvals"] == 1
 
     @pytest.mark.parametrize("mu, lam", [(1e-4, 0.0), (2.5, 2.0)])
@@ -727,6 +835,25 @@ class TestLogDetCut:
         np.testing.assert_allclose(new[1], old[1], rtol=0, atol=1e-12)
 
 
+class TestNonFiniteSpectrum:
+    """A NaN or infinity would make the zero cut non-finite and count every
+    value as zero, so the spectral helpers reject it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: eta_finite([1.0, math.inf, -2.0]),
+        lambda: eta_finite(np.diag([1.0, math.nan])),
+        lambda: log_det_cut([1.0, math.nan], -math.pi / 4),
+        lambda: log_det_cut(np.array([[1.0, math.inf], [0.0, 1.0]]),
+                            -math.pi / 4),
+        lambda: det_eta_check([math.nan, 1.0], -math.pi / 4),
+        lambda: pick_agmon_angle([1.0, complex(0.0, math.inf)]),
+    ], ids=["eta-vector", "eta-matrix", "ldet-vector", "ldet-matrix",
+            "det-eta", "agmon"])
+    def test_is_rejected(self, call):
+        with pytest.raises(ValidationError, match="not finite"):
+            call()
+
+
 class TestEta:
     def test_hand_examples(self):
         e = eta_finite(np.diag([1.0, -2.0, 3.0j]))
@@ -763,6 +890,7 @@ def _xi_eta_by_degree(c, g, lam):
     large = spectral_split(c, g, lam).large
     cl, gl = large.complex, large.chirality
     d = cl.d
+    b = _b_blocks(cl, gl)
     plus, minus = plus_minus_split(cl, gl)
     num, den = _even_blocks(cl, gl, plus, minus)
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
@@ -772,7 +900,7 @@ def _xi_eta_by_degree(c, g, lam):
     for j in range(d):
         p = plus[j]
         if p.shape[1]:
-            gd_sq = _gd_block(cl, gl, d - j - 1) @ _gd_block(cl, gl, j)
+            gd_sq = b[j, d - j - 1] @ b[d - j - 1, j]
             rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
             xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
     return cmath.exp(xi - 1j * math.pi * eta_finite(eigs).eta

@@ -1,5 +1,7 @@
 """Unit tests for chirality operators and refined torsion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,9 @@ class TestVariation:
         c, g = _instance(8, 3, acyclic=False)
         with pytest.raises(ValidationError):
             variation_check(c, lambda t: g, 0.0)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, h):
+        c, g = _instance(7, 3, acyclic=True)
+        with pytest.raises(ValidationError, match="step h"):
+            variation_check(c, _gamma_family(c, g, 99), 0.1, h=h)
