@@ -13,7 +13,9 @@ B_0 .. B_24: the Euler-Maclaurin continuation of the Hurwitz series, and
 log Gamma as Stirling's series at q + 7 shifted back by the recurrence
 Gamma(q + 1) = q Gamma(q).  The branch angle obeys the finite model's
 Agmon rule on a and a - 1, which carry the arguments nearest the sector
-edges over all n in Z: exact, with no truncation.
+edges over all n in Z: exact, with no truncation.  Spectra are Python
+lists of complex, as in signature, where numpy only factorizes matrices;
+this model has none, and imports no numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SpectralBoundaryError, ValidationError
-from .signature import _agmon_bound, eta_finite, log_det_cut, pick_agmon_angle
+from .signature import _agmon_bound, _agmon_midpoint, eta_finite, log_det_cut
 
 __all__ = [
     "CircleModel",
@@ -141,22 +141,22 @@ def eta_circle(m: CircleModel) -> complex:
 
 def _agmon_angle(m: CircleModel, theta: float | None) -> float:
     """theta when it is an Agmon angle of the spectrum {n + a}; when None,
-    the finite model's pick.  Over n in Z the arguments nearest the sector
-    edges belong to n = 0 and n = -1, so the rule on a and a - 1 is exact.
-    theta must lie in the admissible arc (-pi/2, bound) at least _CUT_TOL
-    from either end, measured on the squares (the cut is 2 theta); if not,
-    SpectralBoundaryError names the n that sets bound, and the margin."""
+    pick_agmon_angle's midpoint of the admissible arc (-pi/2, bound).  Over
+    n in Z the arguments nearest the sector edges belong to n = 0 and
+    n = -1, so bound, the lower of their two, is exact.  theta must lie in
+    the arc at least _CUT_TOL from either end, measured on the squares (the
+    cut is 2 theta); if not, SpectralBoundaryError names n and the margin."""
+    b0, b1 = _agmon_bound([m.a]), _agmon_bound([m.a - 1.0])
+    n, bound = (0, b0) if b0 <= b1 else (-1, b1)
     if theta is None:
-        theta = pick_agmon_angle([m.a, m.a - 1.0])
+        theta = _agmon_midpoint(bound)
     if not -math.pi / 2 < theta < 0.0:
         raise ValidationError("branch angle must lie in (-pi/2, 0)")
-    bounds = {n: _agmon_bound([n + m.a]) for n in (0, -1)}
-    n = min(bounds, key=bounds.get)
-    margin = 2.0 * min(bounds[n] - theta, theta + math.pi / 2)
+    margin = 2.0 * min(bound - theta, theta + math.pi / 2)
     if not margin >= _CUT_TOL:
         raise SpectralBoundaryError(
             f"theta {theta:.17g} is not an Agmon angle clear of the sector "
-            f"edges: the admissible arc is (-pi/2, {bounds[n]:.17g}), set by "
+            f"edges: the admissible arc is (-pi/2, {bound:.17g}), set by "
             f"n={n}; sector margin {margin:.3g} < tolerance {_CUT_TOL:g}")
     return theta
 
@@ -269,8 +269,8 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
     xi = xi_lam = xi_circle(m, theta)
     for z in small:
-        xi_lam -= 0.5 * log_det_cut(np.array([z ** 2]), 2.0 * theta)
-    eta_lam = eta_circle(m) - eta_finite(np.array(small)).eta
+        xi_lam -= 0.5 * log_det_cut([z * z], 2.0 * theta)
+    eta_lam = eta_circle(m) - eta_finite(small).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))
     det_small = math.prod(small, start=1.0 + 0.0j)

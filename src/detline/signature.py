@@ -3,32 +3,32 @@
 For a complex (C, d) with chirality Gamma the signature operator is
 B = Gamma d + d Gamma.  Its square preserves degrees, which allows splitting
 the complex along the spectrum of B^2, and the graded determinant of the even
-part of B recovers the refined torsion.  Log-determinants are taken along a
-chosen branch cut (an Agmon angle) and combine with the finite-dimensional
-eta invariant.  A call forms B once, as a table of its nonzero degree blocks
-Gamma_{j+1} d_j : C^j -> C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1},
-and reads B_even, B_odd, each B^2_j = sum_t B[j, t] B[t, j] and the +/-
-blocks off it.
+part of B recovers the refined torsion.  Log-determinants along a branch cut
+(an Agmon angle) and the finite-dimensional eta invariant take a spectrum as
+a Python list of complex; numpy only factorizes matrices.  A call forms B
+once, as a table of its nonzero degree blocks Gamma_{j+1} d_j : C^j ->
+C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and reads B_even, B_odd,
+each B^2_j = sum_t B[j, t] B[t, j] and the +/- blocks off it.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
 (by QR), and the +/- independence test reads principal angles off the
 unitary frame.  B_even on the even + and - subspaces, restricted one table
-block at a time, gives the graded determinant and, through its spectra,
-eta and xi (whose squares are the spectra of (Gamma d)^2 on the + subspaces);
-a side whose bases fill the even part is that whole space, so its block is
-+-B_even as it stands and the other side's is empty.  Gamma commutes with B,
-so a split decides each degree pair (j, d-j) in degree j from the spectrum
-of B^2 and carries the result to degree d-j by Gamma_j.  The singular
-values of B^2 bound the moduli of its eigenvalues, and settle a degree
-with one side empty; only a degree they leave open takes eigenvalues.
-When one side of a degree is empty the other is the whole degree, so
-nothing is factorized; a side that fills every degree is the complex
-itself, and a side empty in every degree is the zero complex.  Only a
-proper split factorizes, with numpy alone: the matrix disk function, the
-sign of a Cayley transform of B^2 by a scaled Newton iteration, gives the
-spectral projector onto the small part, and one SVD of it gives
-orthonormal bases of both parts.
+block at a time (the Gamma d blocks on C_+, the d Gamma blocks on C_-),
+gives the graded determinant and, through its spectra, eta and xi (whose
+squares are the spectra of (Gamma d)^2 on the + subspaces); a side whose
+bases fill the even part is that whole space, so its block is +-B_even as it
+stands and the other side's is empty.  Gamma commutes with B, so a split
+decides each degree pair (j, d-j) in degree j from the spectrum of B^2 and
+carries the result to degree d-j by Gamma_j.  The singular values of B^2
+bound the moduli of its eigenvalues, and settle a degree with one side
+empty; only a degree they leave open takes eigenvalues.  When one side of a
+degree is empty the other is the whole degree, so nothing is factorized; a
+side that fills every degree is the complex itself, and a side empty in
+every degree is the zero complex.  Only a proper split factorizes, with
+numpy alone: the matrix disk function, the sign of a Cayley transform of B^2
+by a scaled Newton iteration, gives the spectral projector onto the small
+part, and one SVD of it gives orthonormal bases of both parts.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _zero_cut, cohomology_frame)
+                        _zero_cut, cohomology_frame, phi)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
-from .torsion import (ChiralityOp, _frame_for, refined_torsion,
-                      validate_chirality)
+from .torsion import ChiralityOp, _c_gamma, _frame_for, validate_chirality
 
 __all__ = [
     "SignatureOp",
@@ -171,8 +170,13 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     P = C^j_+ and M = C^j_-, and the test reads
     sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.
     """
+    validate_chirality(c, g)
+    return _plus_minus(c, g, _frame_for(c, frame))
+
+
+def _plus_minus(c: CochainComplex, g: ChiralityOp, frame):
+    """plus_minus_split of a pair that fits, in c's own frame, unchecked."""
     d = c.d
-    frame = _frame_for(c, g, frame)
     minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
@@ -193,7 +197,8 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
 
 def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
     """B_even restricted to the even + subspaces, and -B_even restricted to
-    the even - subspaces, in the given bases, one block of B at a time.  A
+    the even - subspaces, in the given bases, one block of B at a time: B is
+    Gamma d (target d-s-1) on C_+ and d Gamma (target d-s+1) on C_-.  A
     side whose bases fill the even part is that whole space: its block is
     B_even (or -B_even) as it stands, and the other side's is empty."""
     blocks, n = _b_blocks(c, g, 0), c.dims.dims
@@ -203,11 +208,11 @@ def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
     if all(minus[j].shape[1] == n[j] for j in range(0, c.d + 1, 2)):
         return empty, -_assemble(blocks, n, 0)
 
-    def side(bases, what):
+    def side(bases, total, what):  # the blocks with t + s = total
         return _assemble({(t, s): _restricted(b, bases[s], bases[t], what)
-                          for (t, s), b in blocks.items()},
+                          for (t, s), b in blocks.items() if t + s == total},
                          [b.shape[1] for b in bases], 0)
-    return side(plus, "B+ even"), -side(minus, "B- even")
+    return side(plus, c.d - 1, "B+ even"), -side(minus, c.d + 1, "B- even")
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp,
@@ -215,7 +220,13 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
     part, computed in explicit bases of the +/- subspaces (read off frame,
     the cohomology frame of c, when given)."""
-    num, den = _even_blocks(c, g, *plus_minus_split(c, g, frame))
+    validate_chirality(c, g)
+    return _graded_det(c, g, _frame_for(c, frame))
+
+
+def _graded_det(c: CochainComplex, g: ChiralityOp, frame) -> complex:
+    """graded_det_finite of a pair that fits, in c's own frame, unchecked."""
+    num, den = _even_blocks(c, g, *_plus_minus(c, g, frame))
     # a singular + block gives 0, a singular - block 0 ** -1 = nan + nan i
     with np.errstate(divide="ignore", invalid="ignore"):
         value = alternating_det((den, num))
@@ -399,7 +410,7 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
     """Refined torsion computed through a spectral split at level lam:
     graded determinant of the large part times the torsion of the small part,
     mapped into the cohomology frame of the full complex."""
-    frame = _frame_for(c, g, frame)
+    frame = _frame_for(c, frame)
     return _torsion_from_split(spectral_split(c, g, lam), frame)[0]
 
 
@@ -408,43 +419,46 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     with the graded determinant of the large part and the refined torsion of
     the small part.  A part that is the complex itself shares frame."""
     large, small = split.large, split.small
-    det_large = graded_det_finite(
-        large.complex, large.chirality,
-        frame if large.complex is frame.complex else None)
-    small_frame = (frame if small.complex is frame.complex
-                   else cohomology_frame(small.complex))
+    large_frame, small_frame = (
+        frame if p.complex is frame.complex else cohomology_frame(p.complex)
+        for p in (large, small))
+    det_large = _graded_det(large.complex, large.chirality, large_frame)
     if small_frame.betti != frame.betti:
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
-    rho_small = refined_torsion(small.complex, small.chirality, small_frame)
+    rho_small = phi(_c_gamma(small.complex, small.chirality), small_frame)
     w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
                         for j, h in enumerate(small_frame.H))
     return (CohomologyElement(det_large * rho_small.coeff / w, frame),
             det_large, rho_small)
 
 
-def _eig_input(m) -> np.ndarray:
-    """Eigenvalues of a finite square matrix, or a vector of them as given."""
+def _eig_input(m) -> list:
+    """Eigenvalues of a finite square matrix, or a spectrum given as a flat
+    list or tuple or as an array of another shape, as a list of complex."""
+    if isinstance(m, (list, tuple)) and not (m and hasattr(m[0], "__len__")):
+        return [complex(z) for z in m]
     a = np.asarray(m, dtype=complex)
-    if a.ndim == 2:
-        if a.shape[0] != a.shape[1]:
-            raise ValidationError("matrix must be square")
-        if a.shape[0] == 0:
-            return np.zeros(0, dtype=complex)
-        if not np.isfinite(a).all():
-            raise ValidationError("matrix is not finite")
-        return np.linalg.eigvals(a)
-    return a.ravel()
+    if a.ndim != 2:
+        return a.ravel().tolist()
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix is not finite")
+    return np.linalg.eigvals(a).tolist() if a.size else []
 
 
-def _split_zero(eigs: np.ndarray):
+def _split_zero(eigs: list):
     """Nonzero eigenvalues and the count of zero ones of a finite spectrum."""
-    mods = np.abs(eigs)
-    top = float(mods.max(initial=0.0))
-    if not math.isfinite(top):  # NaN too
+    if not all(map(cmath.isfinite, eigs)):
         raise ValidationError("spectrum is not finite")
-    nonzero = eigs[mods > _zero_cut(top)]
-    return nonzero, int(eigs.size - nonzero.size)
+    try:
+        mods = [abs(z) for z in eigs]
+    except OverflowError:  # a finite value whose modulus overflows
+        raise ValidationError("spectrum is not finite") from None
+    cut = _zero_cut(max(mods, default=0.0))
+    nonzero = [z for z, r in zip(eigs, mods) if r > cut]
+    return nonzero, len(eigs) - len(nonzero)
 
 
 def _arg_in_window(z: complex, theta: float) -> float:
@@ -457,9 +471,9 @@ def log_det_cut(m, theta: float) -> complex:
     """Log-determinant over the nonzero spectrum with the branch cut along
     the ray of angle theta: sum of log|z| + i arg(z), arg in (theta, theta+2pi).
 
-    Accepts a square matrix or a vector of eigenvalues.  Raises
-    ValidationError for a non-finite theta and SpectralBoundaryError when an
-    eigenvalue sits on the cut.
+    Accepts a square matrix, or its eigenvalues as a list, tuple or array of
+    another shape.  Raises ValidationError for a non-finite theta and
+    SpectralBoundaryError when an eigenvalue sits on the cut.
     """
     if not math.isfinite(theta):
         raise ValidationError("branch angle must be finite")
@@ -487,20 +501,11 @@ def eta_finite(m) -> EtaData:
     """Finite-dimensional eta invariant of a spectrum:
     (asymmetry + m_plus - m_minus + m_zero) / 2, where m_plus / m_minus count
     eigenvalues on the positive / negative imaginary axis."""
-    eigs = _eig_input(m)
-    nonzero, m_zero = _split_zero(eigs)
-    pos = neg = m_plus = m_minus = 0
-    for z in nonzero:
-        if abs(z.real) <= _RAY_TOL * abs(z):
-            if z.imag > 0:
-                m_plus += 1
-            else:
-                m_minus += 1
-        elif z.real > 0:
-            pos += 1
-        else:
-            neg += 1
-    asym = pos - neg
+    nonzero, m_zero = _split_zero(_eig_input(m))
+    axis = [z.imag > 0 for z in nonzero if abs(z.real) <= _RAY_TOL * abs(z)]
+    m_plus, m_minus = sum(axis), len(axis) - sum(axis)
+    asym = sum(1 if z.real > 0 else -1 for z in nonzero
+               if abs(z.real) > _RAY_TOL * abs(z))
     return EtaData((asym + m_plus - m_minus + m_zero) / 2.0,
                    asym, m_plus, m_minus, m_zero)
 
@@ -516,10 +521,9 @@ def det_eta_check(m, theta: float) -> float:
     """
     eigs = _eig_input(m)
     lhs = log_det_cut(eigs, theta)
-    nonzero, m_zero = _split_zero(eigs)
-    half = 0.5 * log_det_cut(nonzero ** 2, 2 * theta)
-    eta = eta_finite(eigs)
-    rhs = half - 1j * math.pi * (eta.eta - (nonzero.size + m_zero) / 2.0)
+    # the zero cut of the squares drops the squares of the zero eigenvalues
+    half = 0.5 * log_det_cut([z * z for z in eigs], 2 * theta)
+    rhs = half - 1j * math.pi * (eta_finite(eigs).eta - len(eigs) / 2.0)
     return abs(lhs - rhs)
 
 
@@ -527,22 +531,24 @@ def _agmon_bound(eigs) -> float:
     """Upper end of the Agmon angles theta in (-pi/2, 0) of nonzero eigs: no
     z may lie in the sectors (-pi/2, theta] and (pi/2, theta + pi]."""
     bound = 0.0
-    for z in eigs:
-        a = cmath.phase(z)  # (-pi, pi]
-        for cand in (a, a - math.pi):
-            if -math.pi / 2 < cand < bound:
-                bound = cand
+    for a in map(cmath.phase, eigs):  # (-pi, pi]: only a or a - pi can fit
+        a = a - math.pi if a > 0 else a
+        if -math.pi / 2 < a < bound:
+            bound = a
     return bound
+
+
+def _agmon_midpoint(bound: float) -> float:
+    """Midpoint of the admissible arc (-pi/2, bound), at least 1e-8 wide."""
+    if bound + math.pi / 2 < 1e-8:
+        raise SpectralBoundaryError("no admissible branch angle in (-pi/2, 0)")
+    return (bound - math.pi / 2) / 2.0
 
 
 def pick_agmon_angle(m) -> float:
     """Deterministic Agmon angle in (-pi/2, 0) for the det/eta identities:
     the midpoint of the admissible arc (-pi/2, _agmon_bound)."""
-    bound = _agmon_bound(_split_zero(_eig_input(m))[0])
-    if bound + math.pi / 2 < 1e-8:
-        raise SpectralBoundaryError(
-            "no admissible branch angle in (-pi/2, 0)")
-    return (bound - math.pi / 2) / 2.0
+    return _agmon_midpoint(_agmon_bound(_split_zero(_eig_input(m))[0]))
 
 
 def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
@@ -564,14 +570,14 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     """
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    num, den = _even_blocks(cl, gl, *plus_minus_split(cl, gl))
+    num, den = _even_blocks(cl, gl, *_plus_minus(cl, gl, cohomology_frame(cl)))
     eig_num, eig_den = _eig_input(num), _eig_input(den)
     # spec(B_even) is the union of its spectra on the + and - subspaces
-    eigs = np.concatenate([eig_num, -eig_den])
+    eigs = eig_num + [-z for z in eig_den]
     if theta is None:
         theta = pick_agmon_angle(eigs)
-    xi = 0.5 * (log_det_cut(eig_num ** 2, 2 * theta)
-                - log_det_cut(eig_den ** 2, 2 * theta))
+    xi = 0.5 * (log_det_cut([z * z for z in eig_num], 2 * theta)
+                - log_det_cut([z * z for z in eig_den], 2 * theta))
     eta = eta_finite(eigs).eta
     return complex(cmath.exp(xi - 1j * math.pi * eta
                              + 1j * math.pi * (len(num) - len(den)) / 2.0))

@@ -99,16 +99,20 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
     coefficient (-1)^R prod_{j<r} det(Gamma_j)^{(-1)^{j+1}}.
     """
     validate_chirality(c, g)
+    return _c_gamma(c, g)
+
+
+def _c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
+    """c_gamma of a pair that fits, unchecked."""
     r = (c.d + 1) // 2
     coeff = alternating_det(g.gamma[:r])
     return DetElement(-coeff if sign_R(c) else coeff, c.dims)
 
 
-def _frame_for(c: CochainComplex, g: ChiralityOp,
+def _frame_for(c: CochainComplex,
                frame: CohomologyFrame | None) -> CohomologyFrame:
     """The cohomology frame of c: frame when given, which must be c's own,
-    or a new one; g is checked to fit c first."""
-    validate_chirality(c, g)
+    or a new one."""
     if frame is None:
         return cohomology_frame(c)
     if frame.complex is not c:
@@ -119,8 +123,7 @@ def _frame_for(c: CochainComplex, g: ChiralityOp,
 def refined_torsion(c: CochainComplex, g: ChiralityOp,
                     frame: CohomologyFrame | None = None) -> CohomologyElement:
     """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line."""
-    frame = _frame_for(c, g, frame)
-    return phi(c_gamma(c, g), frame)
+    return phi(c_gamma(c, g), _frame_for(c, frame))
 
 
 def torsion_norm(c: CochainComplex, g: ChiralityOp) -> float:

@@ -316,12 +316,33 @@ class TestCutTest:
             rho_an_circle(CircleModel(0.3), theta)
 
     def test_default_angle_is_the_finite_models_pick(self):
-        for a in (0.3, 0.15 - 0.25j, 0.3 + 0.8j, 0.6 + 40j):
+        # near the sector edges too: Re a near 0 or 1, |Im a| up to where
+        # the arc closes (below 1e-8 wide past |Im a| ~ 1e8)
+        grid = [complex(re, im)
+                for re in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.71, 0.999, 1 - 1e-6)
+                for im in (0.0, 1e-9, -1e-9, 0.25, -0.8, 40.0, -3e3, 1e6,
+                           -5e7, 3e8)]
+        for a in grid + [0.15 - 0.25j, 0.3 + 0.8j, 0.6 + 40j]:
             m = CircleModel(a)
-            assert _agmon_angle(m, None) == pick_agmon_angle(
-                np.array([m.a, m.a - 1.0]))
+            for spectrum in ([m.a, m.a - 1.0], np.array([m.a, m.a - 1.0])):
+                try:
+                    want = pick_agmon_angle(spectrum)
+                except SpectralBoundaryError as exc:
+                    with pytest.raises(SpectralBoundaryError) as got:
+                        _agmon_angle(m, None)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert _agmon_angle(m, None) == want
         # on the real axis it is the midpoint of the whole arc
         assert _agmon_angle(CircleModel(0.3), None) == -math.pi / 4
+
+    def test_a_tiny_exponent_is_not_a_zero_eigenvalue(self):
+        # pick_agmon_angle counts |a| <= 1e-8 |a - 1| as zero and drops it;
+        # the model's a is never zero, so its sector still bounds the arc
+        m = CircleModel(1e-9 - 1e-9j)
+        assert pick_agmon_angle([m.a, m.a - 1.0]) == -math.pi / 4
+        assert _agmon_angle(m, None) == (-math.pi / 4 - math.pi / 2) / 2
+        assert abs(rho_an_circle(m) / rho_an_closed(m) - 1) <= 1e-8
 
     def test_no_admissible_angle_far_up_the_line(self):
         # at |Im a| = 1e9 the arc left by a (or a - 1) is below 1e-8 wide

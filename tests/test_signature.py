@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import detline.signature as signature_mod
+import detline.torsion as torsion_mod
 from detline import (
     ChiralityOp,
     CircleModel,
@@ -17,6 +18,7 @@ from detline import (
     SpectralBoundaryError,
     ValidationError,
     build_signature,
+    c_gamma,
     cohomology_frame,
     det_eta_check,
     dual_torsion_check,
@@ -36,8 +38,8 @@ from detline import (
 )
 from detline.complexes import _zero_cut
 from detline.selftest import _instance
-from detline.signature import (_b_blocks, _bsq, _even_blocks, _restrict,
-                               _split_degree)
+from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _even_blocks,
+                               _restrict, _split_degree)
 
 from conftest import normal_matrix
 
@@ -332,6 +334,89 @@ class TestValidateOnce:
         checks = count_validations()
         dual_torsion_check(c, g)
         assert checks == {"d.d": 1, "gamma^2": 1}
+
+
+class TestChiralityCheckedOnce:
+    """Each public entry point checks that the chirality fits its complex
+    exactly once; the split parts it builds fit by construction and the
+    calls on them are not checked again."""
+
+    @pytest.mark.parametrize("name", ["refined_torsion", "torsion_via_split",
+                                      "c_gamma", "spectral_split"])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_one_check_per_call(self, monkeypatch, name, d, acyclic):
+        c, g = _instance(30 + d, d, acyclic)
+        fr = cohomology_frame(c)
+        mid = _mid_gap_level(c, g)
+        calls = {
+            "refined_torsion": [lambda: refined_torsion(c, g),
+                                lambda: refined_torsion(c, g, fr)],
+            "torsion_via_split": [lambda: torsion_via_split(c, g, 0.0),
+                                  lambda: torsion_via_split(c, g, mid, fr)],
+            "c_gamma": [lambda: c_gamma(c, g)],
+            "spectral_split": [lambda: spectral_split(c, g, 0.0),
+                               lambda: spectral_split(c, g, mid)],
+        }[name]
+        seen = []
+        orig = torsion_mod.validate_chirality
+
+        def spy(cc, gg):
+            seen.append((cc, gg))
+            return orig(cc, gg)
+        for module in (torsion_mod, signature_mod):
+            monkeypatch.setattr(module, "validate_chirality", spy)
+        for call in calls:
+            seen.clear()
+            call()
+            assert len(seen) == 1
+            assert seen[0][0] is c and seen[0][1] is g
+
+
+class TestEvenBlockSides:
+    """On C_+ = ker(d Gamma) B is Gamma d and on C_- = ker(d) it is d Gamma,
+    so _even_blocks restricts only those blocks; each block it leaves out
+    maps its side to zero."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_dropped_blocks_vanish_on_their_side(self, d, acyclic):
+        proper = 0
+        for seed in range(4):
+            c, g = _instance(100 + 10 * seed + d, d, acyclic)
+            # the parts _even_blocks sees: the large part of a split at 0
+            # (acyclic) and at mid-gap
+            for lam in (0.0, _mid_gap_level(c, g)):
+                large = spectral_split(c, g, lam).large
+                cl, gl = large.complex, large.chirality
+                plus, minus = plus_minus_split(cl, gl)
+                for (t, s), b in _b_blocks(cl, gl, 0).items():
+                    side = plus if t + s == d + 1 else minus
+                    image = b @ side[s]
+                    if image.size:
+                        proper += 1
+                        scale = max(1.0, float(np.abs(b).max()))
+                        assert float(np.abs(image).max()) <= 1e-10 * scale
+        # at d = 1 the one even source degree, 0, has no d Gamma block and
+        # the Gamma d block meets C^0_- = 0 of an acyclic part
+        assert proper if d > 1 else proper == 0
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_each_side_restricts_only_its_blocks(self, monkeypatch, d):
+        c, g = _instance(100, d, acyclic=True)
+        plus, minus = plus_minus_split(c, g)
+        keys = list(_b_blocks(c, g, 0))
+        seen = []
+        orig = signature_mod._restricted
+
+        def spy(op, source, target, what):
+            seen.append(what)
+            return orig(op, source, target, what)
+        monkeypatch.setattr(signature_mod, "_restricted", spy)
+        num, den = _even_blocks(c, g, plus, minus)
+        assert num.size and den.size  # neither side is the whole even part
+        assert seen.count("B+ even") == sum(t + s == d - 1 for t, s in keys)
+        assert seen.count("B- even") == sum(t + s == d + 1 for t, s in keys)
 
 
 class TestSplitStructure:
@@ -852,6 +937,84 @@ class TestNonFiniteSpectrum:
     def test_is_rejected(self, call):
         with pytest.raises(ValidationError, match="not finite"):
             call()
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the type and message of the error it
+    raises."""
+    try:
+        return call(*args)
+    except (ValidationError, SpectralBoundaryError) as exc:
+        return type(exc), str(exc)
+
+
+# a spectrum with zeros, points on and within _RAY_TOL of the imaginary axis
+# and points within _RAY_TOL of the cuts at -pi/4 and 3 pi/4
+_LIST_SPECTRA = {
+    "mixed": [2.0, -3.0 + 1.0j, 0.5j, -0.25j, 0.0, 1e-14, -1.0, 3],
+    "axis": [cmath.rect(1.5, math.pi / 2 - 0.5 * _RAY_TOL),
+             cmath.rect(0.7, -math.pi / 2 + 0.5 * _RAY_TOL), 2.0j, 1.0],
+    "near-cut": [cmath.rect(1.2, -math.pi / 4 + 0.5 * _RAY_TOL),
+                 cmath.rect(0.9, 3 * math.pi / 4 - 0.5 * _RAY_TOL), 2.0],
+    "zeros": [0.0, 0j, 1e-13],
+}
+
+
+class TestListPath:
+    """A spectrum is a list of complex: a list, a tuple and a 1-D array of
+    the same values, and a 0-D array of one value, give the same results."""
+
+    @staticmethod
+    def _results(spectrum):
+        out = [_outcome(eta_finite, spectrum),
+               _outcome(pick_agmon_angle, spectrum)]
+        out += [_outcome(log_det_cut, spectrum, theta)
+                for theta in (-math.pi / 4, 0.75 * math.pi, -1.0)]
+        return out
+
+    @pytest.mark.parametrize("name", list(_LIST_SPECTRA))
+    def test_forms_agree(self, name):
+        eigs = _LIST_SPECTRA[name]
+        want = self._results(list(eigs))
+        for form in (tuple(eigs), np.array(eigs), np.array(eigs, dtype=complex)):
+            assert self._results(form) == want
+        for z in eigs:
+            assert self._results(np.array(z)) == self._results([z])
+            assert self._results((z,)) == self._results([z])
+
+    def test_near_cut_points_are_boundaries(self):
+        eigs = _LIST_SPECTRA["near-cut"]
+        for e, theta in ((eigs[:1], -math.pi / 4), (eigs[1:2], 0.75 * math.pi)):
+            with pytest.raises(SpectralBoundaryError, match="branch cut"):
+                log_det_cut(e, theta)
+        e = eta_finite(_LIST_SPECTRA["axis"])
+        assert (e.m_plus, e.m_minus, e.asymmetry) == (2, 1, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                     complex(math.nan, 1.0)])
+    @pytest.mark.parametrize("pos", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_non_finite_anywhere_is_rejected(self, bad, pos):
+        eigs = [1.0, -2.0, 3.0j, 0.5, 4.0]
+        eigs[pos] = bad
+        for call in (eta_finite, pick_agmon_angle,
+                     lambda e: log_det_cut(e, -math.pi / 4),
+                     lambda e: det_eta_check(e, -math.pi / 4)):
+            with pytest.raises(ValidationError, match="not finite"):
+                call(eigs)
+
+    def test_modulus_past_the_float_range_is_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            eta_finite([1.0, complex(1.5e308, 1.5e308)])
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0),
+                                       np.zeros((0, 0))],
+                             ids=["list", "tuple", "vector", "matrix"])
+    def test_empty_spectrum(self, empty):
+        assert log_det_cut(empty, -1.0) == 0
+        e = eta_finite(empty)
+        assert (e.eta, e.asymmetry, e.m_plus, e.m_minus, e.m_zero) == (
+            0.0, 0, 0, 0, 0)
+        assert pick_agmon_angle(empty) == -math.pi / 4
 
 
 class TestEta:

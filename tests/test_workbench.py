@@ -306,7 +306,9 @@ class TestCli:
             for j in range(c.d + 1) if c.dims.dims[j])
         rho = refined_torsion(c, g).coeff
         via = torsion_via_split(c, g, lam).coeff
-        calls = {"phi": 0, "c_gamma": 0}
+        # c_gamma checks its pair and builds through _c_gamma, which the
+        # split calls unchecked on its parts: count the builds
+        calls = {"phi": 0, "_c_gamma": 0}
         for mod in (detline.cli, detline.signature, detline.torsion):
             for name in calls:
                 if hasattr(mod, name):
@@ -319,7 +321,7 @@ class TestCli:
         assert main(["split", str(path), f"--lambda={lam!r}"]) == 0
         text = capsys.readouterr().out
         out = json.loads(text)
-        assert calls == {"phi": 1, "c_gamma": 1}
+        assert calls == {"phi": 1, "_c_gamma": 1}
         assert out["d_large"] == [0] * (c.d + 1)
         assert out["refined_torsion"] == [rho.real, rho.imag]
         assert out["torsion_via_split"] == [via.real, via.imag]
