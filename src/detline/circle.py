@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SpectralBoundaryError, ValidationError
-from .signature import _agmon_bound, _agmon_midpoint, eta_finite, log_det_cut
+from .signature import _agmon_bound, _agmon_midpoint, _eta, _log_det
 
 __all__ = [
     "CircleModel",
@@ -261,7 +261,8 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     the phase -i pi/2 per removed eigenvalue (the zeta value at zero of the
     truncated spectrum drops by one for each removed point).  The removed n
     satisfy -k - 1 <= n <= k; one more on each side guards rounding.  theta
-    as in xi, and the finite part's log-determinants take its cut."""
+    as in xi, and the finite part's log-determinants take its cut.  No n + a
+    is zero, so the finite part's values are all taken as nonzero."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
     theta = _agmon_angle(m, theta)
@@ -269,8 +270,8 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
     xi = xi_lam = xi_circle(m, theta)
     for z in small:
-        xi_lam -= 0.5 * log_det_cut([z * z], 2.0 * theta)
-    eta_lam = eta_circle(m) - eta_finite(small).eta
+        xi_lam -= 0.5 * _log_det([z * z], 2.0 * theta)
+    eta_lam = eta_circle(m) - _eta(small, 0).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))
     det_small = math.prod(small, start=1.0 + 0.0j)

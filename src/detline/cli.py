@@ -22,7 +22,7 @@ from . import circle as ci
 from .complexes import cohomology_frame, phi, sign_N
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import sign_M
-from .selftest import TOL, run_selftest
+from .selftest import _SPLIT_TOL, run_selftest
 from .signature import _torsion_from_split, graded_det_finite, spectral_split
 from .torsion import c_gamma, refined_torsion, sign_R
 from .workbench import deserialize_document
@@ -87,8 +87,8 @@ def _cmd_split(args) -> dict:
         "torsion_via_split": _pair(via.coeff),
         "refined_torsion": _pair(rho.coeff),
         "consistency_residual": residual,
-        "tolerance": TOL,
-        "consistent": bool(residual <= TOL * 10),
+        "tolerance": _SPLIT_TOL,
+        "consistent": bool(residual <= _SPLIT_TOL),
     }
     print(f"split at lambda={args.lam}: small dims {out['d_small']}, "
           f"residual {residual:.2e}", file=sys.stderr)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .gradedlinalg import (DetElement, GradedDims, _duality_parity,
-                           alternating_det, sign_M)
+from .gradedlinalg import (DetElement, GradedDims, alternating_det,
+                           dual_graded, fuse)
 
 __all__ = [
     "RANK_RTOL",
@@ -205,11 +205,8 @@ def sign_N(frame: CohomologyFrame) -> int:
 
     This is the sign the canonical map ``phi`` carries.
     """
-    total = 0
-    for j, a in enumerate(frame.A):
-        k = a.shape[1]
-        total += (k * (k + (-1) ** (j + 1))) // 2
-    return total % 2
+    return sum(k * (k + (-1) ** (j + 1)) // 2
+               for j, k in enumerate(a.shape[1] for a in frame.A)) % 2
 
 
 @dataclass(frozen=True)
@@ -280,22 +277,18 @@ def alpha_cohomology(x: CohomologyElement,
                      frame_hat: CohomologyFrame) -> CohomologyElement:
     """Anti-linear duality on cohomology determinant lines.
 
-    Identifies H^j of the dual complex with the anti-dual of H^{d-j} through
-    the evaluation pairing of harmonic representatives, then applies the
-    graded duality map.  The result is expressed against the harmonic frame
-    of the dual complex.
+    Applies the graded duality map to the Betti grading, then identifies
+    H^j of the dual complex with the anti-dual of H^{d-j} through the
+    evaluation pairing of harmonic representatives, so that the result is
+    expressed against the harmonic frame of the dual complex.
     """
     frame = x.frame
-    d = frame.complex.d
+    d, betti = frame.complex.d, frame.betti
     if d % 2 == 0:
         raise ValidationError("duality on cohomology needs odd top degree")
-    betti = frame.betti
-    betti_hat = frame_hat.betti
-    if tuple(betti_hat) != tuple(betti[::-1]):
+    if frame_hat.betti != betti[::-1]:
         raise ValidationError("frames are not dual to each other")
-    coeff = complex(x.coeff).conjugate()
-    if _duality_parity(GradedDims(betti)):
-        coeff = -coeff
+    coeff = dual_graded(DetElement(x.coeff, GradedDims(betti))).coeff
     # pairing of degree-j dual harmonics against degree-(d-j) harmonics
     coeff *= alternating_det(frame_hat.H[j].T @ frame.H[d - j].conj()
                              for j in range(d + 1))
@@ -307,10 +300,10 @@ def fused_in_sum_frame(fr_a: CohomologyFrame, fr_b: CohomologyFrame,
                        frame_sum: CohomologyFrame) -> complex:
     """Fuse two cohomology determinant elements and express the result
     against the harmonic frame of the direct-sum complex (whose harmonic
-    spaces are the orthogonal direct sums of the summands')."""
-    coeff = coeff_a * coeff_b
-    if sign_M(GradedDims(fr_a.betti), GradedDims(fr_b.betti)):
-        coeff = -coeff
+    spaces are the orthogonal direct sums of the summands'): the graded
+    fusion of the Betti gradings, then a change of frame."""
+    coeff = fuse(DetElement(coeff_a, GradedDims(fr_a.betti)),
+                 DetElement(coeff_b, GradedDims(fr_b.betti))).coeff
     return coeff / alternating_det(
         h_sum.conj().T @ _block_diag([fr_a.H[j], fr_b.H[j]])
         for j, h_sum in enumerate(frame_sum.H))

@@ -99,17 +99,7 @@ def sign_M(v: GradedDims, w: GradedDims) -> int:
     """
     if v.d != w.d:
         raise ValueError("degree mismatch")
-    total = 0
-    for j in range(1, v.d + 1):
-        for k in range(j):
-            total += v.dims[j] * w.dims[k]
-    return total % 2
-
-
-def _duality_parity(v: GradedDims) -> int:
-    """Parity of M(V, V) + sum_{k even} dim V^k, the sign exponent of the
-    graded duality Det(V) -> Det(V^)."""
-    return (sign_M(v, v) + sum(v.dims[0::2])) % 2
+    return sum(v.dims[j] * sum(w.dims[:j]) for j in range(1, v.d + 1)) % 2
 
 
 def fuse(x: DetElement, y: DetElement) -> DetElement:
@@ -120,8 +110,9 @@ def fuse(x: DetElement, y: DetElement) -> DetElement:
     """
     if x.dualized != y.dualized:
         raise ValueError("cannot fuse an element with a dualized element")
-    sign = -1 if sign_M(x.dims, y.dims) else 1
-    return DetElement(sign * x.coeff * y.coeff, x.dims + y.dims, x.dualized)
+    coeff = x.coeff * y.coeff
+    return DetElement(-coeff if sign_M(x.dims, y.dims) else coeff,
+                      x.dims + y.dims, x.dualized)
 
 
 def invert(x: DetElement) -> DetElement:
@@ -166,6 +157,7 @@ def dual_graded(x: DetElement) -> DetElement:
     dims = x.dims
     if dims.d % 2 == 0:
         raise ValueError("graded duality needs odd top degree")
-    sign = -1 if _duality_parity(dims) else 1
-    return DetElement(sign * complex(x.coeff).conjugate(),
-                      dims.reversed(), not x.dualized)
+    coeff = complex(x.coeff).conjugate()
+    if (sign_M(dims, dims) + sum(dims.dims[0::2])) % 2:
+        coeff = -coeff
+    return DetElement(coeff, dims.reversed(), not x.dualized)

@@ -46,6 +46,7 @@ from .workbench import (chiral_direct_sum, deserialize_document, gen_random,
 __all__ = ["TOL", "run_selftest", "CHECKS"]
 
 TOL = 1e-9
+_SPLIT_TOL = 1e-8  # split-torsion-consistency, and the CLI split report
 
 
 def _rand_dims(rng, d, hi=4):
@@ -304,7 +305,7 @@ def check_split_consistency(cases, seed):
         for lam in _lambda_choices(c, g):
             v = torsion_via_split(c, g, lam, fr).coeff
             res.append(abs(v - rho) / abs(rho))
-    return _verdict(res, 1e-8, "relative residual")
+    return _verdict(res, _SPLIT_TOL, "relative residual")
 
 
 def check_large_part_acyclic(cases, seed):

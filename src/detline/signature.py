@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _zero_cut, cohomology_frame, phi)
+                        _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
-from .torsion import ChiralityOp, _c_gamma, _frame_for, validate_chirality
+from .torsion import (ChiralityOp, _frame_for, refined_torsion,
+                      validate_chirality)
 
 __all__ = [
     "SignatureOp",
@@ -171,12 +172,7 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.
     """
     validate_chirality(c, g)
-    return _plus_minus(c, g, _frame_for(c, frame))
-
-
-def _plus_minus(c: CochainComplex, g: ChiralityOp, frame):
-    """plus_minus_split of a pair that fits, in c's own frame, unchecked."""
-    d = c.d
+    frame, d = _frame_for(c, frame), c.d
     minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
@@ -220,13 +216,7 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
     part, computed in explicit bases of the +/- subspaces (read off frame,
     the cohomology frame of c, when given)."""
-    validate_chirality(c, g)
-    return _graded_det(c, g, _frame_for(c, frame))
-
-
-def _graded_det(c: CochainComplex, g: ChiralityOp, frame) -> complex:
-    """graded_det_finite of a pair that fits, in c's own frame, unchecked."""
-    num, den = _even_blocks(c, g, *_plus_minus(c, g, frame))
+    num, den = _even_blocks(c, g, *plus_minus_split(c, g, frame))
     # a singular + block gives 0, a singular - block 0 ** -1 = nan + nan i
     with np.errstate(divide="ignore", invalid="ignore"):
         value = alternating_det((den, num))
@@ -285,11 +275,13 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     singular values put the whole spectrum on one side of the cut, clear of
     the cluster margin, that side is all of C^j and the other is empty, as
     the eigenvalue rule would find.  Otherwise the eigenvalues decide how
-    many are small, k, and a proper split (0 < k < n) takes the disk split
-    at a level mu inside the gap they leave: lam itself when lam > 0.  At
-    lam = 0 it is half the smallest modulus outside the zero cluster, or
-    the geometric mean of that and the largest modulus inside when this is
-    larger; B^2 + mu then stays as well conditioned as the gap allows."""
+    many are small, k; at lam = 0 the zero cut is relative to the block's
+    own scale (sigma_max, then the largest modulus).  A proper split
+    (0 < k < n) takes the disk split at a level mu inside the gap they
+    leave: lam itself when lam > 0.  At lam = 0 it is half the smallest
+    modulus outside the zero cluster, or the geometric mean of that and the
+    largest modulus inside when this is larger; B^2 + mu then stays as well
+    conditioned as the gap allows."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
@@ -302,14 +294,14 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
         margin = _CLUSTER_RTOL * max(lam, 1.0, s_max)
         k = 0 if s_min - lam > margin else n if lam - s_max > margin else None
     else:
-        k = 0 if s_min > _zero_cut(max(1.0, s_max)) else None
+        k = 0 if s_min > _zero_cut(s_max) else None
     if k is None:
         mods = np.abs(np.linalg.eigvals(bsq))
-        scale = max(1.0, float(mods.max()))
-        cut = lam if lam > 0 else _zero_cut(scale)
+        top = float(mods.max())
+        cut = lam if lam > 0 else _zero_cut(top)
         if lam > 0:
             gap = np.min(np.abs(mods - lam))
-            if gap <= _CLUSTER_RTOL * max(lam, scale):
+            if gap <= _CLUSTER_RTOL * max(lam, 1.0, top):
                 raise SpectralBoundaryError(
                     f"degree {j}: split level {lam} inside an eigenvalue "
                     f"cluster (gap {gap:.3e})")
@@ -422,11 +414,11 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     large_frame, small_frame = (
         frame if p.complex is frame.complex else cohomology_frame(p.complex)
         for p in (large, small))
-    det_large = _graded_det(large.complex, large.chirality, large_frame)
+    det_large = graded_det_finite(large.complex, large.chirality, large_frame)
     if small_frame.betti != frame.betti:
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
-    rho_small = phi(_c_gamma(small.complex, small.chirality), small_frame)
+    rho_small = refined_torsion(small.complex, small.chirality, small_frame)
     w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
                         for j, h in enumerate(small_frame.H))
     return (CohomologyElement(det_large * rho_small.coeff / w, frame),
@@ -448,14 +440,19 @@ def _eig_input(m) -> list:
     return np.linalg.eigvals(a).tolist() if a.size else []
 
 
-def _split_zero(eigs: list):
-    """Nonzero eigenvalues and the count of zero ones of a finite spectrum."""
+def _moduli(eigs: list) -> list:
+    """Moduli of a spectrum whose values and moduli must all be finite."""
     if not all(map(cmath.isfinite, eigs)):
         raise ValidationError("spectrum is not finite")
     try:
-        mods = [abs(z) for z in eigs]
+        return [abs(z) for z in eigs]
     except OverflowError:  # a finite value whose modulus overflows
         raise ValidationError("spectrum is not finite") from None
+
+
+def _split_zero(eigs: list):
+    """Nonzero eigenvalues and the count of zero ones of a finite spectrum."""
+    mods = _moduli(eigs)
     cut = _zero_cut(max(mods, default=0.0))
     nonzero = [z for z, r in zip(eigs, mods) if r > cut]
     return nonzero, len(eigs) - len(nonzero)
@@ -475,16 +472,21 @@ def log_det_cut(m, theta: float) -> complex:
     another shape.  Raises ValidationError for a non-finite theta and
     SpectralBoundaryError when an eigenvalue sits on the cut.
     """
+    return _log_det(_split_zero(_eig_input(m))[0], theta)
+
+
+def _log_det(eigs: list, theta: float) -> complex:
+    """log_det_cut of a spectrum whose zero eigenvalues are already dropped;
+    an exact zero left in it lies on every cut."""
     if not math.isfinite(theta):
         raise ValidationError("branch angle must be finite")
-    eigs, _ = _split_zero(_eig_input(m))
     total = 0.0 + 0.0j
-    for z in eigs:
+    for z, r in zip(eigs, _moduli(eigs)):
         a = _arg_in_window(z, theta)
-        if min(a - theta, theta + 2 * math.pi - a) < _RAY_TOL:
+        if r == 0 or min(a - theta, theta + 2 * math.pi - a) < _RAY_TOL:
             raise SpectralBoundaryError(
                 f"eigenvalue {z} lies on the branch cut at angle {theta}")
-        total += math.log(abs(z)) + 1j * a
+        total += math.log(r) + 1j * a
     return complex(total)
 
 
@@ -501,7 +503,11 @@ def eta_finite(m) -> EtaData:
     """Finite-dimensional eta invariant of a spectrum:
     (asymmetry + m_plus - m_minus + m_zero) / 2, where m_plus / m_minus count
     eigenvalues on the positive / negative imaginary axis."""
-    nonzero, m_zero = _split_zero(_eig_input(m))
+    return _eta(*_split_zero(_eig_input(m)))
+
+
+def _eta(nonzero: list, m_zero: int) -> EtaData:
+    """eta_finite of the nonzero eigenvalues and the count of zero ones."""
     axis = [z.imag > 0 for z in nonzero if abs(z.real) <= _RAY_TOL * abs(z)]
     m_plus, m_minus = sum(axis), len(axis) - sum(axis)
     asym = sum(1 if z.real > 0 else -1 for z in nonzero
@@ -517,13 +523,14 @@ def det_eta_check(m, theta: float) -> float:
                         - i pi (eta(D) - (N_nonzero + m_zero) / 2),
 
     where N_nonzero counts nonzero eigenvalues of D^2 (the value of the
-    finite-dimensional zeta function of D^2 at zero).
+    finite-dimensional zeta function of D^2 at zero).  The zeros of D are
+    decided once; the nonzero spectrum of D^2 is their squares.
     """
-    eigs = _eig_input(m)
-    lhs = log_det_cut(eigs, theta)
-    # the zero cut of the squares drops the squares of the zero eigenvalues
-    half = 0.5 * log_det_cut([z * z for z in eigs], 2 * theta)
-    rhs = half - 1j * math.pi * (eta_finite(eigs).eta - len(eigs) / 2.0)
+    nonzero, m_zero = _split_zero(_eig_input(m))
+    lhs = _log_det(nonzero, theta)
+    half = 0.5 * _log_det([z * z for z in nonzero], 2 * theta)
+    rhs = half - 1j * math.pi * (_eta(nonzero, m_zero).eta
+                                 - (len(nonzero) + m_zero) / 2.0)
     return abs(lhs - rhs)
 
 
@@ -566,18 +573,19 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     the square of the + block of B_even; Gamma_j carries (Gamma d)^2 on an
     odd C^j_+ to (d Gamma)^2 on the even C^{d-j}_-, the square of the -
     block.  So xi = (1/2) (LDet_{2 theta}(spec(B+)^2) -
-    LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.
+    LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.  The
+    split decided the zeros, so every eigenvalue of the large part counts.
     """
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    num, den = _even_blocks(cl, gl, *_plus_minus(cl, gl, cohomology_frame(cl)))
+    num, den = _even_blocks(cl, gl, *plus_minus_split(cl, gl))
     eig_num, eig_den = _eig_input(num), _eig_input(den)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_num + [-z for z in eig_den]
     if theta is None:
-        theta = pick_agmon_angle(eigs)
-    xi = 0.5 * (log_det_cut([z * z for z in eig_num], 2 * theta)
-                - log_det_cut([z * z for z in eig_den], 2 * theta))
-    eta = eta_finite(eigs).eta
+        theta = _agmon_midpoint(_agmon_bound(eigs))
+    xi = 0.5 * (_log_det([z * z for z in eig_num], 2 * theta)
+                - _log_det([z * z for z in eig_den], 2 * theta))
+    eta = _eta(eigs, 0).eta
     return complex(cmath.exp(xi - 1j * math.pi * eta
                              + 1j * math.pi * (len(num) - len(den)) / 2.0))

@@ -11,7 +11,7 @@ of cohomology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ChiralityOp:
     """Degreewise blocks gamma[j] of Gamma_j : C^j -> C^{d-j}, read-only;
-    construction checks that d is odd and Gamma_{d-j} Gamma_j = 1."""
+    construction checks that d is odd and Gamma_{d-j} Gamma_j = 1, and
+    records the dimension vector (dim C^0, ..., dim C^d) it acts on."""
 
     gamma: tuple[np.ndarray, ...]
+    _dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma = tuple(np.asarray(g, dtype=complex).view() for g in self.gamma)
@@ -52,11 +54,8 @@ class ChiralityOp:
                 raise ValidationError(
                     f"Gamma_{j} has shape {a.shape}, expected a matrix")
             a.flags.writeable = False
-        n = [a.shape[1] for a in gamma]  # n[j] = dim C^j
-        for j, a in enumerate(gamma):
-            if a.shape != (n[d - j], n[j]):
-                raise ValidationError(
-                    f"Gamma_{j} has shape {a.shape}, expected {(n[d - j], n[j])}")
+        n = tuple(a.shape[1] for a in gamma)  # n[j] = dim C^j
+        _check_shapes(gamma, n)
         for j, a in enumerate(gamma):
             res = float(np.abs(gamma[d - j] @ a - np.eye(n[j])).max(initial=0))
             if not res <= _VALIDATION_TOL:  # a NaN residual fails too
@@ -64,31 +63,38 @@ class ChiralityOp:
                     f"Gamma^2 - 1 residual {res:.3e} in degree {j} exceeds "
                     f"{_VALIDATION_TOL:.3e}")
         object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "_dims", n)
 
     @property
     def d(self) -> int:
         return len(self.gamma) - 1
 
 
-def validate_chirality(c: CochainComplex, g: ChiralityOp) -> None:
-    """Check that g fits c: the same top degree and Gamma_j : C^j -> C^{d-j}."""
-    d, n = c.d, c.dims.dims
-    if g.d != d:
-        raise ValidationError("chirality degree does not match the complex")
-    for j, a in enumerate(g.gamma):
+def _check_shapes(gamma, n) -> None:
+    """Raise unless each Gamma_j maps dimension n[j] to dimension n[d-j]."""
+    d = len(n) - 1
+    for j, a in enumerate(gamma):
         if a.shape != (n[d - j], n[j]):
             raise ValidationError(
                 f"Gamma_{j} has shape {a.shape}, expected {(n[d - j], n[j])}")
 
 
+def validate_chirality(c: CochainComplex, g: ChiralityOp) -> None:
+    """Check that g fits c: the same top degree and Gamma_j : C^j -> C^{d-j}.
+    g fits the dimension vector it was built on, so it fits c exactly when
+    that vector is c's; only a misfit is looked at degree by degree."""
+    if g._dims != c.dims.dims:
+        if g.d != c.d:
+            raise ValidationError(
+                "chirality degree does not match the complex")
+        _check_shapes(g.gamma, c.dims.dims)
+
+
 def sign_R(c: CochainComplex) -> int:
     """Parity of (1/2) sum_{j<r} dim C^j (dim C^j + (-1)^{r+j}), r = (d+1)/2."""
     r = (c.d + 1) // 2
-    total = 0
-    for j in range(r):
-        k = c.dims.dims[j]
-        total += (k * (k + (-1) ** (r + j))) // 2
-    return total % 2
+    return sum(k * (k + (-1) ** (r + j)) // 2
+               for j, k in enumerate(c.dims.dims[:r])) % 2
 
 
 def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
@@ -99,13 +105,7 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
     coefficient (-1)^R prod_{j<r} det(Gamma_j)^{(-1)^{j+1}}.
     """
     validate_chirality(c, g)
-    return _c_gamma(c, g)
-
-
-def _c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
-    """c_gamma of a pair that fits, unchecked."""
-    r = (c.d + 1) // 2
-    coeff = alternating_det(g.gamma[:r])
+    coeff = alternating_det(g.gamma[:(c.d + 1) // 2])
     return DetElement(-coeff if sign_R(c) else coeff, c.dims)
 
 

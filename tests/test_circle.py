@@ -167,6 +167,15 @@ class TestCircleModel:
         for k in (0, 1, 3):
             assert split_check(m, k) <= 1e-10
 
+    @pytest.mark.parametrize("a", [1e-6, 1e-9, 1 - 1e-6, complex(1e-6, 1e-6)])
+    def test_split_near_an_integer_exponent(self, a):
+        # the removed eigenvalue a (or a - 1) is small, and its square lies
+        # below the absolute zero floor; no n + a is zero, so the finite
+        # part keeps it in xi as in eta
+        m = CircleModel(a)
+        for k in (0, 2):
+            assert split_check(m, k) <= 1e-9 * abs(rho_an_circle(m))
+
 
 # The property tests are derandomized so the gate sees the same examples on
 # every run.
@@ -388,13 +397,13 @@ class TestSplitSet:
                 if abs(n + m.a) ** 2 <= lam]
         seen = []
 
-        def spy(eigs):
+        def spy(eigs, m_zero):
             seen.append(list(eigs))
-            return eta_finite(eigs)
+            return eta(eigs, m_zero)
 
-        eta_finite = circle_mod.eta_finite
+        eta = circle_mod._eta
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(circle_mod, "eta_finite", spy)
+            mp.setattr(circle_mod, "_eta", spy)
             try:
                 split_check(m, k)
             except SpectralBoundaryError:  # a removed point on the cut

@@ -338,8 +338,9 @@ class TestValidateOnce:
 
 class TestChiralityCheckedOnce:
     """Each public entry point checks that the chirality fits its complex
-    exactly once; the split parts it builds fit by construction and the
-    calls on them are not checked again."""
+    exactly once.  torsion_via_split first checks the caller's pair; the
+    parts of its split then go through the public graded determinant and
+    refined torsion, which check their own pairs."""
 
     @pytest.mark.parametrize("name", ["refined_torsion", "torsion_via_split",
                                       "c_gamma", "spectral_split"])
@@ -369,7 +370,8 @@ class TestChiralityCheckedOnce:
         for call in calls:
             seen.clear()
             call()
-            assert len(seen) == 1
+            if name != "torsion_via_split":
+                assert len(seen) == 1
             assert seen[0][0] is c and seen[0][1] is g
 
 
@@ -715,7 +717,7 @@ class TestSplitCertificate:
         # the eigenvalue rule's count, here no small eigenvalue
         bsq = np.array([[mu, 1e3], [0.0, mu]], dtype=complex)
         sv = np.linalg.svd(bsq, compute_uv=False)
-        cut = lam if lam > 0 else _zero_cut(max(1.0, sv[0]))
+        cut = lam if lam > 0 else _zero_cut(sv[0])
         assert sv[-1] < cut < mu
         calls = count_factorizations()
         small, large = _split_degree(bsq, lam, 0)
@@ -1105,3 +1107,67 @@ class TestGradedDetViaXiEta:
         v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
         v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
         np.testing.assert_allclose(v1, v0, rtol=1e-9)
+
+
+def _scaled(c, t):
+    """The complex c with every differential multiplied by t."""
+    return CochainComplex(c.dims, tuple(t * m for m in c.partial))
+
+
+class TestZeroDecidedOnce:
+    """Each spectrum decides its zeros once, relative to its own largest
+    value: the lambda = 0 split decides for xi and eta, so on an acyclic
+    complex at any scale the xi/eta graded determinant is the direct one.
+    The limit is the absolute floor RANK_ATOL = 1e-12: from t = 1e-6 on
+    eigenvalues of B^2 reach it and count as zero."""
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_scale_ladder(self, t):
+        for seed in range(6):
+            for d in (1, 3, 5):
+                c, g = gen_random(seed, d)
+                cs = _scaled(c, t)
+                direct = graded_det_finite(cs, g)
+                via = graded_det_via_xi_eta(cs, g, 0.0)
+                assert abs(via - direct) <= 1e-9 * abs(direct), (seed, d)
+
+    def test_small_elementary_block(self):
+        c, g = gen_elementary(1, 0, 1e-4)
+        assert abs(graded_det_via_xi_eta(c, g, 0.0) - 1e-4) <= 1e-9 * 1e-4
+
+    @pytest.mark.parametrize("z", [2.0, 2e3])
+    def test_spread_spectrum(self, z):
+        # one block at 1e-5 and one at z: the second cut against the global
+        # largest value dropped the first from xi and eta
+        c, g = gen_random(5, 5, {"blocks": [(0, 1e-5), (2, z)],
+                                 "harmonic": []})
+        direct = graded_det_finite(c, g)
+        via = graded_det_via_xi_eta(c, g, 0.0)
+        assert abs(via - direct) <= 1e-9 * abs(direct)
+
+    @pytest.mark.parametrize("top", [2.0, 2e3])
+    def test_det_eta_identity_on_a_spread_spectrum(self, top):
+        spectrum = [1e-5, top]
+        assert det_eta_check(spectrum, pick_agmon_angle(spectrum)) <= 1e-9
+
+    @pytest.mark.parametrize("singular", [0, 1], ids=["plus", "minus"])
+    def test_exact_zero_of_the_large_part_is_a_boundary(self, monkeypatch,
+                                                        singular):
+        # the split decided every eigenvalue of the large part nonzero; an
+        # exact zero left in a +/- block lies on every cut
+        blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+        blocks[singular] = np.zeros((2, 2), dtype=complex)
+        monkeypatch.setattr(signature_mod, "_even_blocks",
+                            lambda *args: tuple(blocks))
+        c, g = gen_elementary(1, 0, 2.0)
+        with pytest.raises(SpectralBoundaryError, match="branch cut"):
+            graded_det_via_xi_eta(c, g, 0.0)
+
+    def test_split_zero_cut_has_no_floor_of_one(self):
+        # B^2 = diag(1e-8, 1e-8): nothing is zero at its own scale
+        bsq = np.diag([1e-8, 1e-8]).astype(complex)
+        small, large = _split_degree(bsq, 0.0, 0)
+        assert small.shape[1] == 0 and large.shape[1] == 2
+        small, large = _split_degree(np.diag([1e-8, 1e-17]).astype(complex),
+                                     0.0, 0)
+        assert small.shape[1] == 1 and large.shape[1] == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import detline.torsion as torsion_mod
 from detline import (
     ChiralityOp,
     CochainComplex,
@@ -91,6 +92,74 @@ class TestValidateChirality:
         with pytest.raises(ValidationError,
                            match=r"Gamma_0 has shape \(2, 2\), expected \(1, 2\)"):
             validate_chirality(c, g)
+
+
+def _per_block_rule(c, g):
+    """The fit rule written degree by degree: the message of the first
+    misfit, or None when g fits c."""
+    d, n = c.d, c.dims.dims
+    if g.d != d:
+        return "chirality degree does not match the complex"
+    for j, a in enumerate(g.gamma):
+        if a.shape != (n[d - j], n[j]):
+            return f"Gamma_{j} has shape {a.shape}, expected {(n[d - j], n[j])}"
+    return None
+
+
+def _fit_pool():
+    """Seeded chiral complexes with d in {1, 3, 5}, with and without
+    cohomology, elementary blocks whose other degrees are zero-dimensional,
+    and the zero complex of each d."""
+    pool = [_instance(40 + 7 * seed + d, d, acyclic)
+            for d in (1, 3, 5) for acyclic in (True, False) for seed in range(3)]
+    pool += [gen_elementary(d, j, 1.5) for d in (1, 3, 5)
+             for j in range((d + 1) // 2)]
+    for d in (1, 3, 5):
+        empty = np.zeros((0, 0))
+        pool.append((CochainComplex(GradedDims((0,) * (d + 1)),
+                                    (empty,) * d),
+                     ChiralityOp((empty,) * (d + 1))))
+    return pool
+
+
+class TestFitCheckOracle:
+    """validate_chirality compares the recorded dimension vector once; on
+    every pairing it agrees with the per-block rule, message and all."""
+
+    def test_agrees_with_the_per_block_rule(self):
+        pool = _fit_pool()
+        seen = {"fit": 0, "degree": 0, "block": 0, "one block": 0}
+        for c, _ in pool:
+            for c2, g in pool:
+                want = _per_block_rule(c, g)
+                if want is None:
+                    validate_chirality(c, g)
+                    seen["fit"] += 1
+                    continue
+                with pytest.raises(ValidationError) as info:
+                    validate_chirality(c, g)
+                assert str(info.value) == want
+                if want.startswith("chirality degree"):
+                    seen["degree"] += 1
+                    continue
+                seen["block"] += 1
+                # a misfit in one degree pair (j, d - j) only
+                diff = [j for j in range(c.d + 1)
+                        if c.dims.dims[j] != c2.dims.dims[j]]
+                seen["one block"] += len(diff) == 2
+        assert all(seen.values()), seen
+
+    def test_fit_does_no_per_degree_work(self, monkeypatch):
+        c, g = _instance(43, 5, False)
+        other = gen_elementary(3, 0, 1.5)[0]
+        calls = []
+        monkeypatch.setattr(torsion_mod, "_check_shapes",
+                            lambda *args: calls.append(args))
+        validate_chirality(c, g)
+        assert calls == []
+        with pytest.raises(ValidationError, match="degree does not match"):
+            validate_chirality(other, g)
+        assert calls == []
 
 
 class TestRefinedTorsion:

@@ -1,6 +1,7 @@
 """Unit tests for generators, the canonical JSON document format and the CLI."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -306,9 +307,7 @@ class TestCli:
             for j in range(c.d + 1) if c.dims.dims[j])
         rho = refined_torsion(c, g).coeff
         via = torsion_via_split(c, g, lam).coeff
-        # c_gamma checks its pair and builds through _c_gamma, which the
-        # split calls unchecked on its parts: count the builds
-        calls = {"phi": 0, "_c_gamma": 0}
+        calls = {"phi": 0, "c_gamma": 0}
         for mod in (detline.cli, detline.signature, detline.torsion):
             for name in calls:
                 if hasattr(mod, name):
@@ -321,7 +320,7 @@ class TestCli:
         assert main(["split", str(path), f"--lambda={lam!r}"]) == 0
         text = capsys.readouterr().out
         out = json.loads(text)
-        assert calls == {"phi": 1, "_c_gamma": 1}
+        assert calls == {"phi": 1, "c_gamma": 1}
         assert out["d_large"] == [0] * (c.d + 1)
         assert out["refined_torsion"] == [rho.real, rho.imag]
         assert out["torsion_via_split"] == [via.real, via.imag]
@@ -332,6 +331,34 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["consistent"]
         assert out["d_small"] == [0, 0]
+
+    @pytest.mark.parametrize("shift", [0.0, 5e-9, 5e-8])
+    def test_split_report_applies_the_bound_it_states(
+            self, tmp_path, capsys, monkeypatch, shift):
+        # shift moves the split torsion by that relative amount, to either
+        # side of the bound
+        import detline.cli
+        orig = detline.cli._torsion_from_split
+
+        def shifted(split, frame):
+            via, det_large, rho_small = orig(split, frame)
+            return (dataclasses.replace(via, coeff=via.coeff * (1 + shift)),
+                    det_large, rho_small)
+        monkeypatch.setattr(detline.cli, "_torsion_from_split", shifted)
+        seen = set()
+        for d in (1, 3, 5):
+            for acyclic in (True, False):
+                c, g = _instance(70 + d, d, acyclic)
+                path = tmp_path / f"{d}-{acyclic}.json"
+                path.write_text(serialize_document(c, g), encoding="utf-8")
+                for lam in ("0", "1e6"):
+                    assert main(["split", str(path), "--lambda", lam]) == 0
+                    out = json.loads(capsys.readouterr().out)
+                    assert out["tolerance"] == 1e-8
+                    assert out["consistent"] == (
+                        out["consistency_residual"] <= out["tolerance"])
+                    seen.add(out["consistent"])
+        assert seen == {shift < 1e-8}
 
     def test_split_boundary_exit_code(self, doc_path, capsys):
         # lambda right on the B^2 eigenvalue 4
