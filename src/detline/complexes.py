@@ -11,8 +11,11 @@ The decomposition is chained down the complex: d_j vanishes on B^j, so it
 is factorized on the orthogonal complement of B^j only, and its left
 singular vectors give B^{j+1} and the next complement.  Singular values
 settle a square invertible degree: there d_j maps that complement onto
-C^{j+1}, so every basis is known without singular vectors.  Any other
-degree takes one full SVD.
+C^{j+1}, so every basis is known without singular vectors.  A tall degree
+of at least 16 columns is factorized by QR first (Chan's R-SVD): the
+singular values of its square factor R settle full column rank, where Q
+alone gives B^{j+1} and the next complement, and only a short rank takes
+the full SVD of R.  Any other degree takes one full SVD.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ __all__ = [
 RANK_RTOL = 1e-8
 RANK_ATOL = 1e-12
 _VALIDATION_TOL = 1e-10  # of d.d = 0 in a complex, Gamma^2 = 1 in a chirality
+# least column count at which a tall degree factorizes by QR first: below
+# it one full SVD is cheaper (measured crossover, 12 to 16 columns)
+_QR_MIN_COLS = 16
 
 
 def _as_matrix(m, rows: int, cols: int) -> np.ndarray:
@@ -162,7 +168,8 @@ class CohomologyFrame:
 
 def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     """Compute the orthogonal B/H/A decomposition of every degree, chained
-    down the complex; singular values settle a square invertible degree.
+    down the complex; singular values settle a square invertible degree and
+    a tall degree of full column rank.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
     vanishes on B^j.  When d_j P_j is square, its singular values come
@@ -171,6 +178,14 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     one full SVD d_j P_j = U S V^H splits P_j into A^j = P_j V_lead and
     H^j = P_j V_trail, and its left singular vectors are U_{j+1}:
     B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree H^d = P_d.
+
+    A tall d_j P_j (rows > cols >= _QR_MIN_COLS) first takes a complete QR,
+    d_j P_j = Q [R; 0] with Q = [Q_1 | Q_2], and the square factor R takes
+    the square rule above, as it has the same singular values and right
+    singular vectors.  At full column rank A^j = P_j, H^j is empty,
+    B^{j+1} = Q_1 and P_{j+1} = Q_2.  At short rank the full SVD
+    R = U_R S V_R^H gives A^j, H^j from P_j V_R, B^{j+1} = Q_1 U_R,lead and
+    P_{j+1} = [Q_1 U_R,trail | Q_2].
     """
     n = c.dims.dims
     B = [np.zeros((n[0], 0), dtype=complex)]
@@ -178,6 +193,11 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     perp = None  # P_j; None stands for the identity of C^0
     for m in c.partial:
         dp = m if perp is None else m @ perp
+        q = None
+        if dp.shape[0] > dp.shape[1] >= _QR_MIN_COLS:
+            # d_j P_j = Q [R; 0]: the square factor R takes its place below
+            q, dp = np.linalg.qr(dp, mode="complete")
+            dp = dp[:dp.shape[1]]
         rows, cols = dp.shape
         rank, margin = 0, math.inf
         if rows == cols > 0:
@@ -190,6 +210,10 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
             # d_j P_j is empty, or maps P_j onto C^{j+1} one-to-one
             u = np.eye(rows, dtype=complex)
             v = np.eye(cols, dtype=complex) if perp is None else perp
+        if q is not None:
+            # left singular vectors of Q [R; 0] are Q diag(U_R, 1)
+            u = q if rank == cols else np.hstack([q[:, :cols] @ u,
+                                                  q[:, cols:]])
         A.append(v[:, :rank])
         H.append(v[:, rank:])
         B.append(u[:, :rank])

@@ -12,11 +12,15 @@ TOL = 1e-9 where not stated otherwise.
 
 The six circle checks ignore ``cases`` and ``seed``: they run the whole
 fixed grid of ``_circle_grid``, 20 real holonomy exponents and 10 complex
-ones drawn with seed 77.  circle-zeta-zero and circle-scale-invariance are
-identities at s = 0 (zeta(0, a) + zeta(0, 1 - a) cancels), so they cannot
-detect a wrong Hurwitz series; its correction terms are checked by
-hurwitz-derivative-crosscheck and by the s = -1 case of the unit test
-TestHurwitzZeta.test_special_values.  hurwitz-derivative-crosscheck
+ones drawn with seed 77.  circle-scale-invariance is an identity at s = 0
+(zeta(0, a) + zeta(0, 1 - a) cancels), so it cannot detect a wrong Hurwitz
+series.  circle-zeta-zero checks the series' correction terms instead:
+zeta(1 - 2k, q) = -B_2k(q) / 2k for k = 1, 2 at q = a and 1 - a, with
+B_2(q) and B_4(q) written out in exact coefficients, so a wrong B_2 or B_4
+in the circle's Bernoulli table fails it.  Its residual is relative to the
+tail term |q + n|^2k / 2k of the series (n terms summed), which the
+partial sum cancels: absolute, rounding leaves about 9e-10 in
+zeta(-3, q).  hurwitz-derivative-crosscheck
 compares a central difference of the Hurwitz series with log Gamma, and
 both read the one Bernoulli table of the circle module, so a wrong entry
 there could cancel; circle-two-path stays independent, comparing rho_an
@@ -346,8 +350,9 @@ def check_xi_eta_two_path(cases, seed):
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
-        det = graded_det_finite(c, g)
-        v = graded_det_via_xi_eta(c, g, 0.0)
+        fr = cohomology_frame(c)
+        det = graded_det_finite(c, g, fr)
+        v = graded_det_via_xi_eta(c, g, 0.0, frame=fr)
         res.append(abs(v - det) / abs(det))
     return _verdict(res, TOL, "relative residual")
 
@@ -360,8 +365,9 @@ def check_agmon_independence(cases, seed):
         s = build_signature(c, g)
         theta0 = pick_agmon_angle(s.b_even)
         theta1 = (theta0 - math.pi / 2) / 2.0  # halfway to the arc edge
-        v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
-        v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
+        fr = cohomology_frame(c)
+        v0 = graded_det_via_xi_eta(c, g, 0.0, theta0, frame=fr)
+        v1 = graded_det_via_xi_eta(c, g, 0.0, theta1, frame=fr)
         res.append(abs(v0 - v1) / abs(v0))
     return _verdict(res, TOL, "relative spread")
 
@@ -396,9 +402,23 @@ def check_circle_split(cases, seed):
                      for k in (2, 5)), 1e-8)
 
 
+# B_2(q) and B_4(q) in exact coefficients, apart from the circle's
+# Bernoulli table, so that a wrong entry there cannot cancel
+_BERNOULLI_POLYS = ((1, lambda q: q * q - q + 1 / 6),
+                    (2, lambda q: q ** 4 - 2 * q ** 3 + q * q - 1 / 30))
+
+
 def check_circle_zeta_zero(cases, seed):
-    return _verdict(map(ci.zeta_zero_check, _circle_grid()), 1e-10,
-                    "|zeta(0)|")
+    # zeta(1 - 2k, q) = -B_2k(q) / 2k; at s = 1 - 2k the Euler-Maclaurin
+    # corrections up to B_2k survive.  The residual is relative to the tail
+    # term |q + n|^2k / 2k that the partial sum of n terms cancels
+    n = ci._EM_TERMS
+    return _verdict(
+        (abs(ci.hurwitz_zeta(1 - 2 * k, q) + poly(q) / (2 * k))
+         / (abs(q + n) ** (2 * k) / (2 * k))
+         for m in _circle_grid() for q in (m.a, 1.0 - m.a)
+         for k, poly in _BERNOULLI_POLYS),
+        1e-14, "relative residual")
 
 
 def check_circle_scale(cases, seed):

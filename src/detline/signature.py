@@ -559,7 +559,8 @@ def pick_agmon_angle(m) -> float:
 
 
 def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
-                          theta: float | None = None) -> complex:
+                          theta: float | None = None,
+                          frame: CohomologyFrame | None = None) -> complex:
     """Graded determinant of B_even over the part of the spectrum above lam,
     assembled from half log-determinants of (Gamma d)^2 on the + subspaces
     and the eta invariant of B_even:
@@ -575,10 +576,15 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     block.  So xi = (1/2) (LDet_{2 theta}(spec(B+)^2) -
     LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.  The
     split decided the zeros, so every eigenvalue of the large part counts.
+    frame, the cohomology frame of c when given, serves the large part when
+    that part is c itself (lam = 0 on an acyclic complex).
     """
+    if frame is not None:
+        _frame_for(c, frame)  # a foreign frame is an error at any lam
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    num, den = _even_blocks(cl, gl, *plus_minus_split(cl, gl))
+    num, den = _even_blocks(cl, gl, *plus_minus_split(
+        cl, gl, frame if cl is c else None))
     eig_num, eig_den = _eig_input(num), _eig_input(den)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_num + [-z for z in eig_den]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import detline.complexes as complexes_mod
 from detline import (
     CochainComplex,
     DetElement,
@@ -47,6 +48,29 @@ def _ladder_instance(seed, d, n, n_harmonic):
 def _svd_log(calls):
     """(shape, compute_uv) of every SVD, in call order."""
     return [(shape, uv) for name, shape, uv in calls.log if name == "svd"]
+
+
+def _factorization_log(calls):
+    """(name, shape, compute_uv) of every SVD and QR, in call order."""
+    return [entry for entry in calls.log if entry[0] in ("svd", "qr")]
+
+
+def _tall(rows, cols, spectrum, seed=5):
+    """rows x cols matrix with the given singular values, through random
+    unitary factors on both sides."""
+    rng = np.random.default_rng(seed)
+    u, w = (np.linalg.qr(rng.standard_normal((k, k))
+                         + 1j * rng.standard_normal((k, k)))[0]
+            for k in (rows, cols))
+    return u[:, :cols] @ np.diag(np.asarray(spectrum, dtype=complex)) @ w
+
+
+def _assert_same_projectors(fr, ref_bases, atol=1e-10):
+    for bases, refs in zip((fr.B, fr.H, fr.A), ref_bases):
+        for x, y in zip(bases, refs):
+            assert x.shape == y.shape
+            np.testing.assert_allclose(x @ x.conj().T, y @ y.conj().T,
+                                       rtol=0, atol=atol)
 
 
 def _all_svd_frame(c):
@@ -243,13 +267,65 @@ class TestCohomologyFrame:
         # with those of a frame that takes a full SVD of every degree
         for n in (20, 100):
             c, _ = _ladder_instance(7000 * d + n, d, n, n_harmonic)
-            fr = cohomology_frame(c)
-            ref = _all_svd_frame(c)
-            for bases, ref_bases in zip((fr.B, fr.H, fr.A), ref):
-                for x, y in zip(bases, ref_bases):
-                    assert x.shape == y.shape
-                    np.testing.assert_allclose(
-                        x @ x.conj().T, y @ y.conj().T, rtol=0, atol=1e-10)
+            _assert_same_projectors(cohomology_frame(c), _all_svd_frame(c))
+
+    @pytest.mark.parametrize("d, n", [(3, 200), (3, 300), (5, 200)])
+    def test_tall_short_rank_degree_matches_an_all_svd_frame(
+            self, count_factorizations, d, n):
+        # harmonic pairs leave a tall d_j P_j of at least 16 columns short
+        # of full rank: QR, the values of R, then the full SVD of R
+        c, betti = _ladder_instance(9000 * d + n, d, n, 2)
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        log = _factorization_log(calls)
+        short = [(rows, cols) for (name, (rows, cols), _), values, full
+                 in zip(log, log[1:], log[2:])
+                 if name == "qr" and values == ("svd", (cols, cols), False)
+                 and full == ("svd", (cols, cols), True)]
+        assert short and all(r > k >= 16 for r, k in short)
+        assert fr.betti == betti
+        _assert_same_projectors(fr, _all_svd_frame(c))
+
+    @pytest.mark.parametrize("dims, spectrum, expected", [
+        # full column rank: one QR and the values of the 20 x 20 factor
+        ((20, 40), [1.0] * 20,
+         [("qr", (40, 20), None), ("svd", (20, 20), False)]),
+        # short rank adds one full SVD of that factor
+        ((20, 40), [1.0] * 19 + [0.0],
+         [("qr", (40, 20), None), ("svd", (20, 20), False),
+          ("svd", (20, 20), True)]),
+        # below 16 columns: one full SVD and no QR, at any rank
+        ((15, 30), [1.0] * 15, [("svd", (30, 15), True)]),
+        ((15, 30), [1.0] * 14 + [0.0], [("svd", (30, 15), True)]),
+    ])
+    def test_tall_degree_factorization_pattern(self, count_factorizations,
+                                               dims, spectrum, expected):
+        m = _tall(dims[1], dims[0], spectrum)
+        c = CochainComplex(GradedDims(dims), (m,))
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        assert _factorization_log(calls) == expected
+        rank = dims[0] - spectrum.count(0.0)
+        assert fr.betti == (dims[0] - rank, dims[1] - rank)
+        _assert_same_projectors(fr, _all_svd_frame(c))
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("n_harmonic", [0, 2])
+    def test_qr_and_svd_routes_agree(self, monkeypatch, d, n_harmonic):
+        # every tall degree by QR first (cut 0), or none (a cut above every
+        # column count): the same subspaces and the same rank margins
+        for n in (20, 100, 200):
+            c, betti = _ladder_instance(5000 * d + n, d, n, n_harmonic)
+            frames = []
+            for cut in (0, 10 ** 9):
+                monkeypatch.setattr(complexes_mod, "_QR_MIN_COLS", cut)
+                frames.append(cohomology_frame(c))
+            qr_first, svd_only = frames
+            assert qr_first.betti == svd_only.betti == betti
+            _assert_same_projectors(qr_first,
+                                    (svd_only.B, svd_only.H, svd_only.A))
+            np.testing.assert_allclose(qr_first.rank_margin,
+                                       svd_only.rank_margin, rtol=1e-9)
 
 
 class TestRankMargin:
@@ -277,6 +353,22 @@ class TestRankMargin:
         q = normal_matrix([1.0, 1.0, 1.0], seed=5)
         m = q[:, :2] @ np.diag([1.0, scale])
         fr = cohomology_frame(CochainComplex(GradedDims((2, 3)), (m,)))
+        np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)
+
+    @pytest.mark.parametrize("scale, rank, margin", [
+        (1.01e-8, 20, 1.01), (0.99e-8, 19, 1 / 0.99)])
+    def test_tall_differential(self, count_factorizations, scale, rank,
+                               margin):
+        # a 40 x 20 differential takes the QR route: the singular values of
+        # its square factor R make the rank decision
+        spectrum = np.linspace(1.0, 0.5, 20)
+        spectrum[7] = scale
+        c = CochainComplex(GradedDims((20, 40)),
+                           (_tall(40, 20, spectrum, seed=8),))
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        assert calls["qr"] == 1
+        assert fr.A[0].shape[1] == rank
         np.testing.assert_allclose(fr.rank_margin[0], margin, rtol=1e-6)
 
     def test_zero_and_empty_differentials_are_infinitely_far(self):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import detline.circle as ci
 import detline.selftest as st
 from detline import SpectralBoundaryError
 
@@ -44,3 +45,17 @@ def test_a_raising_check_fails_through_run_selftest(monkeypatch):
     assert [r["name"] for r in failed] == ["det-eta-identity",
                                            "agmon-angle-independence"]
     assert all(r["detail"].startswith("exception: ") for r in failed)
+
+
+@pytest.mark.parametrize("entry", [2, 4])
+def test_circle_zeta_zero_fails_on_a_wrong_bernoulli_number(monkeypatch,
+                                                           entry):
+    # B_2 or B_4 off by 0.1% in the table the Hurwitz series reads
+    check = dict(st.CHECKS)["circle-zeta-zero"]
+    assert check(1, 0)[0]
+    table = list(ci._B)
+    table[entry] *= 1.001
+    monkeypatch.setattr(ci, "_B", tuple(table))
+    passed, detail = check(1, 0)
+    assert not passed
+    assert detail.startswith("worst relative residual ")

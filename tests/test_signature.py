@@ -594,6 +594,27 @@ class TestFactorizationCounts:
         if d > 1:
             assert p_even and m_even
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_xi_eta_with_the_callers_frame_takes_no_frame_svd(
+            self, count_factorizations, d):
+        # at 0 the large part of an acyclic complex is c itself, so the
+        # caller's frame serves it: the split's values-only SVDs and the
+        # +/- test remain, and the frame's own SVDs are gone
+        c, g, _ = _ladder_instance(d, 40)
+        fr = cohomology_frame(c)
+        assert spectral_split(c, g, 0.0).large.complex is c
+        plus, minus = plus_minus_split(c, g, fr)
+        n = c.dims.dims
+        a = [x.shape[1] for x in fr.A]
+        split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
+        pm_test = [(a[j], a[j]) for j in range(d + 1)
+                   if plus[j].shape[1] and minus[j].shape[1]]
+        calls = count_factorizations()
+        value = graded_det_via_xi_eta(c, g, 0.0, frame=fr)
+        assert calls.shapes("svd", compute_uv=False) == split + pm_test
+        assert calls.shapes("svd", compute_uv=True) == []
+        assert value == graded_det_via_xi_eta(c, g, 0.0)
+
     @pytest.mark.parametrize("seed", [6, 7, 9])
     def test_whole_side_block_is_b_even_itself(self, seed):
         # an acyclic d = 1 complex has C^0_+ = C^0, so the + block is B_even
@@ -1107,6 +1128,15 @@ class TestGradedDetViaXiEta:
         v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
         v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
         np.testing.assert_allclose(v1, v0, rtol=1e-9)
+
+    def test_rejects_a_foreign_frame(self):
+        # also above the spectrum, where the large part is not c and the
+        # frame would go unused
+        c, g = _instance(7, 3, acyclic=True)
+        other = cohomology_frame(_instance(8, 3, acyclic=True)[0])
+        for lam in (0.0, 2.0 * _spectral_radius(c, g)):
+            with pytest.raises(ValidationError, match="not of this complex"):
+                graded_det_via_xi_eta(c, g, lam, frame=other)
 
 
 def _scaled(c, t):
