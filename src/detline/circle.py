@@ -81,7 +81,10 @@ class CircleModel:
 
 def hurwitz_zeta(s: complex, q: complex) -> complex:
     """Hurwitz zeta sum_{n>=0} (n+q)^{-s} for Re q > 0, continued in s by the
-    Euler-Maclaurin formula.  Not defined at the pole s = 1."""
+    Euler-Maclaurin formula.  Not defined at the pole s = 1.  At negative
+    real s the 60-term partial sum cancels down to the result, and accuracy
+    falls fast: against -B_{m+1}(q)/(m+1) at q = 0.3 the relative error is
+    4.5e-11 at s = -1, 1.4e-7 at s = -3, 8.1e-4 at s = -5 and 1.6 at s = -7."""
     s = complex(s)
     q = complex(q)
     if q.real <= 0:

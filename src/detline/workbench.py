@@ -34,53 +34,71 @@ __all__ = [
 # generators
 
 
-def _zeros(dims):
-    d = len(dims) - 1
-    return [np.zeros((dims[j + 1], dims[j]), dtype=complex) for j in range(d)]
+def _integer(v) -> bool:
+    """Whether v is an integer, Python's or numpy's (booleans are not)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v, low: int, odd: bool = False) -> None:
+    if not (_integer(v) and v >= low and (v % 2 or not odd)):
+        raise ValidationError(f"{name} must be an {'odd ' * odd}integer "
+                              f">= {low}, got {v!r}")
+
+
+def _summands(d, blocks=(), harmonic=(), rng=None, unitary=False):
+    """Direct sum of elementary blocks (j, z) and harmonic summands (degree
+    k), in that order, written straight into its matrices: each summand has
+    one basis vector per degree it occupies, after the earlier summands' (as
+    in chiral_direct_sum), and Gamma pairs those in degrees q and d-q by 1.
+    rng, when given, conjugates the sum; only the returned pair is checked."""
+    _check_int("top degree", d, 1, odd=True)
+    r = (d + 1) // 2
+    layout = []
+    for j, z in blocks:
+        if not (_integer(j) and 0 <= j < r):
+            raise ValidationError(f"block degree {j} out of range [0, {r})")
+        if z == 0:
+            raise ValidationError("acyclic block needs z != 0")
+        layout.append(((j, j + 1) if 2 * j + 1 == d
+                       else (j, j + 1, d - j - 1, d - j), z))
+    for k in harmonic:
+        if not (_integer(k) and 0 <= k <= d):
+            raise ValidationError("degree out of range")
+        layout.append(((k, d - k), 0))
+    if not layout:
+        raise ValidationError("profile generates an empty complex")
+    dims = [sum(q in degrees for degrees, _ in layout) for q in range(d + 1)]
+    partial = [np.zeros((dims[q + 1], dims[q]), complex) for q in range(d)]
+    gamma = [np.zeros((dims[d - q], dims[q]), complex) for q in range(d + 1)]
+    off = [0] * (d + 1)
+    for degrees, z in layout:
+        at = {q: off[q] for q in degrees}
+        for q in degrees:
+            gamma[q][at[d - q], at[q]] = 1.0
+            off[q] += 1
+        for q in degrees[::2] if z else ():  # z: j -> j+1 and d-j-1 -> d-j
+            partial[q][at[q + 1], at[q]] = z
+    if rng is not None:  # conjugate degreewise by well-conditioned matrices
+        p = [_well_conditioned(rng, n, unitary) for n in dims]
+        pinv = ([m.conj().T for m in p] if unitary
+                else [np.linalg.inv(m) if m.size else m for m in p])
+        partial = [p[q + 1] @ partial[q] @ pinv[q] for q in range(d)]
+        gamma = [p[d - q] @ gamma[q] @ pinv[q] for q in range(d + 1)]
+    return (CochainComplex(GradedDims(tuple(dims)), tuple(partial)),
+            ChiralityOp(tuple(gamma)))
 
 
 def gen_elementary(d: int, j: int, z: complex):
-    """Elementary acyclic block: z : C^j -> C^{j+1} together with its mirror
-    in degrees (d-j-1, d-j), the two paired by identity chirality blocks.
-    When the mirror coincides with the block (j = (d-1)/2) a single copy is
-    produced.  Requires odd d, 0 <= j < (d+1)/2 and z != 0."""
-    r = (d + 1) // 2
-    if not 0 <= j < r:
-        raise ValidationError(f"block degree {j} out of range [0, {r})")
-    if z == 0:
-        raise ValidationError("acyclic block needs z != 0")
-    dims = [0] * (d + 1)
-    dims[j] += 1
-    dims[j + 1] += 1
-    mirrored = (d - j - 1) != j
-    if mirrored:
-        dims[d - j - 1] += 1
-        dims[d - j] += 1
-    partial = _zeros(dims)
-    partial[j][0, 0] = z
-    if mirrored:
-        partial[d - j - 1][-1, -1] = z
-    gamma = [np.zeros((dims[d - q], dims[q]), dtype=complex)
-             for q in range(d + 1)]
-    # identity pairing: degree q standard vector <-> degree d-q standard vector
-    for q in (j, j + 1, d - j - 1, d - j):
-        for col in range(dims[q]):
-            gamma[q][dims[d - q] - 1 - col if dims[d - q] > 1 else 0, col] = 1.0
-    return (CochainComplex(GradedDims(tuple(dims)), tuple(partial)),
-            ChiralityOp(tuple(gamma)))
+    """Elementary acyclic block z : C^j -> C^{j+1} and its mirror in degrees
+    (d-j-1, d-j), one copy when they coincide (j = (d-1)/2), paired by
+    identity chirality blocks.  Requires odd d, 0 <= j < (d+1)/2, z != 0."""
+    return _summands(d, blocks=[(j, z)])
 
 
 def gen_harmonic(d: int, k: int):
     """One-dimensional harmonic summands in degrees k and d-k (one copy when
     k = d-k is impossible for odd d), zero differential, identity pairing."""
-    if not 0 <= k <= d:
-        raise ValidationError("degree out of range")
-    dims = [0] * (d + 1)
-    dims[k] = dims[d - k] = 1
-    gamma = [np.eye(dims[d - q], dims[q], dtype=complex)
-             for q in range(d + 1)]
-    return (CochainComplex(GradedDims(tuple(dims)), tuple(_zeros(dims))),
-            ChiralityOp(tuple(gamma)))
+    return _summands(d, harmonic=[k])
 
 
 def chiral_direct_sum(parts):
@@ -109,20 +127,19 @@ def _well_conditioned(rng: np.random.Generator, n: int,
 def random_profile(rng: np.random.Generator, d: int, acyclic: bool = True,
                    max_blocks: int = 3) -> dict:
     """Draw a generation profile: elementary blocks (degree, z) and harmonic
-    summand degrees."""
+    summand degrees.  Requires odd d >= 1 and max_blocks >= 1."""
+    _check_int("top degree", d, 1, odd=True)
+    _check_int("max_blocks", max_blocks, 1)
     r = (d + 1) // 2
-    nblocks = int(rng.integers(1, max_blocks + 1))
     blocks = []
-    for _ in range(nblocks):
+    for _ in range(int(rng.integers(1, max_blocks + 1))):
         j = int(rng.integers(0, r))
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         while abs(z) < 0.2:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         blocks.append((j, z))
-    harmonic = []
-    if not acyclic:
-        for _ in range(int(rng.integers(1, 3))):
-            harmonic.append(int(rng.integers(0, d + 1)))
+    harmonic = [] if acyclic else [int(rng.integers(0, d + 1))
+                                   for _ in range(int(rng.integers(1, 3)))]
     return {"blocks": blocks, "harmonic": harmonic}
 
 
@@ -133,24 +150,12 @@ def gen_random(seed: int, d: int, profile: dict | None = None,
     matrices (unitary ones when ``unitary`` is set, which keeps the chirality
     self-adjoint).  The generator is numpy's default PCG64 stream seeded with
     ``seed``; identical seeds give bit-identical output."""
+    _check_int("seed", seed, 0)  # d is checked before the first draw
     rng = np.random.default_rng(seed)
     if profile is None:
         profile = random_profile(rng, d)
-    parts = [gen_elementary(d, j, z) for j, z in profile.get("blocks", [])]
-    parts += [gen_harmonic(d, k) for k in profile.get("harmonic", [])]
-    if not parts:
-        raise ValidationError("profile generates an empty complex")
-    dims = GradedDims(tuple(sum(c.dims.dims[q] for c, _ in parts)
-                            for q in range(d + 1)))
-    p = [_well_conditioned(rng, n, unitary) for n in dims.dims]
-    pinv = [np.linalg.inv(m) if m.size else m for m in p]
-    if unitary:
-        pinv = [m.conj().T for m in p]
-    partial = tuple(p[q + 1] @ _block_diag(c.partial[q] for c, _ in parts)
-                    @ pinv[q] for q in range(d))
-    gamma = tuple(p[d - q] @ _block_diag(g.gamma[q] for _, g in parts)
-                  @ pinv[q] for q in range(d + 1))
-    return CochainComplex(dims, partial), ChiralityOp(gamma)
+    return _summands(d, profile.get("blocks", []), profile.get("harmonic", []),
+                     rng, unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +203,6 @@ def _finite(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
-
-
-def _integer(v) -> bool:
-    """Whether a parsed JSON value is an integer (booleans are not)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:

@@ -50,6 +50,18 @@ class TestHurwitzZeta:
                                        -(q * q - q + 1.0 / 6.0) / 2.0,
                                        atol=1e-12)
 
+    def test_negative_integers_match_bernoulli_closed_forms(self):
+        # zeta(-m, q) = -B_{m+1}(q)/(m+1).  The partial sum cancels at
+        # negative s (4.5e-11 and 1.4e-7 relative at q = 0.3); the bounds
+        # hold that accuracy
+        for q in (0.3, 0.05, 0.5, 0.95, 1.3, 0.8 + 0.2j):
+            b2 = q * q - q + 1.0 / 6.0
+            b4 = q ** 4 - 2.0 * q ** 3 + q * q - 1.0 / 30.0
+            np.testing.assert_allclose(hurwitz_zeta(-1.0, q), -b2 / 2.0,
+                                       rtol=1e-10, atol=0)
+            np.testing.assert_allclose(hurwitz_zeta(-3.0, q), -b4 / 4.0,
+                                       rtol=1e-6, atol=0)
+
     def test_riemann_value(self):
         np.testing.assert_allclose(hurwitz_zeta(2.0, 1.0), math.pi ** 2 / 6,
                                    rtol=1e-13)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -32,6 +33,7 @@ from detline import (
     torsion_via_split,
     validate_chirality,
 )
+from detline import workbench
 from detline.cli import main
 from detline.selftest import _instance, run_selftest
 
@@ -50,11 +52,13 @@ class TestGenerators:
         validate_chirality(c, g)
 
     def test_elementary_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
-            gen_elementary(2, 0, 1.0)  # even top degree
-        with pytest.raises(ValidationError):
-            gen_elementary(3, 2, 1.0)  # block degree out of range
-        with pytest.raises(ValidationError):
+        for bad in (2, 0, -1):
+            with pytest.raises(ValidationError, match="top degree"):
+                gen_elementary(bad, 0, 1.0)
+        with pytest.raises(ValidationError,
+                           match=r"block degree 2 out of range \[0, 2\)"):
+            gen_elementary(3, 2, 1.0)
+        with pytest.raises(ValidationError, match="needs z != 0"):
             gen_elementary(3, 0, 0.0)  # not acyclic
 
     def test_harmonic_summand(self):
@@ -114,22 +118,195 @@ class TestGenerators:
         validate_chirality(c, g)
 
     def test_random_checks_each_instance_once(self, count_validations):
-        # three summands, then the conjugated instance straight from their
-        # blocks: no direct sum in between
+        # three summands written straight into one block sum, which is
+        # conjugated: the returned pair is the only one checked, and each
+        # one-summand generator checks only its own pair
         profile = {"blocks": [(0, 1.5), (1, 0.5 + 1.0j)], "harmonic": [2]}
         checks = count_validations()
         c, g = gen_random(5, 3, profile)
-        assert checks == {"d.d": 4, "gamma^2": 4}
-        shapes_c = tuple(m.shape for m in c.partial)
-        shapes_g = tuple(m.shape for m in g.gamma)
-        assert checks.shapes("d.d").count(shapes_c) == 1
-        assert checks.shapes("gamma^2").count(shapes_g) == 1
+        assert checks == {"d.d": 1, "gamma^2": 1}
+        assert checks.shapes("d.d") == [tuple(m.shape for m in c.partial)]
+        assert checks.shapes("gamma^2") == [tuple(m.shape for m in g.gamma)]
+        gen_elementary(3, 1, 2.0)
+        assert checks == {"d.d": 2, "gamma^2": 2}
+        gen_harmonic(3, 0)
+        assert checks == {"d.d": 3, "gamma^2": 3}
+
+    @pytest.mark.parametrize("seed,d", [
+        (1, 0), (1, -1), (1, 2), (1, 3.0), (1, True), (1, "3"),
+        (-1, 3), (1.5, 3), (True, 3), ("1", 3)])
+    @pytest.mark.parametrize("profile", [
+        None, {"blocks": [(0, 1.5)], "harmonic": []}], ids=["drawn", "given"])
+    def test_random_rejects_bad_degree_or_seed_before_drawing(
+            self, monkeypatch, seed, d, profile):
+        # every stream opened must still be at its start
+        real, opened = np.random.default_rng, []
+
+        def spy(s):
+            opened.append((s, real(s)))
+            return opened[-1][1]
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        with pytest.raises(ValidationError, match="seed|top degree"):
+            gen_random(seed, d, profile)
+        for s, rng in opened:
+            assert rng.bit_generator.state == real(s).bit_generator.state
+
+    @pytest.mark.parametrize("d,max_blocks", [
+        (0, 3), (-1, 3), (2, 3), (3.0, 3), (3, 0), (3, 1.5)])
+    def test_profile_rejects_bad_degree_before_drawing(self, d, max_blocks):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="top degree|max_blocks"):
+            random_profile(rng, d, max_blocks=max_blocks)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("profile,message", [
+        ({"blocks": [(2, 1.0)]}, r"block degree 2 out of range \[0, 2\)"),
+        ({"blocks": [(-1, 1.0)]}, r"block degree -1 out of range"),
+        ({"blocks": [(0.5, 1.0)]}, r"block degree 0.5 out of range"),
+        ({"blocks": [(0, 0.0)]}, "acyclic block needs z != 0"),
+        ({"harmonic": [4]}, "degree out of range"),
+        ({"harmonic": [-1]}, "degree out of range"),
+        ({"blocks": [], "harmonic": []}, "profile generates an empty complex"),
+        ({}, "profile generates an empty complex")])
+    def test_random_keeps_its_profile_messages(self, profile, message):
+        with pytest.raises(ValidationError, match=message):
+            gen_random(1, 3, profile)
+
+    def test_harmonic_rejects_bad_input(self):
+        for bad in (2, 0, -1):
+            with pytest.raises(ValidationError, match="top degree"):
+                gen_harmonic(bad, 0)
+        with pytest.raises(ValidationError, match="degree out of range"):
+            gen_harmonic(3, 4)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_random_equals_conjugated_direct_sum(self, d):
+        # the reference route: the direct sum of one-summand pairs,
+        # conjugated by the same draws.  The arithmetic of every entry is
+        # the same, so the arrays must be equal on any BLAS
+        for seed in range(4):
+            prof = random_profile(np.random.default_rng(seed), d,
+                                  acyclic=seed % 2 == 0)
+            parts = [gen_elementary(d, j, z) for j, z in prof["blocks"]]
+            parts += [gen_harmonic(d, k) for k in prof["harmonic"]]
+            cs, gs = chiral_direct_sum(parts)
+            for unitary in (False, True):
+                c, g = gen_random(seed, d, prof, unitary)
+                rng = np.random.default_rng(seed)
+                p = [workbench._well_conditioned(rng, n, unitary)
+                     for n in cs.dims.dims]
+                pinv = [m.conj().T if unitary else
+                        np.linalg.inv(m) if m.size else m for m in p]
+                assert c.dims == cs.dims
+                for q in range(d):
+                    assert np.array_equal(
+                        c.partial[q], p[q + 1] @ cs.partial[q] @ pinv[q])
+                for q in range(d + 1):
+                    assert np.array_equal(
+                        g.gamma[q], p[d - q] @ gs.gamma[q] @ pinv[q])
 
     def test_random_unitary_chirality_is_self_adjoint(self):
         c, g = gen_random(8, 3, unitary=True)
         for j in range(4):
             np.testing.assert_allclose(g.gamma[j],
                                        g.gamma[3 - j].conj().T, atol=1e-12)
+
+
+def _digest(pairs) -> str:
+    """SHA-256 of the canonical documents of (complex, chirality) pairs, one
+    per line."""
+    text = "\n".join(serialize_document(c, g) for c, g in pairs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _random_instances():
+    """gen_random for d = 1, 3, 5, 7: drawn acyclic profiles (two seeds),
+    drawn profiles with harmonic summands, unitary conjugation with and
+    without them, then a mixed and a harmonic-only fixed profile."""
+    for d in (1, 3, 5, 7):
+        yield gen_random(0, d)
+        yield gen_random(1, d)
+        yield gen_random(d, d, random_profile(np.random.default_rng(d), d,
+                                              acyclic=False))
+        yield gen_random(10 + d, d, unitary=True)
+        yield gen_random(20 + d, d, random_profile(
+            np.random.default_rng(20 + d), d, acyclic=False), unitary=True)
+    yield gen_random(5, 3, {"blocks": [(0, 1.5), (1, 0.5 + 1.0j)],
+                            "harmonic": [2]})
+    yield gen_random(4, 5, {"blocks": [], "harmonic": [0, 2, 2]})
+
+
+def _blas_fingerprint() -> str:
+    """Digest of small complex QR, product and inverse results, the
+    operations gen_random conjugates with.  OpenBLAS picks its kernel by
+    CPU, and kernels that round these alike share a fingerprint."""
+    rng = np.random.default_rng(0)
+    out = hashlib.sha256()
+    for n in range(1, 9):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = np.linalg.qr(a)[0] @ np.diag(rng.uniform(0.7, 1.5, size=n)) @ a
+        out.update(m.tobytes())
+        out.update(np.linalg.inv(m).tobytes())
+    return out.hexdigest()[:16]
+
+
+# each entry of an elementary block or harmonic summand is z, 1 or 0, so
+# these digests hold under any BLAS
+ELEMENTARY_DIGESTS = {
+    1: "471598dc57bac3eed623dea4455ca36ba00bf5d7d0246cf484997e4d54cf322f",
+    3: "fc01b2a52fbf805d79b7377ba481343d47302e4935219ec89af9d5a248888f94",
+    5: "22a313142ae65fba3999e19cc5f9eb4baab36d5ed8fd868e403a8fdb410ec72c",
+    7: "c1395c80f07dbb6789cc244a81247080857c977621b27e62ed625356526f1563",
+}
+HARMONIC_DIGESTS = {
+    1: "6586af5eb5673a18e4cdd4d0011016a4bac600e4d469f47ca2e45cbd27fc26f4",
+    3: "1f5ba1d244f86492acf3bdeb3c0fa58a9f1c705d3f94ded164ea7cb8fbbaf991",
+    5: "2a76f1230feed2a1fd6a1e18be353b57f7319a2c9548d7a35a85125a52b30d58",
+    7: "98fbed82be6a6b7ad34087bcacbdc87e8e6ec996c71ec4d5f5bfd63be7ce6de0",
+}
+# digest of every _random_instances document, per BLAS fingerprint; the
+# kernels are OpenBLAS's (numpy 2.4), each forced with OPENBLAS_CORETYPE
+RANDOM_DIGESTS = {
+    # OpenBLAS SkylakeX, Cooperlake, SapphireRapids (AVX-512)
+    "c13149a608a70f8d":
+        "f0285763e8432c5fefc7d6df4ef95845acc1e76a435be12fc4daa3ef6ba4139b",
+    # Haswell, Zen (AVX2)
+    "6d10d545cdf66222":
+        "4545f872239515b1394f0bd889233b310375ab322744710bc1679741831383b6",
+    # Sandybridge, Bulldozer and its successors (AVX)
+    "897e3544646909db":
+        "e71bf5e7308b3b66472ef9105aec207d81bc99808b3604c0dd5e76c0fda490fa",
+    # Nehalem, Atom, Barcelona
+    "24c49a1f66dfdebf":
+        "dc89ea8e6f3fbd56c6c399635a50916748174aa53742f67dc154a0d8d1d80f33",
+    # Prescott, Core2
+    "5ba6c5ebb3f1c42c":
+        "fcccdeef25c756eba4eb98343f9b89e95c943a2ad692de55f2f551ed59d3874d",
+}
+
+
+class TestGeneratorDigests:
+    """Generator output pinned bit for bit: a rewrite must reproduce every
+    document, not only its numbers within a tolerance."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_elementary_blocks(self, d):
+        pairs = [gen_elementary(d, j, z) for j in range((d + 1) // 2)
+                 for z in (2.0, -0.4 + 1.1j, 1e-3j)]
+        assert _digest(pairs) == ELEMENTARY_DIGESTS[d]
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_harmonic_summands(self, d):
+        pairs = [gen_harmonic(d, k) for k in range(d + 1)]
+        assert _digest(pairs) == HARMONIC_DIGESTS[d]
+
+    def test_random_instances(self):
+        fingerprint = _blas_fingerprint()
+        if fingerprint not in RANDOM_DIGESTS:
+            pytest.skip(f"no digest recorded for BLAS fingerprint "
+                        f"{fingerprint}")
+        assert _digest(_random_instances()) == RANDOM_DIGESTS[fingerprint]
 
 
 class TestDocuments:
