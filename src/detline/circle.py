@@ -191,7 +191,12 @@ def _exp(z: complex, m: CircleModel) -> complex:
 
 
 def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
-    """Analytic torsion of the model, exp(xi - i pi eta); theta as in xi."""
+    """Analytic torsion of the model, exp(xi - i pi eta); theta as in xi.
+    For Im a > 0, Re xi and pi Im eta (each ~ pi Im a) cancel in the
+    exponent, which costs ~ pi Im a eps of relative precision: against
+    rho_an_closed at Re a = 0.3 the relative error is 1.4e-12 at Im a = 1e3,
+    1.1e-9 at 1e6 and 1.8e-8 at 1e7.  For Im a < 0, |rho_an| overflows past
+    |Im a| ~ 113, so the CLI (whose duality check takes conj(a)) exits 3."""
     return _rho_from_xi(m, xi_circle(m, theta))
 
 
@@ -271,9 +276,8 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     theta = _agmon_angle(m, theta)
     lam = (k + m.a.real) ** 2
     small = [n + m.a for n in range(-k - 2, k + 2) if abs(n + m.a) ** 2 <= lam]
-    xi = xi_lam = xi_circle(m, theta)
-    for z in small:
-        xi_lam -= 0.5 * _log_det([z * z], 2.0 * theta)
+    xi = xi_circle(m, theta)
+    xi_lam = xi - 0.5 * _log_det([z * z for z in small], 2.0 * theta)
     eta_lam = eta_circle(m) - _eta(small, 0).eta
     det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
                           - 0.5j * math.pi * len(small))

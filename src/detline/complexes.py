@@ -55,13 +55,25 @@ _VALIDATION_TOL = 1e-10  # of d.d = 0 in a complex, Gamma^2 = 1 in a chirality
 _QR_MIN_COLS = 16
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Read-only view of a; a itself keeps its flags."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+def _columns(blocks) -> np.ndarray:
+    """Blocks of equal height side by side; a lone nonempty one, read-only."""
+    lone = [b for b in blocks if b.shape[1]]
+    return _readonly(lone[0]) if len(lone) == 1 else np.hstack(blocks)
+
+
 def _as_matrix(m, rows: int, cols: int) -> np.ndarray:
-    a = np.asarray(m, dtype=complex).view()
+    a = np.asarray(m, dtype=complex)
     if a.shape != (rows, cols):
         raise ValidationError(
             f"differential has shape {a.shape}, expected {(rows, cols)}")
-    a.flags.writeable = False
-    return a
+    return _readonly(a)
 
 
 @dataclass(frozen=True)
@@ -174,10 +186,11 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
     vanishes on B^j.  When d_j P_j is square, its singular values come
     first: at full rank it maps P_j onto C^{j+1} one-to-one, so A^j = P_j,
-    B^{j+1} = C^{j+1} (the identity) and H^j, P_{j+1} are empty.  Otherwise
-    one full SVD d_j P_j = U S V^H splits P_j into A^j = P_j V_lead and
-    H^j = P_j V_trail, and its left singular vectors are U_{j+1}:
-    B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree H^d = P_d.
+    B^{j+1} = C^{j+1} (the identity, read-only; at j = 0 also A^0) and H^j,
+    P_{j+1} are empty.  Otherwise one full SVD d_j P_j = U S V^H splits P_j
+    into A^j = P_j V_lead and H^j = P_j V_trail, and its left singular
+    vectors are U_{j+1}: B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree
+    H^d = P_d.
 
     A tall d_j P_j (rows > cols >= _QR_MIN_COLS) first takes a complete QR,
     d_j P_j = Q [R; 0] with Q = [Q_1 | Q_2], and the square factor R takes
@@ -208,8 +221,9 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
             v = vh.conj().T if perp is None else perp @ vh.conj().T
         else:
             # d_j P_j is empty, or maps P_j onto C^{j+1} one-to-one
-            u = np.eye(rows, dtype=complex)
-            v = np.eye(cols, dtype=complex) if perp is None else perp
+            u = _readonly(np.eye(rows, dtype=complex))
+            v = (perp if perp is not None else u if rows == cols
+                 else np.eye(cols, dtype=complex))
         if q is not None:
             # left singular vectors of Q [R; 0] are Q diag(U_R, 1)
             u = q if rank == cols else np.hstack([q[:, :cols] @ u,
@@ -258,16 +272,11 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
         raise ValidationError("element does not live on this complex's line")
     ts = []
     for j in range(c.d + 1):
-        blocks = []
+        blocks = [frame.H[j], frame.A[j]]
         if j > 0 and frame.A[j - 1].shape[1]:
-            blocks.append(c.partial[j - 1] @ frame.A[j - 1])
-        if frame.H[j].shape[1]:
-            blocks.append(frame.H[j])
-        if frame.A[j].shape[1]:
-            blocks.append(frame.A[j])
-        nj = c.dims.dims[j]
-        t = np.hstack(blocks) if blocks else np.zeros((nj, 0), dtype=complex)
-        if t.shape[1] != nj:
+            blocks.insert(0, c.partial[j - 1] @ frame.A[j - 1])
+        t = _columns(blocks)
+        if t.shape[1] != c.dims.dims[j]:
             raise ValidationError(f"degree {j}: frame does not span C^{j}")
         ts.append(t)
     coeff = complex(x.coeff) * alternating_det(ts)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _zero_cut, cohomology_frame)
+                        _columns, _readonly, _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
@@ -94,10 +94,14 @@ def _bsq(blocks: dict, j: int) -> np.ndarray:
 
 def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
     """Matrix of the degree blocks {(target, source): block} of the given
-    parity on the sum of those degrees, degree j of dimension sizes[j]."""
+    parity on the sum of those degrees, degree j of dimension sizes[j]; a
+    lone block that fills it is used as it stands, as a read-only view."""
     offs, pos = {}, 0
     for j in range(parity, len(sizes), 2):
         offs[j], pos = pos, pos + sizes[j]
+    for (t, s), b in blocks.items():
+        if s % 2 == parity and b.shape == (pos, pos):
+            return _readonly(b)
     out = np.zeros((pos, pos), dtype=complex)
     for (t, s), b in blocks.items():
         if s % 2 == parity:
@@ -107,7 +111,8 @@ def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignatureOp:
-    """B = Gamma d + d Gamma packaged with its even and odd matrices."""
+    """B = Gamma d + d Gamma packaged with its even and odd matrices; a
+    matrix that is one degree block of B is that block, read-only."""
 
     complex: CochainComplex
     chirality: ChiralityOp
@@ -169,11 +174,12 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     which is the bijectivity condition for B.  [B^j | H^j | A^j] is unitary,
     so s = sigma_min((A^j)^H P) is the sine of the smallest angle between
     P = C^j_+ and M = C^j_-, and the test reads
-    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.
+    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  When B^j or
+    H^j is empty, C^j_- is the other one as it stands, a read-only view.
     """
     validate_chirality(c, g)
     frame, d = _frame_for(c, frame), c.d
-    minus = [np.hstack([b, h]) for b, h in zip(frame.B, frame.H)]
+    minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     for j, (p, m) in enumerate(zip(plus, minus)):
         if p.shape[1] + m.shape[1] != c.dims.dims[j]:
@@ -409,18 +415,25 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
 def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
     with the graded determinant of the large part and the refined torsion of
-    the small part.  A part that is the complex itself shares frame."""
+    the small part.  A part that is the complex itself shares frame.  An
+    empty part, the zero complex, has det and torsion 1 and forms no frame;
+    it carries the full cohomology only when frame is acyclic."""
     large, small = split.large, split.small
-    large_frame, small_frame = (
-        frame if p.complex is frame.complex else cohomology_frame(p.complex)
-        for p in (large, small))
-    det_large = graded_det_finite(large.complex, large.chirality, large_frame)
-    if small_frame.betti != frame.betti:
+    large_frame, small_frame = (  # frame stands in for an empty part's
+        frame if p.complex is frame.complex or not p.complex.dims.total
+        else cohomology_frame(p.complex) for p in (large, small))
+    det_large = (graded_det_finite(large.complex, large.chirality, large_frame)
+                 if large.complex.dims.total else 1 + 0j)
+    empty = not small.complex.dims.total
+    if small_frame.betti != frame.betti or (empty and not frame.acyclic):
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
-    rho_small = refined_torsion(small.complex, small.chirality, small_frame)
-    w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
-                        for j, h in enumerate(small_frame.H))
+    rho_small, w = CohomologyElement(1 + 0j, frame), 1 + 0j
+    if not empty:
+        rho_small = refined_torsion(small.complex, small.chirality,
+                                    small_frame)
+        w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
+                            for j, h in enumerate(small_frame.H))
     return (CohomologyElement(det_large * rho_small.coeff / w, frame),
             det_large, rho_small)
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (_VALIDATION_TOL, CochainComplex, CohomologyElement,
-                        CohomologyFrame, alpha_cohomology, cohomology_frame,
-                        dual_complex, phi)
+                        CohomologyFrame, _readonly, alpha_cohomology,
+                        cohomology_frame, dual_complex, phi)
 from .errors import ValidationError
 from .gradedlinalg import DetElement, alternating_det
 
@@ -45,7 +45,8 @@ class ChiralityOp:
     _dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gamma = tuple(np.asarray(g, dtype=complex).view() for g in self.gamma)
+        gamma = tuple(_readonly(np.asarray(g, dtype=complex))
+                      for g in self.gamma)
         d = len(gamma) - 1
         if d % 2 == 0:
             raise ValidationError("chirality requires odd top degree")
@@ -53,7 +54,6 @@ class ChiralityOp:
             if a.ndim != 2:
                 raise ValidationError(
                     f"Gamma_{j} has shape {a.shape}, expected a matrix")
-            a.flags.writeable = False
         n = tuple(a.shape[1] for a in gamma)  # n[j] = dim C^j
         _check_shapes(gamma, n)
         for j, a in enumerate(gamma):

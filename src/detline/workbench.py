@@ -50,7 +50,8 @@ def _summands(d, blocks=(), harmonic=(), rng=None, unitary=False):
     k), in that order, written straight into its matrices: each summand has
     one basis vector per degree it occupies, after the earlier summands' (as
     in chiral_direct_sum), and Gamma pairs those in degrees q and d-q by 1.
-    rng, when given, conjugates the sum; only the returned pair is checked."""
+    rng, when given, conjugates the sum in place, degree by degree, one
+    inverse at a time; only the returned pair is checked."""
     _check_int("top degree", d, 1, odd=True)
     r = (d + 1) // 2
     layout = []
@@ -80,10 +81,12 @@ def _summands(d, blocks=(), harmonic=(), rng=None, unitary=False):
             partial[q][at[q + 1], at[q]] = z
     if rng is not None:  # conjugate degreewise by well-conditioned matrices
         p = [_well_conditioned(rng, n, unitary) for n in dims]
-        pinv = ([m.conj().T for m in p] if unitary
-                else [np.linalg.inv(m) if m.size else m for m in p])
-        partial = [p[q + 1] @ partial[q] @ pinv[q] for q in range(d)]
-        gamma = [p[d - q] @ gamma[q] @ pinv[q] for q in range(d + 1)]
+        for q in range(d + 1):
+            pinv = (p[q].conj().T if unitary
+                    else np.linalg.inv(p[q]) if dims[q] else p[q])
+            if q < d:
+                partial[q] = p[q + 1] @ partial[q] @ pinv
+            gamma[q] = p[d - q] @ gamma[q] @ pinv
     return (CochainComplex(GradedDims(tuple(dims)), tuple(partial)),
             ChiralityOp(tuple(gamma)))
 
@@ -114,14 +117,15 @@ def _well_conditioned(rng: np.random.Generator, n: int,
     """Random invertible n x n matrix with condition number below ~3."""
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = np.empty((n, n), dtype=complex)  # holds each draw; qr copies it
+    a.real, a.imag = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     q1, _ = np.linalg.qr(a)
     if unitary:
         return q1
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q2, _ = np.linalg.qr(b)
-    sing = rng.uniform(0.7, 1.5, size=n)
-    return q1 @ np.diag(sing) @ q2
+    a.real, a.imag = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    q2, _ = np.linalg.qr(a)
+    q1 *= rng.uniform(0.7, 1.5, size=n)  # q1 diag(sing), column by column
+    return q1 @ q2
 
 
 def random_profile(rng: np.random.Generator, d: int, acyclic: bool = True,

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,25 @@ def normal_matrix(spectrum, seed=3):
     q = np.linalg.qr(rng.standard_normal((n, n))
                      + 1j * rng.standard_normal((n, n)))[0]
     return q @ np.diag(np.asarray(spectrum, dtype=complex)) @ q.conj().T
+
+
+# 200 elementary d = 1 blocks: a complex with two 200 x 200 degrees, large
+# enough that its matrices dominate the memory a call traces
+BIG_PROFILE = {"blocks": [(0, complex(1 + 0.1 * k, 0.3)) for k in range(200)],
+               "harmonic": []}
+BIG_UNIT = 200 * 200 * 16  # bytes of one 200 x 200 complex matrix
+
+
+def traced_peak(fn, *args) -> float:
+    """Peak of the memory that tracemalloc traces while fn(*args) runs, in
+    units of one 200 x 200 complex matrix (BIG_UNIT)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / BIG_UNIT
+    finally:
+        tracemalloc.stop()
 
 
 class FactorizationCounts(dict):

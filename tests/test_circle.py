@@ -130,6 +130,14 @@ class TestCircleModel:
         np.testing.assert_allclose(xi_circle(CircleModel(0.5)), math.log(2.0),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("im, bound", [(1e3, 1e-11), (1e6, 1e-8)])
+    def test_rho_accuracy_at_large_positive_im_a(self, im, bound):
+        # Re xi and pi Im eta cancel in the exponent, so about pi Im a eps
+        # of relative precision goes (1.4e-12 at 1e3, 1.1e-9 at 1e6)
+        m = CircleModel(complex(0.3, im))
+        closed = rho_an_closed(m)
+        assert abs(rho_an_circle(m) - closed) <= bound * abs(closed)
+
     def test_rho_at_quarter(self):
         np.testing.assert_allclose(rho_an_circle(CircleModel(0.25)), 1.0 - 1.0j,
                                    atol=1e-12)

@@ -41,7 +41,7 @@ from detline.selftest import _instance
 from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _even_blocks,
                                _restrict, _split_degree)
 
-from conftest import normal_matrix
+from conftest import BIG_PROFILE, normal_matrix, traced_peak
 
 
 class TestGradedDet:
@@ -419,6 +419,93 @@ class TestEvenBlockSides:
         assert num.size and den.size  # neither side is the whole even part
         assert seen.count("B+ even") == sum(t + s == d - 1 for t, s in keys)
         assert seen.count("B- even") == sum(t + s == d + 1 for t, s in keys)
+
+
+class TestLoneBlocks:
+    """A lone block is used as it stands, with no copy: phi's T_j, a C^j_-
+    with B^j or H^j empty, B_even and B_odd made of one degree block, and
+    the identity a square invertible first degree gives as A^0 and B^1.
+    What a public function hands out this way is a read-only view."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return gen_random(7, 1, BIG_PROFILE)
+
+    # traced peaks, in 200 x 200 complex matrices, measured at 2.0, 3.0 and
+    # 5.0: the frame's one identity and d_0 A^0; the identity, C^0_+ and
+    # B_even; the split's B blocks, B^2_0 and bases besides
+    @pytest.mark.parametrize("call, bound", [
+        (refined_torsion, 2.1),
+        (graded_det_finite, 3.1),
+        (lambda c, g: torsion_via_split(c, g, 0.0), 5.1),
+    ], ids=["refined_torsion", "graded_det_finite", "torsion_via_split"])
+    def test_traced_peak(self, big, call, bound):
+        assert traced_peak(call, *big) <= bound
+
+    def test_first_degree_identity_is_shared_and_read_only(self, big):
+        fr = cohomology_frame(big[0])
+        assert np.shares_memory(fr.A[0], fr.B[1])
+        assert np.array_equal(fr.A[0], np.eye(200))
+        for m in (fr.A[0], fr.B[1]):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_lone_minus_blocks_are_read_only_views(self, d):
+        # the split needs an acyclic complex, where C^j_- = B^j
+        c, g = _instance(7, d, acyclic=True)
+        fr = cohomology_frame(c)
+        minus = plus_minus_split(c, g, fr)[1]
+        lone = [(m, b) for m, b in zip(minus, fr.B) if b.size]
+        assert lone
+        for m, b in lone:
+            assert np.shares_memory(m, b)
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
+    def test_one_block_b_even_and_b_odd_are_read_only(self):
+        # at d = 1, B_even is Gamma_1 d_0 and B_odd is d_0 Gamma_1
+        c, g = _instance(6, 1, acyclic=False)
+        s = build_signature(c, g)
+        assert np.array_equal(s.b_even, g.gamma[1] @ c.partial[0])
+        assert np.array_equal(s.b_odd, c.partial[0] @ g.gamma[1])
+        for m in (s.b_even, s.b_odd):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
+
+class TestEmptySplitPart:
+    """An empty part of a split is the zero complex: it adds det 1 (large)
+    or torsion 1 (small), and no frame, graded determinant or torsion of it
+    is formed."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
+    def test_zero_complex_is_not_computed(self, monkeypatch, d, above):
+        c, g = _instance(7, d, acyclic=True)
+        lam = 2.0 * _spectral_radius(c, g) if above else 0.0
+        fr = cohomology_frame(c)
+        seen = []
+        for name in ("cohomology_frame", "graded_det_finite",
+                     "refined_torsion"):
+            def spy(cx, *args, _orig=getattr(signature_mod, name),
+                    _name=name):
+                seen.append((_name, cx.dims.total))
+                return _orig(cx, *args)
+            monkeypatch.setattr(signature_mod, name, spy)
+        value = torsion_via_split(c, g, lam, fr).coeff
+        assert seen == [("refined_torsion" if above else "graded_det_finite",
+                         c.dims.total)]
+        assert abs(value - refined_torsion(c, g, fr).coeff) <= (
+            1e-8 * abs(value))
+
+    def test_empty_small_part_needs_an_acyclic_frame(self):
+        c, g = _instance(7, 3, acyclic=True)
+        split = spectral_split(c, g, 0.0)
+        assert split.small.complex.dims.total == 0
+        other = _instance(7, 3, acyclic=False)[0]
+        with pytest.raises(SpectralBoundaryError, match="full cohomology"):
+            signature_mod._torsion_from_split(split, cohomology_frame(other))
 
 
 class TestSplitStructure:

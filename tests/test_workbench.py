@@ -37,6 +37,8 @@ from detline import workbench
 from detline.cli import main
 from detline.selftest import _instance, run_selftest
 
+from conftest import BIG_PROFILE, traced_peak
+
 
 class TestGenerators:
     def test_elementary_running_example(self):
@@ -307,6 +309,15 @@ class TestGeneratorDigests:
             pytest.skip(f"no digest recorded for BLAS fingerprint "
                         f"{fingerprint}")
         assert _digest(_random_instances()) == RANDOM_DIGESTS[fingerprint]
+
+
+class TestGeneratorMemory:
+    def test_random_conjugates_in_place(self):
+        # each block is replaced by its conjugate as its degree comes up,
+        # with one inverse alive at a time, and each conjugator's Gaussian
+        # is drawn into one complex array; on two 200 x 200 degrees the
+        # traced peak measures 10.1 such matrices
+        assert traced_peak(gen_random, 7, 1, BIG_PROFILE) <= 10.2
 
 
 class TestDocuments:
