@@ -1,7 +1,7 @@
 """Determinant-line calculus, refined torsion, graded determinants of the
 odd signature operator, and a closed-form circle model."""
 
-from .circle import (CircleModel, duality_check, eta_circle, hurwitz_zeta,
+from .circle import (CircleModel, duality_check, eta_circle,
                      hurwitz_zeta_deriv0, metric_scale_check, rho_an_circle,
                      rho_an_closed, rs_norm_check, rs_torsion_circle,
                      split_check, xi_circle, zeta_zero_check)

@@ -10,25 +10,25 @@ residual fails.  Every such check goes through ``_verdict``, and its detail
 reads ``worst <quantity> <value> (bound <bound>)``.  The bound is
 TOL = 1e-9 where not stated otherwise.
 
-The six circle checks ignore ``cases`` and ``seed``: they run the whole
+The seven circle checks ignore ``cases`` and ``seed``: they run the whole
 fixed grid of ``_circle_grid``, 20 real holonomy exponents and 10 complex
-ones drawn with seed 77.  circle-scale-invariance is an identity at s = 0
-(zeta(0, a) + zeta(0, 1 - a) cancels), so it cannot detect a wrong Hurwitz
-series.  circle-zeta-zero checks the series' correction terms instead:
-zeta(1 - 2k, q) = -B_2k(q) / 2k for k = 1, 2 at q = a and 1 - a, with
-B_2(q) and B_4(q) written out in exact coefficients, so a wrong B_2 or B_4
-in the circle's Bernoulli table fails it.  Its residual is relative to the
-tail term |q + n|^2k / 2k of the series (n terms summed), which the
-partial sum cancels: absolute, rounding leaves about 9e-10 in
-zeta(-3, q).  hurwitz-derivative-crosscheck
-compares a central difference of the Hurwitz series with log Gamma, and
-both read the one Bernoulli table of the circle module, so a wrong entry
-there could cancel; circle-two-path stays independent, comparing rho_an
-with the closed form 1 - exp(2 pi i a), which uses neither.
+ones drawn with seed 77, and the last three take q = a and 1 - a.  The model
+needs the Hurwitz zeta function only at s = 0, in closed form:
+zeta(0, q) = 1/2 - q, and zeta'(0, q) = log Gamma(q) - (1/2) log(2 pi) from
+Stirling's series.  circle-zeta-zero checks Gauss's multiplication theorem at
+s = 0, sum_{r<3} zeta'(0, (q + r)/3) = zeta'(0, q) + zeta(0, q) log 3, which
+ties the zeta(0, q) of eta and the scale term to the zeta'(0, q) of xi.
+hurwitz-derivative-crosscheck checks zeta'(0, q) against the recurrence
+zeta'(0, q + 1) - zeta'(0, q) = log q and Legendre's duplication
+zeta'(0, q) + zeta'(0, q + 1/2) - zeta'(0, 2q) = (1/2 - 2q) log 2.  Both
+bound their residuals by 1e-13, so a Stirling coefficient B_2 .. B_8 off by
+0.1% fails them.  circle-two-path stays independent of log Gamma, comparing
+rho_an with the closed form 1 - exp(2 pi i a).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -402,23 +402,15 @@ def check_circle_split(cases, seed):
                      for k in (2, 5)), 1e-8)
 
 
-# B_2(q) and B_4(q) in exact coefficients, apart from the circle's
-# Bernoulli table, so that a wrong entry there cannot cancel
-_BERNOULLI_POLYS = ((1, lambda q: q * q - q + 1 / 6),
-                    (2, lambda q: q ** 4 - 2 * q ** 3 + q * q - 1 / 30))
+def _circle_qs():
+    return [q for m in _circle_grid() for q in (m.a, 1.0 - m.a)]
 
 
 def check_circle_zeta_zero(cases, seed):
-    # zeta(1 - 2k, q) = -B_2k(q) / 2k; at s = 1 - 2k the Euler-Maclaurin
-    # corrections up to B_2k survive.  The residual is relative to the tail
-    # term |q + n|^2k / 2k that the partial sum of n terms cancels
-    n = ci._EM_TERMS
-    return _verdict(
-        (abs(ci.hurwitz_zeta(1 - 2 * k, q) + poly(q) / (2 * k))
-         / (abs(q + n) ** (2 * k) / (2 * k))
-         for m in _circle_grid() for q in (m.a, 1.0 - m.a)
-         for k, poly in _BERNOULLI_POLYS),
-        1e-14, "relative residual")
+    z1 = ci.hurwitz_zeta_deriv0
+    return _verdict((abs(sum(z1((q + r) / 3) for r in range(3)) - z1(q)
+                         - ci._zeta0(q) * math.log(3.0))
+                     for q in _circle_qs()), 1e-13)
 
 
 def check_circle_scale(cases, seed):
@@ -427,14 +419,13 @@ def check_circle_scale(cases, seed):
 
 
 def check_hurwitz_crosscheck(cases, seed):
-    rng = np.random.default_rng(seed)
+    z1 = ci.hurwitz_zeta_deriv0
     res = []
-    for _ in range(max(5, cases // 10)):
-        q = complex(rng.uniform(0.1, 2.0), rng.uniform(-0.3, 0.3))
-        h = 1e-5
-        numeric = (ci.hurwitz_zeta(h, q) - ci.hurwitz_zeta(-h, q)) / (2 * h)
-        res.append(abs(numeric - ci.hurwitz_zeta_deriv0(q)))
-    return _verdict(res, 1e-8, "derivative gap")
+    for q in _circle_qs():
+        res.append(abs(z1(q + 1) - z1(q) - cmath.log(q)))
+        res.append(abs(z1(q) + z1(q + 0.5) - z1(2 * q)
+                       - (0.5 - 2 * q) * math.log(2.0)))
+    return _verdict(res, 1e-13)
 
 
 def check_round_trip(cases, seed):

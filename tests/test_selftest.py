@@ -1,5 +1,7 @@
 """Unit tests for the selftest registry and its verdict rule."""
 
+import cmath
+import dataclasses
 import math
 
 import pytest
@@ -47,15 +49,77 @@ def test_a_raising_check_fails_through_run_selftest(monkeypatch):
     assert all(r["detail"].startswith("exception: ") for r in failed)
 
 
-@pytest.mark.parametrize("entry", [2, 4])
-def test_circle_zeta_zero_fails_on_a_wrong_bernoulli_number(monkeypatch,
-                                                           entry):
-    # B_2 or B_4 off by 0.1% in the table the Hurwitz series reads
-    check = dict(st.CHECKS)["circle-zeta-zero"]
+def _stirling_scaled(m, factor):
+    """ci._STIRLING with the term of B_m scaled by factor."""
+    table = list(ci._STIRLING)
+    table[table.index(ci._B[m] / (m * (m - 1)))] *= factor
+    return tuple(table)
+
+
+# the unpatched functions, which the mutants below wrap
+_ETA = ci._eta
+_XI = ci.xi_circle
+_ETA_CIRCLE = ci.eta_circle
+_ZETA0 = ci._zeta0
+
+
+def _eta_plus_half(eigs, m_zero):
+    data = _ETA(eigs, m_zero)
+    return dataclasses.replace(data, eta=data.eta + 0.5)
+
+# one mutant per circle check that must turn it red
+CIRCLE_MUTANTS = [
+    ("circle-two-path", "eta_circle", lambda m: _ETA_CIRCLE(m) + 1e-6),
+    ("circle-rs-norm", "_rho_from_xi",
+     lambda m, xi: cmath.exp(xi + 1j * math.pi * ci.eta_circle(m))),
+    ("circle-duality", "xi_circle",
+     lambda m, theta=None: _XI(m, theta) + 1e-6j),
+    ("circle-split-levels", "_eta", _eta_plus_half),
+    ("circle-zeta-zero", "_zeta0", lambda q: _ZETA0(q) + 1e-6),
+    ("circle-scale-invariance", "_zeta0", lambda q: _ZETA0(q) + 1e-6),
+    ("hurwitz-derivative-crosscheck", "_STIRLING", _stirling_scaled(6, 1.001)),
+]
+
+
+def test_every_circle_check_has_a_mutant():
+    assert [name for name, _, _ in CIRCLE_MUTANTS] == [
+        name for name, _ in st.CHECKS
+        if name.startswith(("circle-", "hurwitz-"))]
+
+
+@pytest.mark.parametrize("name, attr, mutant", CIRCLE_MUTANTS,
+                         ids=[name for name, _, _ in CIRCLE_MUTANTS])
+def test_circle_check_fails_on_its_mutant(monkeypatch, name, attr, mutant):
+    check = dict(st.CHECKS)[name]
     assert check(1, 0)[0]
-    table = list(ci._B)
-    table[entry] *= 1.001
-    monkeypatch.setattr(ci, "_B", tuple(table))
+    monkeypatch.setattr(ci, attr, mutant)
     passed, detail = check(1, 0)
     assert not passed
-    assert detail.startswith("worst relative residual ")
+    assert detail.startswith("worst ")
+
+
+@pytest.mark.parametrize("name", ["circle-zeta-zero",
+                                  "hurwitz-derivative-crosscheck"])
+def test_closed_form_checks_are_tight(name):
+    passed, detail = dict(st.CHECKS)[name](1, 0)
+    assert passed
+    assert float(detail.split()[2]) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("name", ["circle-zeta-zero",
+                                  "hurwitz-derivative-crosscheck"])
+def test_closed_form_checks_fail_on_a_wrong_stirling_coefficient(
+        monkeypatch, name, m):
+    # B_m off by 0.1% in log Gamma's Stirling series
+    monkeypatch.setattr(ci, "_STIRLING", _stirling_scaled(m, 1.001))
+    assert not dict(st.CHECKS)[name](1, 0)[0]
+
+
+@pytest.mark.parametrize("mutant", [lambda q: _ZETA0(q) * (1 + 1e-6),
+                                    lambda q: -_ZETA0(q)],
+                         ids=["scaled", "negated"])
+def test_circle_zeta_zero_fails_on_a_wrong_zeta_at_zero(monkeypatch, mutant):
+    # a shifted zeta(0, q) is the check's row in CIRCLE_MUTANTS
+    monkeypatch.setattr(ci, "_zeta0", mutant)
+    assert not dict(st.CHECKS)["circle-zeta-zero"](1, 0)[0]
