@@ -9,19 +9,22 @@ coexact parts; it induces the canonical isomorphism ``phi`` between the
 determinant line of the complex and the determinant line of its cohomology.
 The decomposition is chained down the complex: d_j vanishes on B^j, so it
 is factorized on the orthogonal complement of B^j only, and its left
-singular vectors give B^{j+1} and the next complement.  Singular values
-settle a square invertible degree: there d_j maps that complement onto
-C^{j+1}, so every basis is known without singular vectors.  A tall degree
-of at least 16 columns is factorized by QR first (Chan's R-SVD): the
-singular values of its square factor R settle full column rank, where Q
-alone gives B^{j+1} and the next complement, and only a short rank takes
-the full SVD of R.  Any other degree takes one full SVD.
+singular vectors give B^{j+1} and the next complement.  A square degree
+of full rank needs no singular vectors: there d_j maps that complement
+onto C^{j+1}, so every basis is known.  From 16 columns on a Cholesky
+certificate of the Gram matrix settles it, and a square degree it leaves
+open takes one full SVD; below 16 columns its singular values settle it.
+A tall degree of at least 16 columns is factorized by QR first (Chan's
+R-SVD), and its square factor R takes the same rule: at full column rank
+Q alone gives B^{j+1} and the next complement, and only a short rank
+takes the full SVD of R.  Any other degree takes one full SVD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +53,10 @@ __all__ = [
 RANK_RTOL = 1e-8
 RANK_ATOL = 1e-12
 _VALIDATION_TOL = 1e-10  # of d.d = 0 in a complex, Gamma^2 = 1 in a chirality
-# least column count at which a tall degree factorizes by QR first: below
-# it one full SVD is cheaper (measured crossover, 12 to 16 columns)
+# least column count at which a tall degree factorizes by QR first, and at
+# which a square block (d_j P_j, R, the +/- test's) is first offered to the
+# Cholesky certificate _sigma_min_above: below it one full SVD, or the
+# singular values alone, are cheaper (measured crossovers, 12 to 16 columns)
 _QR_MIN_COLS = 16
 
 
@@ -138,6 +143,46 @@ def _rank_cut(s: np.ndarray) -> tuple[int, float]:
     return rank, min(kept, cut / dropped if dropped else math.inf)
 
 
+def _sigma_min_above(x: np.ndarray, floor: float) -> bool:
+    """True only when sigma_min(x) > floor, for a square n x n x; False
+    settles nothing, and the caller decides from singular values instead.
+
+    With tau = max(1e-10 ||x||_F^2, 4 floor^2), it tries a Cholesky
+    factorization of G - tau I, where G = x^H x is formed in floating point
+    on x scaled by its largest modulus, so that G neither overflows nor
+    underflows.  If the factorization succeeds, the rounding of the scaling,
+    of G, of the shift and of the factorization itself (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3) move G by
+    delta ~ 2 (n+2) eps ||x||_F^2 at most in the 2-norm, so
+    sigma_min(x)^2 >= tau - delta > tau / 2 >= 2 floor^2 while
+    delta < tau / 2.  That needs 4 (n+2) eps ||x||_F^2 < tau, which holds
+    for n below about 1.1e5, and at any n where 4 floor^2 is the larger
+    term.  The answer is False past that limit, when tau reaches
+    ||x||_F^2 (no square x has a larger sigma_min^2), and when the largest
+    modulus is zero, not finite or beyond 1e+-290.
+    """
+    n = x.shape[0]
+    scale = float(np.abs(x).max(initial=0.0))
+    if not 1e-290 < scale < 1e290:
+        return False
+    xc = x.conj()
+    xc /= scale
+    g = xc.T @ x
+    del xc  # so that no more than G and its factor are held at once
+    g /= scale  # G / scale^2
+    fro2 = float(np.trace(g).real)  # ||x||_F^2 / scale^2, in [1, n^2]
+    rel = floor / scale
+    tau = max(1e-10 * fro2, 4.0 * rel * rel)
+    if not 4 * (n + 2) * np.finfo(float).eps * fro2 < tau < fro2:
+        return False
+    g.flat[::n + 1] -= tau
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _block_diag(blocks) -> np.ndarray:
     """Complex block-diagonal matrix of the given blocks, in order; blocks
     may be rectangular or empty."""
@@ -159,15 +204,29 @@ class CohomologyFrame:
     B^j is the image of d_{j-1}, H^j the orthogonal complement of B^j inside
     ker d_j (the harmonic space), and A^j the orthogonal complement of the
     kernel.  ``betti[j]`` is dim H^j.  ``rank_margin[j]`` says how far the
-    rank decision on d_j was from going the other way (see ``_rank_cut``);
-    it is empty for a frame assembled by hand.
+    rank decision on d_j was from going the other way (see ``_rank_cut``).
+    It is computed on first read, from the singular values of
+    d_j [A^j | H^j], so a frame assembled by hand has margins of its own
+    and building a frame computes none.
     """
 
     complex: CochainComplex
     B: tuple[np.ndarray, ...]
     H: tuple[np.ndarray, ...]
     A: tuple[np.ndarray, ...]
-    rank_margin: tuple[float, ...] = ()
+
+    @cached_property
+    def rank_margin(self) -> tuple[float, ...]:
+        # [A^j | H^j] is P_j up to a unitary (at j = 0 one of all of C^0),
+        # so d_j [A^j | H^j] has the singular values the rank decision on
+        # d_j read
+        margins = []
+        for j, (m, a, h) in enumerate(zip(self.complex.partial, self.A,
+                                          self.H)):
+            x = m if j == 0 else m @ np.hstack([a, h])
+            margins.append(_rank_cut(np.linalg.svd(x, compute_uv=False))[1]
+                           if x.size else math.inf)
+        return tuple(margins)
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -180,14 +239,18 @@ class CohomologyFrame:
 
 def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     """Compute the orthogonal B/H/A decomposition of every degree, chained
-    down the complex; singular values settle a square invertible degree and
-    a tall degree of full column rank.
+    down the complex; a square degree of full rank and a tall degree of full
+    column rank need no singular vectors.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
-    vanishes on B^j.  When d_j P_j is square, its singular values come
-    first: at full rank it maps P_j onto C^{j+1} one-to-one, so A^j = P_j,
-    B^{j+1} = C^{j+1} (the identity, read-only; at j = 0 also A^0) and H^j,
-    P_{j+1} are empty.  Otherwise one full SVD d_j P_j = U S V^H splits P_j
+    vanishes on B^j.  When d_j P_j is square, full rank is tried first: from
+    _QR_MIN_COLS columns on by the Cholesky certificate _sigma_min_above at
+    the floor max(RANK_RTOL ||d_j P_j||_F, RANK_ATOL), which is at least the
+    rank cut, below that by its singular values.  At full rank it maps P_j
+    onto C^{j+1} one-to-one, so A^j = P_j, B^{j+1} = C^{j+1} (the identity,
+    read-only; at j = 0 also A^0) and H^j, P_{j+1} are empty.  Otherwise,
+    and when the certificate fails, one full SVD d_j P_j = U S V^H decides
+    the rank by ``_rank_cut`` and splits P_j
     into A^j = P_j V_lead and H^j = P_j V_trail, and its left singular
     vectors are U_{j+1}: B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree
     H^d = P_d.
@@ -202,7 +265,7 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     """
     n = c.dims.dims
     B = [np.zeros((n[0], 0), dtype=complex)]
-    H, A, margins = [], [], []
+    H, A = [], []
     perp = None  # P_j; None stands for the identity of C^0
     for m in c.partial:
         dp = m if perp is None else m @ perp
@@ -212,12 +275,18 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
             q, dp = np.linalg.qr(dp, mode="complete")
             dp = dp[:dp.shape[1]]
         rows, cols = dp.shape
-        rank, margin = 0, math.inf
-        if rows == cols > 0:
-            rank, margin = _rank_cut(np.linalg.svd(dp, compute_uv=False))
+        rank = 0
+        if rows == cols >= _QR_MIN_COLS:
+            # a norm that overflows gives an infinite floor, never certified
+            with np.errstate(over="ignore"):
+                floor = _zero_cut(float(np.linalg.norm(dp)))
+            if _sigma_min_above(dp, floor):
+                rank = cols
+        elif rows == cols > 0:
+            rank = _rank_cut(np.linalg.svd(dp, compute_uv=False))[0]
         if rows and cols and not rank == rows == cols:
             u, s, vh = np.linalg.svd(dp, full_matrices=True)
-            rank, margin = _rank_cut(s)
+            rank = _rank_cut(s)[0]
             v = vh.conj().T if perp is None else perp @ vh.conj().T
         else:
             # d_j P_j is empty, or maps P_j onto C^{j+1} one-to-one
@@ -231,11 +300,10 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
         A.append(v[:, :rank])
         H.append(v[:, rank:])
         B.append(u[:, :rank])
-        margins.append(margin)
         perp = u[:, rank:]
     H.append(np.eye(n[0], dtype=complex) if perp is None else perp)
     A.append(np.zeros((n[-1], 0), dtype=complex))
-    return CohomologyFrame(c, tuple(B), tuple(H), tuple(A), tuple(margins))
+    return CohomologyFrame(c, tuple(B), tuple(H), tuple(A))
 
 
 def sign_N(frame: CohomologyFrame) -> int:

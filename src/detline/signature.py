@@ -13,7 +13,8 @@ each B^2_j = sum_t B[j, t] B[t, j] and the +/- blocks off it.
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
 (by QR), and the +/- independence test reads principal angles off the
-unitary frame.  B_even on the even + and - subspaces, restricted one table
+unitary frame, through the frame's Cholesky certificate from 16 columns
+on and singular values otherwise.  B_even on the even + and - subspaces, restricted one table
 block at a time (the Gamma d blocks on C_+, the d Gamma blocks on C_-),
 gives the graded determinant and, through its spectra, eta and xi (whose
 squares are the spectra of (Gamma d)^2 on the + subspaces); a side whose
@@ -39,8 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _columns, _readonly, _zero_cut, cohomology_frame)
+from .complexes import (_QR_MIN_COLS, CochainComplex, CohomologyElement,
+                        CohomologyFrame, _columns, _readonly,
+                        _sigma_min_above, _zero_cut, cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
@@ -174,8 +176,12 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     which is the bijectivity condition for B.  [B^j | H^j | A^j] is unitary,
     so s = sigma_min((A^j)^H P) is the sine of the smallest angle between
     P = C^j_+ and M = C^j_-, and the test reads
-    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  When B^j or
-    H^j is empty, C^j_- is the other one as it stands, a read-only view.
+    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  From
+    _QR_MIN_COLS columns on, the Cholesky certificate _sigma_min_above tries
+    s > 2 _PM_TOL first, which passes the test; a block it leaves open takes
+    the singular values, so a dependent pair raises as it would without it.
+    When B^j or H^j is empty, C^j_- is the other one as it stands, a
+    read-only view.
     """
     validate_chirality(c, g)
     frame, d = _frame_for(c, frame), c.d
@@ -187,8 +193,12 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
                 f"degree {j}: ker(dGamma) + ker(d) does not split C^{j} "
                 f"(B is not bijective)")
         if p.shape[1] and m.shape[1]:
-            s = float(np.linalg.svd(frame.A[j].conj().T @ p,
-                                    compute_uv=False)[-1])
+            x = frame.A[j].conj().T @ p
+            # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
+            if x.shape[1] >= _QR_MIN_COLS and _sigma_min_above(x,
+                                                                2 * _PM_TOL):
+                continue
+            s = float(np.linalg.svd(x, compute_uv=False)[-1])
             smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
             if smallest < _PM_TOL:
                 raise SpectralBoundaryError(

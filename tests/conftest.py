@@ -58,13 +58,15 @@ class FactorizationCounts(dict):
 @pytest.fixture
 def count_factorizations(monkeypatch):
     """Call the fixture's value to start counting np.linalg.svd,
-    np.linalg.qr, np.linalg.eigvals and proper spectral splits (calls of
+    np.linalg.qr, np.linalg.cholesky, np.linalg.eigvals and proper spectral
+    splits (calls of
     the disk-function kernel signature._disk_split, under the name "disk",
     with the B^2 block as the logged matrix); it returns the live
     FactorizationCounts.  Calls of signature._restrict are logged, not
     counted, under the name "restrict" with the shapes (basis, image)."""
     def start():
         spied = ((np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
+                 (np.linalg, "cholesky", "cholesky"),
                  (np.linalg, "eigvals", "eigvals"),
                  (signature_mod, "_disk_split", "disk"))
         calls = FactorizationCounts(name for _, _, name in spied)

@@ -51,8 +51,10 @@ def _svd_log(calls):
 
 
 def _factorization_log(calls):
-    """(name, shape, compute_uv) of every SVD and QR, in call order."""
-    return [entry for entry in calls.log if entry[0] in ("svd", "qr")]
+    """(name, shape, compute_uv) of every SVD, QR and Cholesky factorization,
+    in call order."""
+    return [entry for entry in calls.log
+            if entry[0] in ("svd", "qr", "cholesky")]
 
 
 def _tall(rows, cols, spectrum, seed=5):
@@ -273,26 +275,28 @@ class TestCohomologyFrame:
     def test_tall_short_rank_degree_matches_an_all_svd_frame(
             self, count_factorizations, d, n):
         # harmonic pairs leave a tall d_j P_j of at least 16 columns short
-        # of full rank: QR, the values of R, then the full SVD of R
+        # of full rank: QR, a Cholesky certificate of R that fails, then the
+        # full SVD of R
         c, betti = _ladder_instance(9000 * d + n, d, n, 2)
         calls = count_factorizations()
         fr = cohomology_frame(c)
         log = _factorization_log(calls)
-        short = [(rows, cols) for (name, (rows, cols), _), values, full
+        short = [(rows, cols) for (name, (rows, cols), _), cert, full
                  in zip(log, log[1:], log[2:])
-                 if name == "qr" and values == ("svd", (cols, cols), False)
+                 if name == "qr" and cert == ("cholesky", (cols, cols), None)
                  and full == ("svd", (cols, cols), True)]
         assert short and all(r > k >= 16 for r, k in short)
         assert fr.betti == betti
         _assert_same_projectors(fr, _all_svd_frame(c))
 
     @pytest.mark.parametrize("dims, spectrum, expected", [
-        # full column rank: one QR and the values of the 20 x 20 factor
+        # full column rank: one QR and a Cholesky certificate of the
+        # 20 x 20 factor
         ((20, 40), [1.0] * 20,
-         [("qr", (40, 20), None), ("svd", (20, 20), False)]),
-        # short rank adds one full SVD of that factor
+         [("qr", (40, 20), None), ("cholesky", (20, 20), None)]),
+        # short rank: the certificate fails, and the factor takes one full SVD
         ((20, 40), [1.0] * 19 + [0.0],
-         [("qr", (40, 20), None), ("svd", (20, 20), False),
+         [("qr", (40, 20), None), ("cholesky", (20, 20), None),
           ("svd", (20, 20), True)]),
         # below 16 columns: one full SVD and no QR, at any rank
         ((15, 30), [1.0] * 15, [("svd", (30, 15), True)]),
@@ -326,6 +330,136 @@ class TestCohomologyFrame:
                                     (svd_only.B, svd_only.H, svd_only.A))
             np.testing.assert_allclose(qr_first.rank_margin,
                                        svd_only.rank_margin, rtol=1e-9)
+
+
+# sigma_min / sigma_max of the certificate ladder's spectra: well apart from
+# the cut, near the Cholesky shift, just either side of the cut, and zero
+_RATIOS = (1.0, 1e-3, 1e-5, 1e-6, 1.01e-8, 0.99e-8, 0.0)
+_SCALES = (1e-8, 1.0, 1e8)
+
+
+def _jordan(n):
+    """n x n bidiagonal block, 1 on the diagonal and 2 above it: every
+    eigenvalue is 1, yet sigma_min is about 2^-n."""
+    return np.eye(n) + 2.0 * np.eye(n, k=1)
+
+
+def _square_ladder(n):
+    """{(ratio, scale): n x n block}: normal_matrix of the spectrum
+    scale * linspace(1, ratio, n), and the Jordan-like block under
+    (None, 1.0)."""
+    blocks = {(r, t): normal_matrix(t * np.linspace(1.0, r, n))
+              for r in _RATIOS for t in _SCALES}
+    blocks[None, 1.0] = _jordan(n)
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def certificate_ladder():
+    """{(shape, ratio, scale): (d = 1 complex, its all-SVD frame, the
+    margin of the one full SVD of d_0)}: every square block of the ladder at
+    n = 16, 40 and 200 as a complex (n, n), and every one at n = 20 as a
+    40 x 20 tall degree, through a fixed isometry, so that the QR route
+    hands it to the frame as R."""
+    q = np.linalg.qr(np.random.default_rng(9).standard_normal((40, 40)))[0]
+    ladder = {((n, n),) + key: CochainComplex(GradedDims((n, n)), (x,))
+              for n in (16, 40, 200) for key, x in _square_ladder(n).items()}
+    ladder.update({((40, 20),) + key: CochainComplex(GradedDims((20, 40)),
+                                                      (q[:, :20] @ x,))
+                   for key, x in _square_ladder(20).items()})
+    return {label: (c, _all_svd_frame(c), complexes_mod._rank_cut(
+        np.linalg.svd(c.partial[0])[1])[1]) for label, c in ladder.items()}
+
+
+def _ladder_mismatches(ladder):
+    """{label: what differs} over the ladder, between the frame and the
+    all-SVD frame: "betti", else "projectors" or "margin" (rtol 1e-9)."""
+    out = {}
+    for label, (c, ref, margin) in ladder.items():
+        fr = cohomology_frame(c)
+        if fr.betti != tuple(h.shape[1] for h in ref[1]):
+            out[label] = "betti"
+            continue
+        try:
+            _assert_same_projectors(fr, ref)
+        except AssertionError:
+            out[label] = "projectors"
+            continue
+        if not np.isclose(fr.rank_margin[0], margin, rtol=1e-9, atol=0):
+            out[label] = "margin"
+    return out
+
+
+def _rho(c):
+    """phi of the unit wedge: the refined torsion of c with Gamma = 1 (on a
+    square complex), up to sign."""
+    return phi(DetElement(1.0, c.dims), cohomology_frame(c)).coeff
+
+
+class TestSigmaMinCertificate:
+    """complexes._sigma_min_above certifies sigma_min > floor by a shifted
+    Cholesky factorization of x^H x; the frame and the +/- test take it on
+    square blocks of at least 16 columns, and decide by singular values
+    whatever it leaves open."""
+
+    @pytest.mark.parametrize("n", [16, 40, 200])
+    def test_never_certifies_at_or_below_the_floor(self, n):
+        # the frame's floor, the +/- test's, and sigma_min itself
+        certified = set()
+        for key, x in _square_ladder(n).items():
+            s_min = np.linalg.svd(x, compute_uv=False)[-1]
+            frame_floor = complexes_mod._zero_cut(np.linalg.norm(x))
+            for floor in (frame_floor, 2e-10, s_min):
+                if complexes_mod._sigma_min_above(x, floor):
+                    assert s_min > floor, (key, floor)
+                    certified.add(key)
+        # well-conditioned blocks are certified, so the ladder takes both
+        # routes
+        assert {(r, t) for r in (1.0, 1e-3) for t in _SCALES} <= certified
+
+    def test_zero_and_non_finite_blocks_are_not_certified(self):
+        for x in (np.zeros((16, 16)), np.full((16, 16), np.inf),
+                  np.full((16, 16), np.nan)):
+            assert not complexes_mod._sigma_min_above(x, 1e-12)
+
+    def test_huge_and_tiny_scales_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (1e200, 1e-200):
+                x = t * normal_matrix(np.linspace(1.0, 0.5, 20))
+                assert complexes_mod._sigma_min_above(x, 1e-8 * t)
+                assert not complexes_mod._sigma_min_above(x, t)
+                # and the frame keeps today's rank decision
+                c = CochainComplex(GradedDims((20, 20)), (x,))
+                assert cohomology_frame(c).betti == (
+                    (0, 0) if t > 1 else (20, 20))
+
+    def test_frame_matches_an_all_svd_frame(self, certificate_ladder):
+        assert _ladder_mismatches(certificate_ladder) == {}
+
+    def test_always_certifying_mutant_turns_the_ladder_red(
+            self, monkeypatch, certificate_ladder):
+        # every block the ladder leaves short of rank counts as full rank
+        short = {label for label, (_, ref, _) in certificate_ladder.items()
+                 if ref[1][0].shape[1]}
+        assert short
+        monkeypatch.setattr(complexes_mod, "_sigma_min_above",
+                            lambda x, floor: True)
+        assert _ladder_mismatches(certificate_ladder) == dict.fromkeys(
+            short, "betti")
+
+    def test_never_certifying_mutant_changes_nothing(self, monkeypatch,
+                                                     certificate_ladder):
+        # singular values alone give the same frames and the same rho, where
+        # rho is representable (scale^rank within range)
+        rho = {label: _rho(c) for label, (c, _, _) in certificate_ladder.items()
+               if label[2] == 1.0 or label[0][1] <= 20}
+        monkeypatch.setattr(complexes_mod, "_sigma_min_above",
+                            lambda x, floor: False)
+        assert _ladder_mismatches(certificate_ladder) == {}
+        for label, value in rho.items():
+            assert abs(_rho(certificate_ladder[label][0]) - value) <= (
+                1e-12 * abs(value)), label
 
 
 class TestRankMargin:

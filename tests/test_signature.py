@@ -19,6 +19,7 @@ from detline import (
     ValidationError,
     build_signature,
     c_gamma,
+    chiral_direct_sum,
     cohomology_frame,
     det_eta_check,
     dual_torsion_check,
@@ -73,6 +74,30 @@ class TestGradedDet:
             np.testing.assert_allclose(rho, det, rtol=1e-10)
 
 
+_DEPENDENT = (r"^degree 2: the \+/- subspaces are numerically dependent "
+              r"\(sigma_min 9\.2e-11 < 1e-10\)$")
+
+
+def _tilted(eps, extra_a2=0):
+    """Complex of dims (1, 2, 2, 1) whose Gamma_1 tilts ker d_1 = span(e1) by
+    eps against im d_1 = span(f1), so that in degree 2
+    sigma_min([C_+ | C_-]) = sqrt(2) sin(eps / 2), which crosses 1e-10 at
+    eps = 1.414e-10; Gamma_2 = Gamma_1^{-1} leaves degree 1 near 1e-6, far
+    from the threshold.  With extra_a2 > 0 it is summed with an acyclic
+    complex of that many elementary blocks of degree 0, each adding one
+    dimension to A^2, with independent +/- subspaces."""
+    c = CochainComplex(GradedDims((1, 2, 2, 1)), (
+        np.array([[1.0], [0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[0.0, 1.0]])))
+    g1 = np.array([[math.cos(eps), 0.0], [math.sin(eps), 1e-4]])
+    g = ChiralityOp((np.eye(1), g1, np.linalg.inv(g1), np.eye(1)))
+    if extra_a2:
+        c, g = chiral_direct_sum([(c, g), gen_random(5, 3, {
+            "blocks": [(0, complex(1 + 0.1 * k, 0.3))
+                       for k in range(extra_a2)], "harmonic": []})])
+    return c, g
+
+
 class TestSignatureOp:
     def test_plus_minus_split_fills_each_degree(self):
         c, g = _instance(3, 3, acyclic=True)
@@ -83,24 +108,37 @@ class TestSignatureOp:
     @pytest.mark.parametrize("scale, dependent", [(1.3, True), (1.5, False)])
     def test_plus_minus_dependence_guard_at_its_threshold(self, scale,
                                                           dependent):
-        # Gamma_1 tilts ker d_1 = span(e1) by eps against im d_1 = span(f1),
-        # so in degree 2 sigma_min([C_+ | C_-]) = sqrt(2) sin(eps / 2), which
-        # crosses 1e-10 at eps = 1.414e-10; Gamma_2 = Gamma_1^{-1} leaves
-        # degree 1 near 1e-6, far from the threshold
-        eps = scale * 1e-10
-        c = CochainComplex(GradedDims((1, 2, 2, 1)), (
-            np.array([[1.0], [0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
-            np.array([[0.0, 1.0]])))
-        g1 = np.array([[math.cos(eps), 0.0], [math.sin(eps), 1e-4]])
-        g = ChiralityOp((np.eye(1), g1, np.linalg.inv(g1), np.eye(1)))
+        c, g = _tilted(scale * 1e-10)
         if dependent:
-            with pytest.raises(SpectralBoundaryError, match=(
-                    r"^degree 2: the \+/- subspaces are numerically "
-                    r"dependent \(sigma_min 9\.2e-11 < 1e-10\)$")):
+            with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
                 plus_minus_split(c, g)
         else:
             plus, minus = plus_minus_split(c, g)
             assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+
+    @pytest.mark.parametrize("certify", [None, False, True],
+                             ids=["kernel", "never", "always"])
+    def test_wide_dependence_guard_takes_the_certificate(
+            self, monkeypatch, count_factorizations, certify):
+        # the dependent case plus 15 elementary blocks that add to A^2: the
+        # degree-2 test block is 16 x 16, so the Cholesky certificate sees it
+        # first; it must not certify, so the SVD raises as at 2 x 2.  With
+        # the certificate mutated to always pass, the guard goes silent
+        c, g = _tilted(1.3e-10, extra_a2=15)
+        if certify is not None:
+            monkeypatch.setattr(signature_mod, "_sigma_min_above",
+                                lambda x, floor: certify)
+        fr = cohomology_frame(c)
+        assert fr.A[2].shape[1] == 16
+        calls = count_factorizations()
+        if certify:
+            plus = plus_minus_split(c, g, fr)[0]
+            assert [p.shape[1] for p in plus] == [16, 1, 16, 0]
+            return
+        with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
+            plus_minus_split(c, g, fr)
+        assert calls.shapes("svd", compute_uv=False)[-1] == (16, 16)
+        assert calls["cholesky"] == (certify is None)
 
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
@@ -610,7 +648,8 @@ class TestFactorizationCounts:
         c, g = _instance(6, 1, acyclic=True)
         calls = count_factorizations()
         graded_det_finite(c, g)
-        assert calls == {"svd": 1, "qr": 0, "eigvals": 0, "disk": 0}
+        assert calls == {"svd": 1, "qr": 0, "cholesky": 0, "eigvals": 0,
+                         "disk": 0}
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
@@ -654,8 +693,9 @@ class TestFactorizationCounts:
             self, count_factorizations, d):
         # the singular values of the B^2 block settle each degree pair
         # j < (d+1)/2 of the split, and the +/- test takes one a_j x a_j SVD
-        # per proper degree; eigvals sees the even + and - blocks and nothing
-        # else: no split block, no (Gamma d)^2 and never the whole even part
+        # per proper degree, a Cholesky certificate from 16 columns on;
+        # eigvals sees the even + and - blocks and nothing else: no split
+        # block, no (Gamma d)^2 and never the whole even part
         c, g, _ = _ladder_instance(d, 40)
         fr = cohomology_frame(c)
         plus, minus = plus_minus_split(c, g, fr)
@@ -667,14 +707,17 @@ class TestFactorizationCounts:
         pm_test = [(a[j], a[j]) for j in range(d + 1)
                    if plus[j].shape[1] and minus[j].shape[1]]
         # the frame of the large part (c itself) takes the singular values
-        # of each square d_j P_j; at this full rank no singular vectors
+        # of each square d_j P_j, a Cholesky certificate from 16 columns on;
+        # at this full rank no singular vectors
         frame = [(n[j + 1], n[j + 1]) for j in range(d)
                  if n[j + 1] == n[j] - fr.B[j].shape[1] > 0]
         assert frame
         calls = count_factorizations()
         graded_det_via_xi_eta(c, g, 0.0)
-        assert calls.shapes("svd", compute_uv=False) == (split + frame
-                                                         + pm_test)
+        assert calls.shapes("svd", compute_uv=False) == split + [
+            (k, k) for k, _ in frame + pm_test if k < 16]
+        assert calls.shapes("cholesky") == [(k, k) for k, _ in frame + pm_test
+                                            if k >= 16]
         assert calls.shapes("eigvals") == [(k, k) for k in (p_even, m_even)
                                            if k]
         assert calls["disk"] == 0
