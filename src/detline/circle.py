@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SpectralBoundaryError, ValidationError
-from .signature import _agmon_bound, _agmon_midpoint, _eta, _log_det
+from .signature import _agmon_arc, _agmon_midpoint, _eta, _log_det
 
 __all__ = [
     "CircleModel",
@@ -117,10 +117,10 @@ def _agmon_angle(m: CircleModel, theta: float | None) -> float:
     n = -1, so bound, the lower of their two, is exact.  theta must lie in
     the arc at least _CUT_TOL from either end, measured on the squares (the
     cut is 2 theta); if not, SpectralBoundaryError names n and the margin."""
-    b0, b1 = _agmon_bound([m.a]), _agmon_bound([m.a - 1.0])
+    (b0, w0), (b1, w1) = _agmon_arc([m.a]), _agmon_arc([m.a - 1.0])
     n, bound = (0, b0) if b0 <= b1 else (-1, b1)
     if theta is None:
-        theta = _agmon_midpoint(bound)
+        theta = _agmon_midpoint(bound, min(w0, w1))
     if not -math.pi / 2 < theta < 0.0:
         raise ValidationError("branch angle must lie in (-pi/2, 0)")
     margin = 2.0 * min(bound - theta, theta + math.pi / 2)

@@ -11,10 +11,11 @@ The decomposition is chained down the complex: d_j vanishes on B^j, so it
 is factorized on the orthogonal complement of B^j only, and its left
 singular vectors give B^{j+1} and the next complement.  A square degree
 of full rank needs no singular vectors: there d_j maps that complement
-onto C^{j+1}, so every basis is known.  From 16 columns on a Cholesky
-certificate of the Gram matrix settles it, and a square degree it leaves
-open takes one full SVD; below 16 columns its singular values settle it.
-A tall degree of at least 16 columns is factorized by QR first (Chan's
+onto C^{j+1}, so every basis is known.  One invertibility kernel,
+_sigma_min_above, settles it and picks its own route by size: singular
+values alone below 16 columns, a Cholesky certificate of the Gram matrix
+from 16 on.  A square degree it leaves open takes one full SVD.  A tall
+degree of at least 16 columns is factorized by QR first (Chan's
 R-SVD), and its square factor R takes the same rule: at full column rank
 Q alone gives B^{j+1} and the next complement, and only a short rank
 takes the full SVD of R.  Any other degree takes one full SVD.
@@ -53,10 +54,9 @@ __all__ = [
 RANK_RTOL = 1e-8
 RANK_ATOL = 1e-12
 _VALIDATION_TOL = 1e-10  # of d.d = 0 in a complex, Gamma^2 = 1 in a chirality
-# least column count at which a tall degree factorizes by QR first, and at
-# which a square block (d_j P_j, R, the +/- test's) is first offered to the
-# Cholesky certificate _sigma_min_above: below it one full SVD, or the
-# singular values alone, are cheaper (measured crossovers, 12 to 16 columns)
+# least column count at which a tall degree factorizes by QR first and
+# _sigma_min_above turns from singular values to its Cholesky certificate:
+# below it those are cheaper (measured crossovers, 12 to 16 columns)
 _QR_MIN_COLS = 16
 
 
@@ -143,16 +143,21 @@ def _rank_cut(s: np.ndarray) -> tuple[int, float]:
     return rank, min(kept, cut / dropped if dropped else math.inf)
 
 
-def _sigma_min_above(x: np.ndarray, floor: float) -> bool:
-    """True only when sigma_min(x) > floor, for a square n x n x; False
-    settles nothing, and the caller decides from singular values instead.
+def _sigma_min_above(x: np.ndarray, floor: float | None = None) -> bool:
+    """Whether a nonempty square n x n x is invertible: True only when
+    sigma_min(x) > floor.  The one invertibility test of the package, it
+    picks its own route by size.  Below _QR_MIN_COLS columns the singular
+    values decide, exactly, and floor defaults to _zero_cut(sigma_max).
+    From _QR_MIN_COLS on a Cholesky certificate decides, floor defaults to
+    max(RANK_RTOL ||x||_F, RANK_ATOL), which is at least that cut, and
+    False settles nothing: the caller decides from singular values instead.
 
-    With tau = max(1e-10 ||x||_F^2, 4 floor^2), it tries a Cholesky
-    factorization of G - tau I, where G = x^H x is formed in floating point
-    on x scaled by its largest modulus, so that G neither overflows nor
-    underflows.  If the factorization succeeds, the rounding of the scaling,
-    of G, of the shift and of the factorization itself (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3) move G by
+    With tau = max(1e-10 ||x||_F^2, 4 floor^2), the certificate tries a
+    Cholesky factorization of G - tau I, G = x^H x, with x, floor and
+    ||x||_F divided by x's largest modulus, so that nothing overflows or
+    underflows.  If it succeeds, the rounding of the scaling, of G, of the
+    shift and of the factorization itself (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3) move G by
     delta ~ 2 (n+2) eps ||x||_F^2 at most in the 2-norm, so
     sigma_min(x)^2 >= tau - delta > tau / 2 >= 2 floor^2 while
     delta < tau / 2.  That needs 4 (n+2) eps ||x||_F^2 < tau, which holds
@@ -162,6 +167,9 @@ def _sigma_min_above(x: np.ndarray, floor: float) -> bool:
     modulus is zero, not finite or beyond 1e+-290.
     """
     n = x.shape[0]
+    if n < _QR_MIN_COLS:
+        s = np.linalg.svd(x, compute_uv=False)
+        return bool(s[-1] > (floor if floor is not None else _zero_cut(s[0])))
     scale = float(np.abs(x).max(initial=0.0))
     if not 1e-290 < scale < 1e290:
         return False
@@ -171,7 +179,8 @@ def _sigma_min_above(x: np.ndarray, floor: float) -> bool:
     del xc  # so that no more than G and its factor are held at once
     g /= scale  # G / scale^2
     fro2 = float(np.trace(g).real)  # ||x||_F^2 / scale^2, in [1, n^2]
-    rel = floor / scale
+    rel = (max(RANK_RTOL * math.sqrt(fro2), RANK_ATOL / scale)
+           if floor is None else floor / scale)
     tau = max(1e-10 * fro2, 4.0 * rel * rel)
     if not 4 * (n + 2) * np.finfo(float).eps * fro2 < tau < fro2:
         return False
@@ -217,9 +226,8 @@ class CohomologyFrame:
 
     @cached_property
     def rank_margin(self) -> tuple[float, ...]:
-        # [A^j | H^j] is P_j up to a unitary (at j = 0 one of all of C^0),
-        # so d_j [A^j | H^j] has the singular values the rank decision on
-        # d_j read
+        # [A^j | H^j] is P_j up to a unitary (at j = 0 one of all of C^0), so
+        # d_j [A^j | H^j] has the singular values of d_j P_j
         margins = []
         for j, (m, a, h) in enumerate(zip(self.complex.partial, self.A,
                                           self.H)):
@@ -243,14 +251,11 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     column rank need no singular vectors.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
-    vanishes on B^j.  When d_j P_j is square, full rank is tried first: from
-    _QR_MIN_COLS columns on by the Cholesky certificate _sigma_min_above at
-    the floor max(RANK_RTOL ||d_j P_j||_F, RANK_ATOL), which is at least the
-    rank cut, below that by its singular values.  At full rank it maps P_j
-    onto C^{j+1} one-to-one, so A^j = P_j, B^{j+1} = C^{j+1} (the identity,
-    read-only; at j = 0 also A^0) and H^j, P_{j+1} are empty.  Otherwise,
-    and when the certificate fails, one full SVD d_j P_j = U S V^H decides
-    the rank by ``_rank_cut`` and splits P_j
+    vanishes on B^j.  A square d_j P_j that the invertibility kernel
+    _sigma_min_above finds invertible maps P_j onto C^{j+1} one-to-one, so
+    A^j = P_j, B^{j+1} = C^{j+1} (the identity, read-only; at j = 0 also
+    A^0) and H^j, P_{j+1} are empty.  Otherwise one full SVD
+    d_j P_j = U S V^H decides the rank by ``_rank_cut`` and splits P_j
     into A^j = P_j V_lead and H^j = P_j V_trail, and its left singular
     vectors are U_{j+1}: B^{j+1} = U_lead, P_{j+1} = U_trail.  In top degree
     H^d = P_d.
@@ -275,15 +280,7 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
             q, dp = np.linalg.qr(dp, mode="complete")
             dp = dp[:dp.shape[1]]
         rows, cols = dp.shape
-        rank = 0
-        if rows == cols >= _QR_MIN_COLS:
-            # a norm that overflows gives an infinite floor, never certified
-            with np.errstate(over="ignore"):
-                floor = _zero_cut(float(np.linalg.norm(dp)))
-            if _sigma_min_above(dp, floor):
-                rank = cols
-        elif rows == cols > 0:
-            rank = _rank_cut(np.linalg.svd(dp, compute_uv=False))[0]
+        rank = cols if rows == cols > 0 and _sigma_min_above(dp) else 0
         if rows and cols and not rank == rows == cols:
             u, s, vh = np.linalg.svd(dp, full_matrices=True)
             rank = _rank_cut(s)[0]

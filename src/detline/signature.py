@@ -12,24 +12,24 @@ each B^2_j = sum_t B[j, t] B[t, j] and the +/- blocks off it.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
-(by QR), and the +/- independence test reads principal angles off the
-unitary frame, through the frame's Cholesky certificate from 16 columns
-on and singular values otherwise.  B_even on the even + and - subspaces, restricted one table
-block at a time (the Gamma d blocks on C_+, the d Gamma blocks on C_-),
-gives the graded determinant and, through its spectra, eta and xi (whose
-squares are the spectra of (Gamma d)^2 on the + subspaces); a side whose
-bases fill the even part is that whole space, so its block is +-B_even as it
-stands and the other side's is empty.  Gamma commutes with B, so a split
-decides each degree pair (j, d-j) in degree j from the spectrum of B^2 and
-carries the result to degree d-j by Gamma_j.  The singular values of B^2
-bound the moduli of its eigenvalues, and settle a degree with one side
+(by QR), and the +/- independence test reads principal angles off the unitary
+frame, through the frame's invertibility kernel, which picks singular values
+or a Cholesky certificate by size.  B_even on the even + and - subspaces,
+restricted one table block at a time (the Gamma d blocks on C_+, the d Gamma
+blocks on C_-), gives the graded determinant and, through its spectra, eta
+and xi (whose squares are the spectra of (Gamma d)^2 on the + subspaces); a
+side whose bases fill the even part is that whole space, so its block is
++-B_even as it stands and the other side's is empty.  Gamma commutes with B,
+so a split decides each degree pair (j, d-j) in degree j from the spectrum of
+B^2 and carries the result to degree d-j by Gamma_j.  The singular values of
+B^2 bound the moduli of its eigenvalues, and settle a degree with one side
 empty; only a degree they leave open takes eigenvalues.  When one side of a
 degree is empty the other is the whole degree, so nothing is factorized; a
-side that fills every degree is the complex itself, and a side empty in
-every degree is the zero complex.  Only a proper split factorizes, with
-numpy alone: the matrix disk function, the sign of a Cayley transform of B^2
-by a scaled Newton iteration, gives the spectral projector onto the small
-part, and one SVD of it gives orthonormal bases of both parts.
+side that fills every degree is the complex itself, and a side empty in every
+degree is the zero complex.  Only a proper split factorizes, with numpy
+alone: the matrix disk function, the sign of a Cayley transform of B^2 by a
+scaled Newton iteration, gives the spectral projector onto the small part,
+and one SVD of it gives orthonormal bases of both parts.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (_QR_MIN_COLS, CochainComplex, CohomologyElement,
-                        CohomologyFrame, _columns, _readonly,
-                        _sigma_min_above, _zero_cut, cohomology_frame)
+from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
+                        _columns, _readonly, _sigma_min_above, _zero_cut,
+                        cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
@@ -176,12 +176,11 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     which is the bijectivity condition for B.  [B^j | H^j | A^j] is unitary,
     so s = sigma_min((A^j)^H P) is the sine of the smallest angle between
     P = C^j_+ and M = C^j_-, and the test reads
-    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  From
-    _QR_MIN_COLS columns on, the Cholesky certificate _sigma_min_above tries
-    s > 2 _PM_TOL first, which passes the test; a block it leaves open takes
-    the singular values, so a dependent pair raises as it would without it.
-    When B^j or H^j is empty, C^j_- is the other one as it stands, a
-    read-only view.
+    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  The
+    invertibility kernel _sigma_min_above tries s > 2 _PM_TOL first, which
+    passes the test; a block it leaves open takes the singular values, so a
+    dependent pair raises as it would without it.  When B^j or H^j is
+    empty, C^j_- is the other one as it stands, a read-only view.
     """
     validate_chirality(c, g)
     frame, d = _frame_for(c, frame), c.d
@@ -195,8 +194,7 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
         if p.shape[1] and m.shape[1]:
             x = frame.A[j].conj().T @ p
             # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
-            if x.shape[1] >= _QR_MIN_COLS and _sigma_min_above(x,
-                                                                2 * _PM_TOL):
+            if _sigma_min_above(x, 2 * _PM_TOL):
                 continue
             s = float(np.linalg.svd(x, compute_uv=False)[-1])
             smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
@@ -557,28 +555,31 @@ def det_eta_check(m, theta: float) -> float:
     return abs(lhs - rhs)
 
 
-def _agmon_bound(eigs) -> float:
-    """Upper end of the Agmon angles theta in (-pi/2, 0) of nonzero eigs: no
-    z may lie in the sectors (-pi/2, theta] and (pi/2, theta + pi]."""
-    bound = 0.0
-    for a in map(cmath.phase, eigs):  # (-pi, pi]: only a or a - pi can fit
-        a = a - math.pi if a > 0 else a
-        if -math.pi / 2 < a < bound:
-            bound = a
-    return bound
+def _agmon_arc(eigs) -> tuple[float, float]:
+    """Upper end and width of the arc (-pi/2, bound) of Agmon angles theta
+    of nonzero eigs: no z may lie in the sectors (-pi/2, theta] and
+    (pi/2, theta + pi].  A z with parts of opposite signs leaves the width
+    atan2(|Re z|, |Im z|); its phase may round to +-pi/2, the width not."""
+    bound, width = 0.0, math.pi / 2
+    for z in eigs:
+        if z.real > 0 > z.imag or z.imag > 0 > z.real:
+            a = cmath.phase(z)  # (-pi, pi]: a or a - pi lies in [-pi/2, 0]
+            bound = min(bound, a - math.pi if a > 0 else a)
+            width = min(width, math.atan2(abs(z.real), abs(z.imag)))
+    return bound, width
 
 
-def _agmon_midpoint(bound: float) -> float:
+def _agmon_midpoint(bound: float, width: float) -> float:
     """Midpoint of the admissible arc (-pi/2, bound), at least 1e-8 wide."""
-    if bound + math.pi / 2 < 1e-8:
+    if width < 1e-8:
         raise SpectralBoundaryError("no admissible branch angle in (-pi/2, 0)")
     return (bound - math.pi / 2) / 2.0
 
 
 def pick_agmon_angle(m) -> float:
     """Deterministic Agmon angle in (-pi/2, 0) for the det/eta identities:
-    the midpoint of the admissible arc (-pi/2, _agmon_bound)."""
-    return _agmon_midpoint(_agmon_bound(_split_zero(_eig_input(m))[0]))
+    the midpoint of the admissible arc of _agmon_arc."""
+    return _agmon_midpoint(*_agmon_arc(_split_zero(_eig_input(m))[0]))
 
 
 def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
@@ -612,7 +613,7 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_num + [-z for z in eig_den]
     if theta is None:
-        theta = _agmon_midpoint(_agmon_bound(eigs))
+        theta = _agmon_midpoint(*_agmon_arc(eigs))
     xi = 0.5 * (_log_det([z * z for z in eig_num], 2 * theta)
                 - _log_det([z * z for z in eig_den], 2 * theta))
     eta = _eta(eigs, 0).eta

@@ -212,10 +212,11 @@ def _finite(v) -> bool:
 def _parse_matrix(raw, rows: int, cols: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != rows:
         raise ValidationError(f"{what}: expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=complex)
-    for r, row in enumerate(raw):
+    for r, row in enumerate(raw):  # all rows, before rows x cols is allocated
         if not isinstance(row, list) or len(row) != cols:
             raise ValidationError(f"{what}: row {r} must have {cols} entries")
+    out = np.zeros((rows, cols), dtype=complex)
+    for r, row in enumerate(raw):
         for cidx, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(_finite(v) for v in cell)):

@@ -337,12 +337,17 @@ class TestCutTest:
         assert abs(rho_an_circle(m) / rho_an_closed(m) - 1) <= 1e-8
 
     def test_no_admissible_angle_far_up_the_line(self):
-        # at |Im a| = 1e9 the arc left by a (or a - 1) is below 1e-8 wide
-        for im in (1e9, -1e9):
+        # at |Im a| = 1e9 the arc left by a (or a - 1) is below 1e-8 wide;
+        # from about |Im a| = 3e16 the phase of a - 1 rounds to +-pi/2, and
+        # the width, taken from the parts, still closes the arc
+        for im in (1e9, -1e9, 3e16, 1e19, 1e200, -1e19):
             with pytest.raises(SpectralBoundaryError,
                                match=r"^no admissible branch angle in "
                                      r"\(-pi/2, 0\)$"):
                 rho_an_circle(CircleModel(complex(0.3, im)))
+            with pytest.raises(SpectralBoundaryError,
+                               match="not an Agmon angle"):
+                _agmon_angle(CircleModel(complex(0.3, im)), -math.pi / 4)
 
     @pytest.mark.parametrize("a", PAST_RAY)
     @pytest.mark.parametrize("k", [2, 5])
@@ -417,6 +422,12 @@ class TestCliContract:
             rho_an_circle(CircleModel(complex(0.3, -115.0)))
         with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
             rho_an_closed(CircleModel(complex(0.3, -115.0)))
+
+    def test_imaginary_part_past_the_phase_resolution_exits_3(self, capsys):
+        assert main(["circle", "--a", "0.3,1e19"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "no admissible branch angle" in out.err
 
     def test_large_finite_imaginary_part_exits_0(self, capsys):
         assert main(["circle", "--a", "0.3,100"]) == 0

@@ -397,10 +397,31 @@ def _rho(c):
 
 
 class TestSigmaMinCertificate:
-    """complexes._sigma_min_above certifies sigma_min > floor by a shifted
-    Cholesky factorization of x^H x; the frame and the +/- test take it on
-    square blocks of at least 16 columns, and decide by singular values
-    whatever it leaves open."""
+    """complexes._sigma_min_above, the one invertibility test of the frame
+    and the +/- test, picks its route by size: below 16 columns singular
+    values decide exactly; from 16 on it certifies sigma_min > floor by a
+    shifted Cholesky factorization of x^H x, and the callers decide by
+    singular values whatever it leaves open."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    def test_singular_values_decide_below_16_columns(self, n):
+        for key, x in _square_ladder(n).items():
+            s = np.linalg.svd(x, compute_uv=False)
+            cut = complexes_mod._zero_cut(float(s[0]))
+            assert complexes_mod._sigma_min_above(x) == (s[-1] > cut), key
+            for floor in (2e-10, cut, float(s[-1])):
+                assert complexes_mod._sigma_min_above(x, floor) == (
+                    s[-1] > floor), (key, floor)
+
+    @pytest.mark.parametrize("n", [16, 40, 200])
+    def test_default_floor_never_certifies_a_short_rank(self, n):
+        certified = set()
+        for key, x in _square_ladder(n).items():
+            if complexes_mod._sigma_min_above(x):
+                s = np.linalg.svd(x, compute_uv=False)
+                assert complexes_mod._rank_cut(s)[0] == n, key
+                certified.add(key)
+        assert {(r, t) for r in (1.0, 1e-3) for t in _SCALES} <= certified
 
     @pytest.mark.parametrize("n", [16, 40, 200])
     def test_never_certifies_at_or_below_the_floor(self, n):
@@ -444,7 +465,7 @@ class TestSigmaMinCertificate:
                  if ref[1][0].shape[1]}
         assert short
         monkeypatch.setattr(complexes_mod, "_sigma_min_above",
-                            lambda x, floor: True)
+                            lambda x, floor=None: True)
         assert _ladder_mismatches(certificate_ladder) == dict.fromkeys(
             short, "betti")
 
@@ -455,7 +476,7 @@ class TestSigmaMinCertificate:
         rho = {label: _rho(c) for label, (c, _, _) in certificate_ladder.items()
                if label[2] == 1.0 or label[0][1] <= 20}
         monkeypatch.setattr(complexes_mod, "_sigma_min_above",
-                            lambda x, floor: False)
+                            lambda x, floor=None: False)
         assert _ladder_mismatches(certificate_ladder) == {}
         for label, value in rho.items():
             assert abs(_rho(certificate_ladder[label][0]) - value) <= (

@@ -8,6 +8,8 @@ import pytest
 
 import detline.circle as ci
 import detline.selftest as st
+import detline.signature as signature_mod
+import detline.torsion as torsion_mod
 from detline import SpectralBoundaryError
 
 
@@ -96,6 +98,41 @@ def test_circle_check_fails_on_its_mutant(monkeypatch, name, attr, mutant):
     passed, detail = check(1, 0)
     assert not passed
     assert detail.startswith("worst ")
+
+
+_SIGN_R = torsion_mod.sign_R
+_ALTERNATING_DET = signature_mod.alternating_det
+_B_BLOCKS = signature_mod._b_blocks
+
+
+def _odd_blocks_doubled(c, g, parity=None):
+    return {key: 2 * b if key[1] % 2 else b
+            for key, b in _B_BLOCKS(c, g, parity).items()}
+
+# one mutant per chiral check of the split and signature paths that must
+# turn it red: (check, module, attribute, mutant)
+CHIRAL_MUTANTS = [
+    ("torsion-equals-graded-det", torsion_mod, "sign_R",
+     lambda c: 1 - _SIGN_R(c)),
+    ("split-torsion-consistency", signature_mod, "alternating_det",
+     lambda mats: 1 / _ALTERNATING_DET(mats)),
+    ("split-large-part-acyclic", signature_mod, "_zero_cut",
+     lambda scale: 0.0),
+    ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
+     _odd_blocks_doubled),
+    ("xi-eta-two-path", signature_mod, "_eta", _eta_plus_half),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, mutant", CHIRAL_MUTANTS,
+                         ids=[name for name, _, _, _ in CHIRAL_MUTANTS])
+def test_chiral_check_fails_on_its_mutant(monkeypatch, name, module, attr,
+                                          mutant):
+    check = dict(st.CHECKS)[name]
+    assert check(1, 0)[0]
+    monkeypatch.setattr(module, attr, mutant)
+    passed, _ = check(1, 0)
+    assert passed is False
 
 
 @pytest.mark.parametrize("name", ["circle-zeta-zero",

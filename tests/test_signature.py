@@ -1199,6 +1199,27 @@ class TestEta:
             theta = pick_agmon_angle(m)
             assert det_eta_check(m, theta) <= 1e-9
 
+    @pytest.mark.parametrize("z", [-1 + 1e17j, 1 - 1e17j, -1 + 3e16j,
+                                   -1 + 1e9j],
+                             ids=["-1+1e17j", "1-1e17j", "-1+3e16j",
+                                  "-1+1e9j"])
+    def test_no_agmon_angle_in_an_arc_below_1e_8(self, z):
+        # the arc is 1/|Im z| wide; a phase within 1e-16 of +-pi/2 rounds
+        # onto the arc's edge, and the width from the parts still closes it
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^no admissible branch angle"):
+            pick_agmon_angle([z])
+
+    def test_agmon_arc_width_from_the_parts(self):
+        # the width 1e-17 survives where the phase rounds onto the arc's
+        # edge; a z on an axis or in the other two quadrants leaves the arc
+        assert signature_mod._agmon_arc([-1 + 1e17j])[1] == 1e-17
+        bound, width = signature_mod._agmon_arc([1e-3 - 1j, 2.0, 3j, 1 + 1j])
+        assert width == math.atan2(1e-3, 1.0)
+        assert bound == cmath.phase(1e-3 - 1j)
+        assert signature_mod._agmon_arc([2.0, -2.0, 3j, -3j, 1 + 1j,
+                                         -1 - 1j]) == (0.0, math.pi / 2)
+
 
 def _xi_eta_by_degree(c, g, lam):
     """graded_det_via_xi_eta with xi summed degree by degree over

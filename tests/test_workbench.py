@@ -385,6 +385,26 @@ class TestDocuments:
         assert main(["torsion", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_oversized_dimensions_exit_2_without_allocating(self, tmp_path):
+        # a 1 x 10^15 differential: every row's length is checked before the
+        # 14 PiB matrix would be allocated
+        text = ('{"d":1,"dims":[1000000000000000,1],"differential":[[[]]],'
+                '"chirality":[[[]],[[]]],"metadata":{}}')
+        with pytest.raises(ValidationError, match="row 0 must have"):
+            deserialize_document(text)
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        src = str(pathlib.Path(detline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "detline.cli", "torsion", str(path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_rejects_non_finite_numbers(self):
         c, g = gen_elementary(1, 0, 2.0)
         # a complex cannot hold a NaN, so a stand-in carries one to the
