@@ -330,20 +330,26 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
 
     Decomposing the standard wedge of C^j through the frame gives the change
     of basis T_j = [d(A^{j-1}) | H^j | A^j]; the coefficient transforms by
-    prod_j det(T_j)^{(-1)^{j+1}} together with the sign (-1)^N.
+    prod_j det(T_j)^{(-1)^{j+1}} together with the sign (-1)^N.  A change
+    of basis of A^j moves det T_j and det T_{j+1} by the same factor, which
+    cancels.  So when ker d_0 = 0 (H^0 empty, A^0 = C^0) the standard basis
+    serves as A^0: T_0 is the identity, not formed (its det is 1), and the
+    first block of T_1 is d_0 itself.
     """
     c = frame.complex
     if x.dims != c.dims or x.dualized:
         raise ValidationError("element does not live on this complex's line")
+    standard = not frame.H[0].shape[1]  # the standard basis serves as A^0
     ts = []
     for j in range(c.d + 1):
         blocks = [frame.H[j], frame.A[j]]
         if j > 0 and frame.A[j - 1].shape[1]:
-            blocks.insert(0, c.partial[j - 1] @ frame.A[j - 1])
+            blocks.insert(0, c.partial[0] if j == 1 and standard
+                          else c.partial[j - 1] @ frame.A[j - 1])
         t = _columns(blocks)
         if t.shape[1] != c.dims.dims[j]:
             raise ValidationError(f"degree {j}: frame does not span C^{j}")
-        ts.append(t)
+        ts.append(t[:0, :0] if j == 0 and standard else t)
     coeff = complex(x.coeff) * alternating_det(ts)
     if sign_N(frame):
         coeff = -coeff

@@ -7,29 +7,29 @@ part of B recovers the refined torsion.  Log-determinants along a branch cut
 (an Agmon angle) and the finite-dimensional eta invariant take a spectrum as
 a Python list of complex; numpy only factorizes matrices.  A call forms B
 once, as a table of its nonzero degree blocks Gamma_{j+1} d_j : C^j ->
-C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and reads B_even, B_odd,
-each B^2_j = sum_t B[j, t] B[t, j] and the +/- blocks off it.
+C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and reads B_even, B_odd
+and each B^2_j = sum_t B[j, t] B[t, j] off it.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
-C^j_+; only a Gamma-image that is a proper, nonzero subspace is factorized
-(by QR), and the +/- independence test reads principal angles off the unitary
-frame, through the frame's invertibility kernel, which picks singular values
-or a Cholesky certificate by size.  B_even on the even + and - subspaces,
-restricted one table block at a time (the Gamma d blocks on C_+, the d Gamma
-blocks on C_-), gives the graded determinant and, through its spectra, eta
-and xi (whose squares are the spectra of (Gamma d)^2 on the + subspaces); a
-side whose bases fill the even part is that whole space, so its block is
-+-B_even as it stands and the other side's is empty.  Gamma commutes with B,
-so a split decides each degree pair (j, d-j) in degree j from the spectrum of
-B^2 and carries the result to degree d-j by Gamma_j.  The singular values of
-B^2 bound the moduli of its eigenvalues, and settle a degree with one side
-empty; only a degree they leave open takes eigenvalues.  When one side of a
-degree is empty the other is the whole degree, so nothing is factorized; a
-side that fills every degree is the complex itself, and a side empty in every
-degree is the zero complex.  Only a proper split factorizes, with numpy
-alone: the matrix disk function, the sign of a Cayley transform of B^2 by a
-scaled Newton iteration, gives the spectral projector onto the small part,
-and one SVD of it gives orthonormal bases of both parts.
+C^j_+.  The +/- independence test reads principal angles off the unitary
+frame, through its invertibility kernel, applied to the Gamma-images as
+they are; only a block it leaves open orthonormalizes its Gamma-image (by
+QR), and plus_minus_split, which hands out the + bases, is the one call
+that orthonormalizes them all.  Gamma commutes with B and carries C^j_+
+onto C^{d-j}_-, so B_even on the even + subspaces is similar to d Gamma on
+the odd - subspaces: d Gamma on the odd and on the even - subspaces, in the
+frame's bases, gives the graded determinant and, through its spectra, eta
+and xi.  A split decides each degree pair (j, d-j) in degree j from the
+spectrum of B^2 and carries the result to degree d-j by Gamma_j.  The
+singular values of B^2 bound the moduli of its eigenvalues, and settle a
+degree with one side empty; only a degree they leave open takes
+eigenvalues.  When one side of a degree is empty the other is the whole
+degree, so nothing is factorized; a side that fills every degree is the
+complex itself, and a side empty in every degree is the zero complex.  Only
+a proper split factorizes, with numpy alone: the matrix disk function, the
+sign of a Cayley transform of B^2 by a scaled Newton iteration, gives the
+spectral projector onto the small part, and one SVD of it gives orthonormal
+bases of both parts.
 """
 
 from __future__ import annotations
@@ -73,15 +73,13 @@ _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
 
-def _b_blocks(c: CochainComplex, g: ChiralityOp,
-              parity: int | None = None) -> dict:
-    """B's nonzero degree blocks {(target, source): block} from the sources
-    of the given parity (all when None).  No two share a key, each keeps the
-    parity of its source (d is odd), and in the whole table (t, j) is a key
+def _b_blocks(c: CochainComplex, g: ChiralityOp) -> dict:
+    """B's nonzero degree blocks {(target, source): block}.  No two share a
+    key, each keeps the parity of its source (d is odd), and (t, j) is a key
     exactly when (j, t) is."""
     d = c.d
     blocks = {}
-    for j in range(d + 1) if parity is None else range(parity, d + 1, 2):
+    for j in range(d + 1):
         if j < d:
             blocks[d - j - 1, j] = g.gamma[j + 1] @ c.partial[j]
         if j > 0:
@@ -166,6 +164,50 @@ def _restricted(op, source, target, what: str) -> np.ndarray:
     return np.zeros((target.shape[1], source.shape[1]), dtype=complex)
 
 
+def _minus_bases(c: CochainComplex, g: ChiralityOp,
+                 frame: CohomologyFrame | None):
+    """Orthonormal bases M^j of C^j_- = ker(d_j) = B^j + H^j off the
+    cohomology frame of c (built when not given; a lone B^j or H^j as it
+    stands, read-only), and {d-j: Y} of the Gamma-images
+    Y = Gamma_{d-j} M^{d-j}, which span C^j_+, that the +/- test formed.
+    The test raises SpectralBoundaryError unless C^j_+ and C^j_- intersect
+    trivially and span C^j, the bijectivity condition for B.
+
+    [B^j | H^j | A^j] is unitary, so for P an orthonormal basis of C^j_+,
+    s = sigma_min((A^j)^H P) is the sine of the least angle between the two
+    and sigma_min([P | M^j]) = s / sqrt(1 + sqrt(1 - s^2)).  With Y = P R,
+    (A^j)^H Y = ((A^j)^H P) R and ||R||_2 = ||Y||_2 <= ||Y||_F, so the
+    invertibility kernel _sigma_min_above certifying sigma_min((A^j)^H Y) >
+    2 _PM_TOL ||Y||_F proves s > 2 _PM_TOL, a pass.  Only a block it leaves
+    open takes P by QR and one values-only SVD of (A^j)^H P, which decides
+    and reports as without the certificate.
+    """
+    validate_chirality(c, g)
+    frame, d = _frame_for(c, frame), c.d
+    minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
+    images = {}
+    for j, m in enumerate(minus):
+        source = minus[d - j]
+        if source.shape[1] + m.shape[1] != c.dims.dims[j]:
+            raise SpectralBoundaryError(
+                f"degree {j}: ker(dGamma) + ker(d) does not split C^{j} "
+                f"(B is not bijective)")
+        if source.shape[1] and m.shape[1]:
+            y = images[d - j] = g.gamma[d - j] @ source
+            a_h = frame.A[j].conj().T
+            # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
+            if _sigma_min_above(a_h @ y, 2 * _PM_TOL * _frobenius(y)):
+                continue
+            x = a_h @ np.linalg.qr(y)[0]
+            s = float(np.linalg.svd(x, compute_uv=False)[-1])
+            smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
+            if smallest < _PM_TOL:
+                raise SpectralBoundaryError(
+                    f"degree {j}: the +/- subspaces are numerically dependent "
+                    f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
+    return minus, images
+
+
 def plus_minus_split(c: CochainComplex, g: ChiralityOp,
                      frame: CohomologyFrame | None = None):
     """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
@@ -173,69 +215,68 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     C^j_- = B^j + H^j is read off the cohomology frame of c (built when not
     given), and C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
     Raises SpectralBoundaryError unless the two intersect trivially and span,
-    which is the bijectivity condition for B.  [B^j | H^j | A^j] is unitary,
-    so s = sigma_min((A^j)^H P) is the sine of the smallest angle between
-    P = C^j_+ and M = C^j_-, and the test reads
-    sigma_min([P | M]) = s / sqrt(1 + sqrt(1 - s^2)) off it.  The
-    invertibility kernel _sigma_min_above tries s > 2 _PM_TOL first, which
-    passes the test; a block it leaves open takes the singular values, so a
-    dependent pair raises as it would without it.  When B^j or H^j is
-    empty, C^j_- is the other one as it stands, a read-only view.
+    which is the bijectivity condition for B.  This is the one call that
+    orthonormalizes the Gamma-images (by QR, each that is a proper, nonzero
+    subspace); the graded determinants read them through the frame's
+    invertibility kernel and through Gamma.
     """
-    validate_chirality(c, g)
-    frame, d = _frame_for(c, frame), c.d
-    minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
+    minus, d = _minus_bases(c, g, frame)[0], c.d
     plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
-    for j, (p, m) in enumerate(zip(plus, minus)):
-        if p.shape[1] + m.shape[1] != c.dims.dims[j]:
-            raise SpectralBoundaryError(
-                f"degree {j}: ker(dGamma) + ker(d) does not split C^{j} "
-                f"(B is not bijective)")
-        if p.shape[1] and m.shape[1]:
-            x = frame.A[j].conj().T @ p
-            # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
-            if _sigma_min_above(x, 2 * _PM_TOL):
-                continue
-            s = float(np.linalg.svd(x, compute_uv=False)[-1])
-            smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
-            if smallest < _PM_TOL:
-                raise SpectralBoundaryError(
-                    f"degree {j}: the +/- subspaces are numerically dependent "
-                    f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
     return plus, minus
 
 
-def _even_blocks(c: CochainComplex, g: ChiralityOp, plus, minus):
-    """B_even restricted to the even + subspaces, and -B_even restricted to
-    the even - subspaces, in the given bases, one block of B at a time: B is
-    Gamma d (target d-s-1) on C_+ and d Gamma (target d-s+1) on C_-.  A
-    side whose bases fill the even part is that whole space: its block is
-    B_even (or -B_even) as it stands, and the other side's is empty."""
-    blocks, n = _b_blocks(c, g, 0), c.dims.dims
-    empty = np.zeros((0, 0), dtype=complex)
-    if all(plus[j].shape[1] == n[j] for j in range(0, c.d + 1, 2)):
-        return _assemble(blocks, n, 0), empty
-    if all(minus[j].shape[1] == n[j] for j in range(0, c.d + 1, 2)):
-        return empty, -_assemble(blocks, n, 0)
+def _det_blocks(c: CochainComplex, g: ChiralityOp,
+                frame: CohomologyFrame | None):
+    """B_even on the even + subspaces, up to similarity, and -B_even on the
+    even - subspaces, in the orthonormal bases of C_- that _minus_bases
+    gives once the +/- test has passed; no basis of C_+ is formed.
 
-    def side(bases, total, what):  # the blocks with t + s = total
-        return _assemble({(t, s): _restricted(b, bases[s], bases[t], what)
-                          for (t, s), b in blocks.items() if t + s == total},
-                         [b.shape[1] for b in bases], 0)
-    return side(plus, c.d - 1, "B+ even"), -side(minus, c.d + 1, "B- even")
+    On C_- = ker d, B is d Gamma, one block d_{d-s} Gamma_s (target d-s+1,
+    of the parity of s) at a time, so no Gamma d block is formed.  The even
+    blocks give -B_even.  Gamma commutes with B and carries C^j_+ onto
+    C^{d-j}_-, so the odd blocks give an operator similar to B_even on the
+    even + subspaces: the same determinant and spectrum.  Bases that fill
+    every degree of a parity are that whole space: its blocks are assembled
+    as they stand, with nothing restricted.  Elsewhere each Gamma_s M^s the
+    test formed is used again."""
+    (minus, images), d, n = _minus_bases(c, g, frame), c.d, c.dims.dims
+
+    def image(s):  # Gamma_s M^s
+        return images[s] if s in images else g.gamma[s] @ minus[s]
+
+    def side(parity):  # d Gamma on the - subspaces of the parity
+        sources = range(2 - parity, d + 1, 2)  # s > 0, so that d-s+1 <= d
+        if all(minus[s].shape[1] == n[s] for s in range(parity, d + 1, 2)):
+            return _assemble({(d - s + 1, s): c.partial[d - s] @ g.gamma[s]
+                              for s in sources}, n, parity)
+        what = "B- odd" if parity else "B- even"
+        return _assemble({(d - s + 1, s): _restricted(
+            c.partial[d - s], image(s), minus[d - s + 1], what)
+            for s in sources}, [m.shape[1] for m in minus], parity)
+    return side(1), -side(0)
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp,
                       frame: CohomologyFrame | None = None) -> complex:
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
-    part, computed in explicit bases of the +/- subspaces (read off frame,
-    the cohomology frame of c, when given)."""
-    num, den = _even_blocks(c, g, *plus_minus_split(c, g, frame))
-    # a singular + block gives 0, a singular - block 0 ** -1 = nan + nan i
-    with np.errstate(divide="ignore", invalid="ignore"):
+    part, in the orthonormal bases of the - subspaces read off frame (the
+    cohomology frame of c, built when not given): det(B+_even) is that of
+    d Gamma on the odd - subspaces (_det_blocks), so no Gamma-image is
+    orthonormalized.  A determinant that is not finite (an overflow) is a
+    numerical boundary, as is a singular block."""
+    num, den = _det_blocks(c, g, frame)
+    # numpy's det leaves the floating-point range silently here: a singular
+    # + block gives 0, a singular - block 0 ** -1 = nan + nan i, and only
+    # the determinants of the two blocks tell that from an overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = alternating_det((den, num))
-    if value == 0 or (math.isnan(value.real) and math.isnan(value.imag)):
-        raise SpectralBoundaryError("B_even is not bijective")
+        if value == 0 or not cmath.isfinite(value):
+            dets = [complex(np.linalg.det(b)) for b in (num, den) if b.size]
+            if all(map(cmath.isfinite, dets)) and (value == 0
+                                                   or not all(dets)):
+                raise SpectralBoundaryError("B_even is not bijective")
+            raise SpectralBoundaryError(
+                "the determinant of B_even is not finite (overflow)")
     return complex(value)
 
 
@@ -599,7 +640,10 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     odd C^j_+ to (d Gamma)^2 on the even C^{d-j}_-, the square of the -
     block.  So xi = (1/2) (LDet_{2 theta}(spec(B+)^2) -
     LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.  The
-    split decided the zeros, so every eigenvalue of the large part counts.
+    blocks are those of _det_blocks, so the + block is d Gamma on the odd
+    - subspaces, similar to it through Gamma, and no Gamma-image is
+    orthonormalized.  The split decided the zeros, so every eigenvalue of
+    the large part counts.
     frame, the cohomology frame of c when given, serves the large part when
     that part is c itself (lam = 0 on an acyclic complex).
     """
@@ -607,8 +651,7 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
         _frame_for(c, frame)  # a foreign frame is an error at any lam
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    num, den = _even_blocks(cl, gl, *plus_minus_split(
-        cl, gl, frame if cl is c else None))
+    num, den = _det_blocks(cl, gl, frame if cl is c else None)
     eig_num, eig_den = _eig_input(num), _eig_input(den)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_num + [-z for z in eig_den]

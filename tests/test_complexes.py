@@ -9,6 +9,7 @@ import pytest
 import detline.complexes as complexes_mod
 from detline import (
     CochainComplex,
+    CohomologyFrame,
     DetElement,
     GradedDims,
     ValidationError,
@@ -573,6 +574,66 @@ class TestPhi:
         fr = cohomology_frame(c)
         with pytest.raises(ValidationError):
             phi(DetElement(1.0, GradedDims((2, 1))), fr)
+
+    @staticmethod
+    def _phi_on_the_frame(x, fr):
+        """phi's coefficient with every T_j = [d(A^{j-1}) | H^j | A^j] read
+        off the frame as it stands, A^0 included."""
+        c, coeff = fr.complex, complex(x.coeff)
+        for j in range(c.d + 1):
+            t = np.hstack(([c.partial[j - 1] @ fr.A[j - 1]] if j else [])
+                          + [fr.H[j], fr.A[j]])
+            if t.size:
+                coeff *= np.linalg.det(t) ** (1 if j % 2 else -1)
+        return -coeff if sign_N(fr) else coeff
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_standard_basis_serves_as_a0(self, d):
+        # acyclic, so H^0 = 0; a tall d_0 of fewer than 16 columns takes A^0
+        # from singular vectors, so the frame's A^0 is not the identity.  A
+        # change of the basis of A^0 cancels between T_0 and T_1, so phi on
+        # the standard basis agrees with phi on the frame's A^0, and a
+        # unitary change of A^0 leaves it as it is
+        rng = np.random.default_rng(d)
+        profile = {"blocks": [(0, 1.5), (1, 0.7 + 0.2j), (0, 2.0 - 1.0j),
+                              (1, -0.8)], "harmonic": []}
+        for seed in range(4):
+            c = gen_random(seed, d, profile)[0]
+            fr = cohomology_frame(c)
+            n0 = c.dims.dims[0]
+            assert fr.betti[0] == 0 and 0 < n0 < c.dims.dims[1]
+            assert not np.allclose(fr.A[0], np.eye(n0))
+            x = DetElement(0.5 - 2.0j, c.dims)
+            value = phi(x, fr).coeff
+            ref = self._phi_on_the_frame(x, fr)
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+            w = np.linalg.qr(rng.standard_normal((n0, n0))
+                             + 1j * rng.standard_normal((n0, n0)))[0]
+            turned = CohomologyFrame(c, fr.B, fr.H, (fr.A[0] @ w,) + fr.A[1:])
+            assert phi(x, turned).coeff == value
+            ref = self._phi_on_the_frame(x, turned)
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("h0", [False, True], ids=["acyclic", "h0"])
+    def test_first_degree_takes_no_det_when_h0_is_empty(self, monkeypatch,
+                                                        d, h0):
+        # with ker d_0 = 0, T_0 is the identity and is not formed; a complex
+        # with cohomology in degree 0 still takes det T_0
+        c, _ = gen_random(3, d, {"blocks": [(0, 1.5), (0, 0.7 + 0.2j)],
+                                 "harmonic": [0] if h0 else []})
+        fr = cohomology_frame(c)
+        assert bool(fr.betti[0]) == h0
+        shapes, det = [], np.linalg.det
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return det(a)
+        monkeypatch.setattr(np.linalg, "det", spy)
+        phi(DetElement(1.0, c.dims), fr)
+        n = c.dims.dims
+        assert shapes == [(n[j], n[j]) for j in range(0 if h0 else 1, d + 1)
+                          if n[j]]
 
 
 class TestDuality:

@@ -105,9 +105,9 @@ _ALTERNATING_DET = signature_mod.alternating_det
 _B_BLOCKS = signature_mod._b_blocks
 
 
-def _odd_blocks_doubled(c, g, parity=None):
+def _odd_blocks_doubled(c, g):
     return {key: 2 * b if key[1] % 2 else b
-            for key, b in _B_BLOCKS(c, g, parity).items()}
+            for key, b in _B_BLOCKS(c, g).items()}
 
 # one mutant per chiral check of the split and signature paths that must
 # turn it red: (check, module, attribute, mutant)

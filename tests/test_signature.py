@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 import detline.signature as signature_mod
 import detline.torsion as torsion_mod
@@ -39,7 +40,7 @@ from detline import (
 )
 from detline.complexes import _zero_cut
 from detline.selftest import _instance
-from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _even_blocks,
+from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
                                _restrict, _split_degree)
 
 from conftest import BIG_PROFILE, normal_matrix, traced_peak
@@ -58,7 +59,7 @@ class TestGradedDet:
     def test_singular_block_is_a_boundary(self, monkeypatch, singular):
         blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
         blocks[singular] = np.zeros((2, 2), dtype=complex)
-        monkeypatch.setattr(signature_mod, "_even_blocks",
+        monkeypatch.setattr(signature_mod, "_det_blocks",
                             lambda *args: tuple(blocks))
         c, g = gen_elementary(1, 0, 2.0)
         with pytest.raises(SpectralBoundaryError,
@@ -78,24 +79,48 @@ _DEPENDENT = (r"^degree 2: the \+/- subspaces are numerically dependent "
               r"\(sigma_min 9\.2e-11 < 1e-10\)$")
 
 
-def _tilted(eps, extra_a2=0):
+def _tilted(eps, extra_a2=0, stretch=1.0):
     """Complex of dims (1, 2, 2, 1) whose Gamma_1 tilts ker d_1 = span(e1) by
     eps against im d_1 = span(f1), so that in degree 2
     sigma_min([C_+ | C_-]) = sqrt(2) sin(eps / 2), which crosses 1e-10 at
     eps = 1.414e-10; Gamma_2 = Gamma_1^{-1} leaves degree 1 near 1e-6, far
-    from the threshold.  With extra_a2 > 0 it is summed with an acyclic
-    complex of that many elementary blocks of degree 0, each adding one
-    dimension to A^2, with independent +/- subspaces."""
+    from the threshold.  Gamma_1 is multiplied by stretch (Gamma_2 divided
+    by it), which moves no subspace.  With extra_a2 > 0 it is summed with
+    an acyclic complex of that many elementary blocks of degree 0, each
+    adding one dimension to A^2, with independent +/- subspaces."""
     c = CochainComplex(GradedDims((1, 2, 2, 1)), (
         np.array([[1.0], [0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.array([[0.0, 1.0]])))
-    g1 = np.array([[math.cos(eps), 0.0], [math.sin(eps), 1e-4]])
+    g1 = stretch * np.array([[math.cos(eps), 0.0], [math.sin(eps), 1e-4]])
     g = ChiralityOp((np.eye(1), g1, np.linalg.inv(g1), np.eye(1)))
     if extra_a2:
         c, g = chiral_direct_sum([(c, g), gen_random(5, 3, {
             "blocks": [(0, complex(1 + 0.1 * k, 0.3))
                        for k in range(extra_a2)], "harmonic": []})])
     return c, g
+
+
+def _qr_first_pm_decision(c, g, fr):
+    """The message the +/- test raises on (c, g), or None, decided without
+    any certificate: P an orthonormal basis (QR) of each proper Gamma-image
+    Gamma_{d-j} M^{d-j}, and sigma_min([P | M^j]) from
+    s = sigma_min((A^j)^H P)."""
+    d, n = c.d, c.dims.dims
+    minus = [np.hstack([b, h]) for b, h in zip(fr.B, fr.H)]
+    for j in range(d + 1):
+        source, m = minus[d - j], minus[j]
+        if source.shape[1] + m.shape[1] != n[j]:
+            return (f"degree {j}: ker(dGamma) + ker(d) does not split "
+                    f"C^{j} (B is not bijective)")
+        if source.shape[1] and m.shape[1]:
+            p = np.linalg.qr(g.gamma[d - j] @ source)[0]
+            s = float(np.linalg.svd(fr.A[j].conj().T @ p,
+                                    compute_uv=False)[-1])
+            smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
+            if smallest < 1e-10:
+                return (f"degree {j}: the +/- subspaces are numerically "
+                        f"dependent (sigma_min {smallest:.1e} < 1e-10)")
+    return None
 
 
 class TestSignatureOp:
@@ -139,6 +164,55 @@ class TestSignatureOp:
             plus_minus_split(c, g, fr)
         assert calls.shapes("svd", compute_uv=False)[-1] == (16, 16)
         assert calls["cholesky"] == (certify is None)
+
+    @pytest.mark.parametrize("extra_a2", [0, 15], ids=["1x1", "16x16"])
+    def test_decision_ladder_around_the_threshold(self, extra_a2):
+        # the certificate reads (A^2)^H Gamma_1 M^1 with no orthonormal basis
+        # formed, yet each rung raises exactly where the QR-first test does,
+        # with its message, in plus_minus_split and graded_det_finite alike
+        raised = []
+        for delta in (1.0, 1.2, 1.3, 1.4, 1.41, 1.414, 1.4142, 1.41421,
+                      1.41422, 1.4143, 1.415, 1.42, 1.5, 2.0, 2.5, 3.0):
+            c, g = _tilted(delta * 1e-10, extra_a2)
+            fr = cohomology_frame(c)
+            expected = _qr_first_pm_decision(c, g, fr)
+            raised.append(expected is not None)
+            for call in (plus_minus_split, graded_det_finite):
+                if expected is None:
+                    call(c, g, fr)
+                    continue
+                with pytest.raises(SpectralBoundaryError) as err:
+                    call(c, g, fr)
+                assert str(err.value) == expected
+        assert raised == [True] * 8 + [False] * 8
+
+    def test_certificate_floor_scales_with_the_gamma_image(self,
+                                                          monkeypatch):
+        # Gamma_1 stretched by 1e3: (A^2)^H Y = 1e3 sin(eps) clears 2 _PM_TOL
+        # although s = sin(eps) does not, so only the ||Y||_F factor of the
+        # floor keeps the certificate from passing a dependent pair; without
+        # it (the mutant) the guard goes silent
+        c, g = _tilted(1.3e-10, stretch=1e3)
+        assert max(float(np.abs(m).max()) for m in g.gamma) >= 1e3
+        fr = cohomology_frame(c)
+        with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
+            plus_minus_split(c, g, fr)
+        monkeypatch.setattr(signature_mod, "_frobenius", lambda a: 1.0)
+        plus = plus_minus_split(c, g, fr)[0]
+        assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+
+    def test_dependent_block_is_decomposed_once(self, count_factorizations):
+        # degree 1 passes on the singular values of (A^1)^H Y; degree 2 is
+        # left open, so it takes one QR of Y and one values-only SVD of
+        # (A^2)^H P, which both decides and reports
+        c, g = _tilted(1.3e-10)
+        fr = cohomology_frame(c)
+        calls = count_factorizations()
+        with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
+            plus_minus_split(c, g, fr)
+        assert calls.shapes("svd", compute_uv=False) == [(1, 1)] * 3
+        assert calls.shapes("qr") == [(2, 1)]
+        assert calls["cholesky"] == 0
 
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
@@ -415,8 +489,8 @@ class TestChiralityCheckedOnce:
 
 class TestEvenBlockSides:
     """On C_+ = ker(d Gamma) B is Gamma d and on C_- = ker(d) it is d Gamma,
-    so _even_blocks restricts only those blocks; each block it leaves out
-    maps its side to zero."""
+    so _det_blocks restricts only the d Gamma blocks, on C_-; each block it
+    leaves out maps its side to zero."""
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("acyclic", [True, False])
@@ -424,13 +498,15 @@ class TestEvenBlockSides:
         proper = 0
         for seed in range(4):
             c, g = _instance(100 + 10 * seed + d, d, acyclic)
-            # the parts _even_blocks sees: the large part of a split at 0
+            # the parts _det_blocks sees: the large part of a split at 0
             # (acyclic) and at mid-gap
             for lam in (0.0, _mid_gap_level(c, g)):
                 large = spectral_split(c, g, lam).large
                 cl, gl = large.complex, large.chirality
                 plus, minus = plus_minus_split(cl, gl)
-                for (t, s), b in _b_blocks(cl, gl, 0).items():
+                for (t, s), b in _b_blocks(cl, gl).items():
+                    if s % 2:
+                        continue
                     side = plus if t + s == d + 1 else minus
                     image = b @ side[s]
                     if image.size:
@@ -444,8 +520,7 @@ class TestEvenBlockSides:
     @pytest.mark.parametrize("d", [3, 5])
     def test_each_side_restricts_only_its_blocks(self, monkeypatch, d):
         c, g = _instance(100, d, acyclic=True)
-        plus, minus = plus_minus_split(c, g)
-        keys = list(_b_blocks(c, g, 0))
+        keys = list(_b_blocks(c, g))
         seen = []
         orig = signature_mod._restricted
 
@@ -453,10 +528,73 @@ class TestEvenBlockSides:
             seen.append(what)
             return orig(op, source, target, what)
         monkeypatch.setattr(signature_mod, "_restricted", spy)
-        num, den = _even_blocks(c, g, plus, minus)
-        assert num.size and den.size  # neither side is the whole even part
-        assert seen.count("B+ even") == sum(t + s == d - 1 for t, s in keys)
-        assert seen.count("B- even") == sum(t + s == d + 1 for t, s in keys)
+        num, den = _det_blocks(c, g, None)
+        assert num.size and den.size  # neither side is a whole parity
+        # the + side of B_even is read as d Gamma on the odd - subspaces
+        assert seen.count("B- odd") == sum(t + s == d + 1 and s % 2
+                                           for t, s in keys)
+        assert seen.count("B- even") == sum(t + s == d + 1 and not s % 2
+                                            for t, s in keys)
+
+
+def _assert_same_multiset(got, want, rtol=1e-10):
+    """got and want hold the same values, matched one to one, within rtol
+    of the largest modulus."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if want.size:
+        cost = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= rtol * float(np.abs(want).max())
+
+
+class TestPlusSideThroughGamma:
+    """The + side of B_even is read as d Gamma on the odd - subspaces, which
+    Gamma makes similar to it.  The oracle is B_even restricted to the
+    orthonormal + and - bases of plus_minus_split (the Gamma-images
+    orthonormalized by QR)."""
+
+    @staticmethod
+    def _restricted_b_even(c, g):
+        """P^H B_even P and M^H B_even M over the even degrees."""
+        plus, minus = plus_minus_split(c, g)
+        b_even = build_signature(c, g).b_even
+        out = []
+        for bases in (plus, minus):
+            e = scipy.linalg.block_diag(*bases[::2])
+            out.append(e.conj().T @ b_even @ e)
+        return out
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("total", [40, 100, 300])
+    def test_matches_the_plus_side_restriction(self, d, total):
+        c, g, _ = _ladder_instance(d, total)
+        b_plus, b_minus = self._restricted_b_even(c, g)
+        expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
+        assert abs(graded_det_finite(c, g) - expected) <= 1e-12 * abs(expected)
+        num, den = _det_blocks(c, g, None)
+        _assert_same_multiset(np.linalg.eigvals(num),
+                              np.linalg.eigvals(b_plus))
+        _assert_same_multiset(np.linalg.eigvals(den),
+                              np.linalg.eigvals(-b_minus))
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_large_parts_match_the_plus_side_restriction(self, d):
+        # the large part of a split at 0 of a complex with cohomology, in
+        # the bases of the split
+        for seed in range(4):
+            c, g = _instance(200 + seed, d, acyclic=False)
+            large = spectral_split(c, g, 0.0).large
+            cl, gl = large.complex, large.chirality
+            b_plus, b_minus = self._restricted_b_even(cl, gl)
+            expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
+            value = graded_det_finite(cl, gl)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+            num, den = _det_blocks(cl, gl, None)
+            _assert_same_multiset(np.linalg.eigvals(num),
+                                  np.linalg.eigvals(b_plus))
+            _assert_same_multiset(np.linalg.eigvals(den),
+                                  np.linalg.eigvals(-b_minus))
 
 
 class TestLoneBlocks:
@@ -469,12 +607,13 @@ class TestLoneBlocks:
     def big(self):
         return gen_random(7, 1, BIG_PROFILE)
 
-    # traced peaks, in 200 x 200 complex matrices, measured at 2.0, 3.0 and
-    # 5.0: the frame's one identity and d_0 A^0; the identity, C^0_+ and
-    # B_even; the split's B blocks, B^2_0 and bases besides
+    # traced peaks, in 200 x 200 complex matrices, measured at 2.0, 2.0 and
+    # 5.0: the frame's certificate (the conjugate of d_0 and its Gram
+    # matrix), as phi's T_1 is d_0 itself; that, or the frame's one identity
+    # and the d Gamma block; the split's B blocks, B^2_0 and bases besides
     @pytest.mark.parametrize("call, bound", [
         (refined_torsion, 2.1),
-        (graded_det_finite, 3.1),
+        (graded_det_finite, 2.1),
         (lambda c, g: torsion_via_split(c, g, 0.0), 5.1),
     ], ids=["refined_torsion", "graded_det_finite", "torsion_via_split"])
     def test_traced_peak(self, big, call, bound):
@@ -745,13 +884,38 @@ class TestFactorizationCounts:
         assert calls.shapes("svd", compute_uv=True) == []
         assert value == graded_det_via_xi_eta(c, g, 0.0)
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("total", [40, 200])
+    def test_graded_dets_take_no_qr_beyond_the_frame(
+            self, count_factorizations, d, total):
+        # the +/- test reads each Gamma-image of ker d through the
+        # certificate, and the + side of B_even is read through Gamma on the
+        # odd - subspaces, so neither graded determinant orthonormalizes a
+        # Gamma-image: the only QRs are the frame's own, of its tall degrees
+        # (the split at 0 of an acyclic complex forms no basis)
+        c, g, _ = _ladder_instance(d, total)
+        calls = count_factorizations()
+        fr = cohomology_frame(c)
+        frame_qr = calls.shapes("qr")
+        assert bool(frame_qr) == (d > 1 and total > 40)
+        for call in (lambda f: graded_det_finite(c, g, f),
+                     lambda f: graded_det_via_xi_eta(c, g, 0.0, frame=f)):
+            calls = count_factorizations()
+            call(fr)
+            assert calls["qr"] == 0
+            calls = count_factorizations()
+            call(None)
+            assert calls.shapes("qr") == frame_qr
+
     @pytest.mark.parametrize("seed", [6, 7, 9])
-    def test_whole_side_block_is_b_even_itself(self, seed):
-        # an acyclic d = 1 complex has C^0_+ = C^0, so the + block is B_even
-        # as it stands, with nothing restricted, and the - block is empty
+    def test_whole_side_block_is_b_odd_itself(self, seed):
+        # an acyclic d = 1 complex has C^0_+ = C^0 and C^1_- = C^1, so the
+        # + block, read through Gamma as d Gamma on the odd - subspaces, is
+        # B_odd as it stands, with nothing restricted, and the - block is
+        # empty
         c, g = _instance(seed, 1, acyclic=True)
-        num, den = _even_blocks(c, g, *plus_minus_split(c, g))
-        assert np.array_equal(num, build_signature(c, g).b_even)
+        num, den = _det_blocks(c, g, None)
+        assert np.array_equal(num, build_signature(c, g).b_odd)
         assert den.shape == (0, 0)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
@@ -1228,8 +1392,8 @@ def _xi_eta_by_degree(c, g, lam):
     cl, gl = large.complex, large.chirality
     d = cl.d
     b = _b_blocks(cl, gl)
-    plus, minus = plus_minus_split(cl, gl)
-    num, den = _even_blocks(cl, gl, plus, minus)
+    plus = plus_minus_split(cl, gl)[0]
+    num, den = _det_blocks(cl, gl, None)
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
                            -np.linalg.eigvals(den) if den.size else []])
     theta = pick_agmon_angle(eigs)
@@ -1338,7 +1502,7 @@ class TestZeroDecidedOnce:
         # exact zero left in a +/- block lies on every cut
         blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
         blocks[singular] = np.zeros((2, 2), dtype=complex)
-        monkeypatch.setattr(signature_mod, "_even_blocks",
+        monkeypatch.setattr(signature_mod, "_det_blocks",
                             lambda *args: tuple(blocks))
         c, g = gen_elementary(1, 0, 2.0)
         with pytest.raises(SpectralBoundaryError, match="branch cut"):
