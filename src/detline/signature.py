@@ -19,17 +19,25 @@ that orthonormalizes them all.  Gamma commutes with B and carries C^j_+
 onto C^{d-j}_-, so B_even on the even + subspaces is similar to d Gamma on
 the odd - subspaces: d Gamma on the odd and on the even - subspaces, in the
 frame's bases, gives the graded determinant and, through its spectra, eta
-and xi.  A split decides each degree pair (j, d-j) in degree j from the
+and xi.  On the - subspaces d Gamma sends degree s to d+1-s, so each
+parity is read one degree pair at a time and never assembled: a
+self-paired degree (s = d+1-s) gives one block, and a pair s < t = d+1-s
+gives the block [[0, Q], [P, 0]] of two square n x n blocks P : s -> t
+and Q : t -> s.  Swapping its two halves is n transpositions, so its
+determinant is (-1)^n det P det Q; its square is diag(QP, PQ), and by the
+Schur complement its characteristic polynomial is det(z^2 - PQ), so its
+spectrum is +-sqrt(nu) over nu in spec(PQ), and the pair adds nothing to
+eta.  A split decides each degree pair (j, d-j) in degree j from the
 spectrum of B^2 and carries the result to degree d-j by Gamma_j.  The
 singular values of B^2 bound the moduli of its eigenvalues, and settle a
-degree with one side empty; only a degree they leave open takes
-eigenvalues.  When one side of a degree is empty the other is the whole
-degree, so nothing is factorized; a side that fills every degree is the
-complex itself, and a side empty in every degree is the zero complex.  Only
-a proper split factorizes, with numpy alone: the matrix disk function, the
-sign of a Cayley transform of B^2 by a scaled Newton iteration, gives the
-spectral projector onto the small part, and one SVD of it gives orthonormal
-bases of both parts.
+degree with one side empty (at lam = 0 through the invertibility kernel);
+only a degree they leave open takes eigenvalues.  When one side of a degree
+is empty the other is the whole degree, so nothing is factorized; a side
+that fills every degree is the complex itself, and a side empty in every
+degree is the zero complex.  Only a proper split factorizes, with numpy
+alone: the matrix disk function, the sign of a Cayley transform of B^2 by a
+scaled Newton iteration, gives the spectral projector onto the small part,
+and one SVD of it gives orthonormal bases of both parts.
 """
 
 from __future__ import annotations
@@ -171,7 +179,8 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     stands, read-only), and {d-j: Y} of the Gamma-images
     Y = Gamma_{d-j} M^{d-j}, which span C^j_+, that the +/- test formed.
     The test raises SpectralBoundaryError unless C^j_+ and C^j_- intersect
-    trivially and span C^j, the bijectivity condition for B.
+    trivially and span C^j, the bijectivity condition for B.  It also
+    returns {j: P} of the orthonormal bases P of C^j_+ it took by QR.
 
     [B^j | H^j | A^j] is unitary, so for P an orthonormal basis of C^j_+,
     s = sigma_min((A^j)^H P) is the sine of the least angle between the two
@@ -185,7 +194,7 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     validate_chirality(c, g)
     frame, d = _frame_for(c, frame), c.d
     minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
-    images = {}
+    images, ortho = {}, {}
     for j, m in enumerate(minus):
         source = minus[d - j]
         if source.shape[1] + m.shape[1] != c.dims.dims[j]:
@@ -198,14 +207,14 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
             # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
             if _sigma_min_above(a_h @ y, 2 * _PM_TOL * _frobenius(y)):
                 continue
-            x = a_h @ np.linalg.qr(y)[0]
-            s = float(np.linalg.svd(x, compute_uv=False)[-1])
+            p = ortho[j] = np.linalg.qr(y)[0]
+            s = float(np.linalg.svd(a_h @ p, compute_uv=False)[-1])
             smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
             if smallest < _PM_TOL:
                 raise SpectralBoundaryError(
                     f"degree {j}: the +/- subspaces are numerically dependent "
                     f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
-    return minus, images
+    return minus, images, ortho
 
 
 def plus_minus_split(c: CochainComplex, g: ChiralityOp,
@@ -217,29 +226,42 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     Raises SpectralBoundaryError unless the two intersect trivially and span,
     which is the bijectivity condition for B.  This is the one call that
     orthonormalizes the Gamma-images (by QR, each that is a proper, nonzero
-    subspace); the graded determinants read them through the frame's
-    invertibility kernel and through Gamma.
+    subspace, once: a block the test left open keeps the test's factor);
+    the graded determinants read them through the frame's invertibility
+    kernel and through Gamma.
     """
-    minus, d = _minus_bases(c, g, frame)[0], c.d
-    plus = [_gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
+    minus, _, ortho = _minus_bases(c, g, frame)
+    d = c.d
+    plus = [ortho[j] if j in ortho else
+            _gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
     return plus, minus
 
 
 def _det_blocks(c: CochainComplex, g: ChiralityOp,
                 frame: CohomologyFrame | None):
-    """B_even on the even + subspaces, up to similarity, and -B_even on the
-    even - subspaces, in the orthonormal bases of C_- that _minus_bases
-    gives once the +/- test has passed; no basis of C_+ is formed.
+    """The tables {(t, s): block} of d Gamma on the odd and on the even -
+    subspaces, in the orthonormal bases of C_- that _minus_bases gives once
+    the +/- test has passed; no basis of C_+ is formed, and no parity block
+    is assembled.
 
-    On C_- = ker d, B is d Gamma, one block d_{d-s} Gamma_s (target d-s+1,
-    of the parity of s) at a time, so no Gamma d block is formed.  The even
-    blocks give -B_even.  Gamma commutes with B and carries C^j_+ onto
-    C^{d-j}_-, so the odd blocks give an operator similar to B_even on the
-    even + subspaces: the same determinant and spectrum.  Bases that fill
-    every degree of a parity are that whole space: its blocks are assembled
-    as they stand, with nothing restricted.  Elsewhere each Gamma_s M^s the
-    test formed is used again."""
-    (minus, images), d, n = _minus_bases(c, g, frame), c.d, c.dims.dims
+    On C_- = ker d, B is d Gamma, one block d_{d-s} Gamma_s from degree s
+    to t = d+1-s (of the parity of s) at a time, so no Gamma d block is
+    formed.  The even table is B_even on the even - subspaces.  Gamma
+    commutes with B and carries C^j_+ onto C^{d-j}_-, so the odd table
+    gives an operator similar to B_even on the even + subspaces: the same
+    determinant and spectrum.  The test's dimension check gives
+    dim C^s_- = dim C^{d+1-s}_- (and H = 0), so each pair s < t = d+1-s
+    is two square n x n blocks P = table[t, s] and Q = table[s, t], and
+    the pair's block is [[0, Q], [P, 0]] once its degrees are permuted
+    next to each other, a similarity.  Swapping its halves is n
+    transpositions, so its determinant is (-1)^n det P det Q; by the Schur
+    complement its characteristic polynomial is det(z^2 - QP), and
+    spec(QP) = spec(PQ), so its spectrum is +-sqrt(nu) over nu in
+    spec(PQ).  Bases that fill every degree of a parity are that whole space:
+    its blocks are used as they stand, with nothing restricted.  Elsewhere
+    each Gamma_s M^s the test formed is used again."""
+    minus, images, _ = _minus_bases(c, g, frame)
+    d, n = c.d, c.dims.dims
 
     def image(s):  # Gamma_s M^s
         return images[s] if s in images else g.gamma[s] @ minus[s]
@@ -247,13 +269,49 @@ def _det_blocks(c: CochainComplex, g: ChiralityOp,
     def side(parity):  # d Gamma on the - subspaces of the parity
         sources = range(2 - parity, d + 1, 2)  # s > 0, so that d-s+1 <= d
         if all(minus[s].shape[1] == n[s] for s in range(parity, d + 1, 2)):
-            return _assemble({(d - s + 1, s): c.partial[d - s] @ g.gamma[s]
-                              for s in sources}, n, parity)
+            return {(d - s + 1, s): c.partial[d - s] @ g.gamma[s]
+                    for s in sources}
         what = "B- odd" if parity else "B- even"
-        return _assemble({(d - s + 1, s): _restricted(
-            c.partial[d - s], image(s), minus[d - s + 1], what)
-            for s in sources}, [m.shape[1] for m in minus], parity)
-    return side(1), -side(0)
+        return {(d - s + 1, s): _restricted(c.partial[d - s], image(s),
+                                            minus[d - s + 1], what)
+                for s in sources}
+    return side(1), side(0)
+
+
+def _units(table: dict):
+    """The nonempty units of a _det_blocks table: (B, None) for a
+    self-paired degree, and (P, Q) = (table[t, s], table[s, t]) once for
+    each pair s < t."""
+    for (t, s), b in table.items():
+        if b.size and s <= t:
+            yield b, (table[s, t] if s < t else None)
+
+
+def _pair_det(p: np.ndarray, q: np.ndarray):
+    """det [[0, Q], [P, 0]] = (-1)^n det P det Q for n x n P and Q."""
+    return (-1) ** p.shape[0] * np.linalg.det(p) * np.linalg.det(q)
+
+
+def _pair_spectrum(p: np.ndarray, q: np.ndarray) -> list:
+    """Spectrum of [[0, Q], [P, 0]]: +-sqrt(nu) over nu in spec(PQ)."""
+    roots = [cmath.sqrt(nu) for nu in _eig_input(p @ q)]
+    return roots + [-r for r in roots]
+
+
+def _side_det(table: dict):
+    """Determinant of a _det_blocks table's operator, unit by unit."""
+    out = np.complex128(1.0)
+    for p, q in _units(table):
+        out *= np.linalg.det(p) if q is None else _pair_det(p, q)
+    return out
+
+
+def _side_spectrum(table: dict) -> list:
+    """Spectrum of a _det_blocks table's operator, unit by unit."""
+    eigs = []
+    for p, q in _units(table):
+        eigs += _eig_input(p) if q is None else _pair_spectrum(p, q)
+    return eigs
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp,
@@ -262,18 +320,25 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     part, in the orthonormal bases of the - subspaces read off frame (the
     cohomology frame of c, built when not given): det(B+_even) is that of
     d Gamma on the odd - subspaces (_det_blocks), so no Gamma-image is
-    orthonormalized.  A determinant that is not finite (an overflow) is a
-    numerical boundary, as is a singular block."""
-    num, den = _det_blocks(c, g, frame)
+    orthonormalized, and det(-B-_even) is (-1)^m det(B-_even) over its m
+    dimensions.  Each side's determinant is the product over its
+    self-paired blocks and its pairs: [[0, Q], [P, 0]] of n x n blocks is
+    diag(Q, P) times the swap of its two halves, n transpositions, so its
+    determinant is (-1)^n det P det Q (_pair_det), two n x n LU
+    factorizations in place of one of order 2n.  A determinant that is
+    not finite (an overflow) is a numerical boundary, as is a singular
+    block."""
+    odd, even = _det_blocks(c, g, frame)
+    m = sum(b.shape[1] for b in even.values())
     # numpy's det leaves the floating-point range silently here: a singular
-    # + block gives 0, a singular - block 0 ** -1 = nan + nan i, and only
-    # the determinants of the two blocks tell that from an overflow
+    # + block gives 0, a singular - block x / 0, and only the determinants
+    # of the two sides tell that from an overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = alternating_det((den, num))
+        num, den = _side_det(odd), (-1) ** m * _side_det(even)
+        value = num / den
         if value == 0 or not cmath.isfinite(value):
-            dets = [complex(np.linalg.det(b)) for b in (num, den) if b.size]
-            if all(map(cmath.isfinite, dets)) and (value == 0
-                                                   or not all(dets)):
+            if (cmath.isfinite(num) and cmath.isfinite(den)
+                    and (value == 0 or not num or not den)):
                 raise SpectralBoundaryError("B_even is not bijective")
             raise SpectralBoundaryError(
                 "the determinant of B_even is not finite (overflow)")
@@ -329,27 +394,32 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     Every eigenvalue mu has sigma_min <= |mu| <= sigma_max, so when the
     singular values put the whole spectrum on one side of the cut, clear of
     the cluster margin, that side is all of C^j and the other is empty, as
-    the eigenvalue rule would find.  Otherwise the eigenvalues decide how
-    many are small, k; at lam = 0 the zero cut is relative to the block's
-    own scale (sigma_max, then the largest modulus).  A proper split
-    (0 < k < n) takes the disk split at a level mu inside the gap they
-    leave: lam itself when lam > 0.  At lam = 0 it is half the smallest
-    modulus outside the zero cluster, or the geometric mean of that and the
-    largest modulus inside when this is larger; B^2 + mu then stays as well
-    conditioned as the gap allows."""
+    the eigenvalue rule would find.  At lam > 0 one values-only SVD gives
+    both bounds.  At lam = 0 only k = 0 can be settled, by
+    sigma_min > _zero_cut(sigma_max) >= _zero_cut(max |mu|), which the
+    invertibility kernel _sigma_min_above answers: below 16 columns by
+    exactly that rule, from 16 on by its Cholesky certificate, whose floor
+    is at least that cut, so True gives k = 0 as the SVD did; its False
+    settles nothing.  Otherwise the eigenvalues decide how many are small,
+    k; at lam = 0 the zero cut is relative to the block's own scale (the
+    largest modulus).  A proper split (0 < k < n) takes the disk split at
+    a level mu inside the gap they leave: lam itself when lam > 0.  At
+    lam = 0 it is half the smallest modulus outside the zero cluster, or
+    the geometric mean of that and the largest modulus inside when this is
+    larger; B^2 + mu then stays as well conditioned as the gap allows."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
     if not np.isfinite(bsq).all():
         raise SpectralBoundaryError(
             f"degree {j}: the B^2 block is not finite (overflow)")
-    sv = np.linalg.svd(bsq, compute_uv=False)
-    s_min, s_max = float(sv[-1]), float(sv[0])
     if lam > 0:
+        sv = np.linalg.svd(bsq, compute_uv=False)
+        s_min, s_max = float(sv[-1]), float(sv[0])
         margin = _CLUSTER_RTOL * max(lam, 1.0, s_max)
         k = 0 if s_min - lam > margin else n if lam - s_max > margin else None
     else:
-        k = 0 if s_min > _zero_cut(s_max) else None
+        k = 0 if _sigma_min_above(bsq) else None
     if k is None:
         mods = np.abs(np.linalg.eigvals(bsq))
         top = float(mods.max())
@@ -439,9 +509,11 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
         raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
     d, blocks = c.d, _b_blocks(c, g)
+    bsqs = [_bsq(blocks, j) for j in range((d + 1) // 2)]
+    del blocks  # so that no B block is held beside the kernel's Gram matrix
     small_bases, large_bases = [None] * (d + 1), [None] * (d + 1)
-    for j in range((d + 1) // 2):
-        small, large = _split_degree(_bsq(blocks, j), lam, j)
+    for j, bsq in enumerate(bsqs):
+        small, large = _split_degree(bsq, lam, j)
         small_bases[j], large_bases[j] = small, large
         # Gamma commutes with B^2, so Gamma_j carries the split of C^j onto
         # that of C^{d-j}
@@ -642,8 +714,15 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     LDet_{2 theta}(spec(B-)^2)), from the eigenvalues that give eta.  The
     blocks are those of _det_blocks, so the + block is d Gamma on the odd
     - subspaces, similar to it through Gamma, and no Gamma-image is
-    orthonormalized.  The split decided the zeros, so every eigenvalue of
-    the large part counts.
+    orthonormalized.  Each spectrum is taken one unit at a time: the
+    eigenvalues of a self-paired block, and for a pair [[0, Q], [P, 0]],
+    whose square is diag(QP, PQ) and whose characteristic polynomial is
+    det(z^2 - PQ) by the Schur complement, +-sqrt(nu) over nu in spec(PQ)
+    (_pair_spectrum), from one n x n matrix in place of a 2n x 2n one.
+    Both roots of each nu are listed, so a pair adds nothing to eta and
+    twice LDet_{2 theta}(nu) to its side of xi.  The split decided the zeros, so every eigenvalue of the
+    large part counts.  An exponent whose exp leaves the float range is a
+    numerical boundary.
     frame, the cohomology frame of c when given, serves the large part when
     that part is c itself (lam = 0 on an acyclic complex).
     """
@@ -651,14 +730,20 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
         _frame_for(c, frame)  # a foreign frame is an error at any lam
     split = spectral_split(c, g, lam)
     cl, gl = split.large.complex, split.large.chirality
-    num, den = _det_blocks(cl, gl, frame if cl is c else None)
-    eig_num, eig_den = _eig_input(num), _eig_input(den)
+    odd, even = _det_blocks(cl, gl, frame if cl is c else None)
+    eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
     # spec(B_even) is the union of its spectra on the + and - subspaces
-    eigs = eig_num + [-z for z in eig_den]
+    eigs = eig_plus + eig_minus
     if theta is None:
         theta = _agmon_midpoint(*_agmon_arc(eigs))
-    xi = 0.5 * (_log_det([z * z for z in eig_num], 2 * theta)
-                - _log_det([z * z for z in eig_den], 2 * theta))
+    xi = 0.5 * (_log_det([z * z for z in eig_plus], 2 * theta)
+                - _log_det([z * z for z in eig_minus], 2 * theta))
     eta = _eta(eigs, 0).eta
-    return complex(cmath.exp(xi - 1j * math.pi * eta
-                             + 1j * math.pi * (len(num) - len(den)) / 2.0))
+    z = (xi - 1j * math.pi * eta
+         + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
+    try:
+        return complex(cmath.exp(z))
+    except OverflowError:
+        raise SpectralBoundaryError(
+            f"exp of real part {z.real:.6g} overflows the float range "
+            f"(the graded determinant of B_even)") from None

@@ -101,8 +101,10 @@ def test_circle_check_fails_on_its_mutant(monkeypatch, name, attr, mutant):
 
 
 _SIGN_R = torsion_mod.sign_R
-_ALTERNATING_DET = signature_mod.alternating_det
+_SIDE_DET = signature_mod._side_det
 _B_BLOCKS = signature_mod._b_blocks
+_PAIR_DET = signature_mod._pair_det
+_PAIR_SPECTRUM = signature_mod._pair_spectrum
 
 
 def _odd_blocks_doubled(c, g):
@@ -114,8 +116,8 @@ def _odd_blocks_doubled(c, g):
 CHIRAL_MUTANTS = [
     ("torsion-equals-graded-det", torsion_mod, "sign_R",
      lambda c: 1 - _SIGN_R(c)),
-    ("split-torsion-consistency", signature_mod, "alternating_det",
-     lambda mats: 1 / _ALTERNATING_DET(mats)),
+    ("split-torsion-consistency", signature_mod, "_side_det",
+     lambda table: 1 / _SIDE_DET(table)),
     ("split-large-part-acyclic", signature_mod, "_zero_cut",
      lambda scale: 0.0),
     ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
@@ -132,6 +134,28 @@ def test_chiral_check_fails_on_its_mutant(monkeypatch, name, module, attr,
     assert check(1, 0)[0]
     monkeypatch.setattr(module, attr, mutant)
     passed, _ = check(1, 0)
+    assert passed is False
+
+
+# mutants of a pair block [[0, Q], [P, 0]] of the +/- sides, each of which
+# must turn its check red; at (cases, seed) = (2, 1) the d = 3 case,
+# gen_random(2, 3), has a pair of 3 x 3 blocks on the + side
+PAIR_MUTANTS = [
+    ("torsion-equals-graded-det", "_pair_det",  # the sign (-1)^n dropped
+     lambda p, q: (-1) ** p.shape[0] * _PAIR_DET(p, q)),
+    ("xi-eta-two-path", "_pair_spectrum",  # the root -sqrt(nu) dropped
+     lambda p, q: _PAIR_SPECTRUM(p, q)[:p.shape[0]]),
+]
+
+
+@pytest.mark.parametrize("name, attr, mutant", PAIR_MUTANTS,
+                         ids=[attr for _, attr, _ in PAIR_MUTANTS])
+def test_pair_block_mutant_turns_its_check_red(monkeypatch, name, attr,
+                                               mutant):
+    check = dict(st.CHECKS)[name]
+    assert check(2, 1)[0]
+    monkeypatch.setattr(signature_mod, attr, mutant)
+    passed, _ = check(2, 1)
     assert passed is False
 
 

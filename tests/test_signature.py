@@ -41,9 +41,19 @@ from detline import (
 from detline.complexes import _zero_cut
 from detline.selftest import _instance
 from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
-                               _restrict, _split_degree)
+                               _pair_det, _pair_spectrum, _restrict,
+                               _side_det, _side_spectrum, _split_degree)
 
 from conftest import BIG_PROFILE, normal_matrix, traced_peak
+
+
+def _singular_tables(singular):
+    """_det_blocks tables of a d = 3 layout, 2 x 2 identity blocks but for
+    one zero block: the pair's P on the + side (singular = 0) or the
+    self-paired block on the - side (singular = 1)."""
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    return ({(3, 1): eye if singular else zero, (1, 3): eye},
+            {(2, 2): zero if singular else eye})
 
 
 class TestGradedDet:
@@ -57,10 +67,8 @@ class TestGradedDet:
 
     @pytest.mark.parametrize("singular", [0, 1], ids=["plus", "minus"])
     def test_singular_block_is_a_boundary(self, monkeypatch, singular):
-        blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
-        blocks[singular] = np.zeros((2, 2), dtype=complex)
         monkeypatch.setattr(signature_mod, "_det_blocks",
-                            lambda *args: tuple(blocks))
+                            lambda *args: _singular_tables(singular))
         c, g = gen_elementary(1, 0, 2.0)
         with pytest.raises(SpectralBoundaryError,
                            match="^B_even is not bijective$"):
@@ -213,6 +221,19 @@ class TestSignatureOp:
         assert calls.shapes("svd", compute_uv=False) == [(1, 1)] * 3
         assert calls.shapes("qr") == [(2, 1)]
         assert calls["cholesky"] == 0
+
+    def test_open_block_is_orthonormalized_once(self,
+                                                count_factorizations):
+        # degree 2 is left open at 1.5e-10 and passes on the QR of
+        # Y = Gamma_1 M^1; plus_minus_split keeps that factor as the basis
+        # of C^2_+, so only degree 1's Gamma-image takes a QR of its own
+        c, g = _tilted(1.5e-10)
+        fr = cohomology_frame(c)
+        calls = count_factorizations()
+        plus, minus = plus_minus_split(c, g, fr)
+        assert calls.shapes("qr") == [(2, 1)] * 2
+        assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+        assert np.array_equal(plus[2], np.linalg.qr(g.gamma[1] @ minus[1])[0])
 
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
@@ -528,13 +549,29 @@ class TestEvenBlockSides:
             seen.append(what)
             return orig(op, source, target, what)
         monkeypatch.setattr(signature_mod, "_restricted", spy)
-        num, den = _det_blocks(c, g, None)
-        assert num.size and den.size  # neither side is a whole parity
+        odd, even = _det_blocks(c, g, None)
+        # neither side is a whole parity
+        assert any(b.size for b in odd.values())
+        assert any(b.size for b in even.values())
         # the + side of B_even is read as d Gamma on the odd - subspaces
         assert seen.count("B- odd") == sum(t + s == d + 1 and s % 2
                                            for t, s in keys)
         assert seen.count("B- even") == sum(t + s == d + 1 and not s % 2
                                             for t, s in keys)
+
+
+def _assembled(table):
+    """The operator of a _det_blocks table {(t, s): block} as one matrix on
+    the sum of its source degrees, in increasing order: the assembled block
+    that the pair units are read without."""
+    size = {s: b.shape[1] for (_, s), b in table.items()}
+    offs = dict(zip(sorted(size),
+                    np.cumsum([0] + [size[s] for s in sorted(size)])))
+    total = sum(size.values())
+    out = np.zeros((total, total), dtype=complex)
+    for (t, s), b in table.items():
+        out[offs[t]:offs[t] + size[t], offs[s]:offs[s] + size[s]] = b
+    return out
 
 
 def _assert_same_multiset(got, want, rtol=1e-10):
@@ -572,11 +609,10 @@ class TestPlusSideThroughGamma:
         b_plus, b_minus = self._restricted_b_even(c, g)
         expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
         assert abs(graded_det_finite(c, g) - expected) <= 1e-12 * abs(expected)
-        num, den = _det_blocks(c, g, None)
-        _assert_same_multiset(np.linalg.eigvals(num),
-                              np.linalg.eigvals(b_plus))
-        _assert_same_multiset(np.linalg.eigvals(den),
-                              np.linalg.eigvals(-b_minus))
+        odd, even = _det_blocks(c, g, None)
+        _assert_same_multiset(_side_spectrum(odd), np.linalg.eigvals(b_plus))
+        _assert_same_multiset(_side_spectrum(even),
+                              np.linalg.eigvals(b_minus))
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_large_parts_match_the_plus_side_restriction(self, d):
@@ -590,11 +626,76 @@ class TestPlusSideThroughGamma:
             expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
             value = graded_det_finite(cl, gl)
             assert abs(value - expected) <= 1e-12 * abs(expected)
-            num, den = _det_blocks(cl, gl, None)
-            _assert_same_multiset(np.linalg.eigvals(num),
+            odd, even = _det_blocks(cl, gl, None)
+            _assert_same_multiset(_side_spectrum(odd),
                                   np.linalg.eigvals(b_plus))
-            _assert_same_multiset(np.linalg.eigvals(den),
-                                  np.linalg.eigvals(-b_minus))
+            _assert_same_multiset(_side_spectrum(even),
+                                  np.linalg.eigvals(b_minus))
+
+
+def _pair_block(p, q):
+    """The assembled pair block [[0, Q], [P, 0]] of n x n P and Q."""
+    zero = np.zeros_like(p)
+    return np.block([[zero, q], [p, zero]])
+
+
+class TestPairUnits:
+    """Each parity of the - side is read one unit at a time: a self-paired
+    block, or a pair [[0, Q], [P, 0]] through its two n x n blocks.  The
+    oracle is the assembled block: determinants within 1e-12, spectra as
+    multisets."""
+
+    @staticmethod
+    def _check_against_assembled(c, g):
+        """Checks every pair and both whole sides of (c, g); the orders of
+        its nonempty pairs."""
+        orders = []
+        for table in _det_blocks(c, g, None):
+            for (t, s), p in table.items():
+                if s < t and p.size:
+                    q = table[s, t]
+                    block = _pair_block(p, q)
+                    want = np.linalg.det(block)
+                    assert abs(_pair_det(p, q) - want) <= 1e-12 * abs(want)
+                    _assert_same_multiset(_pair_spectrum(p, q),
+                                          np.linalg.eigvals(block))
+                    orders.append(p.shape[0])
+            full = _assembled(table)
+            want = np.linalg.det(full)  # 1 for an empty side
+            assert abs(_side_det(table) - want) <= 1e-12 * abs(want)
+            _assert_same_multiset(_side_spectrum(table),
+                                  np.linalg.eigvals(full))
+        return orders
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pair_sign(self, n):
+        # (-1)^n det P det Q: the sign is -1 exactly at odd n
+        rng = np.random.default_rng(n)
+        p, q = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for _ in range(2))
+        want = np.linalg.det(_pair_block(p, q))
+        assert abs(_pair_det(p, q) - want) <= 1e-12 * abs(want)
+        unsigned = np.linalg.det(p) * np.linalg.det(q)
+        assert abs(unsigned - (-1) ** n * want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("total", [40, 200])
+    def test_acyclic_ladder(self, d, total):
+        c, g, _ = _ladder_instance(d, total)
+        orders = self._check_against_assembled(c, g)
+        assert len(orders) == (d - 1) // 2
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_large_parts_of_complexes_with_cohomology(self, d):
+        # the large part of a split at 0, in the bases of the split
+        orders = []
+        for seed in range(4):
+            c, g = _instance(200 + seed, d, acyclic=False)
+            assert not cohomology_frame(c).acyclic
+            large = spectral_split(c, g, 0.0).large
+            orders += self._check_against_assembled(large.complex,
+                                                    large.chirality)
+        assert bool(orders) == (d > 1)
 
 
 class TestLoneBlocks:
@@ -608,13 +709,16 @@ class TestLoneBlocks:
         return gen_random(7, 1, BIG_PROFILE)
 
     # traced peaks, in 200 x 200 complex matrices, measured at 2.0, 2.0 and
-    # 5.0: the frame's certificate (the conjugate of d_0 and its Gram
+    # 4.0: the frame's certificate (the conjugate of d_0 and its Gram
     # matrix), as phi's T_1 is d_0 itself; that, or the frame's one identity
-    # and the d Gamma block; the split's B blocks, B^2_0 and bases besides
+    # and the d Gamma block; the frame's one identity, built first, beside
+    # three more: the split's two B blocks and B^2_0, then, once the split
+    # has dropped the B blocks, B^2_0 and the certificate's two temporaries
+    # (the conjugate of B^2_0 and its Gram matrix)
     @pytest.mark.parametrize("call, bound", [
         (refined_torsion, 2.1),
         (graded_det_finite, 2.1),
-        (lambda c, g: torsion_via_split(c, g, 0.0), 5.1),
+        (lambda c, g: torsion_via_split(c, g, 0.0), 4.1),
     ], ids=["refined_torsion", "graded_det_finite", "torsion_via_split"])
     def test_traced_peak(self, big, call, bound):
         assert traced_peak(call, *big) <= bound
@@ -830,38 +934,66 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_xi_eta_takes_eigenvalues_of_the_plus_minus_blocks(
             self, count_factorizations, d):
-        # the singular values of the B^2 block settle each degree pair
-        # j < (d+1)/2 of the split, and the +/- test takes one a_j x a_j SVD
-        # per proper degree, a Cholesky certificate from 16 columns on;
-        # eigvals sees the even + and - blocks and nothing else: no split
-        # block, no (Gamma d)^2 and never the whole even part
+        # the invertibility kernel settles each degree pair j < (d+1)/2 of
+        # the split at 0 on its B^2 block, and the +/- test takes one
+        # a_j x a_j kernel call per proper degree: singular values below 16
+        # columns, a Cholesky certificate from 16 on; eigvals sees one
+        # m_s x m_s matrix per unit of the odd and then the even - side,
+        # the self-paired block or PQ of a pair s < d+1-s, and nothing
+        # else: no split block, no (Gamma d)^2 and never a whole parity
         c, g, _ = _ladder_instance(d, 40)
         fr = cohomology_frame(c)
-        plus, minus = plus_minus_split(c, g, fr)
+        minus = plus_minus_split(c, g, fr)[1]
         n = c.dims.dims
         a = [x.shape[1] for x in fr.A]
-        p_even = sum(plus[j].shape[1] for j in range(0, d + 1, 2))
-        m_even = sum(minus[j].shape[1] for j in range(0, d + 1, 2))
-        split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
-        pm_test = [(a[j], a[j]) for j in range(d + 1)
-                   if plus[j].shape[1] and minus[j].shape[1]]
+        m = [x.shape[1] for x in minus]
+        split = [n[j] for j in range((d + 1) // 2) if n[j]]
+        pm_test = [a[j] for j in range(d + 1) if a[j] and m[j]]
         # the frame of the large part (c itself) takes the singular values
         # of each square d_j P_j, a Cholesky certificate from 16 columns on;
         # at this full rank no singular vectors
-        frame = [(n[j + 1], n[j + 1]) for j in range(d)
+        frame = [n[j + 1] for j in range(d)
                  if n[j + 1] == n[j] - fr.B[j].shape[1] > 0]
         assert frame
+        units = [m[s] for parity in (1, 0)
+                 for s in range(2 - parity, d + 1, 2)
+                 if s <= d + 1 - s and m[s]]
         calls = count_factorizations()
         graded_det_via_xi_eta(c, g, 0.0)
-        assert calls.shapes("svd", compute_uv=False) == split + [
-            (k, k) for k, _ in frame + pm_test if k < 16]
-        assert calls.shapes("cholesky") == [(k, k) for k, _ in frame + pm_test
+        kernel = split + frame + pm_test
+        assert calls.shapes("svd", compute_uv=False) == [
+            (k, k) for k in kernel if k < 16]
+        assert calls.shapes("cholesky") == [(k, k) for k in kernel
                                             if k >= 16]
-        assert calls.shapes("eigvals") == [(k, k) for k in (p_even, m_even)
-                                           if k]
+        assert calls.shapes("eigvals") == [(k, k) for k in units]
         assert calls["disk"] == 0
-        if d > 1:
-            assert p_even and m_even
+        # a pair's matrix is half its 2 m_s x 2 m_s block: with each pair
+        # counted twice the units fill every - subspace, and C^0_- = 0
+        pairs = [m[s] for s in range(1, (d + 1) // 2) if m[s]]
+        assert sum(units) + sum(pairs) == sum(m) and m[0] == 0
+        assert bool(pairs) == (d > 1)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_graded_det_takes_one_det_per_unit_block(self, monkeypatch, d):
+        # det sees the self-paired block of each side, or P and Q of each
+        # pair, m_s x m_s, odd side first, and never a whole parity
+        c, g, _ = _ladder_instance(d, 40)
+        fr = cohomology_frame(c)
+        m = [x.shape[1] for x in plus_minus_split(c, g, fr)[1]]
+        expected = []
+        for parity in (1, 0):
+            for s in range(2 - parity, d + 1, 2):
+                if s <= d + 1 - s and m[s]:
+                    expected += [(m[s], m[s])] * (2 if s < d + 1 - s else 1)
+        shapes, det = [], np.linalg.det
+
+        def spy(a):
+            shapes.append(a.shape)
+            return det(a)
+        monkeypatch.setattr(np.linalg, "det", spy)
+        graded_det_finite(c, g, fr)
+        assert shapes == expected
+        assert len(shapes) == d  # (d - 1) / 2 pairs, one self-paired block
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_xi_eta_with_the_callers_frame_takes_no_frame_svd(
@@ -875,12 +1007,15 @@ class TestFactorizationCounts:
         plus, minus = plus_minus_split(c, g, fr)
         n = c.dims.dims
         a = [x.shape[1] for x in fr.A]
-        split = [(n[j], n[j]) for j in range((d + 1) // 2) if n[j]]
-        pm_test = [(a[j], a[j]) for j in range(d + 1)
-                   if plus[j].shape[1] and minus[j].shape[1]]
+        kernel = [n[j] for j in range((d + 1) // 2) if n[j]] + [
+            a[j] for j in range(d + 1)
+            if plus[j].shape[1] and minus[j].shape[1]]
         calls = count_factorizations()
         value = graded_det_via_xi_eta(c, g, 0.0, frame=fr)
-        assert calls.shapes("svd", compute_uv=False) == split + pm_test
+        assert calls.shapes("svd", compute_uv=False) == [
+            (k, k) for k in kernel if k < 16]
+        assert calls.shapes("cholesky") == [(k, k) for k in kernel
+                                            if k >= 16]
         assert calls.shapes("svd", compute_uv=True) == []
         assert value == graded_det_via_xi_eta(c, g, 0.0)
 
@@ -914,9 +1049,10 @@ class TestFactorizationCounts:
         # B_odd as it stands, with nothing restricted, and the - block is
         # empty
         c, g = _instance(seed, 1, acyclic=True)
-        num, den = _det_blocks(c, g, None)
-        assert np.array_equal(num, build_signature(c, g).b_odd)
-        assert den.shape == (0, 0)
+        odd, even = _det_blocks(c, g, None)
+        assert list(odd) == [(1, 1)]
+        assert np.array_equal(odd[1, 1], build_signature(c, g).b_odd)
+        assert even == {}
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_split_at_zero_of_acyclic_complex_makes_no_qr(
@@ -1041,6 +1177,55 @@ class TestSplitCertificate:
         assert small.shape[1] == int(np.sum(
             np.abs(np.linalg.eigvals(bsq)) <= cut)) == 0
         assert np.array_equal(large, np.eye(2))
+
+
+def _svd_zero_count(bsq):
+    """How many eigenvalues of bsq a split at 0 counts as zero, decided as
+    without the invertibility kernel: none when the singular values give
+    sigma_min > _zero_cut(sigma_max), else the eigenvalue rule."""
+    sv = np.linalg.svd(bsq, compute_uv=False)
+    if sv[-1] > _zero_cut(sv[0]):
+        return 0
+    mods = np.abs(np.linalg.eigvals(bsq))
+    return int(np.sum(mods <= _zero_cut(mods.max())))
+
+
+class TestZeroSplitKernel:
+    """At lam = 0 the invertibility kernel settles k = 0 on B^2 (singular
+    values below 16 columns, the Cholesky certificate from 16 on); what it
+    leaves open goes to the eigenvalue rule, so every rung of a ladder
+    around the zero cut counts as the singular values and eigenvalues
+    did."""
+
+    # the smallest modulus of B^2 around the absolute floor 1e-12 (1 x 1,
+    # where the cut is that floor) and around the zero cut 1e-8 of a block
+    # of scale 1 (16 x 16), up to far clear of it, and the first rung the
+    # kernel settles: the certificate needs sigma_min^2 above about
+    # 1e-10 ||B^2||_F^2 (its shift), here sigma_min above about 3.9e-5
+    @pytest.mark.parametrize("n, rungs, first_settled", [
+        (1, [0.0, 5e-13, 9.9e-13, 1.01e-12, 2e-12, 1e-8, 1.0], 1.01e-12),
+        (16, [0.0, 5e-9, 9.9e-9, 1.01e-8, 2e-8, 1e-6, 3e-5, 1e-4, 1e-2,
+              0.5], 1e-4),
+    ], ids=["1x1", "16x16"])
+    def test_decision_ladder_around_the_zero_cut(self, count_factorizations,
+                                                 n, rungs, first_settled):
+        counts = []
+        for x in rungs:
+            bsq = normal_matrix([x] + [cmath.exp(0.3j * k)
+                                       for k in range(n - 1)])
+            expected = _svd_zero_count(bsq)
+            counts.append(expected)
+            calls = count_factorizations()
+            small, large = _split_degree(bsq, 0.0, 0)
+            assert (small.shape[1], large.shape[1]) == (expected,
+                                                        n - expected), x
+            # one kernel call, by the kernel's size rule, and eigenvalues
+            # only where it answers False
+            assert calls.shapes("svd", compute_uv=False) == (
+                [(n, n)] if n < 16 else [])
+            assert calls.shapes("cholesky") == ([] if n < 16 else [(n, n)])
+            assert calls["eigvals"] == int(x < first_settled), x
+        assert counts == [1, 1, 1] + [0] * (len(rungs) - 3)
 
 
 def _triangular_block(diag, seed, off, couplings=()):
@@ -1387,15 +1572,16 @@ class TestEta:
 
 def _xi_eta_by_degree(c, g, lam):
     """graded_det_via_xi_eta with xi summed degree by degree over
-    (Gamma d)^2 restricted to each C^j_+ of the large part."""
+    (Gamma d)^2 restricted to each C^j_+ of the large part, and eta from
+    the eigenvalues of the assembled +/- blocks."""
     large = spectral_split(c, g, lam).large
     cl, gl = large.complex, large.chirality
     d = cl.d
     b = _b_blocks(cl, gl)
     plus = plus_minus_split(cl, gl)[0]
-    num, den = _det_blocks(cl, gl, None)
+    num, den = (_assembled(t) for t in _det_blocks(cl, gl, None))
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
-                           -np.linalg.eigvals(den) if den.size else []])
+                           np.linalg.eigvals(den) if den.size else []])
     theta = pick_agmon_angle(eigs)
     xi = 0j
     for j in range(d):
@@ -1454,6 +1640,24 @@ class TestGradedDetViaXiEta:
                 graded_det_via_xi_eta(c, g, lam, frame=other)
 
 
+class TestXiEtaOverflow:
+    """log|rho| = 200 log 50 ~ 782 leaves the float range: the xi/eta
+    graded determinant names the real part of its exponent, as the
+    circle's exp does, with no numpy warning on the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_the_real_part(self):
+        c, g = gen_random(1, 1, {"blocks": [(0, 50.0)] * 200,
+                                 "harmonic": []})
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^exp of real part 782\.4\d* overflows the "
+                                 r"float range \(the graded determinant of "
+                                 r"B_even\)$"):
+            graded_det_via_xi_eta(c, g, 0.0)
+        with pytest.raises(SpectralBoundaryError, match=r"\(overflow\)$"):
+            graded_det_finite(c, g)
+
+
 def _scaled(c, t):
     """The complex c with every differential multiplied by t."""
     return CochainComplex(c.dims, tuple(t * m for m in c.partial))
@@ -1500,10 +1704,8 @@ class TestZeroDecidedOnce:
                                                         singular):
         # the split decided every eigenvalue of the large part nonzero; an
         # exact zero left in a +/- block lies on every cut
-        blocks = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
-        blocks[singular] = np.zeros((2, 2), dtype=complex)
         monkeypatch.setattr(signature_mod, "_det_blocks",
-                            lambda *args: tuple(blocks))
+                            lambda *args: _singular_tables(singular))
         c, g = gen_elementary(1, 0, 2.0)
         with pytest.raises(SpectralBoundaryError, match="branch cut"):
             graded_det_via_xi_eta(c, g, 0.0)
