@@ -63,7 +63,7 @@ _QR_MIN_COLS = 16
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Read-only view of a; a itself keeps its flags."""
     a = a.view()
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -115,14 +115,16 @@ class CochainComplex:
         """Largest entry of any d_{j+1} d_j, relative to the scale of d;
         NaN when an entry of d is not finite.  Each differential is divided
         by the scale before the product, so large entries do not overflow."""
-        scale = float(np.max([1.0] + [np.abs(m).max() for m in self.partial
-                                      if m.size]))
-        if not np.isfinite(scale):
+        tops = [float(np.abs(m).max()) for m in self.partial if m.size]
+        if not all(map(math.isfinite, tops)):
             return math.nan
+        scale = max([1.0] + tops)
         worst = 0.0
         for j in range(self.d - 1):
-            prod = (self.partial[j + 1] / scale) @ (self.partial[j] / scale)
-            worst = max(worst, float(np.abs(prod).max(initial=0.0)))
+            a, b = self.partial[j + 1], self.partial[j]
+            if a.size and b.size:  # a product with an empty factor is zero
+                prod = (a / scale) @ (b / scale)
+                worst = max(worst, float(np.abs(prod).max()))
         return worst
 
 
@@ -137,7 +139,7 @@ def _rank_cut(s: np.ndarray) -> tuple[int, float]:
     min(smallest kept / cut, cut / largest dropped), a side that is empty or
     all zero counting as infinitely far from the cut."""
     cut = _zero_cut(float(s[0]))
-    rank = int(np.sum(s > cut))
+    rank = int(np.count_nonzero(s > cut))
     kept = float(s[rank - 1]) / cut if rank else math.inf
     dropped = float(s[rank]) if rank < len(s) else 0.0
     return rank, min(kept, cut / dropped if dropped else math.inf)

@@ -37,7 +37,13 @@ that fills every degree is the complex itself, and a side empty in every
 degree is the zero complex.  Only a proper split factorizes, with numpy
 alone: the matrix disk function, the sign of a Cayley transform of B^2 by a
 scaled Newton iteration, gives the spectral projector onto the small part,
-and one SVD of it gives orthonormal bases of both parts.
+and one SVD of it gives orthonormal bases of both parts.  A part's blocks
+are d and Gamma restricted to its bases, each with a residual check,
+except where the check cannot fail.  For j < (d+1)/2 the part's basis Q
+of C^{d-j} comes from the QR Gamma_j U_j = Q R of the image of its basis
+U_j of C^j, so its Gamma_j block Q^H Gamma_j U_j = Q^H Q R is R itself;
+and a square basis is unitary, so a restriction onto it takes no
+residual.
 """
 
 from __future__ import annotations
@@ -81,16 +87,18 @@ _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
 
-def _b_blocks(c: CochainComplex, g: ChiralityOp) -> dict:
+def _b_blocks(c: CochainComplex, g: ChiralityOp, split: bool = False) -> dict:
     """B's nonzero degree blocks {(target, source): block}.  No two share a
     key, each keeps the parity of its source (d is odd), and (t, j) is a key
-    exactly when (j, t) is."""
+    exactly when (j, t) is.  With split, the block d_{r-1} Gamma_r : C^r ->
+    C^r, r = (d+1)/2, is left out: it is the only one that no B^2_j with
+    j < r reads, as its source and target both lie at r."""
     d = c.d
     blocks = {}
     for j in range(d + 1):
         if j < d:
             blocks[d - j - 1, j] = g.gamma[j + 1] @ c.partial[j]
-        if j > 0:
+        if j > 0 and not (split and 2 * j == d + 1):
             blocks[d - j + 1, j] = c.partial[d - j] @ g.gamma[j]
     return blocks
 
@@ -139,26 +147,35 @@ def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
                        _assemble(blocks, c.dims.dims, 1), blocks)
 
 
-def _gamma_image(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of gamma applied to the span of basis
-    (independent columns; gamma invertible).  An empty image stays empty and
-    a full one is the whole space, so neither is formed or factorized."""
+def _gamma_image(gamma: np.ndarray, basis: np.ndarray):
+    """Orthonormal basis Q (columns) of gamma applied to the span of basis
+    (independent columns; gamma invertible), and the factor R of
+    gamma basis = Q R when a QR gave Q, else None.  An empty image stays
+    empty and a full one is the whole space, so neither is formed or
+    factorized."""
     rows, cols = gamma.shape[0], basis.shape[1]
     if cols == 0:
-        return np.zeros((rows, 0), dtype=complex)
+        return np.zeros((rows, 0), dtype=complex), None
     if cols == rows:
-        return np.eye(rows, dtype=complex)
-    return np.linalg.qr(gamma @ basis)[0]
+        return np.eye(rows, dtype=complex), None
+    return np.linalg.qr(gamma @ basis)
 
 
 def _restrict(basis: np.ndarray, image: np.ndarray, what: str) -> np.ndarray:
     """Coordinates of image's columns in the span of basis (orthonormal
     columns), with a residual check that the span really contains them; a
-    NaN residual fails it."""
+    NaN residual fails it.  A square basis is unitary and spans its whole
+    space, which contains every image, so it takes no residual.  The
+    largest entry of the image is read only when the residual exceeds
+    _RESTRICT_TOL, the bound at an image of entries at most 1, so the
+    verdict is that of res <= _RESTRICT_TOL max(1, max |image|)."""
     x = basis.conj().T @ image
-    if image.size:
-        res = float(np.abs(basis @ x - image).max())
-        if not res <= _RESTRICT_TOL * max(1.0, float(np.abs(image).max())):
+    if image.size and basis.shape[0] != basis.shape[1]:
+        r = basis @ x
+        r -= image
+        res = float(np.abs(r).max())
+        if not res <= _RESTRICT_TOL and not res <= _RESTRICT_TOL * max(
+                1.0, float(np.abs(image).max())):
             raise ValidationError(f"{what}: subspace is not invariant "
                                   f"(residual {res:.3e})")
     return x
@@ -233,7 +250,8 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     minus, _, ortho = _minus_bases(c, g, frame)
     d = c.d
     plus = [ortho[j] if j in ortho else
-            _gamma_image(g.gamma[d - j], minus[d - j]) for j in range(d + 1)]
+            _gamma_image(g.gamma[d - j], minus[d - j])[0]
+            for j in range(d + 1)]
     return plus, minus
 
 
@@ -362,10 +380,17 @@ class SpectralSplit:
     large: SpectralPart
 
 
-def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
+def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases,
+                     gamma_r: dict) -> SpectralPart:
     """The part of (c, g) spanned by bases; when every basis fills its degree
     (it is then the identity) the part is (c, g) itself, and when every basis
-    is empty it is the zero complex."""
+    is empty it is the zero complex.
+
+    gamma_r holds {j: R} where bases[d-j] = Q came from the QR
+    Gamma_j bases[j] = Q R.  There the part's Gamma_j block, the
+    coordinates Q^H Gamma_j bases[j] of the image in the basis Q, is R
+    itself, and a residual check would test that Q spans Q R, which holds
+    by construction.  Every other block is restricted with its check."""
     if all(b.shape[0] == b.shape[1] for b in bases):
         return SpectralPart(tuple(bases), c, g)
     d = c.d
@@ -375,6 +400,7 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases) -> SpectralPart:
                     f"d restricted, degree {j}")
         for j in range(d))
     gamma = tuple(
+        gamma_r[j] if j in gamma_r else
         _restricted(g.gamma[j], bases[j], bases[d - j],
                     f"Gamma restricted, degree {j}")
         for j in range(d + 1))
@@ -466,10 +492,11 @@ def _disk_split(bsq: np.ndarray, mu: float, k: int, j: int):
     scaled = True
     try:
         x = np.linalg.solve(bsq + mu * eye, bsq - mu * eye)
+        size = _frobenius(x)  # |X|_F, carried from one step to the next
         for _ in range(_SIGN_STEPS):
             x_inv = np.linalg.inv(x)
             n_inv = _frobenius(x_inv)
-            g = math.sqrt(n_inv / _frobenius(x)) if scaled else 1.0
+            g = math.sqrt(n_inv / size) if scaled else 1.0
             new = (0.5 * g) * x + (0.5 / g) * x_inv
             step, size = _frobenius(new - x), _frobenius(new)
             x = new
@@ -508,20 +535,19 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
-    d, blocks = c.d, _b_blocks(c, g)
+    d, blocks = c.d, _b_blocks(c, g, split=True)
     bsqs = [_bsq(blocks, j) for j in range((d + 1) // 2)]
     del blocks  # so that no B block is held beside the kernel's Gram matrix
-    small_bases, large_bases = [None] * (d + 1), [None] * (d + 1)
+    parts = [([None] * (d + 1), {}) for _ in range(2)]  # small, large
     for j, bsq in enumerate(bsqs):
-        small, large = _split_degree(bsq, lam, j)
-        small_bases[j], large_bases[j] = small, large
-        # Gamma commutes with B^2, so Gamma_j carries the split of C^j onto
-        # that of C^{d-j}
-        small_bases[d - j] = _gamma_image(g.gamma[j], small)
-        large_bases[d - j] = _gamma_image(g.gamma[j], large)
-    return SpectralSplit(lam,
-                         _part_from_bases(c, g, small_bases),
-                         _part_from_bases(c, g, large_bases))
+        for (bases, gamma_r), u in zip(parts, _split_degree(bsq, lam, j)):
+            # Gamma commutes with B^2, so Gamma_j carries the split of C^j
+            # onto that of C^{d-j}
+            bases[j] = u
+            bases[d - j], r = _gamma_image(g.gamma[j], u)
+            if r is not None:
+                gamma_r[j] = r
+    return SpectralSplit(lam, *(_part_from_bases(c, g, *p) for p in parts))
 
 
 def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
@@ -720,9 +746,9 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     det(z^2 - PQ) by the Schur complement, +-sqrt(nu) over nu in spec(PQ)
     (_pair_spectrum), from one n x n matrix in place of a 2n x 2n one.
     Both roots of each nu are listed, so a pair adds nothing to eta and
-    twice LDet_{2 theta}(nu) to its side of xi.  The split decided the zeros, so every eigenvalue of the
-    large part counts.  An exponent whose exp leaves the float range is a
-    numerical boundary.
+    twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
+    zeros, so every eigenvalue of the large part counts.  An exponent whose
+    exp leaves the float range is a numerical boundary.
     frame, the cohomology frame of c when given, serves the large part when
     that part is c itself (lam = 0 on an acyclic complex).
     """

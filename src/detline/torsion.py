@@ -57,7 +57,13 @@ class ChiralityOp:
         n = tuple(a.shape[1] for a in gamma)  # n[j] = dim C^j
         _check_shapes(gamma, n)
         for j, a in enumerate(gamma):
-            res = float(np.abs(gamma[d - j] @ a - np.eye(n[j])).max(initial=0))
+            if not n[j]:  # Gamma_{d-j} Gamma_j is 0 x 0
+                continue
+            prod = gamma[d - j] @ a
+            # Gamma_{d-j} Gamma_j - 1 in place: a product is contiguous, so
+            # its ravel is a view (and cheaper to step through than .flat)
+            prod.ravel()[::n[j] + 1] -= 1
+            res = float(np.abs(prod).max())
             if not res <= _VALIDATION_TOL:  # a NaN residual fails too
                 raise ValidationError(
                     f"Gamma^2 - 1 residual {res:.3e} in degree {j} exceeds "
@@ -181,10 +187,19 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
         rho(dual complex, dual chirality) = alpha(rho(C, Gamma)),
 
     with alpha the anti-linear duality on cohomology determinant lines.
+
+    One frame serves both sides.  The dual complex has C-hat^j = C^{d-j}
+    and d-hat_j = d_{d-1-j}^H, so its decomposition is c's with B and A
+    exchanged: B-hat^j = im d_{d-j}^H = (ker d_{d-j})^perp = A^{d-j},
+    ker d-hat_j = (im d_{d-1-j})^perp = (B^{d-j})^perp, whose part
+    orthogonal to A^{d-j} is H-hat^j = H^{d-j}, and A-hat^j =
+    (ker d-hat_j)^perp = B^{d-j}.  The frame of the dual complex is c's
+    relabelled, and no differential is factorized twice.
     """
     frame = cohomology_frame(c)
     chat = dual_complex(c)
-    frame_hat = cohomology_frame(chat)
+    frame_hat = CohomologyFrame(chat, frame.A[::-1], frame.H[::-1],
+                                frame.B[::-1])
     lhs = refined_torsion(chat, dual_chirality(g), frame_hat).coeff
     rho = refined_torsion(c, g, frame)
     rhs = alpha_cohomology(rho, frame_hat).coeff

@@ -137,6 +137,19 @@ class TestCochainComplex:
                 CochainComplex(GradedDims((1, 1, 1)),
                                (np.array([[1e200]]), np.array([[1e200]])))
 
+    @pytest.mark.parametrize("dims", [(2, 0, 2, 1, 2), (0, 3, 2, 2, 0),
+                                      (1, 2, 3, 2, 1)])
+    def test_residual_equals_the_one_over_every_product(self, dims):
+        # a product with an empty factor is zero and is not formed; the
+        # residual is still the largest entry over every d_{j+1} d_j
+        rng = np.random.default_rng(1)
+        partial = [1e-6 * rng.standard_normal((dims[j + 1], dims[j]))
+                   for j in range(len(dims) - 1)]
+        c = CochainComplex(GradedDims(dims), tuple(partial))
+        ref = max(float(np.abs(b @ a).max(initial=0.0))
+                  for a, b in zip(partial, partial[1:]))
+        assert c.differential_residual() == ref > 0
+
     def test_validate_accepts_complex(self):
         c = CochainComplex(GradedDims((1, 1, 1)),
                            (np.array([[1.0]]), np.array([[0.0]])))

@@ -10,7 +10,7 @@ import detline.circle as ci
 import detline.selftest as st
 import detline.signature as signature_mod
 import detline.torsion as torsion_mod
-from detline import SpectralBoundaryError
+from detline import ChiralityOp, SpectralBoundaryError
 
 
 @pytest.mark.parametrize("residuals", [[0.0, math.nan, 1e-15],
@@ -123,6 +123,9 @@ CHIRAL_MUTANTS = [
     ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
      _odd_blocks_doubled),
     ("xi-eta-two-path", signature_mod, "_eta", _eta_plus_half),
+    # the dual chirality's blocks transposed but not conjugated
+    ("torsion-duality", torsion_mod, "dual_chirality",
+     lambda g: ChiralityOp(tuple(a.T for a in g.gamma))),
 ]
 
 

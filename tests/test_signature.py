@@ -712,9 +712,10 @@ class TestLoneBlocks:
     # 4.0: the frame's certificate (the conjugate of d_0 and its Gram
     # matrix), as phi's T_1 is d_0 itself; that, or the frame's one identity
     # and the d Gamma block; the frame's one identity, built first, beside
-    # three more: the split's two B blocks and B^2_0, then, once the split
-    # has dropped the B blocks, B^2_0 and the certificate's two temporaries
-    # (the conjugate of B^2_0 and its Gram matrix)
+    # three more: B^2_0 and the certificate's two temporaries (the
+    # conjugate of B^2_0 and its Gram matrix).  The split forms one B
+    # block, Gamma_1 d_0 (d_0 Gamma_1 is never read), so before the
+    # certificate it holds two beside the identity, below that peak
     @pytest.mark.parametrize("call, bound", [
         (refined_torsion, 2.1),
         (graded_det_finite, 2.1),
@@ -822,6 +823,67 @@ class TestSplitStructure:
             v = torsion_via_split(c, g, lam, fr).coeff
             np.testing.assert_allclose(v, rho, rtol=1e-8)
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_part_gamma_is_the_factor_r_of_the_split(self, monkeypatch, d,
+                                                     acyclic):
+        # for j < (d+1)/2 a proper degree's image basis Q comes from the QR
+        # Gamma_j U_j = Q R, and the part's Gamma_j block is R, with no
+        # restriction; the block back, Q -> U_j, is restricted as before
+        prof = random_profile(np.random.default_rng(75 + d), d,
+                              acyclic=acyclic, max_blocks=5)
+        c, g = gen_random(75 + d, d, prof)
+        whats = []
+
+        def spy(op, source, target, what, _orig=signature_mod._restricted):
+            whats.append(what)
+            return _orig(op, source, target, what)
+        monkeypatch.setattr(signature_mod, "_restricted", spy)
+        sig = build_signature(c, g)
+        mods = np.unique(np.round(np.concatenate(
+            [np.abs(np.linalg.eigvals(sig.bsq_block(j)))
+             for j in range(d + 1)]), 6))
+        mods = mods[mods > 1e-4]
+        proper = 0
+        for lam in [0.0] + list(0.5 * (mods[1:] + mods[:-1])):
+            whats.clear()
+            sp = spectral_split(c, g, lam)
+            for part in (sp.small, sp.large):
+                if part.complex is c:
+                    continue
+                for j in range((d + 1) // 2):
+                    u, q = part.bases[j], part.bases[d - j]
+                    if not 0 < u.shape[1] < u.shape[0]:
+                        continue
+                    proper += 1
+                    block = part.chirality.gamma[j]
+                    ref = q.conj().T @ g.gamma[j] @ u
+                    assert np.abs(block - ref).max() <= 1e-13
+                    assert not np.tril(block, -1).any()  # R itself
+                    assert f"Gamma restricted, degree {j}" not in whats
+                    assert f"Gamma restricted, degree {d - j}" in whats
+        assert proper
+
+    def test_split_forms_no_b_block_it_does_not_read(self, monkeypatch):
+        # B^2_j for j < r = (d+1)/2 never reads d_{r-1} Gamma_r, so the
+        # split leaves it out of the table; its B^2 blocks are unchanged
+        for d in (1, 3, 5, 7):
+            c, g = _instance(8, d, acyclic=False)
+            r = (d + 1) // 2
+            full, split = _b_blocks(c, g), _b_blocks(c, g, split=True)
+            assert set(full) - set(split) == {(r, r)}
+            for j in range(r):
+                assert np.array_equal(_bsq(split, j), _bsq(full, j))
+        tables = []
+
+        def spy(c, g, split=False, _orig=signature_mod._b_blocks):
+            tables.append(_orig(c, g, split))
+            return tables[-1]
+        monkeypatch.setattr(signature_mod, "_b_blocks", spy)
+        c, g = _instance(8, 3, acyclic=False)
+        spectral_split(c, g, 0.0)
+        assert len(tables) == 1 and (2, 2) not in tables[0]
+
     def test_restrict_rejects_non_invariant_subspace(self):
         basis = np.array([[1.0], [0.0]], dtype=complex)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -836,6 +898,37 @@ class TestSplitStructure:
             _restrict(basis, np.array([[1.0], [0.0]], dtype=complex), "empty")
         assert _restrict(basis, np.zeros((2, 3), dtype=complex),
                          "empty").shape == (0, 3)
+
+    @pytest.mark.parametrize("top", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_restrict_verdict_ladder(self, top, factor):
+        # the residual is factor * _RESTRICT_TOL, the largest entry of the
+        # image top; the verdict is res <= _RESTRICT_TOL max(1, max |y|)
+        tol = signature_mod._RESTRICT_TOL
+        basis = np.array([[1.0], [0.0]], dtype=complex)
+        image = np.array([[top], [factor * tol]], dtype=complex)
+        if factor * tol <= tol * max(1.0, top):
+            assert _restrict(basis, image, "ladder")[0, 0] == top
+        else:
+            with pytest.raises(ValidationError, match=r"^ladder: subspace "):
+                _restrict(basis, image, "ladder")
+
+    def test_restrict_to_a_square_basis_takes_no_residual(self, monkeypatch):
+        # a square basis is unitary and spans its space: B^H y as it stands
+        rng = np.random.default_rng(5)
+        basis = np.linalg.qr(rng.standard_normal((4, 4))
+                             + 1j * rng.standard_normal((4, 4)))[0]
+        image = rng.standard_normal((4, 3)) + 0j
+        ref = basis.conj().T @ image
+        reads = []
+
+        def spy(a, _orig=np.abs):
+            reads.append(a.shape)
+            return _orig(a)
+        monkeypatch.setattr(np, "abs", spy)
+        x = _restrict(basis, image, "square")
+        assert reads == []
+        assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize("cols", [0, 1])
     def test_restrict_rejects_a_nan_image(self, cols):

@@ -11,9 +11,12 @@ from detline import (
     CochainComplex,
     GradedDims,
     ValidationError,
+    alpha_cohomology,
     c_gamma,
     chiral_direct_sum,
     cohomology_frame,
+    dual_chirality,
+    dual_complex,
     dual_torsion_check,
     gen_elementary,
     gen_random,
@@ -65,7 +68,11 @@ class TestValidateChirality:
          r"Gamma_0 has shape \(1,\), expected a matrix"),
         ((np.eye(1), np.ones((1, 1, 1))),
          r"Gamma_1 has shape \(1, 1, 1\), expected a matrix"),
-    ], ids=["even-degree", "not-involution", "nan", "shapes", "1-d", "3-d"])
+        # dims (0, 2): Gamma_1 Gamma_0 is 0 x 0, Gamma_0 Gamma_1 the 2 x 2 zero
+        ((np.zeros((2, 0)), np.zeros((0, 2))),
+         r"Gamma\^2 - 1 residual 1\.000e\+00 in degree 1 exceeds 1\.000e-10"),
+    ], ids=["even-degree", "not-involution", "nan", "shapes", "1-d", "3-d",
+            "empty-side"])
     def test_construction_rejects_with_message(self, gamma, message):
         with pytest.raises(ValidationError, match=message):
             ChiralityOp(gamma)
@@ -205,6 +212,83 @@ class TestRefinedTorsion:
             d = 3 if seed % 2 else 1
             c, g = _instance(seed + 50, d, acyclic=(seed % 3 == 0))
             assert dual_torsion_check(c, g) <= 1e-10
+
+
+def _dual_instance(d, acyclic):
+    prof = random_profile(np.random.default_rng(80 + d), d, acyclic=acyclic,
+                          max_blocks=5)
+    return gen_random(80 + d, d, prof)
+
+
+class TestDualFrame:
+    """dual_torsion_check reads the frame of the dual complex off c's, with
+    B and A exchanged and the degrees reversed, and factorizes no dual
+    differential."""
+
+    @staticmethod
+    def _check_with_its_frame(monkeypatch, c, g):
+        """dual_torsion_check's residual and the dual frame it hands to
+        alpha_cohomology."""
+        seen = []
+
+        def spy(x, frame_hat, _orig=torsion_mod.alpha_cohomology):
+            seen.append(frame_hat)
+            return _orig(x, frame_hat)
+        monkeypatch.setattr(torsion_mod, "alpha_cohomology", spy)
+        res = dual_torsion_check(c, g)
+        assert len(seen) == 1
+        return res, seen[0]
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_relabelled_frame_is_a_frame_of_the_dual(self, monkeypatch, d,
+                                                     acyclic):
+        c, g = _dual_instance(d, acyclic)
+        fh = self._check_with_its_frame(monkeypatch, c, g)[1]
+        chat = fh.complex
+        assert chat.dims == c.dims.reversed()
+        assert fh.betti == cohomology_frame(dual_complex(c)).betti
+        assert fh.acyclic == acyclic
+        assert fh.B[0].shape[1] == 0 and fh.A[d].shape[1] == 0
+        for j, n in enumerate(chat.dims.dims):
+            u = np.hstack([fh.B[j], fh.H[j], fh.A[j]])
+            assert u.shape == (n, n)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
+        for j, m in enumerate(chat.partial):
+            scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+            # d-hat_j vanishes on B-hat^j + H-hat^j
+            kernel = m @ np.hstack([fh.B[j], fh.H[j]])
+            assert np.abs(kernel).max(initial=0.0) <= 1e-12 * scale
+            # and maps A-hat^j onto B-hat^{j+1}, one-to-one
+            image, b = m @ fh.A[j], fh.B[j + 1]
+            assert image.shape[1] == b.shape[1]
+            coords = b.conj().T @ image
+            assert np.abs(b @ coords - image).max(initial=0.0) <= (
+                1e-12 * scale)
+            if b.shape[1]:
+                s = np.linalg.svd(coords, compute_uv=False)
+                assert s[-1] > 1e-8 * s[0]
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_matches_the_residual_on_the_dual_complexs_own_frame(
+            self, monkeypatch, d, acyclic):
+        c, g = _dual_instance(d, acyclic)
+        chat = dual_complex(c)
+        fr, frh = cohomology_frame(c), cohomology_frame(chat)
+        lhs = refined_torsion(chat, dual_chirality(g), frh).coeff
+        rhs = alpha_cohomology(refined_torsion(c, g, fr), frh).coeff
+        ref = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        frames = []
+
+        def spy(cx, _orig=torsion_mod.cohomology_frame):
+            frames.append(cx)
+            return _orig(cx)
+        monkeypatch.setattr(torsion_mod, "cohomology_frame", spy)
+        res = dual_torsion_check(c, g)
+        assert frames == [c]  # one frame per call, of c itself
+        assert abs(res - ref) <= 1e-12
+        assert res <= 1e-12
 
 
 class TestSupertrace:
