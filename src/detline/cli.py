@@ -22,8 +22,9 @@ from . import circle as ci
 from .complexes import cohomology_frame, phi, sign_N
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import sign_M
-from .selftest import _SPLIT_TOL, run_selftest
-from .signature import _torsion_from_split, graded_det_finite, spectral_split
+from .selftest import run_selftest
+from .signature import (_SPLIT_TOL, _torsion_from_split, graded_det_finite,
+                        spectral_split)
 from .torsion import c_gamma, refined_torsion, sign_R
 from .workbench import deserialize_document
 

@@ -39,9 +39,9 @@ from .complexes import (CohomologyFrame, alpha_cohomology, cohomology_frame,
 from .errors import ValidationError
 from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
                            beta_line, dual_graded, fuse)
-from .signature import (build_signature, det_eta_check, graded_det_finite,
-                        graded_det_via_xi_eta, pick_agmon_angle,
-                        spectral_split, torsion_via_split)
+from .signature import (_SPLIT_TOL, build_signature, det_eta_check,
+                        graded_det_finite, graded_det_via_xi_eta,
+                        pick_agmon_angle, spectral_split, torsion_via_split)
 from .torsion import (ChiralityOp, dual_torsion_check, refined_torsion,
                       torsion_norm, variation_check)
 from .workbench import (chiral_direct_sum, deserialize_document, gen_random,
@@ -50,7 +50,6 @@ from .workbench import (chiral_direct_sum, deserialize_document, gen_random,
 __all__ = ["TOL", "run_selftest", "CHECKS"]
 
 TOL = 1e-9
-_SPLIT_TOL = 1e-8  # split-torsion-consistency, and the CLI split report
 
 
 def _rand_dims(rng, d, hi=4):
@@ -350,9 +349,8 @@ def check_xi_eta_two_path(cases, seed):
     for i in range(cases):
         d = 3 if i % 2 else 1
         c, g = gen_random(seed + i, d)
-        fr = cohomology_frame(c)
-        det = graded_det_finite(c, g, fr)
-        v = graded_det_via_xi_eta(c, g, 0.0, frame=fr)
+        det = graded_det_finite(c, g)
+        v = graded_det_via_xi_eta(c, g, 0.0)
         res.append(abs(v - det) / abs(det))
     return _verdict(res, TOL, "relative residual")
 
@@ -365,9 +363,8 @@ def check_agmon_independence(cases, seed):
         s = build_signature(c, g)
         theta0 = pick_agmon_angle(s.b_even)
         theta1 = (theta0 - math.pi / 2) / 2.0  # halfway to the arc edge
-        fr = cohomology_frame(c)
-        v0 = graded_det_via_xi_eta(c, g, 0.0, theta0, frame=fr)
-        v1 = graded_det_via_xi_eta(c, g, 0.0, theta1, frame=fr)
+        v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
+        v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
         res.append(abs(v0 - v1) / abs(v0))
     return _verdict(res, TOL, "relative spread")
 

@@ -15,7 +15,7 @@ C^j_+.  The +/- independence test reads principal angles off the unitary
 frame, through its invertibility kernel, applied to the Gamma-images as
 they are; only a block it leaves open orthonormalizes its Gamma-image (by
 QR), and plus_minus_split, which hands out the + bases, is the one call
-that orthonormalizes them all.  Gamma commutes with B and carries C^j_+
+that orthonormalizes them.  Gamma commutes with B and carries C^j_+
 onto C^{d-j}_-, so B_even on the even + subspaces is similar to d Gamma on
 the odd - subspaces: d Gamma on the odd and on the even - subspaces, in the
 frame's bases, gives the graded determinant and, through its spectra, eta
@@ -29,21 +29,20 @@ Schur complement its characteristic polynomial is det(z^2 - PQ), so its
 spectrum is +-sqrt(nu) over nu in spec(PQ), and the pair adds nothing to
 eta.  A split decides each degree pair (j, d-j) in degree j from the
 spectrum of B^2 and carries the result to degree d-j by Gamma_j.  The
-singular values of B^2 bound the moduli of its eigenvalues, and settle a
-degree with one side empty (at lam = 0 through the invertibility kernel);
-only a degree they leave open takes eigenvalues.  When one side of a degree
-is empty the other is the whole degree, so nothing is factorized; a side
-that fills every degree is the complex itself, and a side empty in every
-degree is the zero complex.  Only a proper split factorizes, with numpy
-alone: the matrix disk function, the sign of a Cayley transform of B^2 by a
-scaled Newton iteration, gives the spectral projector onto the small part,
-and one SVD of it gives orthonormal bases of both parts.  A part's blocks
-are d and Gamma restricted to its bases, each with a residual check,
-except where the check cannot fail.  For j < (d+1)/2 the part's basis Q
-of C^{d-j} comes from the QR Gamma_j U_j = Q R of the image of its basis
-U_j of C^j, so its Gamma_j block Q^H Gamma_j U_j = Q^H Q R is R itself;
-and a square basis is unitary, so a restriction onto it takes no
-residual.
+eigenvalues of the B^2 block decide, save that at lam = 0 the
+invertibility kernel first settles a block with no zero eigenvalue.  When
+one side of a degree is empty the other is the whole degree, so nothing
+is factorized; a side that fills every degree is the complex itself, and
+a side empty in every degree is the zero complex.  Only a proper split
+factorizes, with numpy alone: the matrix disk function, the sign of a
+Cayley transform of B^2 by a scaled Newton iteration, gives the spectral
+projector onto the small part, and one SVD of it gives orthonormal bases
+of both parts.  A part's blocks are d and Gamma restricted to its bases,
+each with a residual check, except where the check cannot fail.  For
+j < (d+1)/2 the part's basis Q of C^{d-j} comes from the QR
+Gamma_j U_j = Q R of the image of its basis U_j of C^j, so its Gamma_j
+block Q^H Gamma_j U_j = Q^H Q R is R itself; and a square basis is
+unitary, so a restriction onto it takes no residual.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ _RAY_TOL = 1e-10  # angular distance below which an eigenvalue sits on a cut
 _CLUSTER_RTOL = 1e-8  # relative gap required between lambda and |spec(B^2)|
 _PM_TOL = 1e-10  # least sigma_min([C_+ | C_-]) of independent +/- subspaces
 _RESTRICT_TOL = 1e-8  # relative residual of an image outside its subspace
+_SPLIT_TOL = 1e-8  # bound on torsion through a split against refined torsion
 _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
@@ -130,8 +130,6 @@ class SignatureOp:
     """B = Gamma d + d Gamma packaged with its even and odd matrices; a
     matrix that is one degree block of B is that block, read-only."""
 
-    complex: CochainComplex
-    chirality: ChiralityOp
     b_even: np.ndarray
     b_odd: np.ndarray
     _blocks: dict = field(repr=False, compare=False)
@@ -143,7 +141,7 @@ class SignatureOp:
 def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     validate_chirality(c, g)
     blocks = _b_blocks(c, g)
-    return SignatureOp(c, g, _assemble(blocks, c.dims.dims, 0),
+    return SignatureOp(_assemble(blocks, c.dims.dims, 0),
                        _assemble(blocks, c.dims.dims, 1), blocks)
 
 
@@ -196,8 +194,7 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     stands, read-only), and {d-j: Y} of the Gamma-images
     Y = Gamma_{d-j} M^{d-j}, which span C^j_+, that the +/- test formed.
     The test raises SpectralBoundaryError unless C^j_+ and C^j_- intersect
-    trivially and span C^j, the bijectivity condition for B.  It also
-    returns {j: P} of the orthonormal bases P of C^j_+ it took by QR.
+    trivially and span C^j, the bijectivity condition for B.
 
     [B^j | H^j | A^j] is unitary, so for P an orthonormal basis of C^j_+,
     s = sigma_min((A^j)^H P) is the sine of the least angle between the two
@@ -211,7 +208,7 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     validate_chirality(c, g)
     frame, d = _frame_for(c, frame), c.d
     minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
-    images, ortho = {}, {}
+    images = {}
     for j, m in enumerate(minus):
         source = minus[d - j]
         if source.shape[1] + m.shape[1] != c.dims.dims[j]:
@@ -224,14 +221,14 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
             # s > 2 _PM_TOL gives sigma_min([P | M]) > sqrt(2) _PM_TOL
             if _sigma_min_above(a_h @ y, 2 * _PM_TOL * _frobenius(y)):
                 continue
-            p = ortho[j] = np.linalg.qr(y)[0]
+            p = np.linalg.qr(y)[0]
             s = float(np.linalg.svd(a_h @ p, compute_uv=False)[-1])
             smallest = s / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - s * s)))
             if smallest < _PM_TOL:
                 raise SpectralBoundaryError(
                     f"degree {j}: the +/- subspaces are numerically dependent "
                     f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
-    return minus, images, ortho
+    return minus, images
 
 
 def plus_minus_split(c: CochainComplex, g: ChiralityOp,
@@ -242,15 +239,13 @@ def plus_minus_split(c: CochainComplex, g: ChiralityOp,
     given), and C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
     Raises SpectralBoundaryError unless the two intersect trivially and span,
     which is the bijectivity condition for B.  This is the one call that
-    orthonormalizes the Gamma-images (by QR, each that is a proper, nonzero
-    subspace, once: a block the test left open keeps the test's factor);
-    the graded determinants read them through the frame's invertibility
-    kernel and through Gamma.
+    hands out orthonormal bases of the Gamma-images: one QR of each that is
+    a proper, nonzero subspace, after the test; the graded determinants
+    read them through the frame's invertibility kernel and through Gamma.
     """
-    minus, _, ortho = _minus_bases(c, g, frame)
+    minus = _minus_bases(c, g, frame)[0]
     d = c.d
-    plus = [ortho[j] if j in ortho else
-            _gamma_image(g.gamma[d - j], minus[d - j])[0]
+    plus = [_gamma_image(g.gamma[d - j], minus[d - j])[0]
             for j in range(d + 1)]
     return plus, minus
 
@@ -278,7 +273,7 @@ def _det_blocks(c: CochainComplex, g: ChiralityOp,
     spec(PQ).  Bases that fill every degree of a parity are that whole space:
     its blocks are used as they stand, with nothing restricted.  Elsewhere
     each Gamma_s M^s the test formed is used again."""
-    minus, images, _ = _minus_bases(c, g, frame)
+    minus, images = _minus_bases(c, g, frame)
     d, n = c.d, c.dims.dims
 
     def image(s):  # Gamma_s M^s
@@ -375,7 +370,6 @@ class SpectralPart:
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    lam: float
     small: SpectralPart
     large: SpectralPart
 
@@ -417,46 +411,38 @@ def _frobenius(a: np.ndarray) -> float:
 def _split_degree(bsq: np.ndarray, lam: float, j: int):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
     C^j; a block that is not finite (an overflow) is a numerical boundary.
-    Every eigenvalue mu has sigma_min <= |mu| <= sigma_max, so when the
-    singular values put the whole spectrum on one side of the cut, clear of
-    the cluster margin, that side is all of C^j and the other is empty, as
-    the eigenvalue rule would find.  At lam > 0 one values-only SVD gives
-    both bounds.  At lam = 0 only k = 0 can be settled, by
-    sigma_min > _zero_cut(sigma_max) >= _zero_cut(max |mu|), which the
-    invertibility kernel _sigma_min_above answers: below 16 columns by
-    exactly that rule, from 16 on by its Cholesky certificate, whose floor
-    is at least that cut, so True gives k = 0 as the SVD did; its False
-    settles nothing.  Otherwise the eigenvalues decide how many are small,
-    k; at lam = 0 the zero cut is relative to the block's own scale (the
-    largest modulus).  A proper split (0 < k < n) takes the disk split at
-    a level mu inside the gap they leave: lam itself when lam > 0.  At
-    lam = 0 it is half the smallest modulus outside the zero cluster, or
-    the geometric mean of that and the largest modulus inside when this is
-    larger; B^2 + mu then stays as well conditioned as the gap allows."""
+    The eigenvalues mu decide how many are small, k: at lam > 0 those with
+    |mu| <= lam, unless some |mu| lies within _CLUSTER_RTOL max(lam, 1,
+    max |mu|) of lam (a cluster, a numerical boundary); at lam = 0 those
+    with |mu| <= _zero_cut(max |mu|), a cut relative to the block's own
+    scale.  At lam = 0 the invertibility kernel _sigma_min_above first
+    settles k = 0 where it can: every eigenvalue has |mu| >= sigma_min, so
+    sigma_min > _zero_cut(sigma_max) >= _zero_cut(max |mu|) leaves none
+    zero.  Below 16 columns the kernel answers by exactly that rule, from
+    16 on by its Cholesky certificate, whose floor is at least that cut;
+    its False settles nothing.  A proper split (0 < k < n) takes the disk
+    split at a level mu inside the gap the eigenvalues leave: lam itself
+    when lam > 0.  At lam = 0 it is half the smallest modulus outside the
+    zero cluster, or the geometric mean of that and the largest modulus
+    inside when this is larger; B^2 + mu then stays as well conditioned as
+    the gap allows."""
     n = bsq.shape[0]
     if n == 0:
         return bsq, bsq
     if not np.isfinite(bsq).all():
         raise SpectralBoundaryError(
             f"degree {j}: the B^2 block is not finite (overflow)")
-    if lam > 0:
-        sv = np.linalg.svd(bsq, compute_uv=False)
-        s_min, s_max = float(sv[-1]), float(sv[0])
-        margin = _CLUSTER_RTOL * max(lam, 1.0, s_max)
-        k = 0 if s_min - lam > margin else n if lam - s_max > margin else None
-    else:
-        k = 0 if _sigma_min_above(bsq) else None
-    if k is None:
+    k = 0
+    if lam > 0 or not _sigma_min_above(bsq):
         mods = np.abs(np.linalg.eigvals(bsq))
         top = float(mods.max())
-        cut = lam if lam > 0 else _zero_cut(top)
         if lam > 0:
             gap = np.min(np.abs(mods - lam))
             if gap <= _CLUSTER_RTOL * max(lam, 1.0, top):
                 raise SpectralBoundaryError(
                     f"degree {j}: split level {lam} inside an eigenvalue "
                     f"cluster (gap {gap:.3e})")
-        small = mods <= cut
+        small = mods <= (lam if lam > 0 else _zero_cut(top))
         k = int(np.sum(small))
     if k == 0:
         return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
@@ -547,7 +533,7 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
             bases[d - j], r = _gamma_image(g.gamma[j], u)
             if r is not None:
                 gamma_r[j] = r
-    return SpectralSplit(lam, *(_part_from_bases(c, g, *p) for p in parts))
+    return SpectralSplit(*(_part_from_bases(c, g, *p) for p in parts))
 
 
 def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
@@ -722,8 +708,7 @@ def pick_agmon_angle(m) -> float:
 
 
 def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
-                          theta: float | None = None,
-                          frame: CohomologyFrame | None = None) -> complex:
+                          theta: float | None = None) -> complex:
     """Graded determinant of B_even over the part of the spectrum above lam,
     assembled from half log-determinants of (Gamma d)^2 on the + subspaces
     and the eta invariant of B_even:
@@ -748,15 +733,11 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     Both roots of each nu are listed, so a pair adds nothing to eta and
     twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
     zeros, so every eigenvalue of the large part counts.  An exponent whose
-    exp leaves the float range is a numerical boundary.
-    frame, the cohomology frame of c when given, serves the large part when
-    that part is c itself (lam = 0 on an acyclic complex).
+    exp leaves the float range is a numerical boundary.  It takes no
+    frame: the one it reads is that of the large part, built here.
     """
-    if frame is not None:
-        _frame_for(c, frame)  # a foreign frame is an error at any lam
-    split = spectral_split(c, g, lam)
-    cl, gl = split.large.complex, split.large.chirality
-    odd, even = _det_blocks(cl, gl, frame if cl is c else None)
+    large = spectral_split(c, g, lam).large
+    odd, even = _det_blocks(large.complex, large.chirality, None)
     eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_plus + eig_minus

@@ -7,10 +7,12 @@ import math
 import pytest
 
 import detline.circle as ci
+import detline.gradedlinalg as gradedlinalg_mod
 import detline.selftest as st
 import detline.signature as signature_mod
 import detline.torsion as torsion_mod
-from detline import ChiralityOp, SpectralBoundaryError
+import detline.workbench as workbench_mod
+from detline import ChiralityOp, SpectralBoundaryError, ValidationError
 
 
 @pytest.mark.parametrize("residuals", [[0.0, math.nan, 1e-15],
@@ -101,6 +103,9 @@ def test_circle_check_fails_on_its_mutant(monkeypatch, name, attr, mutant):
 
 
 _SIGN_R = torsion_mod.sign_R
+_SIGN_M = gradedlinalg_mod.sign_M
+_ALTERNATING_DET = torsion_mod.alternating_det
+_FMT_FLOAT = workbench_mod._fmt_float
 _SIDE_DET = signature_mod._side_det
 _B_BLOCKS = signature_mod._b_blocks
 _PAIR_DET = signature_mod._pair_det
@@ -111,8 +116,8 @@ def _odd_blocks_doubled(c, g):
     return {key: 2 * b if key[1] % 2 else b
             for key, b in _B_BLOCKS(c, g).items()}
 
-# one mutant per chiral check of the split and signature paths that must
-# turn it red: (check, module, attribute, mutant)
+# one mutant per chiral or document check that must turn it red:
+# (check, module, attribute, mutant)
 CHIRAL_MUTANTS = [
     ("torsion-equals-graded-det", torsion_mod, "sign_R",
      lambda c: 1 - _SIGN_R(c)),
@@ -126,7 +131,28 @@ CHIRAL_MUTANTS = [
     # the dual chirality's blocks transposed but not conjugated
     ("torsion-duality", torsion_mod, "dual_chirality",
      lambda g: ChiralityOp(tuple(a.T for a in g.gamma))),
+    # the fusion parity M(V, W) flipped
+    ("torsion-direct-sum", gradedlinalg_mod, "sign_M",
+     lambda v, w: 1 - _SIGN_M(v, w)),
+    # c_gamma's determinant of the first Gamma blocks doubled
+    ("torsion-norm-unitary", torsion_mod, "alternating_det",
+     lambda blocks: 2 * _ALTERNATING_DET(blocks)),
+    ("det-eta-identity", signature_mod, "_eta", _eta_plus_half),
+    # every number written one character short: a "0" becomes nothing, so
+    # the text no longer reads back
+    ("document-round-trip", workbench_mod, "_fmt_float",
+     lambda x: _FMT_FLOAT(x)[:-1]),
 ]
+
+
+def _passes(check) -> bool:
+    """The verdict of check(1, 0), a raise of the package's own errors
+    counting as a failure, as in run_selftest; any other exception (a
+    mutant that does not fit its call) propagates."""
+    try:
+        return check(1, 0)[0]
+    except (SpectralBoundaryError, ValidationError):
+        return False
 
 
 @pytest.mark.parametrize("name, module, attr, mutant", CHIRAL_MUTANTS,
@@ -136,8 +162,7 @@ def test_chiral_check_fails_on_its_mutant(monkeypatch, name, module, attr,
     check = dict(st.CHECKS)[name]
     assert check(1, 0)[0]
     monkeypatch.setattr(module, attr, mutant)
-    passed, _ = check(1, 0)
-    assert passed is False
+    assert _passes(check) is False
 
 
 # mutants of a pair block [[0, Q], [P, 0]] of the +/- sides, each of which

@@ -222,16 +222,17 @@ class TestSignatureOp:
         assert calls.shapes("qr") == [(2, 1)]
         assert calls["cholesky"] == 0
 
-    def test_open_block_is_orthonormalized_once(self,
-                                                count_factorizations):
+    def test_open_block_plus_basis_is_the_qr_of_its_image(
+            self, count_factorizations):
         # degree 2 is left open at 1.5e-10 and passes on the QR of
-        # Y = Gamma_1 M^1; plus_minus_split keeps that factor as the basis
-        # of C^2_+, so only degree 1's Gamma-image takes a QR of its own
+        # Y = Gamma_1 M^1; after the test plus_minus_split takes one QR of
+        # each proper Gamma-image (degrees 1 and 2), so the basis of C^2_+
+        # is the QR of Y, the same bits as the test's own factor
         c, g = _tilted(1.5e-10)
         fr = cohomology_frame(c)
         calls = count_factorizations()
         plus, minus = plus_minus_split(c, g, fr)
-        assert calls.shapes("qr") == [(2, 1)] * 2
+        assert calls.shapes("qr") == [(2, 1)] * 3
         assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
         assert np.array_equal(plus[2], np.linalg.qr(g.gamma[1] @ minus[1])[0])
 
@@ -1089,30 +1090,6 @@ class TestFactorizationCounts:
         assert len(shapes) == d  # (d - 1) / 2 pairs, one self-paired block
 
     @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_xi_eta_with_the_callers_frame_takes_no_frame_svd(
-            self, count_factorizations, d):
-        # at 0 the large part of an acyclic complex is c itself, so the
-        # caller's frame serves it: the split's values-only SVDs and the
-        # +/- test remain, and the frame's own SVDs are gone
-        c, g, _ = _ladder_instance(d, 40)
-        fr = cohomology_frame(c)
-        assert spectral_split(c, g, 0.0).large.complex is c
-        plus, minus = plus_minus_split(c, g, fr)
-        n = c.dims.dims
-        a = [x.shape[1] for x in fr.A]
-        kernel = [n[j] for j in range((d + 1) // 2) if n[j]] + [
-            a[j] for j in range(d + 1)
-            if plus[j].shape[1] and minus[j].shape[1]]
-        calls = count_factorizations()
-        value = graded_det_via_xi_eta(c, g, 0.0, frame=fr)
-        assert calls.shapes("svd", compute_uv=False) == [
-            (k, k) for k in kernel if k < 16]
-        assert calls.shapes("cholesky") == [(k, k) for k in kernel
-                                            if k >= 16]
-        assert calls.shapes("svd", compute_uv=True) == []
-        assert value == graded_det_via_xi_eta(c, g, 0.0)
-
-    @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("total", [40, 200])
     def test_graded_dets_take_no_qr_beyond_the_frame(
             self, count_factorizations, d, total):
@@ -1120,19 +1097,20 @@ class TestFactorizationCounts:
         # certificate, and the + side of B_even is read through Gamma on the
         # odd - subspaces, so neither graded determinant orthonormalizes a
         # Gamma-image: the only QRs are the frame's own, of its tall degrees
-        # (the split at 0 of an acyclic complex forms no basis)
+        # (the split at 0 of an acyclic complex forms no basis), and none
+        # with the caller's frame
         c, g, _ = _ladder_instance(d, total)
         calls = count_factorizations()
         fr = cohomology_frame(c)
         frame_qr = calls.shapes("qr")
         assert bool(frame_qr) == (d > 1 and total > 40)
-        for call in (lambda f: graded_det_finite(c, g, f),
-                     lambda f: graded_det_via_xi_eta(c, g, 0.0, frame=f)):
+        calls = count_factorizations()
+        graded_det_finite(c, g, fr)
+        assert calls["qr"] == 0
+        for call in (lambda: graded_det_finite(c, g),
+                     lambda: graded_det_via_xi_eta(c, g, 0.0)):
             calls = count_factorizations()
-            call(fr)
-            assert calls["qr"] == 0
-            calls = count_factorizations()
-            call(None)
+            call()
             assert calls.shapes("qr") == frame_qr
 
     @pytest.mark.parametrize("seed", [6, 7, 9])
@@ -1214,28 +1192,30 @@ class TestFactorizationCounts:
 
 
 class TestSplitCertificate:
-    """sigma_min <= |mu| <= sigma_max settles an empty split side without
-    eigenvalues; whatever the bounds leave open goes to the eigenvalue
-    rule, which gives the same count."""
+    """At lam = 0 the invertibility kernel settles an empty small side
+    without eigenvalues (|mu| >= sigma_min); whatever it leaves open, and
+    every degree above 0, goes to the eigenvalue rule."""
 
     # the cluster margin at lam = 2 and the zero cut at lam = 0 are 1e-8
     # times the spectral radius: 3e-8, or 2e-8 for the all-small case
-    @pytest.mark.parametrize("spectrum, lam, k, certified", [
+    @pytest.mark.parametrize("spectrum, lam, k, settled", [
         ([3.1e-8, 1.0, 3.0], 0.0, 0, True),
         ([2.9e-8, 1.0, 3.0], 0.0, 1, False),
-        ([2.0 + 3.1e-8, 2.5, -3.0], 2.0, 0, True),
-        ([1.0, -(2.0 - 3.1e-8), 1.5j], 2.0, 3, True),
+        ([2.0 + 3.1e-8, 2.5, -3.0], 2.0, 0, False),
+        ([1.0, -(2.0 - 3.1e-8), 1.5j], 2.0, 3, False),
         ([1.0, 1.5, 3.0], 2.0, 2, False),
         ([1e-13, 1e-14, 0.0], 0.0, 3, False),
     ])
     def test_normal_block(self, count_factorizations, spectrum, lam, k,
-                          certified):
+                          settled):
         bsq = normal_matrix(spectrum)
         calls = count_factorizations()
         small, large = _split_degree(bsq, lam, 0)
         assert (small.shape[1], large.shape[1]) == (k, len(spectrum) - k)
-        assert calls.shapes("svd", compute_uv=False) == [bsq.shape]
-        assert calls["eigvals"] == (0 if certified else 1)
+        # one values-only SVD, the kernel's, at lam = 0 only
+        assert calls.shapes("svd", compute_uv=False) == (
+            [bsq.shape] if lam == 0 else [])
+        assert calls["eigvals"] == (0 if settled else 1)
         proper = 0 < k < len(spectrum)
         assert calls["disk"] == int(proper)
         if not proper:
@@ -1246,8 +1226,8 @@ class TestSplitCertificate:
                                           [1.0, 2.0 - 2.9e-8, 3.0]])
     def test_level_inside_the_margin_is_a_cluster(self, count_factorizations,
                                                   spectrum):
-        # the certificate needs the same margin as the cluster rule, so a
-        # level it cannot clear is one the eigenvalues reject
+        # the eigenvalues reject a level within the cluster margin, as the
+        # singular-value bounds could not clear it either
         calls = count_factorizations()
         with pytest.raises(SpectralBoundaryError, match="cluster"):
             _split_degree(normal_matrix(spectrum), 2.0, 0)
@@ -1270,6 +1250,120 @@ class TestSplitCertificate:
         assert small.shape[1] == int(np.sum(
             np.abs(np.linalg.eigvals(bsq)) <= cut)) == 0
         assert np.array_equal(large, np.eye(2))
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_split_above_zero_takes_no_values_only_svd(
+            self, count_factorizations, d):
+        # the only SVDs of a split above 0 are the disk split's full ones
+        c, g = _instance(8, d, acyclic=True)
+        lam = _widest_gap_middle(c, g)
+        calls = count_factorizations()
+        spectral_split(c, g, lam)
+        assert calls["disk"] >= 1
+        assert calls.shapes("svd", compute_uv=False) == []
+        assert len(calls.shapes("svd", compute_uv=True)) == calls["disk"]
+
+
+def _svd_settle_count(bsq, lam):
+    """How many eigenvalues of bsq a split at lam > 0 counts as small,
+    decided by the retired rule: one values-only SVD settles k = 0 when
+    sigma_min - lam, and k = n when lam - sigma_max, clears the cluster
+    margin; otherwise the eigenvalue rule counts, and None marks a level
+    it rejects as inside a cluster."""
+    sv = np.linalg.svd(bsq, compute_uv=False)
+    margin = signature_mod._CLUSTER_RTOL * max(lam, 1.0, sv[0])
+    if sv[-1] - lam > margin:
+        return 0
+    if lam - sv[0] > margin:
+        return len(sv)
+    mods = np.abs(np.linalg.eigvals(bsq))
+    if np.min(np.abs(mods - lam)) <= signature_mod._CLUSTER_RTOL * max(
+            lam, 1.0, mods.max()):
+        return None
+    return int(np.sum(mods <= lam))
+
+
+def _widest_gap_middle(c, g):
+    """The geometric middle of the widest gap (by ratio) between distinct
+    nonzero moduli of spec(B^2), half the smallest when there is one."""
+    mods = np.abs(np.concatenate([np.linalg.eigvals(b) for b in _bsqs(c, g)]))
+    mods = np.unique(np.round(mods[mods > 1e-6 * max(mods.max(), 1.0)], 6))
+    if len(mods) == 1:
+        return 0.5 * mods[0]
+    i = int(np.argmax(mods[1:] / mods[:-1]))
+    return math.sqrt(mods[i] * mods[i + 1])
+
+
+def _bsqs(c, g):
+    """The B^2 blocks a split decides: degrees j < (d+1)/2, nonempty."""
+    blocks = _b_blocks(c, g, split=True)
+    return [_bsq(blocks, j) for j in range((c.d + 1) // 2) if c.dims.dims[j]]
+
+
+def _normal_ladder():
+    """TestSplitCertificate's blocks at lam = 2: an eigenvalue 3.1e-8 (just
+    outside the cluster margin) or 2.9e-8 (inside) from the level, on
+    either side, with the rest of the spectrum small, large or mixed."""
+    out = []
+    for delta in (3.1e-8, -3.1e-8, 2.9e-8, -2.9e-8):
+        for rest in ([2.5, -3.0], [1.0, 1.5j], [1.0, 3.0]):
+            out.append(normal_matrix([2.0 + delta] + rest))
+    return out
+
+
+class TestOneRuleAboveZero:
+    """Above lam = 0 the eigenvalue rule decides every degree alone: on
+    blocks around the cluster margin, on non-normal blocks and on seeded
+    complexes it gives the count of the retired singular-value pre-check,
+    and the same bases, bit for bit."""
+
+    @staticmethod
+    def _assert_as_retired(bsq, lam):
+        n = bsq.shape[0]
+        k = _svd_settle_count(bsq, lam)
+        if k is None:
+            with pytest.raises(SpectralBoundaryError, match="cluster"):
+                _split_degree(bsq, lam, 0)
+            return None
+        small, large = _split_degree(bsq, lam, 0)
+        if k == 0:
+            expected = np.zeros((n, 0)), np.eye(n)
+        elif k == n:
+            expected = np.eye(n), np.zeros((n, 0))
+        else:
+            expected = signature_mod._disk_split(bsq, lam, k, 0)
+        for got, want in zip((small, large), expected):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        return k
+
+    def test_normal_ladder(self):
+        counts = [self._assert_as_retired(b, 2.0) for b in _normal_ladder()]
+        # the margin is 1e-8 max(2, spectral radius): 3e-8 beside a 3, so
+        # 2.9e-8 from the level is a cluster (None) there, and 2e-8 beside
+        # only 1 and 1.5j, where 2.9e-8 clears it
+        assert counts == [0, 2, 1, 1, 3, 2, None, 2, None, None, 3, None]
+
+    @pytest.mark.parametrize("mu, k", [(2.5, 0), (1.5, 2)])
+    def test_non_normal_block(self, mu, k):
+        # sigma_min ~ mu^2 / 1e3 lies below 2 while |mu| lies on either side
+        bsq = np.array([[mu, 1e3], [0.0, mu]], dtype=complex)
+        assert self._assert_as_retired(bsq, 2.0) == k
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_seeded_complexes(self, d, acyclic):
+        kinds = set()  # whether each block's split had an empty side
+        for seed in range(40):
+            c, g = _instance(seed, d, acyclic)
+            blocks = _bsqs(c, g)
+            top = max(float(np.abs(np.linalg.eigvals(b)).max())
+                      for b in blocks)
+            for lam in (_widest_gap_middle(c, g), 2.0 * top):
+                for bsq in blocks:
+                    k = self._assert_as_retired(bsq, lam)
+                    kinds.add(k in (0, bsq.shape[0]))
+        assert kinds == {True, False}
 
 
 def _svd_zero_count(bsq):
@@ -1722,15 +1816,6 @@ class TestGradedDetViaXiEta:
         v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
         v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
         np.testing.assert_allclose(v1, v0, rtol=1e-9)
-
-    def test_rejects_a_foreign_frame(self):
-        # also above the spectrum, where the large part is not c and the
-        # frame would go unused
-        c, g = _instance(7, 3, acyclic=True)
-        other = cohomology_frame(_instance(8, 3, acyclic=True)[0])
-        for lam in (0.0, 2.0 * _spectral_radius(c, g)):
-            with pytest.raises(ValidationError, match="not of this complex"):
-                graded_det_via_xi_eta(c, g, lam, frame=other)
 
 
 class TestXiEtaOverflow:
