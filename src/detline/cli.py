@@ -5,8 +5,9 @@ stdout, a short human summary to stderr.  Exit codes: 0 success, 2 validation
 error (bad input or document, including a non-finite or boolean matrix
 entry and a d or dims entry that is not a JSON integer), 3 numerical
 boundary (eigenvalue on a cut, split level in a cluster, an overflowing
-B^2 block, a split whose sign iteration does not converge, singular
-operator, a non-finite result, or a failed selftest).
+B^2 block, a split whose sign iteration does not converge, a split part
+that fails its d.d, Gamma^2 or restriction check, singular operator, a
+non-finite result, or a failed selftest).
 stdout holds strict JSON (no NaN or Infinity) or nothing.
 """
 

@@ -10,6 +10,11 @@ residual fails.  Every such check goes through ``_verdict``, and its detail
 reads ``worst <quantity> <value> (bound <bound>)``.  The bound is
 TOL = 1e-9 where not stated otherwise.
 
+Sampled inputs: most chiral checks take case i from ``_family`` (a pair of
+top degree 1 or 3 seeded with seed + i), the two pair checks take seeds
+seed + 2i and seed + 2i + 1, and the line checks and det-eta-identity
+draw from one stream seeded with seed (``_draws``).
+
 The seven circle checks ignore ``cases`` and ``seed``: they run the whole
 fixed grid of ``_circle_grid``, 20 real holonomy exponents and 10 complex
 ones drawn with seed 77, and the last three take q = a and 1 - a.  The model
@@ -61,9 +66,39 @@ def _rand_coeff(rng):
     return z if abs(z) > 0.1 else z + 0.5
 
 
-def _instance(seed, d, acyclic):
+def _rand_element(rng, d):
+    return DetElement(_rand_coeff(rng), _rand_dims(rng, d))
+
+
+def _rand_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _instance(seed, d, acyclic, unitary=False):
     prof = random_profile(np.random.default_rng(seed), d, acyclic=acyclic)
-    return gen_random(seed, d, prof)
+    return gen_random(seed, d, prof, unitary)
+
+
+def _family(cases, seed, acyclic=None, unitary=False):
+    """The chiral checks' cases: case i < cases is a pair of top degree 3
+    for odd i and 1 for even, gen_random(seed + i, d), or, given acyclic,
+    drawn through a random profile that is acyclic exactly when
+    acyclic(i), with a unitary conjugation when unitary is set."""
+    for i in range(cases):
+        d = 3 if i % 2 else 1
+        yield (gen_random(seed + i, d) if acyclic is None
+               else _instance(seed + i, d, acyclic(i), unitary))
+
+
+def _draws(cases, seed, residual):
+    """residual(rng) for each of cases draws from one stream seeded with
+    seed."""
+    rng = np.random.default_rng(seed)
+    return [residual(rng) for _ in range(cases)]
+
+
+def _rel(value, ref):
+    return abs(value - ref) / abs(ref)
 
 
 def _verdict(residuals, bound, quantity="residual"):
@@ -80,49 +115,36 @@ def _verdict(residuals, bound, quantity="residual"):
 
 
 def check_fuse_associative(cases, seed):
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
+    def residual(rng):
         d = int(rng.choice([1, 3]))
-        xs = [DetElement(_rand_coeff(rng), _rand_dims(rng, d))
-              for _ in range(3)]
-        lhs = fuse(fuse(xs[0], xs[1]), xs[2]).coeff
-        rhs = fuse(xs[0], fuse(xs[1], xs[2])).coeff
-        res.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return _verdict(res, 1e-12)
+        x, y, z = (_rand_element(rng, d) for _ in range(3))
+        lhs = fuse(fuse(x, y), z).coeff
+        return abs(lhs - fuse(x, fuse(y, z)).coeff) / max(1.0, abs(lhs))
+    return _verdict(_draws(cases, seed, residual), 1e-12)
 
 
 def check_alpha_beta(cases, seed):
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
-        n = int(rng.integers(0, 7))
-        v = _rand_coeff(rng)
-        lhs = 1.0 / alpha_line(1.0 / v)
-        rhs = (-1) ** (n % 2) * beta_line(v, n)
-        res.append(abs(lhs - rhs))
-    return _verdict(res, 1e-12)
+    def residual(rng):
+        n, v = int(rng.integers(0, 7)), _rand_coeff(rng)
+        return abs(1.0 / alpha_line(1.0 / v)
+                   - (-1) ** (n % 2) * beta_line(v, n))
+    return _verdict(_draws(cases, seed, residual), 1e-12)
 
 
 def check_fuse_dual_line(cases, seed):
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
-        n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        v, w = _rand_coeff(rng), _rand_coeff(rng)
-        lhs = 1.0 / (v * w)
-        dual_v = alpha_line(1.0 / v)
-        dual_w = alpha_line(1.0 / w)
-        rhs = complex(dual_v * dual_w).conjugate()  # alpha on the sum
-        res.append(abs(lhs - rhs))
-    return _verdict(res, 1e-12)
+    """Duality commutes with fusion: dual(fuse(x, y)) is
+    fuse(dual(x), dual(y)), as M(V^, W^) = M(W, V) for odd d."""
+    def residual(rng):
+        d = int(rng.choice([1, 3]))
+        x, y = _rand_element(rng, d), _rand_element(rng, d)
+        return _rel(fuse(dual_graded(x), dual_graded(y)).coeff,
+                    dual_graded(fuse(x, y)).coeff)
+    return _verdict(_draws(cases, seed, residual), 1e-12, "relative residual")
 
 
 def check_fuse_anticommute(cases, seed):
     """Against the wedge-permutation oracle."""
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
+    def residual(rng):
         d = int(rng.choice([1, 3]))
         dv, dw = _rand_dims(rng, d), _rand_dims(rng, d)
         x = DetElement(_rand_coeff(rng), dv)
@@ -130,20 +152,16 @@ def check_fuse_anticommute(cases, seed):
         perm = sum(a * b for a, b in zip(dv.dims, dw.dims)) % 2
         expect = fuse(y, x).coeff * (-1) ** perm \
             * (-1) ** ((dv.total * dw.total) % 2)
-        res.append(abs(fuse(x, y).coeff - expect) / max(1.0, abs(expect)))
-    return _verdict(res, 1e-12)
+        return abs(fuse(x, y).coeff - expect) / max(1.0, abs(expect))
+    return _verdict(_draws(cases, seed, residual), 1e-12)
 
 
 def check_dual_involution(cases, seed):
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
-        d = int(rng.choice([1, 3]))
-        x = DetElement(_rand_coeff(rng), _rand_dims(rng, d))
-        y = dual_graded(dual_graded(x))
-        expect = (-1) ** (x.dims.total % 2) * x.coeff
-        res.append(abs(y.coeff - expect))
-    return _verdict(res, 1e-12)
+    def residual(rng):
+        x = _rand_element(rng, int(rng.choice([1, 3])))
+        return abs(dual_graded(dual_graded(x)).coeff
+                   - (-1) ** (x.dims.total % 2) * x.coeff)
+    return _verdict(_draws(cases, seed, residual), 1e-12)
 
 
 def check_fusion_cohomology(cases, seed):
@@ -154,30 +172,24 @@ def check_fusion_cohomology(cases, seed):
         ca, ga = _instance(seed + 2 * i, d, acyclic=(i % 3 == 0))
         cb, gb = _instance(seed + 2 * i + 1, d, acyclic=(i % 2 == 0))
         fra, frb = cohomology_frame(ca), cohomology_frame(cb)
-        csum = direct_sum(ca, cb)
-        frs = cohomology_frame(csum)
+        frs = cohomology_frame(direct_sum(ca, cb))
         xa = DetElement(_rand_coeff(rng), ca.dims)
         xb = DetElement(_rand_coeff(rng), cb.dims)
         lhs = phi(fuse(xa, xb), frs).coeff
-        rhs = fused_in_sum_frame(fra, frb, phi(xa, fra).coeff,
-                                 phi(xb, frb).coeff, frs)
-        res.append(abs(lhs - rhs) / abs(lhs))
+        res.append(_rel(fused_in_sum_frame(fra, frb, phi(xa, fra).coeff,
+                                           phi(xb, frb).coeff, frs), lhs))
     return _verdict(res, TOL, "relative residual")
 
 
 def check_cohomology_duality(cases, seed):
     rng = np.random.default_rng(seed)
     res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, _ = _instance(seed + i, d, acyclic=(i % 3 == 0))
-        fr = cohomology_frame(c)
+    for c, _ in _family(cases, seed, lambda i: i % 3 == 0):
         chat = dual_complex(c)
         frh = cohomology_frame(chat)
         x = DetElement(_rand_coeff(rng), c.dims)
-        xd = dual_graded(x)
-        lhs = phi(DetElement(xd.coeff, chat.dims), frh).coeff
-        rhs = alpha_cohomology(phi(x, fr), frh).coeff
+        lhs = phi(DetElement(dual_graded(x).coeff, chat.dims), frh).coeff
+        rhs = alpha_cohomology(phi(x, cohomology_frame(c)), frh).coeff
         res.append(abs(lhs - rhs) / max(abs(lhs), 1e-30))
     return _verdict(res, TOL, "relative residual")
 
@@ -185,15 +197,12 @@ def check_cohomology_duality(cases, seed):
 def check_phi_frame_rotation(cases, seed):
     rng = np.random.default_rng(seed)
     res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, _ = _instance(seed + i, d, acyclic=False)
+    for c, _ in _family(cases, seed, lambda i: False):
         fr = cohomology_frame(c)
         x = DetElement(_rand_coeff(rng), c.dims)
         base = phi(x, fr).coeff
-        qs = [np.linalg.qr(rng.standard_normal((b, b))
-                           + 1j * rng.standard_normal((b, b)))[0]
-              if b else np.eye(0) for b in fr.betti]
+        qs = [np.linalg.qr(_rand_matrix(rng, (b, b)))[0] if b else np.eye(0)
+              for b in fr.betti]
         hs = tuple(h @ q for h, q in zip(fr.H, qs))
         rot = phi(x, CohomologyFrame(c, fr.B, hs, fr.A)).coeff
         res.append(abs(rot - base * alternating_det(qs)) / abs(base))
@@ -209,23 +218,18 @@ def check_torsion_direct_sum(cases, seed):
         fra, frb = cohomology_frame(a[0]), cohomology_frame(b[0])
         csum, gsum = chiral_direct_sum([a, b])
         frs = cohomology_frame(csum)
-        lhs = refined_torsion(csum, gsum, frs).coeff
-        rhs = fused_in_sum_frame(fra, frb,
-                                 refined_torsion(*a, fra).coeff,
-                                 refined_torsion(*b, frb).coeff, frs)
-        res.append(abs(lhs - rhs) / abs(lhs))
+        res.append(_rel(fused_in_sum_frame(fra, frb,
+                                           refined_torsion(*a, fra).coeff,
+                                           refined_torsion(*b, frb).coeff,
+                                           frs),
+                        refined_torsion(csum, gsum, frs).coeff))
     return _verdict(res, TOL, "relative residual")
 
 
 def check_torsion_norm_unitary(cases, seed):
-    res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        prof = random_profile(np.random.default_rng(seed + i), d,
-                              acyclic=(i % 3 > 0))
-        c, g = gen_random(seed + i, d, prof, unitary=True)
-        res.append(abs(torsion_norm(c, g) - 1.0))
-    return _verdict(res, TOL, "|norm - 1|")
+    return _verdict((abs(torsion_norm(c, g) - 1.0) for c, g in
+                     _family(cases, seed, lambda i: i % 3 > 0, unitary=True)),
+                    TOL, "|norm - 1|")
 
 
 def _gamma_family(c, g, seed):
@@ -234,9 +238,7 @@ def _gamma_family(c, g, seed):
     inverse."""
     d, n = c.d, c.dims.dims
     rng = np.random.default_rng(seed)
-    gens = [rng.standard_normal((n[d - j], n[j]))
-            + 1j * rng.standard_normal((n[d - j], n[j]))
-            for j in range((d + 1) // 2)]
+    gens = [_rand_matrix(rng, (n[d - j], n[j])) for j in range((d + 1) // 2)]
 
     def gamma_of_t(t):
         blocks = list(g.gamma)
@@ -253,9 +255,7 @@ def check_variation_order(cases, seed):
     h = 1e-2 to 1e-3 it must shrink by a ratio in [50, 200], on the family
     of _gamma_family at t0 = 0.1."""
     ratios = []
-    for i in range(max(1, cases // 10)):
-        d = 3 if i % 2 else 1
-        c, g = gen_random(seed + i, d)
+    for i, (c, g) in enumerate(_family(max(1, cases // 10), seed)):
         fam = _gamma_family(c, g, seed + i)
         r2 = variation_check(c, fam, 0.1, h=1e-2)
         r3 = variation_check(c, fam, 0.1, h=1e-3)
@@ -267,23 +267,15 @@ def check_variation_order(cases, seed):
 
 
 def check_torsion_duality(cases, seed):
-    res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = _instance(seed + i, d, acyclic=(i % 3 == 0))
-        res.append(dual_torsion_check(c, g))
-    return _verdict(res, 1e-8, "relative residual")
+    return _verdict((dual_torsion_check(c, g) for c, g in
+                     _family(cases, seed, lambda i: i % 3 == 0)),
+                    1e-8, "relative residual")
 
 
 def check_torsion_graded_det(cases, seed):
-    res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = gen_random(seed + i, d)
-        rho = refined_torsion(c, g).coeff
-        det = graded_det_finite(c, g)
-        res.append(abs(rho - det) / abs(det))
-    return _verdict(res, TOL, "relative residual")
+    return _verdict((_rel(refined_torsion(c, g).coeff, graded_det_finite(c, g))
+                     for c, g in _family(cases, seed)),
+                    TOL, "relative residual")
 
 
 def _lambda_choices(c, g):
@@ -300,72 +292,53 @@ def _lambda_choices(c, g):
 
 def check_split_consistency(cases, seed):
     res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = _instance(seed + i, d, acyclic=(i % 2 == 0))
+    for c, g in _family(cases, seed, lambda i: i % 2 == 0):
         fr = cohomology_frame(c)
         rho = refined_torsion(c, g, fr).coeff
-        for lam in _lambda_choices(c, g):
-            v = torsion_via_split(c, g, lam, fr).coeff
-            res.append(abs(v - rho) / abs(rho))
+        res.extend(_rel(torsion_via_split(c, g, lam, fr).coeff, rho)
+                   for lam in _lambda_choices(c, g))
     return _verdict(res, _SPLIT_TOL, "relative residual")
 
 
 def check_large_part_acyclic(cases, seed):
-    ok = True
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = _instance(seed + i, d, acyclic=False)
-        for lam in _lambda_choices(c, g)[:2]:
-            sp = spectral_split(c, g, lam)
-            ok &= cohomology_frame(sp.large.complex).acyclic
+    ok = all(cohomology_frame(spectral_split(c, g, lam).large.complex).acyclic
+             for c, g in _family(cases, seed, lambda i: False)
+             for lam in _lambda_choices(c, g)[:2])
     return ok, "rank test on every large part"
 
 
 def check_odd_even_spectrum(cases, seed):
     res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = _instance(seed + i, d, acyclic=(i % 2 == 0))
+    for c, g in _family(cases, seed, lambda i: i % 2 == 0):
         s = build_signature(c, g)
-        ev = np.sort_complex(np.linalg.eigvals(s.b_even))
-        od = np.sort_complex(np.linalg.eigvals(s.b_odd))
+        ev, od = (np.sort_complex(np.linalg.eigvals(b))
+                  for b in (s.b_even, s.b_odd))
         res.extend(np.abs(ev - od))
     return _verdict(res, TOL, "eigenvalue gap")
 
 
 def check_det_eta(cases, seed):
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(cases):
+    def residual(rng):
         n = int(rng.integers(1, 7))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        res.append(det_eta_check(m, pick_agmon_angle(m)))
-    return _verdict(res, TOL)
+        m = _rand_matrix(rng, (n, n))
+        return det_eta_check(m, pick_agmon_angle(m))
+    return _verdict(_draws(cases, seed, residual), TOL)
 
 
 def check_xi_eta_two_path(cases, seed):
-    res = []
-    for i in range(cases):
-        d = 3 if i % 2 else 1
-        c, g = gen_random(seed + i, d)
-        det = graded_det_finite(c, g)
-        v = graded_det_via_xi_eta(c, g, 0.0)
-        res.append(abs(v - det) / abs(det))
-    return _verdict(res, TOL, "relative residual")
+    return _verdict((_rel(graded_det_via_xi_eta(c, g, 0.0),
+                          graded_det_finite(c, g))
+                     for c, g in _family(cases, seed)),
+                    TOL, "relative residual")
 
 
 def check_agmon_independence(cases, seed):
     res = []
-    for i in range(max(1, cases // 2)):
-        d = 3 if i % 2 else 1
-        c, g = gen_random(seed + i, d)
-        s = build_signature(c, g)
-        theta0 = pick_agmon_angle(s.b_even)
+    for c, g in _family(max(1, cases // 2), seed):
+        theta0 = pick_agmon_angle(build_signature(c, g).b_even)
         theta1 = (theta0 - math.pi / 2) / 2.0  # halfway to the arc edge
-        v0 = graded_det_via_xi_eta(c, g, 0.0, theta0)
-        v1 = graded_det_via_xi_eta(c, g, 0.0, theta1)
-        res.append(abs(v0 - v1) / abs(v0))
+        res.append(_rel(graded_det_via_xi_eta(c, g, 0.0, theta1),
+                        graded_det_via_xi_eta(c, g, 0.0, theta0)))
     return _verdict(res, TOL, "relative spread")
 
 

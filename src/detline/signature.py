@@ -110,25 +110,22 @@ def _bsq(blocks: dict, j: int) -> np.ndarray:
 
 def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
     """Matrix of the degree blocks {(target, source): block} of the given
-    parity on the sum of those degrees, degree j of dimension sizes[j]; a
-    lone block that fills it is used as it stands, as a read-only view."""
+    parity on the sum of those degrees, degree j of dimension sizes[j],
+    read-only."""
     offs, pos = {}, 0
     for j in range(parity, len(sizes), 2):
         offs[j], pos = pos, pos + sizes[j]
-    for (t, s), b in blocks.items():
-        if s % 2 == parity and b.shape == (pos, pos):
-            return _readonly(b)
     out = np.zeros((pos, pos), dtype=complex)
     for (t, s), b in blocks.items():
         if s % 2 == parity:
             out[offs[t]:offs[t] + sizes[t], offs[s]:offs[s] + sizes[s]] = b
-    return out
+    return _readonly(out)
 
 
 @dataclass(frozen=True)
 class SignatureOp:
-    """B = Gamma d + d Gamma packaged with its even and odd matrices; a
-    matrix that is one degree block of B is that block, read-only."""
+    """B = Gamma d + d Gamma packaged with its even and odd matrices, both
+    read-only."""
 
     b_even: np.ndarray
     b_odd: np.ndarray
@@ -384,22 +381,29 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases,
     Gamma_j bases[j] = Q R.  There the part's Gamma_j block, the
     coordinates Q^H Gamma_j bases[j] of the image in the basis Q, is R
     itself, and a residual check would test that Q spans Q R, which holds
-    by construction.  Every other block is restricted with its check."""
+    by construction.  Every other block is restricted with its check.
+
+    (c, g) passed its own checks, so a failed check here, of a restriction
+    or of the part's d.d = 0 or Gamma^2 = 1, is the split's own rounding:
+    it raises SpectralBoundaryError, with the check's text."""
     if all(b.shape[0] == b.shape[1] for b in bases):
         return SpectralPart(tuple(bases), c, g)
     d = c.d
     dims = GradedDims(tuple(b.shape[1] for b in bases))
-    partial = tuple(
-        _restricted(c.partial[j], bases[j], bases[j + 1],
-                    f"d restricted, degree {j}")
-        for j in range(d))
-    gamma = tuple(
-        gamma_r[j] if j in gamma_r else
-        _restricted(g.gamma[j], bases[j], bases[d - j],
-                    f"Gamma restricted, degree {j}")
-        for j in range(d + 1))
-    return SpectralPart(tuple(bases), CochainComplex(dims, partial),
-                        ChiralityOp(gamma))
+    try:
+        partial = tuple(
+            _restricted(c.partial[j], bases[j], bases[j + 1],
+                        f"d restricted, degree {j}")
+            for j in range(d))
+        gamma = tuple(
+            gamma_r[j] if j in gamma_r else
+            _restricted(g.gamma[j], bases[j], bases[d - j],
+                        f"Gamma restricted, degree {j}")
+            for j in range(d + 1))
+        return SpectralPart(tuple(bases), CochainComplex(dims, partial),
+                            ChiralityOp(gamma))
+    except ValidationError as exc:
+        raise SpectralBoundaryError(str(exc)) from exc
 
 
 def _frobenius(a: np.ndarray) -> float:

@@ -134,6 +134,11 @@ CHIRAL_MUTANTS = [
     # the fusion parity M(V, W) flipped
     ("torsion-direct-sum", gradedlinalg_mod, "sign_M",
      lambda v, w: 1 - _SIGN_M(v, w)),
+    ("fuse-dual-line", gradedlinalg_mod, "sign_M",
+     lambda v, w: 1 - _SIGN_M(v, w)),
+    # beta without its sign (-1)^n, patched where the check reads it
+    ("alpha-beta-compatibility", st, "beta_line",
+     lambda v, n: complex(v).conjugate()),
     # c_gamma's determinant of the first Gamma blocks doubled
     ("torsion-norm-unitary", torsion_mod, "alternating_det",
      lambda blocks: 2 * _ALTERNATING_DET(blocks)),

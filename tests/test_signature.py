@@ -384,6 +384,20 @@ class TestSpectralSplit:
                 v = torsion_via_split(c, g, lam, fr).coeff
                 np.testing.assert_allclose(v, rho, rtol=1e-8)
 
+    @pytest.mark.parametrize("module, name", [
+        (torsion_mod, "_VALIDATION_TOL"), (signature_mod, "_RESTRICT_TOL")],
+        ids=["part-gamma-squared", "restriction"])
+    def test_a_part_failing_its_check_is_a_boundary(self, monkeypatch,
+                                                    module, name):
+        # with the tolerance at 0, the split's own rounding fails a part's
+        # Gamma^2 = 1 check or a restriction's residual check; the pair
+        # passed its checks, so that is a boundary, not invalid input
+        c, g = _instance(7, 3, acyclic=True)
+        lam = _mid_gap_level(c, g)
+        monkeypatch.setattr(module, name, 0.0)
+        with pytest.raises(SpectralBoundaryError, match="residual"):
+            spectral_split(c, g, lam)
+
     def test_large_part_is_acyclic(self):
         c, g = _instance(31, 3, acyclic=False)
         sp = spectral_split(c, g, 0.0)
@@ -701,9 +715,10 @@ class TestPairUnits:
 
 class TestLoneBlocks:
     """A lone block is used as it stands, with no copy: phi's T_j, a C^j_-
-    with B^j or H^j empty, B_even and B_odd made of one degree block, and
-    the identity a square invertible first degree gives as A^0 and B^1.
-    What a public function hands out this way is a read-only view."""
+    with B^j or H^j empty, and the identity a square invertible first
+    degree gives as A^0 and B^1.  What a public function hands out this
+    way is a read-only view.  B_even and B_odd are always assembled, and
+    read-only too, even when one degree block fills them."""
 
     @pytest.fixture(scope="class")
     def big(self):
