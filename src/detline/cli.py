@@ -7,7 +7,8 @@ entry and a d or dims entry that is not a JSON integer), 3 numerical
 boundary (eigenvalue on a cut, split level in a cluster, an overflowing
 B^2 block, a split whose sign iteration does not converge, a split part
 that fails its d.d, Gamma^2 or restriction check, singular operator, a
-non-finite result, or a failed selftest).
+non-finite result or a torsion that underflows to 0, or a failed
+selftest).
 stdout holds strict JSON (no NaN or Infinity) or nothing.
 """
 
@@ -37,6 +38,16 @@ def _pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
+def _torsion_pair(z, field: str) -> list[float]:
+    """_pair of a refined torsion, which is never 0: a 0 built from finite
+    nonzero factors is an underflow, a numerical boundary named by its
+    field."""
+    if z == 0:
+        raise SpectralBoundaryError(f"result underflows to 0 in field "
+                                    f"{field!r}")
+    return _pair(z)
+
+
 def _load_chiral(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,7 +66,7 @@ def _cmd_torsion(args) -> dict:
     cg = c_gamma(c, g)
     rho = phi(cg, frame)  # refined_torsion(c, g, frame), sharing cg
     out = {
-        "torsion": _pair(rho.coeff),
+        "torsion": _torsion_pair(rho.coeff, "torsion"),
         "betti": list(frame.betti),
         # torsion_norm(c, g): the modulus of the c_Gamma coefficient
         "torsion_norm": float(abs(cg.coeff)),
@@ -86,8 +97,8 @@ def _cmd_split(args) -> dict:
         "d_small": [b.shape[1] for b in split.small.bases],
         "d_large": [b.shape[1] for b in split.large.bases],
         "graded_det_large": _pair(det_large),
-        "torsion_via_split": _pair(via.coeff),
-        "refined_torsion": _pair(rho.coeff),
+        "torsion_via_split": _torsion_pair(via.coeff, "torsion_via_split"),
+        "refined_torsion": _torsion_pair(rho.coeff, "refined_torsion"),
         "consistency_residual": residual,
         "tolerance": _SPLIT_TOL,
         "consistent": bool(residual <= _SPLIT_TOL),

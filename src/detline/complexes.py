@@ -322,10 +322,6 @@ class CohomologyElement:
     coeff: complex
     frame: CohomologyFrame = field(repr=False)
 
-    @property
-    def betti(self) -> tuple[int, ...]:
-        return self.frame.betti
-
 
 def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
     """Canonical isomorphism Det(C) -> Det(H(C)).

@@ -335,24 +335,26 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     self-paired blocks and its pairs: [[0, Q], [P, 0]] of n x n blocks is
     diag(Q, P) times the swap of its two halves, n transpositions, so its
     determinant is (-1)^n det P det Q (_pair_det), two n x n LU
-    factorizations in place of one of order 2n.  A determinant that is
-    not finite (an overflow) is a numerical boundary, as is a singular
-    block."""
+    factorizations in place of one of order 2n.  A singular block (an LU
+    pivot that is exactly 0) means B_even is not bijective.  The graded
+    determinant of a bijective B_even is never 0, so a value of 0 built
+    from blocks that are not singular is an underflow, and a value that
+    is not finite an overflow; each is a numerical boundary."""
     odd, even = _det_blocks(c, g, frame)
     m = sum(b.shape[1] for b in even.values())
-    # numpy's det leaves the floating-point range silently here: a singular
-    # + block gives 0, a singular - block x / 0, and only the determinants
-    # of the two sides tell that from an overflow
+    # numpy's det leaves the floating-point range silently here, and only
+    # the LU pivots of the blocks tell a singular one from a product that
+    # left the range
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        num, den = _side_det(odd), (-1) ** m * _side_det(even)
-        value = num / den
-        if value == 0 or not cmath.isfinite(value):
-            if (cmath.isfinite(num) and cmath.isfinite(den)
-                    and (value == 0 or not num or not den)):
-                raise SpectralBoundaryError("B_even is not bijective")
-            raise SpectralBoundaryError(
-                "the determinant of B_even is not finite (overflow)")
-    return complex(value)
+        value = _side_det(odd) / ((-1) ** m * _side_det(even))
+        if value and cmath.isfinite(value):
+            return complex(value)
+        if any(np.linalg.slogdet(b)[0] == 0 for table in (odd, even)
+               for b in table.values() if b.size):
+            raise SpectralBoundaryError("B_even is not bijective")
+    raise SpectralBoundaryError(
+        "the determinant of B_even rounds to 0 (underflow)" if value == 0
+        else "the determinant of B_even is not finite (overflow)")
 
 
 @dataclass(frozen=True)
@@ -737,8 +739,9 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     Both roots of each nu are listed, so a pair adds nothing to eta and
     twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
     zeros, so every eigenvalue of the large part counts.  An exponent whose
-    exp leaves the float range is a numerical boundary.  It takes no
-    frame: the one it reads is that of the large part, built here.
+    exp leaves the float range, above or below, is a numerical boundary.
+    It takes no frame: the one it reads is that of the large part, built
+    here.
     """
     large = spectral_split(c, g, lam).large
     odd, even = _det_blocks(large.complex, large.chirality, None)
@@ -753,8 +756,12 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     z = (xi - 1j * math.pi * eta
          + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
     try:
-        return complex(cmath.exp(z))
+        value = complex(cmath.exp(z))
     except OverflowError:
+        value = 0j  # out of range too; the sign of z.real names the side
+    if not value:  # a graded determinant is never 0: an exp of 0 underflows
+        side = "over" if z.real > 0 else "under"
         raise SpectralBoundaryError(
-            f"exp of real part {z.real:.6g} overflows the float range "
-            f"(the graded determinant of B_even)") from None
+            f"exp of real part {z.real:.6g} {side}flows the float range "
+            f"(the graded determinant of B_even)")
+    return value

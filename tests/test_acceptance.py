@@ -91,7 +91,7 @@ def test_criterion_05_unitary_norm():
 
 
 def test_criterion_06_variation_order():
-    _report(6, "variation identity is second order",
+    _report(6, "variation identity d/dt log rho = Str(Gamma' Gamma) / 2",
             *CHECK["torsion-variation-order"](60, 11))
 
 

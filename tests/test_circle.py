@@ -80,6 +80,20 @@ class TestCircleModel:
             main(["circle", "--a", "0.25", "--trunc", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hurwitz_zeta_deriv0(0.0), r"Re q > 0"),
+        (lambda: hurwitz_zeta_deriv0(-0.5 + 1j), r"Re q > 0"),
+        (lambda: metric_scale_check(CircleModel(0.3), 0.0),
+         "scale must be positive"),
+        (lambda: metric_scale_check(CircleModel(0.3), -2.0),
+         "scale must be positive"),
+        (lambda: split_check(CircleModel(0.3), -1), "k must be nonnegative"),
+    ], ids=["zeta-q-0", "zeta-q-negative", "scale-0", "scale-negative",
+            "split-k-negative"])
+    def test_argument_out_of_range_is_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
     def test_eta_real_holonomy(self):
         # eta = (1 - 2a)/2 on the real axis
         for a in (0.25, 0.5, 0.9):

@@ -588,6 +588,15 @@ class TestPhi:
         with pytest.raises(ValidationError):
             phi(DetElement(1.0, GradedDims((2, 1))), fr)
 
+    def test_rejects_a_frame_that_does_not_span(self):
+        # a frame built by hand with A^0 left out: nothing spans C^0
+        c = CochainComplex(GradedDims((1, 1)), (np.array([[2.0]]),))
+        fr = cohomology_frame(c)
+        short = CohomologyFrame(c, fr.B, fr.H, (np.zeros((1, 0)), fr.A[1]))
+        with pytest.raises(ValidationError,
+                           match=r"^degree 0: frame does not span C\^0$"):
+            phi(DetElement(1.0, c.dims), short)
+
     @staticmethod
     def _phi_on_the_frame(x, fr):
         """phi's coefficient with every T_j = [d(A^{j-1}) | H^j | A^j] read
@@ -682,3 +691,11 @@ class TestDuality:
         x = phi(DetElement(1.0, c.dims), fr)
         with pytest.raises(ValidationError):
             alpha_cohomology(x, fr)
+
+    def test_alpha_cohomology_rejects_even_top_degree(self):
+        # d = 2 with zero differentials: betti (1, 1, 1) is its own reversal
+        c = CochainComplex(GradedDims((1, 1, 1)),
+                           (np.zeros((1, 1)), np.zeros((1, 1))))
+        fr = cohomology_frame(c)
+        with pytest.raises(ValidationError, match="odd top degree"):
+            alpha_cohomology(phi(DetElement(1.0, c.dims), fr), fr)

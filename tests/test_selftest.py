@@ -105,6 +105,7 @@ def test_circle_check_fails_on_its_mutant(monkeypatch, name, attr, mutant):
 _SIGN_R = torsion_mod.sign_R
 _SIGN_M = gradedlinalg_mod.sign_M
 _ALTERNATING_DET = torsion_mod.alternating_det
+_SUPERTRACE = torsion_mod.supertrace
 _FMT_FLOAT = workbench_mod._fmt_float
 _SIDE_DET = signature_mod._side_det
 _B_BLOCKS = signature_mod._b_blocks
@@ -143,6 +144,9 @@ CHIRAL_MUTANTS = [
     ("torsion-norm-unitary", torsion_mod, "alternating_det",
      lambda blocks: 2 * _ALTERNATING_DET(blocks)),
     ("det-eta-identity", signature_mod, "_eta", _eta_plus_half),
+    # the variation identity's right-hand side with its sign flipped
+    ("torsion-variation-order", torsion_mod, "supertrace",
+     lambda blocks: -_SUPERTRACE(blocks)),
     # every number written one character short: a "0" becomes nothing, so
     # the text no longer reads back
     ("document-round-trip", workbench_mod, "_fmt_float",

@@ -1581,6 +1581,10 @@ class TestLogDetCut:
         with pytest.raises(SpectralBoundaryError):
             log_det_cut(np.diag([-1.0j]), -math.pi / 2)
 
+    def test_non_square_matrix_is_rejected(self):
+        with pytest.raises(ValidationError, match="^matrix must be square$"):
+            log_det_cut(np.ones((2, 3)), -math.pi / 4)
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_is_rejected(self, theta):
         with pytest.raises(ValidationError, match="branch angle"):
@@ -1848,6 +1852,22 @@ class TestXiEtaOverflow:
                                  r"B_even\)$"):
             graded_det_via_xi_eta(c, g, 0.0)
         with pytest.raises(SpectralBoundaryError, match=r"\(overflow\)$"):
+            graded_det_finite(c, g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflow_names_the_real_part(self):
+        # the mirror image: log|rho| = 200 log 0.02 ~ -782 underflows, and
+        # a graded determinant of a bijective B_even is never 0
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 200,
+                                 "harmonic": []})
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^exp of real part -782\.4\d* underflows "
+                                 r"the float range \(the graded determinant "
+                                 r"of B_even\)$"):
+            graded_det_via_xi_eta(c, g, 0.0)
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^the determinant of B_even rounds to 0 "
+                                 r"\(underflow\)$"):
             graded_det_finite(c, g)
 
 

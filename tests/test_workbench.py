@@ -375,6 +375,28 @@ class TestDocuments:
         assert main(["torsion", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "document must be a JSON object"),
+        (lambda doc: {**doc, "dims": [1, 1, 1]}, "dims length must be d+1"),
+        (lambda doc: {**doc, "differential": []},
+         "differential must list d matrices"),
+        (lambda doc: {**doc, "chirality": doc["chirality"][:1]},
+         "chirality must list d+1 matrices"),
+        (lambda doc: {**doc, "metadata": 5}, "metadata must be an object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "chirality"},
+         "document carries no chirality matrices"),
+    ], ids=["not-an-object", "dims-length", "differential-length",
+            "chirality-length", "metadata-5", "no-chirality"])
+    def test_malformed_structure_exits_2(self, tmp_path, capsys, edit,
+                                         message):
+        doc = json.loads(serialize_document(*gen_elementary(1, 0, 2.0)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(doc)), encoding="utf-8")
+        assert main(["torsion", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_negative_dimension_exits_2(self, tmp_path, capsys):
         # with d = 0 no differential's shape checks the dimension
         text = '{"d":0,"dims":[-1],"differential":[]}'
@@ -635,6 +657,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'torsion'" in captured.err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["torsion"], "'torsion'"),
+        (["split", "--lambda", "1"], "'torsion_via_split'"),
+        (["split", "--lambda", "0"], "(underflow)"),
+    ], ids=["torsion", "split-above", "split-at-0"])
+    def test_underflowing_torsion_exits_3(self, tmp_path, capsys, argv,
+                                          field):
+        # log|rho| = 200 log 0.02 ~ -782 underflows a double; rho is never
+        # 0, so a 0 is an underflow, not a value
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 200, "harmonic": []})
+        path = tmp_path / "underflow.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "underflow" in captured.err and field in captured.err
 
     def test_selftest_default_run_prints_strict_json(self, capsys):
         def reject(token):
