@@ -177,21 +177,34 @@ def rho_an_closed(m: CircleModel) -> complex:
     return 1.0 - _exp(2j * math.pi * m.a, m)
 
 
+def _exp_nonzero(x: float, m: CircleModel) -> float:
+    """_exp of a real x whose true value is never 0: a 0 is an underflow,
+    and SpectralBoundaryError names it as _exp names an overflow."""
+    value = _exp(x, m).real
+    if not value:
+        raise SpectralBoundaryError(
+            f"exp of real part {x:.6g} underflows the float range at "
+            f"Re a = {m.a.real:g}, Im a = {m.a.imag:g}")
+    return value
+
+
 def rs_torsion_circle(m: CircleModel) -> float:
     """Ray-Singer torsion exp(-(1/2) LDet Delta_1), where the one-form
     Laplacian has spectrum {scale^2 ((n + Re a)^2 + (Im a)^2)}; in closed
-    form 1 / |2 sin(pi a)|."""
+    form 1 / |2 sin(pi a)|, about exp(-pi |Im a|), which rounds to 0 past
+    |Im a| ~ 237 and raises SpectralBoundaryError there."""
     # |2 sin(pi a)|^2 = (2 sin pi a)(2 sin pi conj(a)) makes LDet Delta twice
     # the real part of xi; the scale drops out with the zeta values at 0.
-    return _exp(-xi_circle(m).real, m).real
+    return _exp_nonzero(-xi_circle(m).real, m)
 
 
 def rs_norm_check(m: CircleModel) -> tuple[float, float]:
     """Ray-Singer norm of rho_an versus the closed-form target exp(pi Im eta),
-    both factors from one xi.  For real a both are 1."""
+    both factors from one xi.  For real a both are 1.  Past Im a ~ 237 the
+    torsion and the target round to 0, and SpectralBoundaryError names it."""
     xi = xi_circle(m)
-    value = abs(_rho_from_xi(m, xi)) * _exp(-xi.real, m).real
-    target = math.exp(math.pi * complex(eta_circle(m)).imag)
+    value = abs(_rho_from_xi(m, xi)) * _exp_nonzero(-xi.real, m)
+    target = _exp_nonzero(math.pi * complex(eta_circle(m)).imag, m)
     return value, target
 
 

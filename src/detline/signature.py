@@ -713,8 +713,8 @@ def pick_agmon_angle(m) -> float:
     return _agmon_midpoint(*_agmon_arc(_split_zero(_eig_input(m))[0]))
 
 
-def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
-                          theta: float | None = None) -> complex:
+def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
+                          lam: float) -> complex:
     """Graded determinant of B_even over the part of the spectrum above lam,
     assembled from half log-determinants of (Gamma d)^2 on the + subspaces
     and the eta invariant of B_even:
@@ -740,16 +740,17 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp, lam: float,
     twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
     zeros, so every eigenvalue of the large part counts.  An exponent whose
     exp leaves the float range, above or below, is a numerical boundary.
-    It takes no frame: the one it reads is that of the large part, built
-    here.
+    It takes no frame and no angle: the frame it reads is that of the large
+    part, built here, and theta is the Agmon angle of that part's spectrum,
+    the midpoint of its admissible arc (pick_agmon_angle's rule).  The
+    value does not depend on which admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
     odd, even = _det_blocks(large.complex, large.chirality, None)
     eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_plus + eig_minus
-    if theta is None:
-        theta = _agmon_midpoint(*_agmon_arc(eigs))
+    theta = _agmon_midpoint(*_agmon_arc(eigs))
     xi = 0.5 * (_log_det([z * z for z in eig_plus], 2 * theta)
                 - _log_det([z * z for z in eig_minus], 2 * theta))
     eta = _eta(eigs, 0).eta

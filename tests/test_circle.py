@@ -437,6 +437,27 @@ class TestCliContract:
         with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
             rho_an_closed(CircleModel(complex(0.3, -115.0)))
 
+    @pytest.mark.parametrize("a", ["0.3,300", "0.5,237.3"])
+    def test_ray_singer_underflow_exits_3(self, a, capsys):
+        # rs_torsion and rs_norm_target are about exp(-pi Im a), never 0,
+        # but round to 0 from Im a ~ 237.18
+        assert main(["circle", "--a", a]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "underflows the float range" in out.err
+
+    def test_ray_singer_underflow_in_library(self):
+        m = CircleModel(complex(0.3, 300.0))
+        for call in (rs_torsion_circle, rs_norm_check):
+            with pytest.raises(SpectralBoundaryError,
+                               match=r"-942\.478 underflows .* Im a = 300$"):
+                call(m)
+        # 1 / |2 sin(pi a)| is even in Im a
+        with pytest.raises(SpectralBoundaryError, match=r"underflows"):
+            rs_torsion_circle(CircleModel(complex(0.3, -300.0)))
+        # exp(2 pi i a) underflows legitimately: the closed form is 1
+        assert rho_an_closed(m) == 1.0
+
     def test_imaginary_part_past_the_phase_resolution_exits_3(self, capsys):
         assert main(["circle", "--a", "0.3,1e19"]) == 3
         out = capsys.readouterr()

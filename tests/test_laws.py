@@ -7,17 +7,28 @@ complex rho is a number, and every path to it (refined_torsion, the graded
 determinant, xi/eta, the split formula) must give that number.  The T_j are
 drawn with condition number kappa = 1e2, so the conjugated pair's matrices
 are no longer the generator's well-conditioned ones.
+
+Phase covariance: (t d, Gamma) with |t| = 1 is a pair with the same B^j,
+H^j and A^j, so no zero decision moves.  rho moves by
+t^{sum_j (-1)^{j+1} dim B^j}, and the graded determinant of B_even, by
+either path, by t^{sum_{j even} (dim C^j - 2 dim B^j)}, both exponents
+read off the frame.  B_even turns by t, so xi/eta takes another Agmon angle
+on the turned pair: comparing its two values checks that the angle rule
+picks an admissible one.
 """
 
+import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detline import (ChiralityOp, CochainComplex, SpectralBoundaryError,
-                     gen_random, graded_det_finite, graded_det_via_xi_eta,
-                     refined_torsion, torsion_via_split)
+                     cohomology_frame, gen_random, graded_det_finite,
+                     graded_det_via_xi_eta, refined_torsion,
+                     torsion_via_split)
 from detline.selftest import TOL, _lambda_choices
 from detline.signature import _SPLIT_TOL
 
@@ -65,3 +76,23 @@ def test_isomorphism_invariance(seed, d):
         except SpectralBoundaryError:
             continue
         assert _rel(value, rho) <= _SPLIT_TOL
+
+
+@pytest.mark.parametrize("t", [1j, cmath.exp(1j * math.pi / 3), -1.0],
+                         ids=["i", "exp(i pi/3)", "-1"])
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_phase_covariance(d, t):
+    for seed in range(40):
+        c, g = gen_random(seed, d)
+        fr = cohomology_frame(c)
+        assert fr.acyclic
+        b = [basis.shape[1] for basis in fr.B]
+        rho_exp = sum((-1) ** (j + 1) * b[j] for j in range(d + 1))
+        det_exp = sum(c.dims.dims[j] - 2 * b[j] for j in range(0, d + 1, 2))
+        ct = CochainComplex(c.dims, tuple(t * p for p in c.partial))
+        assert _rel(refined_torsion(ct, g).coeff,
+                    t ** rho_exp * refined_torsion(c, g, fr).coeff) <= TOL
+        assert _rel(graded_det_finite(ct, g),
+                    t ** det_exp * graded_det_finite(c, g, fr)) <= TOL
+        assert _rel(graded_det_via_xi_eta(ct, g, 0.0),
+                    t ** det_exp * graded_det_via_xi_eta(c, g, 0.0)) <= TOL

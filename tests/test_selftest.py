@@ -12,7 +12,8 @@ import detline.selftest as st
 import detline.signature as signature_mod
 import detline.torsion as torsion_mod
 import detline.workbench as workbench_mod
-from detline import ChiralityOp, SpectralBoundaryError, ValidationError
+from detline import (ChiralityOp, DetElement, SpectralBoundaryError,
+                     ValidationError)
 
 
 @pytest.mark.parametrize("residuals", [[0.0, math.nan, 1e-15],
@@ -48,9 +49,8 @@ def test_a_raising_check_fails_through_run_selftest(monkeypatch):
     ok, reports = st.run_selftest(cases=1, seed=0)
     failed = [r for r in reports if not r["passed"]]
     assert not ok
-    assert [r["name"] for r in failed] == ["det-eta-identity",
-                                           "agmon-angle-independence"]
-    assert all(r["detail"].startswith("exception: ") for r in failed)
+    assert [r["name"] for r in failed] == ["det-eta-identity"]
+    assert failed[0]["detail"].startswith("exception: ")
 
 
 def _stirling_scaled(m, factor):
@@ -117,61 +117,84 @@ def _odd_blocks_doubled(c, g):
     return {key: 2 * b if key[1] % 2 else b
             for key, b in _B_BLOCKS(c, g).items()}
 
-# one mutant per chiral or document check that must turn it red:
-# (check, module, attribute, mutant)
+
+def _unsigned_fuse(x, y):
+    """fuse without its sign (-1)^{M(V, W)}."""
+    return DetElement(x.coeff * y.coeff, x.dims + y.dims, x.dualized)
+
+
+def _dual_graded_without_even_sign(x):
+    """dual_graded with only the M(V, V) part of its sign."""
+    coeff = complex(x.coeff).conjugate()
+    if gradedlinalg_mod.sign_M(x.dims, x.dims):
+        coeff = -coeff
+    return DetElement(coeff, x.dims.reversed(), not x.dualized)
+
+# one mutant per chiral, line or document check that must turn it red:
+# (check, module, attribute, mutant, (cases, seed)), where the check
+# passes unmutated and fails under the mutant at (cases, seed)
 CHIRAL_MUTANTS = [
     ("torsion-equals-graded-det", torsion_mod, "sign_R",
-     lambda c: 1 - _SIGN_R(c)),
+     lambda c: 1 - _SIGN_R(c), (1, 0)),
     ("split-torsion-consistency", signature_mod, "_side_det",
-     lambda table: 1 / _SIDE_DET(table)),
+     lambda table: 1 / _SIDE_DET(table), (1, 0)),
     ("split-large-part-acyclic", signature_mod, "_zero_cut",
-     lambda scale: 0.0),
+     lambda scale: 0.0, (1, 0)),
     ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
-     _odd_blocks_doubled),
-    ("xi-eta-two-path", signature_mod, "_eta", _eta_plus_half),
+     _odd_blocks_doubled, (1, 0)),
+    ("xi-eta-two-path", signature_mod, "_eta", _eta_plus_half, (1, 0)),
     # the dual chirality's blocks transposed but not conjugated
     ("torsion-duality", torsion_mod, "dual_chirality",
-     lambda g: ChiralityOp(tuple(a.T for a in g.gamma))),
+     lambda g: ChiralityOp(tuple(a.T for a in g.gamma)), (1, 0)),
     # the fusion parity M(V, W) flipped
     ("torsion-direct-sum", gradedlinalg_mod, "sign_M",
-     lambda v, w: 1 - _SIGN_M(v, w)),
+     lambda v, w: 1 - _SIGN_M(v, w), (1, 0)),
     ("fuse-dual-line", gradedlinalg_mod, "sign_M",
-     lambda v, w: 1 - _SIGN_M(v, w)),
+     lambda v, w: 1 - _SIGN_M(v, w), (1, 0)),
     # beta without its sign (-1)^n, patched where the check reads it
     ("alpha-beta-compatibility", st, "beta_line",
-     lambda v, n: complex(v).conjugate()),
+     lambda v, n: complex(v).conjugate(), (1, 0)),
     # c_gamma's determinant of the first Gamma blocks doubled
     ("torsion-norm-unitary", torsion_mod, "alternating_det",
-     lambda blocks: 2 * _ALTERNATING_DET(blocks)),
-    ("det-eta-identity", signature_mod, "_eta", _eta_plus_half),
+     lambda blocks: 2 * _ALTERNATING_DET(blocks), (1, 0)),
+    ("det-eta-identity", signature_mod, "_eta", _eta_plus_half, (1, 0)),
     # the variation identity's right-hand side with its sign flipped
     ("torsion-variation-order", torsion_mod, "supertrace",
-     lambda blocks: -_SUPERTRACE(blocks)),
+     lambda blocks: -_SUPERTRACE(blocks), (1, 0)),
     # every number written one character short: a "0" becomes nothing, so
     # the text no longer reads back
     ("document-round-trip", workbench_mod, "_fmt_float",
-     lambda x: _FMT_FLOAT(x)[:-1]),
+     lambda x: _FMT_FLOAT(x)[:-1], (1, 0)),
+    # one Agmon arc for every spectrum, (-pi/2, 0): a turned spectrum's
+    # angle may then be inadmissible, and xi/eta returns -Det_gr
+    ("agmon-angle-independence", signature_mod, "_agmon_arc",
+     lambda eigs: (0.0, math.pi / 2), (1, 0)),
+    # the line checks, patched where they read fuse and dual_graded; at
+    # (1, 0) no draw has the dropped sign odd, at (1, 1) one does
+    ("fuse-anticommutation", st, "fuse", _unsigned_fuse, (1, 1)),
+    ("dual-graded-involution", st, "dual_graded",
+     _dual_graded_without_even_sign, (1, 1)),
 ]
 
 
-def _passes(check) -> bool:
-    """The verdict of check(1, 0), a raise of the package's own errors
-    counting as a failure, as in run_selftest; any other exception (a
-    mutant that does not fit its call) propagates."""
+def _passes(check, cases, seed) -> bool:
+    """The verdict of check(cases, seed), a raise of the package's own
+    errors counting as a failure, as in run_selftest; any other exception
+    (a mutant that does not fit its call) propagates."""
     try:
-        return check(1, 0)[0]
+        return check(cases, seed)[0]
     except (SpectralBoundaryError, ValidationError):
         return False
 
 
-@pytest.mark.parametrize("name, module, attr, mutant", CHIRAL_MUTANTS,
-                         ids=[name for name, _, _, _ in CHIRAL_MUTANTS])
+@pytest.mark.parametrize("name, module, attr, mutant, at", CHIRAL_MUTANTS,
+                         ids=[row[0] for row in CHIRAL_MUTANTS])
 def test_chiral_check_fails_on_its_mutant(monkeypatch, name, module, attr,
-                                          mutant):
+                                          mutant, at):
     check = dict(st.CHECKS)[name]
-    assert check(1, 0)[0]
+    assert check(*at)[0]
     monkeypatch.setattr(module, attr, mutant)
-    assert _passes(check) is False
+    assert _passes(check, *at) is False
 
 
 # mutants of a pair block [[0, Q], [P, 0]] of the +/- sides, each of which
