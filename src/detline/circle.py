@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import SpectralBoundaryError, ValidationError
+from .errors import SpectralBoundaryError, ValidationError, _exp_in_range
 from .signature import _agmon_arc, _agmon_midpoint, _eta, _log_det
 
 __all__ = [
@@ -51,6 +51,10 @@ _B = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0,
 _STIRLING = tuple(_B[2 * k] / (2 * k * (2 * k - 1)) for k in range(9, 0, -1))
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _CUT_TOL = 1e-9  # least sector margin of a branch angle, on the squares
+# where an exp of the model leaves the float range ({0} is the exponent):
+# |rho_an| grows like exp(2 pi |Im a|) for Im a < 0, and the Ray-Singer
+# values shrink like exp(-pi |Im a|)
+_AT_A = " at Re a = {1.real:g}, Im a = {1.imag:g}"
 
 
 @dataclass(frozen=True)
@@ -147,17 +151,6 @@ def xi_circle(m: CircleModel, theta: float | None = None) -> complex:
     return complex(xi)
 
 
-def _exp(z: complex, m: CircleModel) -> complex:
-    """cmath.exp(z), raising SpectralBoundaryError when the value leaves the
-    float range (|rho_an| grows like exp(2 pi |Im a|) for Im a < 0)."""
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        raise SpectralBoundaryError(
-            f"exp of real part {z.real:.6g} overflows the float range at "
-            f"Re a = {m.a.real:g}, Im a = {m.a.imag:g}") from None
-
-
 def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
     """Analytic torsion of the model, exp(xi - i pi eta); theta as in xi.
     For Im a > 0, Re xi and pi Im eta (each ~ pi Im a) cancel in the
@@ -169,42 +162,38 @@ def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
 
 
 def _rho_from_xi(m: CircleModel, xi: complex) -> complex:
-    return _exp(xi - 1j * math.pi * eta_circle(m), m)
+    return _exp_in_range(xi - 1j * math.pi * eta_circle(m), _AT_A, (m.a,),
+                         nonzero=False)
 
 
 def rho_an_closed(m: CircleModel) -> complex:
-    """Closed form 1 - exp(2 pi i a) (combinatorial value, scale free)."""
-    return 1.0 - _exp(2j * math.pi * m.a, m)
-
-
-def _exp_nonzero(x: float, m: CircleModel) -> float:
-    """_exp of a real x whose true value is never 0: a 0 is an underflow,
-    and SpectralBoundaryError names it as _exp names an overflow."""
-    value = _exp(x, m).real
-    if not value:
-        raise SpectralBoundaryError(
-            f"exp of real part {x:.6g} underflows the float range at "
-            f"Re a = {m.a.real:g}, Im a = {m.a.imag:g}")
-    return value
+    """Closed form 1 - exp(2 pi i a) (combinatorial value, scale free);
+    exp(2 pi i a) may round to 0 at large Im a, where the value is 1."""
+    return 1.0 - _exp_in_range(2j * math.pi * m.a, _AT_A, (m.a,),
+                               nonzero=False)
 
 
 def rs_torsion_circle(m: CircleModel) -> float:
     """Ray-Singer torsion exp(-(1/2) LDet Delta_1), where the one-form
     Laplacian has spectrum {scale^2 ((n + Re a)^2 + (Im a)^2)}; in closed
-    form 1 / |2 sin(pi a)|, about exp(-pi |Im a|), which rounds to 0 past
-    |Im a| ~ 237 and raises SpectralBoundaryError there."""
+    form 1 / |2 sin(pi a)|, about exp(-pi |Im a|), which leaves the normal
+    float range past |Im a| ~ 225.5 and raises SpectralBoundaryError
+    there."""
     # |2 sin(pi a)|^2 = (2 sin pi a)(2 sin pi conj(a)) makes LDet Delta twice
     # the real part of xi; the scale drops out with the zeta values at 0.
-    return _exp_nonzero(-xi_circle(m).real, m)
+    return _exp_in_range(-xi_circle(m).real, _AT_A, (m.a,)).real
 
 
 def rs_norm_check(m: CircleModel) -> tuple[float, float]:
     """Ray-Singer norm of rho_an versus the closed-form target exp(pi Im eta),
-    both factors from one xi.  For real a both are 1.  Past Im a ~ 237 the
-    torsion and the target round to 0, and SpectralBoundaryError names it."""
+    both factors from one xi.  For real a both are 1.  Past Im a ~ 225.5
+    the torsion and the target leave the normal float range, and
+    SpectralBoundaryError names it."""
     xi = xi_circle(m)
-    value = abs(_rho_from_xi(m, xi)) * _exp_nonzero(-xi.real, m)
-    target = _exp_nonzero(math.pi * complex(eta_circle(m)).imag, m)
+    value = abs(_rho_from_xi(m, xi)) * _exp_in_range(-xi.real, _AT_A,
+                                                     (m.a,)).real
+    target = _exp_in_range(math.pi * complex(eta_circle(m)).imag, _AT_A,
+                           (m.a,)).real
     return value, target
 
 

@@ -7,7 +7,7 @@ entry and a d or dims entry that is not a JSON integer), 3 numerical
 boundary (eigenvalue on a cut, split level in a cluster, an overflowing
 B^2 block, a split whose sign iteration does not converge, a split part
 that fails its d.d, Gamma^2 or restriction check, singular operator, a
-non-finite result or a torsion that underflows to 0, or a failed
+non-finite result or a torsion below the normal float range, or a failed
 selftest).
 stdout holds strict JSON (no NaN or Infinity) or nothing.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import circle as ci
 from .complexes import cohomology_frame, phi, sign_N
-from .errors import SpectralBoundaryError, ValidationError
+from .errors import SpectralBoundaryError, ValidationError, _in_range
 from .gradedlinalg import sign_M
 from .selftest import run_selftest
 from .signature import (_SPLIT_TOL, _torsion_from_split, graded_det_finite,
@@ -33,19 +33,13 @@ from .workbench import deserialize_document
 __all__ = ["main"]
 
 
-def _pair(z) -> list[float]:
+def _pair(z, field: str = "") -> list[float]:
+    """[Re z, Im z]; a named field holds a refined torsion, which is never
+    0, so it must lie in the float range (_in_range)."""
+    if field:
+        z = _in_range(z, "result", " in field {0!r}", (field,))
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _torsion_pair(z, field: str) -> list[float]:
-    """_pair of a refined torsion, which is never 0: a 0 built from finite
-    nonzero factors is an underflow, a numerical boundary named by its
-    field."""
-    if z == 0:
-        raise SpectralBoundaryError(f"result underflows to 0 in field "
-                                    f"{field!r}")
-    return _pair(z)
 
 
 def _load_chiral(path: str):
@@ -66,7 +60,7 @@ def _cmd_torsion(args) -> dict:
     cg = c_gamma(c, g)
     rho = phi(cg, frame)  # refined_torsion(c, g, frame), sharing cg
     out = {
-        "torsion": _torsion_pair(rho.coeff, "torsion"),
+        "torsion": _pair(rho.coeff, "torsion"),
         "betti": list(frame.betti),
         # torsion_norm(c, g): the modulus of the c_Gamma coefficient
         "torsion_norm": float(abs(cg.coeff)),
@@ -97,8 +91,8 @@ def _cmd_split(args) -> dict:
         "d_small": [b.shape[1] for b in split.small.bases],
         "d_large": [b.shape[1] for b in split.large.bases],
         "graded_det_large": _pair(det_large),
-        "torsion_via_split": _torsion_pair(via.coeff, "torsion_via_split"),
-        "refined_torsion": _torsion_pair(rho.coeff, "refined_torsion"),
+        "torsion_via_split": _pair(via.coeff, "torsion_via_split"),
+        "refined_torsion": _pair(rho.coeff, "refined_torsion"),
         "consistency_residual": residual,
         "tolerance": _SPLIT_TOL,
         "consistent": bool(residual <= _SPLIT_TOL),

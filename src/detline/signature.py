@@ -56,7 +56,8 @@ import numpy as np
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         _columns, _readonly, _sigma_min_above, _zero_cut,
                         cohomology_frame)
-from .errors import SpectralBoundaryError, ValidationError
+from .errors import (SpectralBoundaryError, ValidationError, _exp_in_range,
+                     _in_range)
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
                       validate_chirality)
@@ -337,24 +338,20 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     determinant is (-1)^n det P det Q (_pair_det), two n x n LU
     factorizations in place of one of order 2n.  A singular block (an LU
     pivot that is exactly 0) means B_even is not bijective.  The graded
-    determinant of a bijective B_even is never 0, so a value of 0 built
-    from blocks that are not singular is an underflow, and a value that
-    is not finite an overflow; each is a numerical boundary."""
+    determinant of a bijective B_even is never 0, so a value built from
+    blocks that are not singular must lie in the float range (_in_range)."""
     odd, even = _det_blocks(c, g, frame)
     m = sum(b.shape[1] for b in even.values())
     # numpy's det leaves the floating-point range silently here, and only
     # the LU pivots of the blocks tell a singular one from a product that
     # left the range
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = _side_det(odd) / ((-1) ** m * _side_det(even))
-        if value and cmath.isfinite(value):
-            return complex(value)
-        if any(np.linalg.slogdet(b)[0] == 0 for table in (odd, even)
-               for b in table.values() if b.size):
+        value = complex(_side_det(odd) / ((-1) ** m * _side_det(even)))
+        if not (value and cmath.isfinite(value)) and any(
+                np.linalg.slogdet(b)[0] == 0 for table in (odd, even)
+                for b in table.values() if b.size):
             raise SpectralBoundaryError("B_even is not bijective")
-    raise SpectralBoundaryError(
-        "the determinant of B_even rounds to 0 (underflow)" if value == 0
-        else "the determinant of B_even is not finite (overflow)")
+    return _in_range(value, "the determinant of B_even")
 
 
 @dataclass(frozen=True)
@@ -738,8 +735,9 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     (_pair_spectrum), from one n x n matrix in place of a 2n x 2n one.
     Both roots of each nu are listed, so a pair adds nothing to eta and
     twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
-    zeros, so every eigenvalue of the large part counts.  An exponent whose
-    exp leaves the float range, above or below, is a numerical boundary.
+    zeros, so every eigenvalue of the large part counts.  The graded
+    determinant is never 0, so its exp must lie in the float range
+    (_exp_in_range).
     It takes no frame and no angle: the frame it reads is that of the large
     part, built here, and theta is the Agmon angle of that part's spectrum,
     the midpoint of its admissible arc (pick_agmon_angle's rule).  The
@@ -756,13 +754,4 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     eta = _eta(eigs, 0).eta
     z = (xi - 1j * math.pi * eta
          + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
-    try:
-        value = complex(cmath.exp(z))
-    except OverflowError:
-        value = 0j  # out of range too; the sign of z.real names the side
-    if not value:  # a graded determinant is never 0: an exp of 0 underflows
-        side = "over" if z.real > 0 else "under"
-        raise SpectralBoundaryError(
-            f"exp of real part {z.real:.6g} {side}flows the float range "
-            f"(the graded determinant of B_even)")
-    return value
+    return _exp_in_range(z, " (the graded determinant of B_even)")

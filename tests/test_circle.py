@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -437,14 +438,28 @@ class TestCliContract:
         with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
             rho_an_closed(CircleModel(complex(0.3, -115.0)))
 
-    @pytest.mark.parametrize("a", ["0.3,300", "0.5,237.3"])
+    @pytest.mark.parametrize("a", ["0.3,300", "0.5,237.3", "0.3,237.1",
+                                   "0.3,225.49", "0.95,225.49"])
     def test_ray_singer_underflow_exits_3(self, a, capsys):
-        # rs_torsion and rs_norm_target are about exp(-pi Im a), never 0,
-        # but round to 0 from Im a ~ 237.18
+        # rs_torsion and rs_norm_target are about exp(-pi Im a), never 0;
+        # they round to 0 from Im a ~ 237.18 and are subnormal from
+        # Im a ~ 225.4896, where exp(-pi Im a) = 2.2e-308
         assert main(["circle", "--a", a]) == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert "underflows the float range" in out.err
+        re, im = a.split(",")
+        assert out.err.startswith("numerical boundary: exp of real part -")
+        assert out.err.endswith(f" underflows the float range at Re a = "
+                                f"{re}, Im a = {im}\n")
+
+    @pytest.mark.parametrize("a", ["0.3,225.489", "0.95,225.489"])
+    def test_last_normal_ray_singer_values_exit_0(self, a, capsys):
+        assert main(["circle", "--a", a]) == 0
+        out = json.loads(capsys.readouterr().out)
+        for key in ("rs_torsion", "rs_norm_value", "rs_norm_target"):
+            assert sys.float_info.min <= out[key] < 2.5e-308, key
+        np.testing.assert_allclose(out["rs_norm_value"],
+                                   out["rs_norm_target"], rtol=1e-9)
 
     def test_ray_singer_underflow_in_library(self):
         m = CircleModel(complex(0.3, 300.0))
@@ -453,8 +468,12 @@ class TestCliContract:
                                match=r"-942\.478 underflows .* Im a = 300$"):
                 call(m)
         # 1 / |2 sin(pi a)| is even in Im a
-        with pytest.raises(SpectralBoundaryError, match=r"underflows"):
-            rs_torsion_circle(CircleModel(complex(0.3, -300.0)))
+        for im in (-300.0, -225.49):
+            with pytest.raises(SpectralBoundaryError,
+                               match=r"^exp of real part -\d+\.\d+ "
+                                     r"underflows the float range at "
+                                     r"Re a = 0\.3, Im a = -\d+\.?\d*$"):
+                rs_torsion_circle(CircleModel(complex(0.3, im)))
         # exp(2 pi i a) underflows legitimately: the closed form is 1
         assert rho_an_closed(m) == 1.0
 

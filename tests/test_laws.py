@@ -15,6 +15,18 @@ either path, by t^{sum_{j even} (dim C^j - 2 dim B^j)}, both exponents
 read off the frame.  B_even turns by t, so xi/eta takes another Agmon angle
 on the turned pair: comparing its two values checks that the angle rule
 picks an admissible one.
+
+The Ray-Singer identity: with rho's coefficient taken in the frame's
+orthonormal harmonic bases,
+
+    log|rho| = log|c_Gamma| + log T_RS,
+    log T_RS = sum_q (-1)^{q+1} (q/2) log det' Delta_q
+             = sum_j (-1)^j sum_i log sigma_i(d_j),
+
+Delta_q = d^H d + d d^H on C^q and det' the product of its nonzero
+eigenvalues.  The Laplacians' eigenvalues come from eigvalsh, which sees
+neither phi nor c_Gamma's determinants, and the number of zero ones in
+degree q is the Betti number the draw's profile asks for.
 """
 
 import cmath
@@ -26,13 +38,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detline import (ChiralityOp, CochainComplex, SpectralBoundaryError,
-                     cohomology_frame, gen_random, graded_det_finite,
-                     graded_det_via_xi_eta, refined_torsion,
+                     c_gamma, cohomology_frame, gen_random, graded_det_finite,
+                     graded_det_via_xi_eta, random_profile, refined_torsion,
                      torsion_via_split)
 from detline.selftest import TOL, _lambda_choices
 from detline.signature import _SPLIT_TOL
 
 KAPPA = 1e2
+EPS = np.finfo(float).eps
 
 
 def conjugated(seed, d, kappa=KAPPA):
@@ -96,3 +109,61 @@ def test_phase_covariance(d, t):
                     t ** det_exp * graded_det_finite(c, g, fr)) <= TOL
         assert _rel(graded_det_via_xi_eta(ct, g, 0.0),
                     t ** det_exp * graded_det_via_xi_eta(c, g, 0.0)) <= TOL
+
+
+def _log_rs_torsion(c, betti):
+    """log T_RS from eigvalsh of the Laplacians, with the betti[q] smallest
+    eigenvalues of Delta_q taken as its kernel, and the first-order bound
+    of its rounding: eigvalsh returns the eigenvalues of Delta_q + E with
+    ||E|| <= n_q eps ||Delta_q|| (forming Delta_q adds as much), and by Weyl
+    each log lambda_i then moves by at most n_q eps ||Delta_q|| / lambda_i."""
+    d = c.d
+    log_t = bound = 0.0
+    for q, n in enumerate(c.dims.dims):
+        lap = np.zeros((n, n), dtype=complex)
+        if q < d:
+            lap += c.partial[q].conj().T @ c.partial[q]
+        if q > 0:
+            lap += c.partial[q - 1] @ c.partial[q - 1].conj().T
+        lam = np.linalg.eigvalsh(lap)[betti[q]:]
+        log_t += (-1) ** (q + 1) * (q / 2) * float(np.log(lam).sum())
+        if lam.size:
+            bound += (q / 2) * n * EPS * float((lam[-1] / lam).sum())
+    return log_t, bound
+
+
+def _ray_singer_residual(c, g, betti):
+    """|log|rho| - log|c_Gamma| - log T_RS| and its bound: the Laplacian
+    side's first-order bound, plus N eps for rho's and c_Gamma's
+    determinants over N dimensions, times 4 for the constants."""
+    log_t, bound = _log_rs_torsion(c, betti)
+    residual = abs(math.log(abs(refined_torsion(c, g).coeff))
+                   - math.log(abs(c_gamma(c, g).coeff)) - log_t)
+    return residual, 4.0 * (bound + c.dims.total * EPS)
+
+
+@pytest.mark.parametrize("acyclic", [True, False],
+                         ids=["acyclic", "cohomology"])
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_ray_singer_identity(d, acyclic):
+    for seed in range(40):
+        profile = random_profile(np.random.default_rng(seed), d, acyclic)
+        c, g = gen_random(seed, d, profile)
+        betti = [0] * (d + 1)
+        for h in profile["harmonic"]:  # a summand fills h and d - h != h
+            betti[h] += 1
+            betti[d - h] += 1
+        assert list(cohomology_frame(c).betti) == betti
+        residual, bound = _ray_singer_residual(c, g, betti)
+        assert residual <= bound, (seed, residual, bound)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_ray_singer_identity_on_conjugated_pairs(d):
+    # T_j of condition kappa widen each Laplacian's spread
+    # ||Delta_q|| / lambda_i by up to kappa^4, and the eigvalsh side's
+    # rounding with it; the bound reads that spread off the draw
+    for seed in range(40):
+        _, (c, g) = conjugated(seed, d)
+        residual, bound = _ray_singer_residual(c, g, [0] * (d + 1))
+        assert residual <= bound, (seed, residual, bound)

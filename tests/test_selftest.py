@@ -151,6 +151,10 @@ CHIRAL_MUTANTS = [
      lambda v, w: 1 - _SIGN_M(v, w), (1, 0)),
     ("fuse-dual-line", gradedlinalg_mod, "sign_M",
      lambda v, w: 1 - _SIGN_M(v, w), (1, 0)),
+    # the fusion parity read as M(V, V): fuse stops being associative,
+    # where a dropped, negated or swapped M keeps it so
+    ("fuse-associative", gradedlinalg_mod, "sign_M",
+     lambda v, w: _SIGN_M(v, v), (40, 12345)),
     # beta without its sign (-1)^n, patched where the check reads it
     ("alpha-beta-compatibility", st, "beta_line",
      lambda v, n: complex(v).conjugate(), (1, 0)),

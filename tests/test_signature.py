@@ -3,6 +3,7 @@ branch-cut determinants."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -1840,24 +1841,40 @@ class TestXiEtaOverflow:
                                  r"float range \(the graded determinant of "
                                  r"B_even\)$"):
             graded_det_via_xi_eta(c, g, 0.0)
-        with pytest.raises(SpectralBoundaryError, match=r"\(overflow\)$"):
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^the determinant of B_even overflows the "
+                                 r"float range$"):
             graded_det_finite(c, g)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflow_names_the_real_part(self):
-        # the mirror image: log|rho| = 200 log 0.02 ~ -782 underflows, and
-        # a graded determinant of a bijective B_even is never 0
-        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 200,
-                                 "harmonic": []})
+    @pytest.mark.parametrize("n, real", [(182, r"-711\.98\d*"),
+                                         (188, r"-735\.46\d*"),
+                                         (200, r"-782\.4\d*")])
+    def test_underflow_names_the_real_part(self, n, real):
+        # the mirror image: |rho| = 0.02^n is subnormal at n = 182
+        # (6.1e-310) and 188 (3.9e-320), its digits lost (a relative error
+        # of 1e-4 at 188), and 1.6e-340 at n = 200 rounds to 0; a graded
+        # determinant of a bijective B_even is never 0, so each underflows
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * n, "harmonic": []})
         with pytest.raises(SpectralBoundaryError,
-                           match=r"^exp of real part -782\.4\d* underflows "
-                                 r"the float range \(the graded determinant "
-                                 r"of B_even\)$"):
+                           match=rf"^exp of real part {real} underflows the "
+                                 r"float range \(the graded determinant of "
+                                 r"B_even\)$"):
             graded_det_via_xi_eta(c, g, 0.0)
         with pytest.raises(SpectralBoundaryError,
-                           match=r"^the determinant of B_even rounds to 0 "
-                                 r"\(underflow\)$"):
+                           match=r"^the determinant of B_even underflows the "
+                                 r"float range$"):
             graded_det_finite(c, g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_last_normal_value_is_returned(self):
+        # 0.02^181 = 3.06e-308 lies just above the least normal double
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 181,
+                                 "harmonic": []})
+        for value in (graded_det_finite(c, g),
+                      graded_det_via_xi_eta(c, g, 0.0)):
+            assert abs(value) >= sys.float_info.min
+            np.testing.assert_allclose(abs(value), 0.02 ** 181, rtol=1e-9)
 
 
 def _scaled(c, t):

@@ -658,22 +658,37 @@ class TestCli:
         assert captured.out == ""
         assert "'torsion'" in captured.err
 
-    @pytest.mark.parametrize("argv, field", [
-        (["torsion"], "'torsion'"),
-        (["split", "--lambda", "1"], "'torsion_via_split'"),
-        (["split", "--lambda", "0"], "(underflow)"),
+    @pytest.mark.parametrize("argv, message", [
+        (["torsion"],
+         "result underflows the float range in field 'torsion'"),
+        (["split", "--lambda", "1"],
+         "result underflows the float range in field 'torsion_via_split'"),
+        (["split", "--lambda", "0"],
+         "the determinant of B_even underflows the float range"),
     ], ids=["torsion", "split-above", "split-at-0"])
+    @pytest.mark.parametrize("n", [182, 188, 200])
     def test_underflowing_torsion_exits_3(self, tmp_path, capsys, argv,
-                                          field):
-        # log|rho| = 200 log 0.02 ~ -782 underflows a double; rho is never
-        # 0, so a 0 is an underflow, not a value
-        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 200, "harmonic": []})
+                                          message, n):
+        # |rho| = 0.02^n: 6.1e-310 at n = 182 and 3.9e-320 at n = 188 are
+        # subnormal, their digits lost, and 1.6e-340 at n = 200 rounds to
+        # 0; rho is never 0, so each is an underflow, not a value
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * n, "harmonic": []})
         path = tmp_path / "underflow.json"
         path.write_text(serialize_document(c, g), encoding="utf-8")
         assert main([argv[0], str(path), *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "underflow" in captured.err and field in captured.err
+        assert captured.err == f"numerical boundary: {message}\n"
+
+    def test_last_normal_torsion_exits_0(self, tmp_path, capsys):
+        # 0.02^181 = 3.06e-308 lies just above the least normal double
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * 181, "harmonic": []})
+        path = tmp_path / "normal.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        assert main(["torsion", str(path)]) == 0
+        rho = complex(*json.loads(capsys.readouterr().out)["torsion"])
+        assert abs(rho) >= sys.float_info.min
+        assert abs(abs(rho) - 0.02 ** 181) <= 1e-9 * 0.02 ** 181
 
     def test_selftest_default_run_prints_strict_json(self, capsys):
         def reject(token):
