@@ -156,14 +156,15 @@ def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
     For Im a > 0, Re xi and pi Im eta (each ~ pi Im a) cancel in the
     exponent, which costs ~ pi Im a eps of relative precision: against
     rho_an_closed at Re a = 0.3 the relative error is 1.4e-12 at Im a = 1e3,
-    1.1e-9 at 1e6 and 1.8e-8 at 1e7.  For Im a < 0, |rho_an| leaves the
-    float range past Im a ~ -113, and the CLI exits 3."""
+    1.1e-9 at 1e6 and 1.8e-8 at 1e7.  rho_an is never 0, so it must lie in
+    the normal float range: for Im a < 0, |rho_an| leaves it past
+    Im a ~ -113, and rho_an ~ -2 pi i a falls below it for real a below
+    about 3.54e-309; the CLI exits 3."""
     return _rho_from_xi(m, xi_circle(m, theta))
 
 
 def _rho_from_xi(m: CircleModel, xi: complex) -> complex:
-    return _exp_in_range(xi - 1j * math.pi * eta_circle(m), _AT_A, (m.a,),
-                         nonzero=False)
+    return _exp_in_range(xi - 1j * math.pi * eta_circle(m), _AT_A, (m.a,))
 
 
 def rho_an_closed(m: CircleModel) -> complex:
@@ -240,7 +241,9 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     truncated spectrum drops by one for each removed point).  The removed n
     satisfy -k - 1 <= n <= k; one more on each side guards rounding.  theta
     as in xi, and the finite part's log-determinants take its cut.  No n + a
-    is zero, so the finite part's values are all taken as nonzero."""
+    is zero, so the finite part's values are all taken as nonzero, and
+    the large part's determinant, never 0, must lie in the normal float
+    range (past Im a ~ -113 it overflows)."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
     theta = _agmon_angle(m, theta)
@@ -249,7 +252,7 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     xi = xi_circle(m, theta)
     xi_lam = xi - 0.5 * _log_det([z * z for z in small], 2.0 * theta)
     eta_lam = eta_circle(m) - _eta(small, 0).eta
-    det_large = cmath.exp(xi_lam - 1j * math.pi * eta_lam
-                          - 0.5j * math.pi * len(small))
+    det_large = _exp_in_range(xi_lam - 1j * math.pi * eta_lam
+                              - 0.5j * math.pi * len(small), _AT_A, (m.a,))
     det_small = math.prod(small, start=1.0 + 0.0j)
     return abs(det_large * det_small - _rho_from_xi(m, xi))

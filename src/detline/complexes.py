@@ -7,6 +7,8 @@ standard Hermitian inner product of its coordinates.  The main tool is the
 orthogonal decomposition C^j = B^j + H^j + A^j into exact, harmonic and
 coexact parts; it induces the canonical isomorphism ``phi`` between the
 determinant line of the complex and the determinant line of its cohomology.
+An element of that line (CohomologyElement) is checked once, when it is
+built, too: its coefficient, never 0, must be finite and of normal modulus.
 The decomposition is chained down the complex: d_j vanishes on B^j, so it
 is factorized on the orthogonal complement of B^j only, and its left
 singular vectors give B^{j+1} and the next complement.  A square degree
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _in_range
 from .gradedlinalg import (DetElement, GradedDims, alternating_det,
                            dual_graded, fuse)
 
@@ -317,10 +319,16 @@ def sign_N(frame: CohomologyFrame) -> int:
 @dataclass(frozen=True)
 class CohomologyElement:
     """Element of the determinant line of cohomology, as a coefficient
-    against the wedge of the frame's orthonormal harmonic bases."""
+    against the wedge of the frame's orthonormal harmonic bases.  Every
+    element the package builds (a refined, split or dual torsion) is never
+    0, so construction checks that the coefficient is finite and of normal
+    modulus (_in_range)."""
 
     coeff: complex
     frame: CohomologyFrame = field(repr=False)
+
+    def __post_init__(self):
+        _in_range(self.coeff, "the cohomology element")
 
 
 def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
@@ -348,7 +356,9 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
         if t.shape[1] != c.dims.dims[j]:
             raise ValidationError(f"degree {j}: frame does not span C^{j}")
         ts.append(t[:0, :0] if j == 0 and standard else t)
-    coeff = complex(x.coeff) * alternating_det(ts)
+    # numpy's det may leave the float range; the element names that
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeff = complex(x.coeff) * alternating_det(ts)
     if sign_N(frame):
         coeff = -coeff
     return CohomologyElement(coeff, frame)

@@ -50,7 +50,7 @@ from . import circle as ci
 from .complexes import (CochainComplex, CohomologyFrame, alpha_cohomology,
                         cohomology_frame, direct_sum, dual_complex,
                         fused_in_sum_frame, phi)
-from .errors import ValidationError
+from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
                            beta_line, dual_graded, fuse)
 from .signature import (_SPLIT_TOL, build_signature, det_eta_check,
@@ -207,7 +207,7 @@ def check_cohomology_duality(cases, seed):
         x = DetElement(_rand_coeff(rng), c.dims)
         lhs = phi(DetElement(dual_graded(x).coeff, chat.dims), frh).coeff
         rhs = alpha_cohomology(phi(x, cohomology_frame(c)), frh).coeff
-        res.append(abs(lhs - rhs) / max(abs(lhs), 1e-30))
+        res.append(_rel(rhs, lhs))
     return _verdict(res, TOL, "relative residual")
 
 
@@ -283,10 +283,17 @@ def check_torsion_graded_det(cases, seed):
 
 
 def _lambda_choices(c, g):
+    """Split levels 0, mid-gap of the two least B^2 moduli above the cut
+    1e-4 (when there are two) and twice the largest; no modulus above the
+    cut leaves no level, a numerical boundary."""
     s = build_signature(c, g)
-    mods = sorted({round(abs(z), 6) for j in range(c.d + 1)
-                   for z in np.linalg.eigvals(s.bsq_block(j))
-                   if abs(z) > 1e-4})
+    # the zero complex has no eigenvalue: its largest modulus is 0
+    moduli = [abs(z) for j in range(c.d + 1)
+              for z in np.linalg.eigvals(s.bsq_block(j))] or [0.0]
+    mods = sorted({round(r, 6) for r in moduli if r > 1e-4})
+    if not mods:
+        raise SpectralBoundaryError(f"largest B^2 modulus {max(moduli):.3g} "
+                                    "is at or below the split level cut 1e-4")
     lams = [0.0]
     if len(mods) > 1:
         lams.append((mods[0] + mods[1]) / 2.0)

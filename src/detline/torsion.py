@@ -208,5 +208,4 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
     lhs = refined_torsion(chat, dual_chirality(g), frame_hat).coeff
     rho = refined_torsion(c, g, frame)
     rhs = alpha_cohomology(rho, frame_hat).coeff
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -406,7 +406,7 @@ class TestCliContract:
     @pytest.mark.parametrize("a, named", [
         ("0.3,-115", "Im a = -115"),
         ("0.3,-113", "Im a = -113"),
-        # the Ray-Singer torsion 1/|2 sin(pi a)| leaves the float range
+        # rho_an ~ -2 pi i a falls below the normal float range
         ("5e-324", "Re a = 4.94066e-324")])
     def test_overflow_exits_3(self, a, named, capsys):
         assert main(["circle", "--a", a]) == 3
@@ -437,6 +437,36 @@ class TestCliContract:
             rho_an_circle(CircleModel(complex(0.3, -115.0)))
         with pytest.raises(SpectralBoundaryError, match=r"Im a = -115"):
             rho_an_closed(CircleModel(complex(0.3, -115.0)))
+
+    def test_tiny_exponent_underflows(self, capsys):
+        # rho_an = 1 - exp(2 pi i a) ~ -2 pi i a is never 0, so at
+        # a = 5e-324 its subnormal value (-3e-323j) is an underflow, which
+        # every path through it names first; the closed form's term
+        # exp(2 pi i a) = 1 is in range
+        m = CircleModel(5e-324)
+        message = ("exp of real part -742.602 underflows the float range "
+                   "at Re a = 4.94066e-324, Im a = 0")
+        for call in (rho_an_circle, rs_norm_check,
+                     lambda m: metric_scale_check(m, 2.0)):
+            with pytest.raises(SpectralBoundaryError) as exc:
+                call(m)
+            assert str(exc.value) == message
+        assert main(["circle", "--a", "5e-324"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"numerical boundary: {message}\n"
+
+    @pytest.mark.parametrize("im, real", [(-113.0, "710"),
+                                          (-115.0, "722.566")])
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_split_check_overflow_names_the_real_part(self, im, real, k):
+        # no eigenvalue lies below these levels, so the large part is all
+        # of rho_an, whose modulus exp(2 pi |Im a|) overflows
+        with pytest.raises(SpectralBoundaryError) as exc:
+            split_check(CircleModel(complex(0.3, im)), k)
+        assert str(exc.value) == (f"exp of real part {real} overflows the "
+                                  f"float range at Re a = 0.3, Im a = "
+                                  f"{im:g}")
 
     @pytest.mark.parametrize("a", ["0.3,300", "0.5,237.3", "0.3,237.1",
                                    "0.3,225.49", "0.95,225.49"])

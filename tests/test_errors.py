@@ -3,7 +3,9 @@ arithmetic must be finite and of normal modulus, or it is a numerical
 boundary named as an overflow or an underflow."""
 
 import cmath
+import json
 import math
+import pathlib
 import sys
 
 import pytest
@@ -89,3 +91,16 @@ class TestExpInRange:
                            match=r"^exp of real part 710 overflows the float "
                                  r"range$"):
             _exp_in_range(710.0, nonzero=False)
+
+
+def test_the_ledger_raises_only_named_errors():
+    # every raise recorded in LEDGER.json (written by tests/ledger.py) is a
+    # validation error or a named numerical boundary, never a bare Python
+    # exception such as an OverflowError of cmath.exp
+    path = pathlib.Path(__file__).resolve().parent.parent / "LEDGER.json"
+    outcomes = json.loads(path.read_text(encoding="utf-8"))["outcomes"]
+    raises = [(p, case, text) for p, cases in outcomes.items()
+              for case, text in cases.items() if text.startswith("raise ")]
+    assert raises
+    assert [r for r in raises if not r[2].startswith((
+        "raise ValidationError: ", "raise SpectralBoundaryError: "))] == []

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import detline.circle as ci
@@ -248,3 +249,39 @@ def test_circle_zeta_zero_fails_on_a_wrong_zeta_at_zero(monkeypatch, mutant):
     # a shifted zeta(0, q) is the check's row in CIRCLE_MUTANTS
     monkeypatch.setattr(ci, "_zeta0", mutant)
     assert not dict(st.CHECKS)["circle-zeta-zero"](1, 0)[0]
+
+
+def _old_lambda_rule(c, g):
+    """The level rule as written before a complex with no modulus above the
+    cut raised a named boundary: the reference for every other complex."""
+    s = st.build_signature(c, g)
+    mods = sorted({round(abs(z), 6) for j in range(c.d + 1)
+                   for z in np.linalg.eigvals(s.bsq_block(j))
+                   if abs(z) > 1e-4})
+    lams = [0.0]
+    if len(mods) > 1:
+        lams.append((mods[0] + mods[1]) / 2.0)
+    return lams + [2.0 * max(mods)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("acyclic", [True, False])
+def test_split_levels_are_unchanged(seed, d, acyclic):
+    c, g = st._instance(seed, d, acyclic)
+    assert st._lambda_choices(c, g) == _old_lambda_rule(c, g)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+def test_no_level_above_the_cut_is_a_named_boundary(t):
+    # every B^2 modulus of gen_random(0, 3) scales by t^2, below the 1e-4
+    # cut from t = 1e-4 on: no split level is left to choose
+    c, g = workbench_mod.gen_random(0, 3)
+    top = max(st._lambda_choices(c, g)) / 2.0
+    scaled = st.CochainComplex(c.dims, tuple(t * m for m in c.partial))
+    with pytest.raises(SpectralBoundaryError,
+                       match=r"^largest B\^2 modulus \S+ is at or below "
+                             r"the split level cut 1e-4$") as exc:
+        st._lambda_choices(scaled, g)
+    largest = float(str(exc.value).split()[3])
+    assert largest == pytest.approx(top * t * t, rel=1e-2)

@@ -9,7 +9,9 @@ import detline.torsion as torsion_mod
 from detline import (
     ChiralityOp,
     CochainComplex,
+    CohomologyFrame,
     GradedDims,
+    SpectralBoundaryError,
     ValidationError,
     alpha_cohomology,
     c_gamma,
@@ -24,6 +26,7 @@ from detline import (
     refined_torsion,
     supertrace,
     torsion_norm,
+    torsion_via_split,
     validate_chirality,
     variation_check,
 )
@@ -278,7 +281,7 @@ class TestDualFrame:
         fr, frh = cohomology_frame(c), cohomology_frame(chat)
         lhs = refined_torsion(chat, dual_chirality(g), frh).coeff
         rhs = alpha_cohomology(refined_torsion(c, g, fr), frh).coeff
-        ref = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        ref = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         frames = []
 
         def spy(cx, _orig=torsion_mod.cohomology_frame):
@@ -289,6 +292,56 @@ class TestDualFrame:
         assert frames == [c]  # one frame per call, of c itself
         assert abs(res - ref) <= 1e-12
         assert res <= 1e-12
+
+
+def _ladder(n, z):
+    """d = 1 with n blocks of z: |rho| = |z|^n, the spectrum of B^2 |z|^2."""
+    return gen_random(1, 1, {"blocks": [(0, z)] * n, "harmonic": []})
+
+
+class TestElementRange:
+    """A cohomology element is never 0, so it is checked when it is built:
+    a refined, split or dual torsion past the normal float range is a
+    numerical boundary, and one inside it is returned."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, z, side", [
+        # 0.02^n is subnormal at n = 182 and 188 and rounds to 0 at 200;
+        # 50^200 = e^782 overflows
+        (182, 0.02, "under"), (188, 0.02, "under"), (200, 0.02, "under"),
+        (200, 50.0, "over")])
+    def test_out_of_range_torsion_is_a_boundary(self, n, z, side):
+        c, g = _ladder(n, z)
+        message = f"^the cohomology element {side}flows the float range$"
+        for call in (lambda: refined_torsion(c, g),
+                     # above the spectrum the small part is all of c
+                     lambda: torsion_via_split(c, g, 2.0 * z * z),
+                     lambda: dual_torsion_check(c, g)):
+            with pytest.raises(SpectralBoundaryError, match=message):
+                call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_last_normal_torsion_is_returned(self):
+        # 0.02^181 = 3.06e-308 lies just above the least normal double
+        c, g = _ladder(181, 0.02)
+        for rho in (refined_torsion(c, g), torsion_via_split(c, g, 1.0)):
+            np.testing.assert_allclose(abs(rho.coeff), 0.02 ** 181,
+                                       rtol=1e-9)
+        assert dual_torsion_check(c, g) <= 1e-12
+
+    @pytest.mark.parametrize("n", [180, 181])
+    def test_dual_residual_is_relative_near_the_edge(self, n):
+        # |rho| = 1.5e-306 and 3.1e-308: the residual is relative to the
+        # sides themselves, not to a floor above them
+        c, g = _ladder(n, 0.02)
+        chat, fr = dual_complex(c), cohomology_frame(c)
+        # the frame dual_torsion_check gives the dual complex: c's, relabelled
+        frh = CohomologyFrame(chat, fr.A[::-1], fr.H[::-1], fr.B[::-1])
+        lhs = refined_torsion(chat, dual_chirality(g), frh).coeff
+        rhs = alpha_cohomology(refined_torsion(c, g, fr), frh).coeff
+        res = dual_torsion_check(c, g)
+        assert res == pytest.approx(abs(lhs - rhs) / abs(rhs), rel=1e-9)
+        assert 1e-15 < res <= 1e-12
 
 
 class TestSupertrace:

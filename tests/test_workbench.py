@@ -656,13 +656,14 @@ class TestCli:
         assert main(["torsion", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'torsion'" in captured.err
+        assert captured.err == ("numerical boundary: the cohomology element "
+                                "overflows the float range\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["torsion"],
-         "result underflows the float range in field 'torsion'"),
+         "the cohomology element underflows the float range"),
         (["split", "--lambda", "1"],
-         "result underflows the float range in field 'torsion_via_split'"),
+         "the cohomology element underflows the float range"),
         (["split", "--lambda", "0"],
          "the determinant of B_even underflows the float range"),
     ], ids=["torsion", "split-above", "split-at-0"])
@@ -679,6 +680,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical boundary: {message}\n"
+
+    @pytest.mark.parametrize("n", [180, 181])
+    def test_split_residual_is_relative_near_the_edge(self, tmp_path,
+                                                       capsys, n):
+        # |rho| = 1.5e-306 and 3.1e-308: consistency_residual is relative
+        # to rho itself, not to a floor above it
+        c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * n, "harmonic": []})
+        path = tmp_path / "edge.json"
+        path.write_text(serialize_document(c, g), encoding="utf-8")
+        assert main(["split", str(path), "--lambda", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        via = complex(*out["torsion_via_split"])
+        rho = complex(*out["refined_torsion"])
+        assert out["consistency_residual"] == abs(via - rho) / abs(rho)
+        assert 1e-15 < out["consistency_residual"] <= out["tolerance"]
 
     def test_last_normal_torsion_exits_0(self, tmp_path, capsys):
         # 0.02^181 = 3.06e-308 lies just above the least normal double
