@@ -23,7 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import SpectralBoundaryError, ValidationError, _exp_in_range
+from .errors import (SpectralBoundaryError, ValidationError, _exp_in_range,
+                     _in_range)
 from .signature import _agmon_arc, _agmon_midpoint, _eta, _log_det
 
 __all__ = [
@@ -169,9 +170,13 @@ def _rho_from_xi(m: CircleModel, xi: complex) -> complex:
 
 def rho_an_closed(m: CircleModel) -> complex:
     """Closed form 1 - exp(2 pi i a) (combinatorial value, scale free);
-    exp(2 pi i a) may round to 0 at large Im a, where the value is 1."""
-    return 1.0 - _exp_in_range(2j * math.pi * m.a, _AT_A, (m.a,),
-                               nonzero=False)
+    exp(2 pi i a) may round to 0 at large Im a, where the value is 1.  The
+    value itself is never 0 on 0 < Re a < 1, so it must lie in the normal
+    float range: at real a below about 3.54e-309 it underflows."""
+    value = 1.0 - _exp_in_range(2j * math.pi * m.a, _AT_A, (m.a,),
+                                nonzero=False)
+    # _AT_A reads a as {1}, after the value
+    return _in_range(value, "1 - exp(2 pi i a)", _AT_A, (value, m.a))
 
 
 def rs_torsion_circle(m: CircleModel) -> float:

@@ -21,6 +21,12 @@ degree of at least 16 columns is factorized by QR first (Chan's
 R-SVD), and its square factor R takes the same rule: at full column rank
 Q alone gives B^{j+1} and the next complement, and only a short rank
 takes the full SVD of R.  Any other degree takes one full SVD.
+
+The decomposition depends on (C, d) alone, so each complex is factorized
+once: the first cohomology_frame call computes the bases and the complex
+keeps them, read-only, and every later call hands them out again.  The
+complex holds the bases, not a frame (a frame points back at its
+complex), so they are freed with the complex.
 """
 
 from __future__ import annotations
@@ -90,10 +96,14 @@ class CochainComplex:
     ``partial[j]`` is the matrix of d_j : C^j -> C^{j+1}; the list has one
     entry per degree 0..d-1.  Construction checks the shapes and d.d = 0;
     the matrices are read-only views (the caller's arrays keep their flags).
+    The read-only B/H/A bases of its cohomology frame are kept here once
+    cohomology_frame has computed them.
     """
 
     dims: GradedDims
     partial: tuple[np.ndarray, ...]
+    _bases: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         d = self.dims.d
@@ -250,9 +260,21 @@ class CohomologyFrame:
 
 
 def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
-    """Compute the orthogonal B/H/A decomposition of every degree, chained
-    down the complex; a square degree of full rank and a tall degree of full
-    column rank need no singular vectors.
+    """The orthogonal B/H/A decomposition of every degree of c.  It is
+    computed on the first call, by _frame_bases, and kept by c, read-only;
+    every later call wraps the same bases in a new frame, with no
+    factorization.  c holds no frame, so no reference cycle keeps the
+    bases alive once c is gone."""
+    if c._bases is None:
+        object.__setattr__(c, "_bases", tuple(
+            tuple(_readonly(x) for x in xs) for xs in _frame_bases(c)))
+    return CohomologyFrame(c, *c._bases)
+
+
+def _frame_bases(c: CochainComplex):
+    """The bases (B, H, A) of the decomposition, chained down the complex;
+    a square degree of full rank and a tall degree of full column rank need
+    no singular vectors.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
     vanishes on B^j.  A square d_j P_j that the invertibility kernel
@@ -304,7 +326,7 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
         perp = u[:, rank:]
     H.append(np.eye(n[0], dtype=complex) if perp is None else perp)
     A.append(np.zeros((n[-1], 0), dtype=complex))
-    return CohomologyFrame(c, tuple(B), tuple(H), tuple(A))
+    return B, H, A
 
 
 def sign_N(frame: CohomologyFrame) -> int:

@@ -374,7 +374,8 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases,
                      gamma_r: dict) -> SpectralPart:
     """The part of (c, g) spanned by bases; when every basis fills its degree
     (it is then the identity) the part is (c, g) itself, and when every basis
-    is empty it is the zero complex.
+    is empty it is the zero complex, built from 0 x 0 blocks with nothing
+    restricted.
 
     gamma_r holds {j: R} where bases[d-j] = Q came from the QR
     Gamma_j bases[j] = Q R.  There the part's Gamma_j block, the
@@ -389,6 +390,10 @@ def _part_from_bases(c: CochainComplex, g: ChiralityOp, bases,
         return SpectralPart(tuple(bases), c, g)
     d = c.d
     dims = GradedDims(tuple(b.shape[1] for b in bases))
+    if not dims.total:  # the zero complex: every block is 0 x 0
+        empty = np.zeros((0, 0), dtype=complex)
+        return SpectralPart(tuple(bases), CochainComplex(dims, (empty,) * d),
+                            ChiralityOp((empty,) * (d + 1)))
     try:
         partial = tuple(
             _restricted(c.partial[j], bases[j], bases[j + 1],
@@ -551,9 +556,11 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
 def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
     with the graded determinant of the large part and the refined torsion of
-    the small part.  A part that is the complex itself shares frame.  An
-    empty part, the zero complex, has det and torsion 1 and forms no frame;
-    it carries the full cohomology only when frame is acyclic."""
+    the small part.  A part that is the complex itself shares frame.  A
+    proper part is a new complex on each split, so its frame is computed
+    here, once, and kept by that part.  An empty part, the zero complex,
+    has det and torsion 1 and forms no frame; it carries the full
+    cohomology only when frame is acyclic."""
     large, small = split.large, split.small
     large_frame, small_frame = (  # frame stands in for an empty part's
         frame if p.complex is frame.complex or not p.complex.dims.total
@@ -739,9 +746,13 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     determinant is never 0, so its exp must lie in the float range
     (_exp_in_range).
     It takes no frame and no angle: the frame it reads is that of the large
-    part, built here, and theta is the Agmon angle of that part's spectrum,
-    the midpoint of its admissible arc (pick_agmon_angle's rule).  The
-    value does not depend on which admissible theta is taken.
+    part, through cohomology_frame, which factorizes a complex once and
+    keeps its read-only bases with it; a large part that is the complex
+    itself (at lam = 0 without cohomology) shares the complex's frame,
+    built on the first call that reads it.  theta is the Agmon angle of
+    that part's spectrum, the midpoint of its admissible arc
+    (pick_agmon_angle's rule).  The value does not depend on which
+    admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
     odd, even = _det_blocks(large.complex, large.chirality, None)

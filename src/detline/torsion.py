@@ -118,7 +118,8 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
 def _frame_for(c: CochainComplex,
                frame: CohomologyFrame | None) -> CohomologyFrame:
     """The cohomology frame of c: frame when given, which must be c's own,
-    or a new one."""
+    or else cohomology_frame(c), which factorizes c only on its first call
+    and then hands out the read-only bases c keeps."""
     if frame is None:
         return cohomology_frame(c)
     if frame.complex is not c:
@@ -199,7 +200,9 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
     ker d-hat_j = (im d_{d-1-j})^perp = (B^{d-j})^perp, whose part
     orthogonal to A^{d-j} is H-hat^j = H^{d-j}, and A-hat^j =
     (ker d-hat_j)^perp = B^{d-j}.  The frame of the dual complex is c's
-    relabelled, and no differential is factorized twice.
+    relabelled, and no differential is factorized twice.  c's frame is
+    computed once per complex: a later call on c reads the read-only bases
+    c keeps, which go with c.
     """
     frame = cohomology_frame(c)
     chat = dual_complex(c)

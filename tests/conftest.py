@@ -26,6 +26,13 @@ BIG_PROFILE = {"blocks": [(0, complex(1 + 0.1 * k, 0.3)) for k in range(200)],
 BIG_UNIT = 200 * 200 * 16  # bytes of one 200 x 200 complex matrix
 
 
+def fresh(c: CochainComplex) -> CochainComplex:
+    """A new complex on c's differentials.  It keeps no cohomology frame
+    yet, so its first cohomology_frame call factorizes, under whatever spy
+    or mutant is in place."""
+    return CochainComplex(c.dims, c.partial)
+
+
 def traced_peak(fn, *args) -> float:
     """Peak of the memory that tracemalloc traces while fn(*args) runs, in
     units of one 200 x 200 complex matrix (BIG_UNIT)."""

@@ -441,8 +441,8 @@ class TestCliContract:
     def test_tiny_exponent_underflows(self, capsys):
         # rho_an = 1 - exp(2 pi i a) ~ -2 pi i a is never 0, so at
         # a = 5e-324 its subnormal value (-3e-323j) is an underflow, which
-        # every path through it names first; the closed form's term
-        # exp(2 pi i a) = 1 is in range
+        # every path through it names first; rho_an_closed names its own
+        # (test_tiny_exponent_closed_form_underflows)
         m = CircleModel(5e-324)
         message = ("exp of real part -742.602 underflows the float range "
                    "at Re a = 4.94066e-324, Im a = 0")
@@ -455,6 +455,23 @@ class TestCliContract:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"numerical boundary: {message}\n"
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-309, 3.5e-309])
+    def test_tiny_exponent_closed_form_underflows(self, a):
+        # 1 - exp(2 pi i a) ~ -2 pi i a is never 0 on 0 < Re a < 1, so a
+        # subnormal value is an underflow; only its term exp(2 pi i a) may
+        # legitimately leave the range (to 0, at large Im a)
+        with pytest.raises(SpectralBoundaryError) as exc:
+            rho_an_closed(CircleModel(a))
+        assert str(exc.value) == (
+            f"1 - exp(2 pi i a) underflows the float range at "
+            f"Re a = {a:g}, Im a = 0")
+
+    def test_least_normal_closed_form_is_returned(self):
+        value = rho_an_closed(CircleModel(3.6e-309))
+        assert value.real == 0.0
+        assert sys.float_info.min <= abs(value) == -value.imag
+        assert abs(value.imag + 2 * math.pi * 3.6e-309) <= 1e-15 * abs(value)
 
     @pytest.mark.parametrize("im, real", [(-113.0, "710"),
                                           (-115.0, "722.566")])

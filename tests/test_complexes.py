@@ -1,7 +1,10 @@
 """Unit tests for cochain complexes, cohomology frames and the canonical map."""
 
+import collections
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,13 +21,18 @@ from detline import (
     direct_sum,
     dual_complex,
     dual_graded,
+    dual_torsion_check,
     phi,
     gen_random,
+    graded_det_finite,
+    graded_det_via_xi_eta,
+    refined_torsion,
     sign_N,
+    torsion_via_split,
 )
 from detline.selftest import _instance
 
-from conftest import normal_matrix
+from conftest import fresh, normal_matrix
 
 
 def _ladder_instance(seed, d, n, n_harmonic):
@@ -337,13 +345,95 @@ class TestCohomologyFrame:
             frames = []
             for cut in (0, 10 ** 9):
                 monkeypatch.setattr(complexes_mod, "_QR_MIN_COLS", cut)
-                frames.append(cohomology_frame(c))
+                frames.append(cohomology_frame(fresh(c)))
             qr_first, svd_only = frames
             assert qr_first.betti == svd_only.betti == betti
             _assert_same_projectors(qr_first,
                                     (svd_only.B, svd_only.H, svd_only.A))
             np.testing.assert_allclose(qr_first.rank_margin,
                                        svd_only.rank_margin, rtol=1e-9)
+
+
+# every public call that reads the frame of the complex it is given
+_FRAME_READERS = {
+    "refined_torsion": refined_torsion,
+    "graded_det_finite": graded_det_finite,
+    "torsion_via_split": lambda c, g: torsion_via_split(c, g, 0.0),
+    "graded_det_via_xi_eta": lambda c, g: graded_det_via_xi_eta(c, g, 0.0),
+    "dual_torsion_check": dual_torsion_check,
+}
+
+
+class TestFrameKeptByComplex:
+    """The frame depends on (C, d) alone: the first cohomology_frame call on
+    a complex computes its bases, the complex keeps them read-only, every
+    later call hands out the same bases, and they go with the complex."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_harmonic", [0, 2])
+    def test_every_basis_is_read_only(self, d, n_harmonic):
+        # n = 100 takes the QR route on its tall degrees
+        for n in (8, 100):
+            c, _ = _ladder_instance(3000 * d + n, d, n, n_harmonic)
+            first, again = cohomology_frame(c), cohomology_frame(c)
+            assert first is not again and again.complex is c
+            for fr in (first, again):
+                for x in fr.B + fr.H + fr.A:
+                    assert not x.flags.writeable
+                    if x.size:
+                        with pytest.raises(ValueError):
+                            x[0, 0] = 2.0
+            for xs, ys in zip((first.B, first.H, first.A),
+                              (again.B, again.H, again.A)):
+                assert all(x is y for x, y in zip(xs, ys))
+
+    @pytest.mark.parametrize("name", list(_FRAME_READERS))
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("blocks", [3, 48])
+    def test_second_call_takes_no_factorization_for_the_frame(
+            self, count_factorizations, name, d, blocks):
+        # the first call on a complex takes the factorizations of its one
+        # frame beside its own work, a second call its own work only; with
+        # 48 blocks the frame takes Cholesky certificates, and QRs at d > 1
+        call = _FRAME_READERS[name]
+        r = (d + 1) // 2
+        c, g = gen_random(blocks + d, d, {"blocks": [
+            (k % r, complex(1.0 + 0.05 * k, 0.3)) for k in range(blocks)],
+            "harmonic": []})
+
+        def tally(calls):  # the log as a multiset, restrictions left out
+            return collections.Counter(
+                (n, shape) for n, shape, _ in calls.log if n != "restrict")
+        calls = count_factorizations()
+        cohomology_frame(fresh(c))
+        one_frame = tally(calls)
+        assert one_frame
+        calls = count_factorizations()
+        first = call(c, g)
+        first_log = tally(calls)
+        calls = count_factorizations()
+        again = call(c, g)
+        second = tally(calls)
+        assert getattr(again, "coeff", again) == getattr(first, "coeff", first)
+        assert first_log == one_frame + second
+        if blocks > 3:
+            assert {"qr", "cholesky"} & {n for n, _ in one_frame} == (
+                {"qr", "cholesky"} if d > 1 else {"cholesky"})
+        if name in ("refined_torsion", "dual_torsion_check"):
+            assert not second  # they factorize nothing but the frame
+
+    def test_framed_complex_is_freed_with_its_bases(self):
+        c, g = _instance(5, 3, acyclic=False)
+        gc.disable()  # reference counting alone must free them
+        try:
+            rho = refined_torsion(c, g)
+            refs = [weakref.ref(c)] + [
+                weakref.ref(x) for x in rho.frame.B + rho.frame.H + rho.frame.A]
+            assert cohomology_frame(c).B[1] is rho.frame.B[1]
+            del c, rho
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 # sigma_min / sigma_max of the certificate ladder's spectra: well apart from
@@ -386,11 +476,12 @@ def certificate_ladder():
 
 
 def _ladder_mismatches(ladder):
-    """{label: what differs} over the ladder, between the frame and the
-    all-SVD frame: "betti", else "projectors" or "margin" (rtol 1e-9)."""
+    """{label: what differs} over the ladder, between the frame of a fresh
+    copy of each complex and the all-SVD frame: "betti", else "projectors"
+    or "margin" (rtol 1e-9)."""
     out = {}
     for label, (c, ref, margin) in ladder.items():
-        fr = cohomology_frame(c)
+        fr = cohomology_frame(fresh(c))
         if fr.betti != tuple(h.shape[1] for h in ref[1]):
             out[label] = "betti"
             continue
@@ -406,8 +497,8 @@ def _ladder_mismatches(ladder):
 
 def _rho(c):
     """phi of the unit wedge: the refined torsion of c with Gamma = 1 (on a
-    square complex), up to sign."""
-    return phi(DetElement(1.0, c.dims), cohomology_frame(c)).coeff
+    square complex), up to sign, in the frame of a fresh copy of c."""
+    return phi(DetElement(1.0, c.dims), cohomology_frame(fresh(c))).coeff
 
 
 class TestSigmaMinCertificate:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import detline.circle as ci
+import detline.complexes as complexes_mod
 import detline.gradedlinalg as gradedlinalg_mod
 import detline.selftest as st
 import detline.signature as signature_mod
@@ -200,6 +201,20 @@ def test_chiral_check_fails_on_its_mutant(monkeypatch, name, module, attr,
     assert check(*at)[0]
     monkeypatch.setattr(module, attr, mutant)
     assert _passes(check, *at) is False
+
+
+@pytest.mark.parametrize("module", [torsion_mod, complexes_mod],
+                         ids=["c_gamma", "phi"])
+def test_unitary_norm_check_reads_ln2_when_rho_doubles(monkeypatch, module):
+    # torsion-norm-unitary compares log|rho| with log T_RS from the singular
+    # values of d, so a doubled determinant in c_Gamma or in phi reads ln 2
+    check = dict(st.CHECKS)["torsion-norm-unitary"]
+    assert check(1, 0)[0]
+    monkeypatch.setattr(module, "alternating_det",
+                        lambda blocks: 2 * _ALTERNATING_DET(blocks))
+    passed, detail = check(1, 0)
+    assert not passed
+    assert detail.split()[-3] == f"{math.log(2.0):.2e}"
 
 
 # mutants of a pair block [[0, Q], [P, 0]] of the +/- sides, each of which

@@ -45,7 +45,7 @@ from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
                                _pair_det, _pair_spectrum, _restrict,
                                _side_det, _side_spectrum, _split_degree)
 
-from conftest import BIG_PROFILE, normal_matrix, traced_peak
+from conftest import BIG_PROFILE, fresh, normal_matrix, traced_peak
 
 
 def _singular_tables(singular):
@@ -732,14 +732,17 @@ class TestLoneBlocks:
     # three more: B^2_0 and the certificate's two temporaries (the
     # conjugate of B^2_0 and its Gram matrix).  The split forms one B
     # block, Gamma_1 d_0 (d_0 Gamma_1 is never read), so before the
-    # certificate it holds two beside the identity, below that peak
+    # certificate it holds two beside the identity, below that peak.  Each
+    # call takes a fresh copy of the complex, which keeps no frame yet, so
+    # the frame is built under the trace
     @pytest.mark.parametrize("call, bound", [
         (refined_torsion, 2.1),
         (graded_det_finite, 2.1),
         (lambda c, g: torsion_via_split(c, g, 0.0), 4.1),
     ], ids=["refined_torsion", "graded_det_finite", "torsion_via_split"])
     def test_traced_peak(self, big, call, bound):
-        assert traced_peak(call, *big) <= bound
+        c, g = big
+        assert traced_peak(call, fresh(c), g) <= bound
 
     def test_first_degree_identity_is_shared_and_read_only(self, big):
         fr = cohomology_frame(big[0])
@@ -797,6 +800,29 @@ class TestEmptySplitPart:
                          c.dims.total)]
         assert abs(value - refined_torsion(c, g, fr).coeff) <= (
             1e-8 * abs(value))
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
+    def test_zero_complex_is_built_without_restrictions(self, monkeypatch,
+                                                        d, above):
+        # the other side fills every degree, so no block is restricted at
+        # all; the zero complex still passes its constructor checks
+        c, g = _instance(7, d, acyclic=True)
+        lam = 2.0 * _spectral_radius(c, g) if above else 0.0
+        seen = []
+        orig = signature_mod._restricted
+
+        def spy(op, source, target, what):
+            seen.append(what)
+            return orig(op, source, target, what)
+        monkeypatch.setattr(signature_mod, "_restricted", spy)
+        sp = spectral_split(c, g, lam)
+        empty = sp.large if above else sp.small
+        assert seen == []
+        assert empty.complex.dims.dims == (0,) * (d + 1)
+        assert [m.shape for m in empty.complex.partial] == [(0, 0)] * d
+        assert [m.shape for m in empty.chirality.gamma] == [(0, 0)] * (d + 1)
+        assert [b.shape for b in empty.bases] == [(n, 0) for n in c.dims.dims]
 
     def test_empty_small_part_needs_an_acyclic_frame(self):
         c, g = _instance(7, 3, acyclic=True)
@@ -1009,22 +1035,23 @@ class TestFactorizationCounts:
     def test_whole_degree_side_is_the_complex_and_reuses_its_frame(
             self, count_factorizations, d, above):
         # at 0 the large part of an acyclic complex is the complex itself,
-        # above the spectrum the small part is; either way the caller's frame
-        # serves it, and without one a single frame is built
+        # above the spectrum the small part is; either way the complex's
+        # frame serves it: the first call builds that one frame before
+        # anything else, and a second call builds none
         c, g = _instance(7, d, acyclic=True)
         lam = 2.0 * _spectral_radius(c, g) if above else 0.0
         sp = spectral_split(c, g, lam)
         assert (sp.small if above else sp.large).complex is c
-        fr = cohomology_frame(c)
         calls = count_factorizations()
-        torsion_via_split(c, g, lam, fr)
-        assert calls.shapes("svd", compute_uv=True) == []
+        cohomology_frame(fresh(c))
+        one_frame = list(calls.log)  # a later count logs here too
+        assert one_frame
         calls = count_factorizations()
-        cohomology_frame(c)
-        one_frame = calls.shapes("svd", compute_uv=True)
+        first = torsion_via_split(c, g, lam).coeff
+        first_log = list(calls.log)
         calls = count_factorizations()
-        torsion_via_split(c, g, lam)
-        assert calls.shapes("svd", compute_uv=True) == one_frame
+        assert torsion_via_split(c, g, lam).coeff == first
+        assert first_log == one_frame + calls.log
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_plus_minus_test_is_one_a_by_a_svd_per_proper_degree(
@@ -1069,7 +1096,7 @@ class TestFactorizationCounts:
                  for s in range(2 - parity, d + 1, 2)
                  if s <= d + 1 - s and m[s]]
         calls = count_factorizations()
-        graded_det_via_xi_eta(c, g, 0.0)
+        graded_det_via_xi_eta(fresh(c), g, 0.0)  # c's frame is built above
         kernel = split + frame + pm_test
         assert calls.shapes("svd", compute_uv=False) == [
             (k, k) for k in kernel if k < 16]
@@ -1114,7 +1141,8 @@ class TestFactorizationCounts:
         # odd - subspaces, so neither graded determinant orthonormalizes a
         # Gamma-image: the only QRs are the frame's own, of its tall degrees
         # (the split at 0 of an acyclic complex forms no basis), and none
-        # with the caller's frame
+        # with the caller's frame; a fresh copy of the complex builds its
+        # frame in the call
         c, g, _ = _ladder_instance(d, total)
         calls = count_factorizations()
         fr = cohomology_frame(c)
@@ -1123,8 +1151,8 @@ class TestFactorizationCounts:
         calls = count_factorizations()
         graded_det_finite(c, g, fr)
         assert calls["qr"] == 0
-        for call in (lambda: graded_det_finite(c, g),
-                     lambda: graded_det_via_xi_eta(c, g, 0.0)):
+        for call in (lambda: graded_det_finite(fresh(c), g),
+                     lambda: graded_det_via_xi_eta(fresh(c), g, 0.0)):
             calls = count_factorizations()
             call()
             assert calls.shapes("qr") == frame_qr
