@@ -56,7 +56,7 @@ def _cmd_torsion(args) -> dict:
     c, g, _ = _load_chiral(args.file)
     frame = cohomology_frame(c)
     cg = c_gamma(c, g)
-    rho = phi(cg, frame)  # refined_torsion(c, g, frame), sharing cg
+    rho = phi(cg, frame)  # refined_torsion(c, g), sharing cg
     out = {
         "torsion": _pair(rho.coeff),
         "betti": list(frame.betti),
@@ -67,7 +67,7 @@ def _cmd_torsion(args) -> dict:
         "c_gamma": _pair(cg.coeff),
     }
     try:
-        out["graded_det"] = _pair(graded_det_finite(c, g, frame))
+        out["graded_det"] = _pair(graded_det_finite(c, g))
     except SpectralBoundaryError:
         out["graded_det"] = None
     print(f"torsion = {rho.coeff:.12g}, betti = {tuple(frame.betti)}",
@@ -80,9 +80,8 @@ def _cmd_split(args) -> dict:
     frame = cohomology_frame(c)
     split = spectral_split(c, g, args.lam)
     via, det_large, rho_small = _torsion_from_split(split, frame)
-    # above the spectrum the small part is the complex itself, in frame
-    rho = (rho_small if split.small.complex is c
-           else refined_torsion(c, g, frame))
+    # above the spectrum the small part is the complex itself
+    rho = rho_small if split.small.complex is c else refined_torsion(c, g)
     residual = float(abs(via.coeff - rho.coeff) / abs(rho.coeff))
     out = {
         "lambda": args.lam,

@@ -237,10 +237,9 @@ def check_torsion_direct_sum(cases, seed):
         csum, gsum = chiral_direct_sum([a, b])
         frs = cohomology_frame(csum)
         res.append(_rel(fused_in_sum_frame(fra, frb,
-                                           refined_torsion(*a, fra).coeff,
-                                           refined_torsion(*b, frb).coeff,
-                                           frs),
-                        refined_torsion(csum, gsum, frs).coeff))
+                                           refined_torsion(*a).coeff,
+                                           refined_torsion(*b).coeff, frs),
+                        refined_torsion(csum, gsum).coeff))
     return _verdict(res, TOL, "relative residual")
 
 
@@ -324,9 +323,8 @@ def _lambda_choices(c, g):
 def check_split_consistency(cases, seed):
     res = []
     for c, g in _family(cases, seed, lambda i: i % 2 == 0):
-        fr = cohomology_frame(c)
-        rho = refined_torsion(c, g, fr).coeff
-        res.extend(_rel(torsion_via_split(c, g, lam, fr).coeff, rho)
+        rho = refined_torsion(c, g).coeff
+        res.extend(_rel(torsion_via_split(c, g, lam).coeff, rho)
                    for lam in _lambda_choices(c, g))
     return _verdict(res, _SPLIT_TOL, "relative residual")
 

@@ -185,11 +185,10 @@ def _restricted(op, source, target, what: str) -> np.ndarray:
     return np.zeros((target.shape[1], source.shape[1]), dtype=complex)
 
 
-def _minus_bases(c: CochainComplex, g: ChiralityOp,
-                 frame: CohomologyFrame | None):
+def _minus_bases(c: CochainComplex, g: ChiralityOp):
     """Orthonormal bases M^j of C^j_- = ker(d_j) = B^j + H^j off the
-    cohomology frame of c (built when not given; a lone B^j or H^j as it
-    stands, read-only), and {d-j: Y} of the Gamma-images
+    cohomology frame that c keeps (a lone B^j or H^j as it stands,
+    read-only), and {d-j: Y} of the Gamma-images
     Y = Gamma_{d-j} M^{d-j}, which span C^j_+, that the +/- test formed.
     The test raises SpectralBoundaryError unless C^j_+ and C^j_- intersect
     trivially and span C^j, the bijectivity condition for B.
@@ -204,7 +203,7 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     and reports as without the certificate.
     """
     validate_chirality(c, g)
-    frame, d = _frame_for(c, frame), c.d
+    frame, d = cohomology_frame(c), c.d
     minus = [_columns(bh) for bh in zip(frame.B, frame.H)]
     images = {}
     for j, m in enumerate(minus):
@@ -229,27 +228,25 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp,
     return minus, images
 
 
-def plus_minus_split(c: CochainComplex, g: ChiralityOp,
-                     frame: CohomologyFrame | None = None):
+def plus_minus_split(c: CochainComplex, g: ChiralityOp):
     """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
 
-    C^j_- = B^j + H^j is read off the cohomology frame of c (built when not
-    given), and C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
+    C^j_- = B^j + H^j is read off the cohomology frame that c keeps, and
+    C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
     Raises SpectralBoundaryError unless the two intersect trivially and span,
     which is the bijectivity condition for B.  This is the one call that
     hands out orthonormal bases of the Gamma-images: one QR of each that is
     a proper, nonzero subspace, after the test; the graded determinants
     read them through the frame's invertibility kernel and through Gamma.
     """
-    minus = _minus_bases(c, g, frame)[0]
+    minus = _minus_bases(c, g)[0]
     d = c.d
     plus = [_gamma_image(g.gamma[d - j], minus[d - j])[0]
             for j in range(d + 1)]
     return plus, minus
 
 
-def _det_blocks(c: CochainComplex, g: ChiralityOp,
-                frame: CohomologyFrame | None):
+def _det_blocks(c: CochainComplex, g: ChiralityOp):
     """The tables {(t, s): block} of d Gamma on the odd and on the even -
     subspaces, in the orthonormal bases of C_- that _minus_bases gives once
     the +/- test has passed; no basis of C_+ is formed, and no parity block
@@ -271,7 +268,7 @@ def _det_blocks(c: CochainComplex, g: ChiralityOp,
     spec(PQ).  Bases that fill every degree of a parity are that whole space:
     its blocks are used as they stand, with nothing restricted.  Elsewhere
     each Gamma_s M^s the test formed is used again."""
-    minus, images = _minus_bases(c, g, frame)
+    minus, images = _minus_bases(c, g)
     d, n = c.d, c.dims.dims
 
     def image(s):  # Gamma_s M^s
@@ -325,11 +322,10 @@ def _side_spectrum(table: dict) -> list:
     return eigs
 
 
-def graded_det_finite(c: CochainComplex, g: ChiralityOp,
-                      frame: CohomologyFrame | None = None) -> complex:
+def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     """Graded determinant det(B+_even) / det(-B-_even) of a bijective even
-    part, in the orthonormal bases of the - subspaces read off frame (the
-    cohomology frame of c, built when not given): det(B+_even) is that of
+    part, in the orthonormal bases of the - subspaces read off the
+    cohomology frame that c keeps: det(B+_even) is that of
     d Gamma on the odd - subspaces (_det_blocks), so no Gamma-image is
     orthonormalized, and det(-B-_even) is (-1)^m det(B-_even) over its m
     dimensions.  Each side's determinant is the product over its
@@ -340,7 +336,7 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp,
     pivot that is exactly 0) means B_even is not bijective.  The graded
     determinant of a bijective B_even is never 0, so a value built from
     blocks that are not singular must lie in the float range (_in_range)."""
-    odd, even = _det_blocks(c, g, frame)
+    odd, even = _det_blocks(c, g)
     m = sum(b.shape[1] for b in even.values())
     # numpy's det leaves the floating-point range silently here, and only
     # the LU pivots of the blocks tell a singular one from a product that
@@ -556,25 +552,24 @@ def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
 def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
     with the graded determinant of the large part and the refined torsion of
-    the small part.  A part that is the complex itself shares frame.  A
-    proper part is a new complex on each split, so its frame is computed
-    here, once, and kept by that part.  An empty part, the zero complex,
-    has det and torsion 1 and forms no frame; it carries the full
-    cohomology only when frame is acyclic."""
+    the small part.  Each part's graded determinant or torsion reads the
+    frame its own complex keeps, computed on first read: a part that is the
+    complex itself has frame's bases, and a proper part, a new complex on
+    each split, is factorized once.  An empty part, the zero complex, has
+    det and torsion 1 and forms no frame; its Betti numbers are 0, so it
+    carries the full cohomology only when frame is acyclic."""
     large, small = split.large, split.small
-    large_frame, small_frame = (  # frame stands in for an empty part's
-        frame if p.complex is frame.complex or not p.complex.dims.total
-        else cohomology_frame(p.complex) for p in (large, small))
-    det_large = (graded_det_finite(large.complex, large.chirality, large_frame)
+    det_large = (graded_det_finite(large.complex, large.chirality)
                  if large.complex.dims.total else 1 + 0j)
     empty = not small.complex.dims.total
-    if small_frame.betti != frame.betti or (empty and not frame.acyclic):
+    small_frame = None if empty else cohomology_frame(small.complex)
+    betti = small.complex.dims.dims if empty else small_frame.betti
+    if betti != frame.betti:
         raise SpectralBoundaryError(
             "small part does not carry the full cohomology")
     rho_small, w = CohomologyElement(1 + 0j, frame), 1 + 0j
     if not empty:
-        rho_small = refined_torsion(small.complex, small.chirality,
-                                    small_frame)
+        rho_small = refined_torsion(small.complex, small.chirality)
         w = alternating_det(frame.H[j].conj().T @ small.bases[j] @ h
                             for j, h in enumerate(small_frame.H))
     return (CohomologyElement(det_large * rho_small.coeff / w, frame),
@@ -755,7 +750,7 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
-    odd, even = _det_blocks(large.complex, large.chirality, None)
+    odd, even = _det_blocks(large.complex, large.chirality)
     eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
     # spec(B_even) is the union of its spectra on the + and - subspaces
     eigs = eig_plus + eig_minus

@@ -119,7 +119,11 @@ def _frame_for(c: CochainComplex,
                frame: CohomologyFrame | None) -> CohomologyFrame:
     """The cohomology frame of c: frame when given, which must be c's own,
     or else cohomology_frame(c), which factorizes c only on its first call
-    and then hands out the read-only bases c keeps."""
+    and then hands out the read-only bases c keeps.  Only refined_torsion
+    and torsion_via_split take a frame, and no call in the package passes
+    one.  They keep it, and this check, only because perfbench's workloads
+    pass c's own by position; it goes with ROADMAP item 1's benchmark
+    change, which passes none."""
     if frame is None:
         return cohomology_frame(c)
     if frame.complex is not c:
@@ -160,23 +164,23 @@ def variation_check(c: CochainComplex, gamma_of_t, t0: float,
     depend on Gamma, so in one frame rho's coefficient is a holomorphic
     scalar, with or without cohomology, and the identity holds exactly.
     rho' and Gamma' come from Cauchy's integral on the circle
-    |t - t0| = h, by the 16-node trapezoid rule with one frame shared by
-    all nodes: f'(t0) is the mean of f(t0 + h w) / (h w) over the 16th
-    roots of unity w, exact up to terms of order (h / R)^16 for R the
-    family's radius of holomorphy, plus rounding of order eps / h.  No
+    |t - t0| = h, by the 16-node trapezoid rule, every node reading the
+    frame that c keeps: f'(t0) is the mean of f(t0 + h w) / (h w) over
+    the 16th roots of unity w, exact up to terms of order (h / R)^16 for R
+    the family's radius of holomorphy, plus rounding of order eps / h.  No
     logarithm is taken, so no branch cut is crossed.
     """
     if not 0 < h < math.inf:
         raise ValidationError("step h must be finite and positive")
-    frame, d = cohomology_frame(c), c.d
+    d = c.d
     hw = h * np.exp(2j * math.pi * np.arange(16) / 16)  # the nodes' t - t0
     nodes = [gamma_of_t(t0 + s) for s in hw]
-    rho_dot = np.mean([refined_torsion(c, g, frame).coeff for g in nodes] / hw)
+    rho_dot = np.mean([refined_torsion(c, g).coeff for g in nodes] / hw)
     # Gamma' is not an involution, so its blocks stay a plain list
     g_dot = [sum(g.gamma[j] / s for g, s in zip(nodes, hw)) / 16
              for j in range(d + 1)]
     g0 = gamma_of_t(t0)
-    lhs = rho_dot / refined_torsion(c, g0, frame).coeff
+    lhs = rho_dot / refined_torsion(c, g0).coeff
     rhs = 0.5 * supertrace(g_dot[d - j] @ g0.gamma[j] for j in range(d + 1))
     return abs(lhs - rhs)
 
@@ -200,15 +204,14 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
     ker d-hat_j = (im d_{d-1-j})^perp = (B^{d-j})^perp, whose part
     orthogonal to A^{d-j} is H-hat^j = H^{d-j}, and A-hat^j =
     (ker d-hat_j)^perp = B^{d-j}.  The frame of the dual complex is c's
-    relabelled, and no differential is factorized twice.  c's frame is
-    computed once per complex: a later call on c reads the read-only bases
-    c keeps, which go with c.
+    relabelled, and no differential is factorized twice: each side is
+    phi(c_Gamma) in its frame, and c's frame is the one c keeps, computed
+    once per complex.
     """
     frame = cohomology_frame(c)
     chat = dual_complex(c)
     frame_hat = CohomologyFrame(chat, frame.A[::-1], frame.H[::-1],
                                 frame.B[::-1])
-    lhs = refined_torsion(chat, dual_chirality(g), frame_hat).coeff
-    rho = refined_torsion(c, g, frame)
-    rhs = alpha_cohomology(rho, frame_hat).coeff
+    lhs = phi(c_gamma(chat, dual_chirality(g)), frame_hat).coeff
+    rhs = alpha_cohomology(phi(c_gamma(c, g), frame), frame_hat).coeff
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -70,23 +70,25 @@ def count_factorizations(monkeypatch):
     the disk-function kernel signature._disk_split, under the name "disk",
     with the B^2 block as the logged matrix); it returns the live
     FactorizationCounts.  Calls of signature._restrict are logged, not
-    counted, under the name "restrict" with the shapes (basis, image)."""
-    def start():
-        spied = ((np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
-                 (np.linalg, "cholesky", "cholesky"),
-                 (np.linalg, "eigvals", "eigvals"),
-                 (signature_mod, "_disk_split", "disk"))
-        calls = FactorizationCounts(name for _, _, name in spied)
-        for module, attr, name in spied:
-            orig = getattr(module, attr)
+    counted, under the name "restrict" with the shapes (basis, image).
+    Every call spies on the functions as they were before the first, so a
+    later count replaces an earlier one, which stops moving."""
+    spied = ((np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
+             (np.linalg, "cholesky", "cholesky"),
+             (np.linalg, "eigvals", "eigvals"),
+             (signature_mod, "_disk_split", "disk"))
+    origs = [getattr(module, attr) for module, attr, _ in spied]
+    orig_restrict = signature_mod._restrict
 
+    def start():
+        calls = FactorizationCounts(name for _, _, name in spied)
+        for (module, attr, name), orig in zip(spied, origs):
             def spy(*args, _orig=orig, _name=name, **kwargs):
                 calls[_name] += 1
                 uv = kwargs.get("compute_uv", True) if _name == "svd" else None
                 calls.log.append((_name, np.shape(args[0]), uv))
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(module, attr, spy)
-        orig_restrict = signature_mod._restrict
 
         def restrict_spy(basis, image, what):
             calls.log.append(("restrict", (basis.shape, image.shape), None))
@@ -102,14 +104,15 @@ def count_validations(monkeypatch):
     d.d check (CochainComplex.differential_residual) and the Gamma^2 check
     (ChiralityOp construction).  It returns the live FactorizationCounts
     under the names "d.d" and "gamma^2"; the log holds, per check, the
-    shapes of the matrices it saw."""
+    shapes of the matrices it saw.  As with count_factorizations, a later
+    count replaces an earlier one."""
+    spied = (("d.d", CochainComplex, "differential_residual", "partial"),
+             ("gamma^2", ChiralityOp, "__post_init__", "gamma"))
+    origs = [getattr(cls, method) for _, cls, method, _ in spied]
+
     def start():
         calls = FactorizationCounts(("d.d", "gamma^2"))
-        spied = (("d.d", CochainComplex, "differential_residual", "partial"),
-                 ("gamma^2", ChiralityOp, "__post_init__", "gamma"))
-        for name, cls, method, field in spied:
-            orig = getattr(cls, method)
-
+        for (name, cls, method, field), orig in zip(spied, origs):
             def spy(self, _orig=orig, _name=name, _field=field):
                 calls[_name] += 1
                 calls.log.append(

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from detline import (
-    cohomology_frame,
     det_eta_check,
     gen_elementary,
     gen_random,
@@ -66,9 +65,8 @@ def test_criterion_03_split_level_independence():
         if len(lams) < 3:  # fewer than two distinct nonzero moduli
             continue
         used += 1
-        fr = cohomology_frame(c)
-        rho = refined_torsion(c, g, fr).coeff
-        res += [abs(torsion_via_split(c, g, lam, fr).coeff - rho) / abs(rho)
+        rho = refined_torsion(c, g).coeff
+        res += [abs(torsion_via_split(c, g, lam).coeff - rho) / abs(rho)
                 for lam in lams]
     ok, detail = _verdict(res, 1e-8, "relative difference")
     _report(3, "spectral split across 3 levels", ok,

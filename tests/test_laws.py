@@ -104,9 +104,9 @@ def test_phase_covariance(d, t):
         det_exp = sum(c.dims.dims[j] - 2 * b[j] for j in range(0, d + 1, 2))
         ct = CochainComplex(c.dims, tuple(t * p for p in c.partial))
         assert _rel(refined_torsion(ct, g).coeff,
-                    t ** rho_exp * refined_torsion(c, g, fr).coeff) <= TOL
+                    t ** rho_exp * refined_torsion(c, g).coeff) <= TOL
         assert _rel(graded_det_finite(ct, g),
-                    t ** det_exp * graded_det_finite(c, g, fr)) <= TOL
+                    t ** det_exp * graded_det_finite(c, g)) <= TOL
         assert _rel(graded_det_via_xi_eta(ct, g, 0.0),
                     t ** det_exp * graded_det_via_xi_eta(c, g, 0.0)) <= TOL
 

@@ -166,11 +166,11 @@ class TestSignatureOp:
         assert fr.A[2].shape[1] == 16
         calls = count_factorizations()
         if certify:
-            plus = plus_minus_split(c, g, fr)[0]
+            plus = plus_minus_split(c, g)[0]
             assert [p.shape[1] for p in plus] == [16, 1, 16, 0]
             return
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g, fr)
+            plus_minus_split(c, g)
         assert calls.shapes("svd", compute_uv=False)[-1] == (16, 16)
         assert calls["cholesky"] == (certify is None)
 
@@ -188,10 +188,10 @@ class TestSignatureOp:
             raised.append(expected is not None)
             for call in (plus_minus_split, graded_det_finite):
                 if expected is None:
-                    call(c, g, fr)
+                    call(c, g)
                     continue
                 with pytest.raises(SpectralBoundaryError) as err:
-                    call(c, g, fr)
+                    call(c, g)
                 assert str(err.value) == expected
         assert raised == [True] * 8 + [False] * 8
 
@@ -203,11 +203,10 @@ class TestSignatureOp:
         # it (the mutant) the guard goes silent
         c, g = _tilted(1.3e-10, stretch=1e3)
         assert max(float(np.abs(m).max()) for m in g.gamma) >= 1e3
-        fr = cohomology_frame(c)
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g, fr)
+            plus_minus_split(c, g)
         monkeypatch.setattr(signature_mod, "_frobenius", lambda a: 1.0)
-        plus = plus_minus_split(c, g, fr)[0]
+        plus = plus_minus_split(c, g)[0]
         assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
 
     def test_dependent_block_is_decomposed_once(self, count_factorizations):
@@ -215,10 +214,10 @@ class TestSignatureOp:
         # left open, so it takes one QR of Y and one values-only SVD of
         # (A^2)^H P, which both decides and reports
         c, g = _tilted(1.3e-10)
-        fr = cohomology_frame(c)
+        cohomology_frame(c)  # kept by c, so the count sees the test alone
         calls = count_factorizations()
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g, fr)
+            plus_minus_split(c, g)
         assert calls.shapes("svd", compute_uv=False) == [(1, 1)] * 3
         assert calls.shapes("qr") == [(2, 1)]
         assert calls["cholesky"] == 0
@@ -230,9 +229,9 @@ class TestSignatureOp:
         # each proper Gamma-image (degrees 1 and 2), so the basis of C^2_+
         # is the QR of Y, the same bits as the test's own factor
         c, g = _tilted(1.5e-10)
-        fr = cohomology_frame(c)
+        cohomology_frame(c)  # kept by c, so the count sees the split alone
         calls = count_factorizations()
-        plus, minus = plus_minus_split(c, g, fr)
+        plus, minus = plus_minus_split(c, g)
         assert calls.shapes("qr") == [(2, 1)] * 3
         assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
         assert np.array_equal(plus[2], np.linalg.qr(g.gamma[1] @ minus[1])[0])
@@ -306,39 +305,64 @@ class TestBlockTable:
             assert block.shape == (c.dims.dims[t], c.dims.dims[s])
 
 
-_FRAME_ENTRY_POINTS = {
+# every public call that checks first that its chirality fits its complex
+_CHIRAL_ENTRY_POINTS = {
     "refined_torsion": refined_torsion,
     "plus_minus_split": plus_minus_split,
     "graded_det_finite": graded_det_finite,
-    "torsion_via_split": lambda c, g, fr: torsion_via_split(c, g, 0.0, fr),
+    "torsion_via_split": lambda c, g, *fr: torsion_via_split(c, g, 0.0, *fr),
 }
+# the two that still take a frame, c's own only: the benchmark's workloads
+# pass it by position
+_FRAME_ENTRY_POINTS = ("refined_torsion", "torsion_via_split")
 
 
 class TestFrameAndChirality:
-    """An entry point that takes a frame accepts only the complex's own, and
-    a chirality that does not fit the complex is a ValidationError."""
+    """refined_torsion and torsion_via_split accept only the complex's own
+    frame, and give with it the values they give without it; a chirality
+    that does not fit the complex is a ValidationError, with or without
+    a frame."""
 
-    @pytest.mark.parametrize("name", list(_FRAME_ENTRY_POINTS))
+    @pytest.mark.parametrize("name", _FRAME_ENTRY_POINTS)
     def test_frame_of_another_complex_is_rejected(self, name):
-        call = _FRAME_ENTRY_POINTS[name]
+        call = _CHIRAL_ENTRY_POINTS[name]
         c2, _ = gen_elementary(1, 0, 2.0)
         c3, g3 = gen_elementary(1, 0, 3.0)
         with pytest.raises(ValidationError, match="frame"):
             call(c3, g3, cohomology_frame(c2))
         call(c3, g3, cohomology_frame(c3))
 
-    @pytest.mark.parametrize("name", list(_FRAME_ENTRY_POINTS))
-    @pytest.mark.parametrize("with_frame", [False, True])
-    def test_chirality_of_another_shape_is_rejected(self, name, with_frame):
-        call = _FRAME_ENTRY_POINTS[name]
+    @pytest.mark.parametrize("with_frame, name", [
+        (with_frame, name) for with_frame in (False, True)
+        for name in _CHIRAL_ENTRY_POINTS
+        if name in _FRAME_ENTRY_POINTS or not with_frame])
+    def test_chirality_of_another_shape_is_rejected(self, with_frame, name):
+        call = _CHIRAL_ENTRY_POINTS[name]
         c, _ = gen_random(1, 1, {"blocks": [(0, 2.0), (0, 3.0)],
                                  "harmonic": []})
         _, g = gen_elementary(1, 0, 2.0)
-        fr = cohomology_frame(c) if with_frame else None
+        fr = (cohomology_frame(c),) if with_frame else ()
         with pytest.raises(ValidationError, match=r"^Gamma_0 has shape "
                                                   r"\(1, 1\), expected "
                                                   r"\(2, 2\)$"):
-            call(c, g, fr)
+            call(c, g, *fr)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    @pytest.mark.parametrize("mid_gap", [False, True], ids=["zero", "mid"])
+    def test_own_frame_gives_the_values_without_it(self, d, acyclic,
+                                                   mid_gap):
+        # the benchmark passes c's own frame by position; the values must
+        # be those of the calls that read the frame c keeps
+        c, g = _instance(50 + d, d, acyclic)
+        lam = _mid_gap_level(c, g) if mid_gap else 0.0
+        fr = cohomology_frame(c)
+        for with_fr, without in (
+                (refined_torsion(c, g, fr), refined_torsion(c, g)),
+                (torsion_via_split(c, g, lam, fr),
+                 torsion_via_split(c, g, lam))):
+            assert with_fr.coeff == without.coeff
+            assert with_fr.frame.betti == without.frame.betti == fr.betti
 
 
 class TestSpectralSplit:
@@ -374,15 +398,14 @@ class TestSpectralSplit:
         for seed in range(6):
             d = 3 if seed % 2 else 1
             c, g = _instance(seed + 20, d, acyclic=(seed % 2 == 0))
-            fr = cohomology_frame(c)
-            rho = refined_torsion(c, g, fr).coeff
+            rho = refined_torsion(c, g).coeff
             mods = sorted({round(abs(z), 6)
                            for j in range(d + 1)
                            for z in np.linalg.eigvals(
                                build_signature(c, g).bsq_block(j))
                            if abs(z) > 1e-4})
             for lam in (0.0, 2.0 * mods[-1]):
-                v = torsion_via_split(c, g, lam, fr).coeff
+                v = torsion_via_split(c, g, lam).coeff
                 np.testing.assert_allclose(v, rho, rtol=1e-8)
 
     @pytest.mark.parametrize("module, name", [
@@ -565,7 +588,7 @@ class TestEvenBlockSides:
             seen.append(what)
             return orig(op, source, target, what)
         monkeypatch.setattr(signature_mod, "_restricted", spy)
-        odd, even = _det_blocks(c, g, None)
+        odd, even = _det_blocks(c, g)
         # neither side is a whole parity
         assert any(b.size for b in odd.values())
         assert any(b.size for b in even.values())
@@ -625,7 +648,7 @@ class TestPlusSideThroughGamma:
         b_plus, b_minus = self._restricted_b_even(c, g)
         expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
         assert abs(graded_det_finite(c, g) - expected) <= 1e-12 * abs(expected)
-        odd, even = _det_blocks(c, g, None)
+        odd, even = _det_blocks(c, g)
         _assert_same_multiset(_side_spectrum(odd), np.linalg.eigvals(b_plus))
         _assert_same_multiset(_side_spectrum(even),
                               np.linalg.eigvals(b_minus))
@@ -642,7 +665,7 @@ class TestPlusSideThroughGamma:
             expected = np.linalg.det(b_plus) / np.linalg.det(-b_minus)
             value = graded_det_finite(cl, gl)
             assert abs(value - expected) <= 1e-12 * abs(expected)
-            odd, even = _det_blocks(cl, gl, None)
+            odd, even = _det_blocks(cl, gl)
             _assert_same_multiset(_side_spectrum(odd),
                                   np.linalg.eigvals(b_plus))
             _assert_same_multiset(_side_spectrum(even),
@@ -666,7 +689,7 @@ class TestPairUnits:
         """Checks every pair and both whole sides of (c, g); the orders of
         its nonempty pairs."""
         orders = []
-        for table in _det_blocks(c, g, None):
+        for table in _det_blocks(c, g):
             for (t, s), p in table.items():
                 if s < t and p.size:
                     q = table[s, t]
@@ -757,7 +780,7 @@ class TestLoneBlocks:
         # the split needs an acyclic complex, where C^j_- = B^j
         c, g = _instance(7, d, acyclic=True)
         fr = cohomology_frame(c)
-        minus = plus_minus_split(c, g, fr)[1]
+        minus = plus_minus_split(c, g)[1]
         lone = [(m, b) for m, b in zip(minus, fr.B) if b.size]
         assert lone
         for m, b in lone:
@@ -779,14 +802,16 @@ class TestLoneBlocks:
 class TestEmptySplitPart:
     """An empty part of a split is the zero complex: it adds det 1 (large)
     or torsion 1 (small), and no frame, graded determinant or torsion of it
-    is formed."""
+    is formed.  The other part is the complex itself and reads its frame:
+    inside graded_det_finite (large), or for the Betti numbers and harmonic
+    bases beside refined_torsion (small)."""
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
     def test_zero_complex_is_not_computed(self, monkeypatch, d, above):
         c, g = _instance(7, d, acyclic=True)
         lam = 2.0 * _spectral_radius(c, g) if above else 0.0
-        fr = cohomology_frame(c)
+        n = c.dims.total
         seen = []
         for name in ("cohomology_frame", "graded_det_finite",
                      "refined_torsion"):
@@ -795,11 +820,11 @@ class TestEmptySplitPart:
                 seen.append((_name, cx.dims.total))
                 return _orig(cx, *args)
             monkeypatch.setattr(signature_mod, name, spy)
-        value = torsion_via_split(c, g, lam, fr).coeff
-        assert seen == [("refined_torsion" if above else "graded_det_finite",
-                         c.dims.total)]
-        assert abs(value - refined_torsion(c, g, fr).coeff) <= (
-            1e-8 * abs(value))
+        value = torsion_via_split(c, g, lam).coeff
+        assert seen == ([("cohomology_frame", n), ("refined_torsion", n)]
+                        if above else
+                        [("graded_det_finite", n), ("cohomology_frame", n)])
+        assert abs(value - refined_torsion(c, g).coeff) <= 1e-8 * abs(value)
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
@@ -843,8 +868,7 @@ class TestSplitStructure:
                               acyclic=acyclic, max_blocks=5)
         c, g = gen_random(60 + d, d, prof)
         sig = build_signature(c, g)
-        fr = cohomology_frame(c)
-        rho = refined_torsion(c, g, fr).coeff
+        rho = refined_torsion(c, g).coeff
         for lam in (0.0, _mid_gap_level(c, g)):
             sp = spectral_split(c, g, lam)
             for part in (sp.small, sp.large):
@@ -863,7 +887,7 @@ class TestSplitStructure:
                 assert res.size == 0 or np.abs(res).max() <= 1e-8
                 assert (sp.small.bases[j].shape[1] + sp.large.bases[j].shape[1]
                         == c.dims.dims[j])
-            v = torsion_via_split(c, g, lam, fr).coeff
+            v = torsion_via_split(c, g, lam).coeff
             np.testing.assert_allclose(v, rho, rtol=1e-8)
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7])
@@ -1012,13 +1036,12 @@ class TestFactorizationCounts:
                                                    d, acyclic):
         # an empty source or target basis gives an empty block directly
         c, g = _instance(7, d, acyclic)
-        fr = cohomology_frame(c)
         calls = count_factorizations()
         for lam in (0.0, _mid_gap_level(c, g), 2.0 * _spectral_radius(c, g)):
-            torsion_via_split(c, g, lam, fr)
+            torsion_via_split(c, g, lam)
             graded_det_via_xi_eta(c, g, lam)
         if acyclic:
-            graded_det_finite(c, g, fr)
+            graded_det_finite(c, g)
         shapes = calls.shapes("restrict")
         assert shapes
         assert all(0 not in basis + image for basis, image in shapes)
@@ -1042,16 +1065,14 @@ class TestFactorizationCounts:
         lam = 2.0 * _spectral_radius(c, g) if above else 0.0
         sp = spectral_split(c, g, lam)
         assert (sp.small if above else sp.large).complex is c
-        calls = count_factorizations()
+        one_frame = count_factorizations()
         cohomology_frame(fresh(c))
-        one_frame = list(calls.log)  # a later count logs here too
-        assert one_frame
-        calls = count_factorizations()
+        assert one_frame.log
+        first_call = count_factorizations()
         first = torsion_via_split(c, g, lam).coeff
-        first_log = list(calls.log)
         calls = count_factorizations()
         assert torsion_via_split(c, g, lam).coeff == first
-        assert first_log == one_frame + calls.log
+        assert first_call.log == one_frame.log + calls.log
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_plus_minus_test_is_one_a_by_a_svd_per_proper_degree(
@@ -1064,7 +1085,7 @@ class TestFactorizationCounts:
         expected = [(a[j], a[j]) for j in range(d + 1) if a[j] and kernel[j]]
         assert expected
         calls = count_factorizations()
-        graded_det_finite(c, g, fr)
+        graded_det_finite(c, g)
         assert calls.shapes("svd", compute_uv=True) == []
         assert calls.shapes("svd", compute_uv=False) == expected
 
@@ -1080,7 +1101,7 @@ class TestFactorizationCounts:
         # else: no split block, no (Gamma d)^2 and never a whole parity
         c, g, _ = _ladder_instance(d, 40)
         fr = cohomology_frame(c)
-        minus = plus_minus_split(c, g, fr)[1]
+        minus = plus_minus_split(c, g)[1]
         n = c.dims.dims
         a = [x.shape[1] for x in fr.A]
         m = [x.shape[1] for x in minus]
@@ -1115,8 +1136,7 @@ class TestFactorizationCounts:
         # det sees the self-paired block of each side, or P and Q of each
         # pair, m_s x m_s, odd side first, and never a whole parity
         c, g, _ = _ladder_instance(d, 40)
-        fr = cohomology_frame(c)
-        m = [x.shape[1] for x in plus_minus_split(c, g, fr)[1]]
+        m = [x.shape[1] for x in plus_minus_split(c, g)[1]]
         expected = []
         for parity in (1, 0):
             for s in range(2 - parity, d + 1, 2):
@@ -1128,7 +1148,7 @@ class TestFactorizationCounts:
             shapes.append(a.shape)
             return det(a)
         monkeypatch.setattr(np.linalg, "det", spy)
-        graded_det_finite(c, g, fr)
+        graded_det_finite(c, g)
         assert shapes == expected
         assert len(shapes) == d  # (d - 1) / 2 pairs, one self-paired block
 
@@ -1141,15 +1161,15 @@ class TestFactorizationCounts:
         # odd - subspaces, so neither graded determinant orthonormalizes a
         # Gamma-image: the only QRs are the frame's own, of its tall degrees
         # (the split at 0 of an acyclic complex forms no basis), and none
-        # with the caller's frame; a fresh copy of the complex builds its
+        # once c keeps its frame; a fresh copy of the complex builds its
         # frame in the call
         c, g, _ = _ladder_instance(d, total)
         calls = count_factorizations()
-        fr = cohomology_frame(c)
+        cohomology_frame(c)
         frame_qr = calls.shapes("qr")
         assert bool(frame_qr) == (d > 1 and total > 40)
         calls = count_factorizations()
-        graded_det_finite(c, g, fr)
+        graded_det_finite(c, g)
         assert calls["qr"] == 0
         for call in (lambda: graded_det_finite(fresh(c), g),
                      lambda: graded_det_via_xi_eta(fresh(c), g, 0.0)):
@@ -1164,7 +1184,7 @@ class TestFactorizationCounts:
         # B_odd as it stands, with nothing restricted, and the - block is
         # empty
         c, g = _instance(seed, 1, acyclic=True)
-        odd, even = _det_blocks(c, g, None)
+        odd, even = _det_blocks(c, g)
         assert list(odd) == [(1, 1)]
         assert np.array_equal(odd[1, 1], build_signature(c, g).b_odd)
         assert even == {}
@@ -1811,7 +1831,7 @@ def _xi_eta_by_degree(c, g, lam):
     d = cl.d
     b = _b_blocks(cl, gl)
     plus = plus_minus_split(cl, gl)[0]
-    num, den = (_assembled(t) for t in _det_blocks(cl, gl, None))
+    num, den = (_assembled(t) for t in _det_blocks(cl, gl))
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
                            np.linalg.eigvals(den) if den.size else []])
     theta = pick_agmon_angle(eigs)

@@ -22,6 +22,7 @@ from detline import (
     dual_torsion_check,
     gen_elementary,
     gen_random,
+    phi,
     random_profile,
     refined_torsion,
     supertrace,
@@ -204,10 +205,9 @@ class TestRefinedTorsion:
             fra, frb = cohomology_frame(a[0]), cohomology_frame(b[0])
             csum, gsum = chiral_direct_sum([a, b])
             frs = cohomology_frame(csum)
-            lhs = refined_torsion(csum, gsum, frs).coeff
-            rhs = fused_in_sum_frame(fra, frb,
-                                     refined_torsion(*a, fra).coeff,
-                                     refined_torsion(*b, frb).coeff, frs)
+            lhs = refined_torsion(csum, gsum).coeff
+            rhs = fused_in_sum_frame(fra, frb, refined_torsion(*a).coeff,
+                                     refined_torsion(*b).coeff, frs)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_duality_residual(self):
@@ -278,9 +278,9 @@ class TestDualFrame:
             self, monkeypatch, d, acyclic):
         c, g = _dual_instance(d, acyclic)
         chat = dual_complex(c)
-        fr, frh = cohomology_frame(c), cohomology_frame(chat)
-        lhs = refined_torsion(chat, dual_chirality(g), frh).coeff
-        rhs = alpha_cohomology(refined_torsion(c, g, fr), frh).coeff
+        lhs = refined_torsion(chat, dual_chirality(g)).coeff
+        rhs = alpha_cohomology(refined_torsion(c, g),
+                               cohomology_frame(chat)).coeff
         ref = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         frames = []
 
@@ -337,8 +337,8 @@ class TestElementRange:
         chat, fr = dual_complex(c), cohomology_frame(c)
         # the frame dual_torsion_check gives the dual complex: c's, relabelled
         frh = CohomologyFrame(chat, fr.A[::-1], fr.H[::-1], fr.B[::-1])
-        lhs = refined_torsion(chat, dual_chirality(g), frh).coeff
-        rhs = alpha_cohomology(refined_torsion(c, g, fr), frh).coeff
+        lhs = phi(c_gamma(chat, dual_chirality(g)), frh).coeff
+        rhs = alpha_cohomology(refined_torsion(c, g), frh).coeff
         res = dual_torsion_check(c, g)
         assert res == pytest.approx(abs(lhs - rhs) / abs(rhs), rel=1e-9)
         assert 1e-15 < res <= 1e-12

@@ -505,11 +505,15 @@ class TestCli:
         assert out["betti"] == [0, 0]
 
     def test_torsion_builds_one_frame(self, tmp_path, capsys, monkeypatch):
+        # the report and the graded determinant each read the frame of the
+        # document's complex, which factorizes it on the first read only
         import detline.cli
+        import detline.complexes
         import detline.signature
         import detline.torsion
-        calls = {"cohomology_frame": 0, "c_gamma": 0}
-        for mod in (detline.cli, detline.signature, detline.torsion):
+        calls = {"cohomology_frame": 0, "_frame_bases": 0, "c_gamma": 0}
+        for mod in (detline.cli, detline.complexes, detline.signature,
+                    detline.torsion):
             for name in calls:
                 if hasattr(mod, name):
                     def spy(*args, _orig=getattr(mod, name), _name=name):
@@ -522,7 +526,8 @@ class TestCli:
         assert main(["torsion", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["graded_det"] is not None
-        assert calls == {"cohomology_frame": 1, "c_gamma": 1}
+        assert calls == {"cohomology_frame": 2, "_frame_bases": 1,
+                         "c_gamma": 1}
 
     def test_split_above_the_spectrum_builds_one_torsion(
             self, tmp_path, capsys, monkeypatch):
