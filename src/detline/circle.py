@@ -157,7 +157,12 @@ def rho_an_circle(m: CircleModel, theta: float | None = None) -> complex:
     For Im a > 0, Re xi and pi Im eta (each ~ pi Im a) cancel in the
     exponent, which costs ~ pi Im a eps of relative precision: against
     rho_an_closed at Re a = 0.3 the relative error is 1.4e-12 at Im a = 1e3,
-    1.1e-9 at 1e6 and 1.8e-8 at 1e7.  rho_an is never 0, so it must lie in
+    1.1e-9 at 1e6 and 1.8e-8 at 1e7.  No check bounds that error: only the
+    Agmon arc's width rule (no arc narrower than 1e-8, here ~0.7 / Im a)
+    refuses, from Im a ~ 7e7, and the sector margin _CUT_TOL from ~7e8.
+    With both bypassed the error is 2.6e-7 at 1e8, 3.3e-3 at 1e12 and 0.62
+    at 1e15 (rho_an_closed = 1), so a change to either rule needs a
+    precision guard of its own.  rho_an is never 0, so it must lie in
     the normal float range: for Im a < 0, |rho_an| leaves it past
     Im a ~ -113, and rho_an ~ -2 pi i a falls below it for real a below
     about 3.54e-309; the CLI exits 3."""

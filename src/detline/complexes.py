@@ -24,7 +24,8 @@ takes the full SVD of R.  Any other degree takes one full SVD.
 
 The decomposition depends on (C, d) alone, so each complex is factorized
 once: the first cohomology_frame call computes the bases and the complex
-keeps them, read-only, and every later call hands them out again.  The
+keeps them, read-only, and every later call hands them out again; the
+margins of the rank decisions are computed once per complex too.  The
 complex holds the bases, not a frame (a frame points back at its
 complex), so they are freed with the complex.
 """
@@ -89,21 +90,21 @@ def _as_matrix(m, rows: int, cols: int) -> np.ndarray:
     return _readonly(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CochainComplex:
     """Cochain complex of standard coordinate spaces.
 
     ``partial[j]`` is the matrix of d_j : C^j -> C^{j+1}; the list has one
     entry per degree 0..d-1.  Construction checks the shapes and d.d = 0;
     the matrices are read-only views (the caller's arrays keep their flags).
-    The read-only B/H/A bases of its cohomology frame are kept here once
-    cohomology_frame has computed them.
+    The read-only B/H/A bases of its cohomology frame, and the margins of
+    their rank decisions, are computed on first read and kept here.  Like
+    every type of the package that holds arrays, it compares and hashes by
+    identity.
     """
 
     dims: GradedDims
     partial: tuple[np.ndarray, ...]
-    _bases: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         d = self.dims.d
@@ -122,6 +123,20 @@ class CochainComplex:
     @property
     def d(self) -> int:
         return self.dims.d
+
+    @cached_property
+    def _bases(self) -> tuple:
+        return _frame_bases(self)
+
+    @cached_property
+    def _margins(self) -> tuple[float, ...]:
+        # [A^j | H^j] is P_j up to a unitary (at j = 0 one of all of C^0), so
+        # d_j [A^j | H^j] has the singular values of d_j P_j
+        _, H, A = self._bases
+        xs = (m if j == 0 else m @ np.hstack([a, h])
+              for j, (m, a, h) in enumerate(zip(self.partial, A, H)))
+        return tuple(_rank_cut(np.linalg.svd(x, compute_uv=False))[1]
+                     if x.size else math.inf for x in xs)
 
     def differential_residual(self) -> float:
         """Largest entry of any d_{j+1} d_j, relative to the scale of d;
@@ -220,7 +235,7 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyFrame:
     """Orthonormal frames of the decomposition C^j = B^j + H^j + A^j.
 
@@ -228,9 +243,9 @@ class CohomologyFrame:
     ker d_j (the harmonic space), and A^j the orthogonal complement of the
     kernel.  ``betti[j]`` is dim H^j.  ``rank_margin[j]`` says how far the
     rank decision on d_j was from going the other way (see ``_rank_cut``).
-    It is computed on first read, from the singular values of
-    d_j [A^j | H^j], so a frame assembled by hand has margins of its own
-    and building a frame computes none.
+    Margins depend on (C, d) alone, so the complex keeps them: the first
+    read takes the singular values of d_j [A^j | H^j] in the bases the
+    complex keeps, and every frame of the complex reads that one tuple.
     """
 
     complex: CochainComplex
@@ -238,17 +253,9 @@ class CohomologyFrame:
     H: tuple[np.ndarray, ...]
     A: tuple[np.ndarray, ...]
 
-    @cached_property
+    @property
     def rank_margin(self) -> tuple[float, ...]:
-        # [A^j | H^j] is P_j up to a unitary (at j = 0 one of all of C^0), so
-        # d_j [A^j | H^j] has the singular values of d_j P_j
-        margins = []
-        for j, (m, a, h) in enumerate(zip(self.complex.partial, self.A,
-                                          self.H)):
-            x = m if j == 0 else m @ np.hstack([a, h])
-            margins.append(_rank_cut(np.linalg.svd(x, compute_uv=False))[1]
-                           if x.size else math.inf)
-        return tuple(margins)
+        return self.complex._margins
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -265,16 +272,13 @@ def cohomology_frame(c: CochainComplex) -> CohomologyFrame:
     every later call wraps the same bases in a new frame, with no
     factorization.  c holds no frame, so no reference cycle keeps the
     bases alive once c is gone."""
-    if c._bases is None:
-        object.__setattr__(c, "_bases", tuple(
-            tuple(_readonly(x) for x in xs) for xs in _frame_bases(c)))
     return CohomologyFrame(c, *c._bases)
 
 
 def _frame_bases(c: CochainComplex):
-    """The bases (B, H, A) of the decomposition, chained down the complex;
-    a square degree of full rank and a tall degree of full column rank need
-    no singular vectors.
+    """The read-only bases (B, H, A) of the decomposition, chained down the
+    complex; a square degree of full rank and a tall degree of full column
+    rank need no singular vectors.
 
     With U_j = [B^j | P_j] unitary (U_0 the identity, P_0 = C^0), d_j
     vanishes on B^j.  A square d_j P_j that the invertibility kernel
@@ -326,7 +330,7 @@ def _frame_bases(c: CochainComplex):
         perp = u[:, rank:]
     H.append(np.eye(n[0], dtype=complex) if perp is None else perp)
     A.append(np.zeros((n[-1], 0), dtype=complex))
-    return B, H, A
+    return tuple(tuple(map(_readonly, xs)) for xs in (B, H, A))
 
 
 def sign_N(frame: CohomologyFrame) -> int:
@@ -338,7 +342,7 @@ def sign_N(frame: CohomologyFrame) -> int:
                for j, k in enumerate(a.shape[1] for a in frame.A)) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyElement:
     """Element of the determinant line of cohomology, as a coefficient
     against the wedge of the frame's orthonormal harmonic bases.  Every
@@ -429,15 +433,19 @@ def alpha_cohomology(x: CohomologyElement,
     return CohomologyElement(coeff, frame_hat)
 
 
-def fused_in_sum_frame(fr_a: CohomologyFrame, fr_b: CohomologyFrame,
-                       coeff_a: complex, coeff_b: complex,
-                       frame_sum: CohomologyFrame) -> complex:
+def fused_in_sum_frame(x_a: CohomologyElement, x_b: CohomologyElement,
+                       frame_sum: CohomologyFrame) -> CohomologyElement:
     """Fuse two cohomology determinant elements and express the result
     against the harmonic frame of the direct-sum complex (whose harmonic
     spaces are the orthogonal direct sums of the summands'): the graded
-    fusion of the Betti gradings, then a change of frame."""
-    coeff = fuse(DetElement(coeff_a, GradedDims(fr_a.betti)),
-                 DetElement(coeff_b, GradedDims(fr_b.betti))).coeff
-    return coeff / alternating_det(
-        h_sum.conj().T @ _block_diag([fr_a.H[j], fr_b.H[j]])
+    fusion of the Betti gradings, then a change of frame.  Each summand's
+    frame is its element's, and the result is an element of frame_sum,
+    so its coefficient is range-checked when it is built."""
+    xs = [DetElement(x.coeff, GradedDims(x.frame.betti)) for x in (x_a, x_b)]
+    change = alternating_det(
+        h_sum.conj().T @ _block_diag([x_a.frame.H[j], x_b.frame.H[j]])
         for j, h_sum in enumerate(frame_sum.H))
+    # the product may leave the float range; the element names that
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coeff = fuse(*xs).coeff / change
+    return CohomologyElement(coeff, frame_sum)

@@ -197,8 +197,8 @@ def check_fusion_cohomology(cases, seed):
         xa = DetElement(_rand_coeff(rng), ca.dims)
         xb = DetElement(_rand_coeff(rng), cb.dims)
         lhs = phi(fuse(xa, xb), frs).coeff
-        res.append(_rel(fused_in_sum_frame(fra, frb, phi(xa, fra).coeff,
-                                           phi(xb, frb).coeff, frs), lhs))
+        res.append(_rel(fused_in_sum_frame(phi(xa, fra), phi(xb, frb),
+                                           frs).coeff, lhs))
     return _verdict(res, TOL, "relative residual")
 
 
@@ -233,13 +233,12 @@ def check_phi_frame_rotation(cases, seed):
 def check_torsion_direct_sum(cases, seed):
     res = []
     for a, b in _pairs(cases, seed):
-        fra, frb = cohomology_frame(a[0]), cohomology_frame(b[0])
         csum, gsum = chiral_direct_sum([a, b])
-        frs = cohomology_frame(csum)
-        res.append(_rel(fused_in_sum_frame(fra, frb,
-                                           refined_torsion(*a).coeff,
-                                           refined_torsion(*b).coeff, frs),
-                        refined_torsion(csum, gsum).coeff))
+        rho_sum = refined_torsion(csum, gsum)
+        res.append(_rel(fused_in_sum_frame(refined_torsion(*a),
+                                           refined_torsion(*b),
+                                           rho_sum.frame).coeff,
+                        rho_sum.coeff))
     return _verdict(res, TOL, "relative residual")
 
 

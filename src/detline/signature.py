@@ -20,29 +20,23 @@ onto C^{d-j}_-, so B_even on the even + subspaces is similar to d Gamma on
 the odd - subspaces: d Gamma on the odd and on the even - subspaces, in the
 frame's bases, gives the graded determinant and, through its spectra, eta
 and xi.  On the - subspaces d Gamma sends degree s to d+1-s, so each
-parity is read one degree pair at a time and never assembled: a
-self-paired degree (s = d+1-s) gives one block, and a pair s < t = d+1-s
-gives the block [[0, Q], [P, 0]] of two square n x n blocks P : s -> t
-and Q : t -> s.  Swapping its two halves is n transpositions, so its
-determinant is (-1)^n det P det Q; its square is diag(QP, PQ), and by the
-Schur complement its characteristic polynomial is det(z^2 - PQ), so its
-spectrum is +-sqrt(nu) over nu in spec(PQ), and the pair adds nothing to
-eta.  A split decides each degree pair (j, d-j) in degree j from the
-spectrum of B^2 and carries the result to degree d-j by Gamma_j.  The
-eigenvalues of the B^2 block decide, save that at lam = 0 the
-invertibility kernel first settles a block with no zero eigenvalue.  When
-one side of a degree is empty the other is the whole degree, so nothing
-is factorized; a side that fills every degree is the complex itself, and
-a side empty in every degree is the zero complex.  Only a proper split
-factorizes, with numpy alone: the matrix disk function, the sign of a
-Cayley transform of B^2 by a scaled Newton iteration, gives the spectral
-projector onto the small part, and one SVD of it gives orthonormal bases
-of both parts.  A part's blocks are d and Gamma restricted to its bases,
-each with a residual check, except where the check cannot fail.  For
-j < (d+1)/2 the part's basis Q of C^{d-j} comes from the QR
-Gamma_j U_j = Q R of the image of its basis U_j of C^j, so its Gamma_j
-block Q^H Gamma_j U_j = Q^H Q R is R itself; and a square basis is
-unitary, so a restriction onto it takes no residual.
+parity is read one degree pair at a time and never assembled (_det_blocks
+derives a pair's determinant and spectrum).  A split decides each degree
+pair (j, d-j) in degree j from the spectrum of B^2 and carries the result
+to degree d-j by Gamma_j.  The eigenvalues of the B^2 block decide, save
+that at lam = 0 the invertibility kernel first settles a block with no
+zero eigenvalue.  When one side of a degree is empty the other is the
+whole degree, so nothing is factorized; a side that fills every degree is
+the complex itself, and a side empty in every degree is the zero
+complex.  Only a proper split factorizes, with numpy alone: the matrix
+disk function, the sign of a Cayley transform of B^2 by a scaled Newton
+iteration, gives the spectral projector onto the small part, and one SVD
+of it gives orthonormal bases of both parts.  A part's blocks are d and
+Gamma restricted to its bases, each with a residual check, except where
+the check cannot fail.  For j < (d+1)/2 the part's basis Q of C^{d-j}
+comes from the QR Gamma_j U_j = Q R of the image of its basis U_j of
+C^j, so its Gamma_j block Q^H Gamma_j U_j = Q^H Q R is R itself; and a
+square basis is unitary, so a restriction onto it takes no residual.
 """
 
 from __future__ import annotations
@@ -123,14 +117,14 @@ def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
     return _readonly(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureOp:
     """B = Gamma d + d Gamma packaged with its even and odd matrices, both
     read-only."""
 
     b_even: np.ndarray
     b_odd: np.ndarray
-    _blocks: dict = field(repr=False, compare=False)
+    _blocks: dict = field(repr=False)
 
     def bsq_block(self, j: int) -> np.ndarray:
         return _bsq(self._blocks, j)
@@ -262,10 +256,11 @@ def _det_blocks(c: CochainComplex, g: ChiralityOp):
     is two square n x n blocks P = table[t, s] and Q = table[s, t], and
     the pair's block is [[0, Q], [P, 0]] once its degrees are permuted
     next to each other, a similarity.  Swapping its halves is n
-    transpositions, so its determinant is (-1)^n det P det Q; by the Schur
-    complement its characteristic polynomial is det(z^2 - QP), and
-    spec(QP) = spec(PQ), so its spectrum is +-sqrt(nu) over nu in
-    spec(PQ).  Bases that fill every degree of a parity are that whole space:
+    transpositions, so its determinant is (-1)^n det P det Q; its square
+    is diag(QP, PQ), and by the Schur complement its characteristic
+    polynomial is det(z^2 - QP), and spec(QP) = spec(PQ), so its spectrum
+    is +-sqrt(nu) over nu in spec(PQ) and the pair adds nothing to eta.
+    Bases that fill every degree of a parity are that whole space:
     its blocks are used as they stand, with nothing restricted.  Elsewhere
     each Gamma_s M^s the test formed is used again."""
     minus, images = _minus_bases(c, g)
@@ -329,13 +324,12 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     d Gamma on the odd - subspaces (_det_blocks), so no Gamma-image is
     orthonormalized, and det(-B-_even) is (-1)^m det(B-_even) over its m
     dimensions.  Each side's determinant is the product over its
-    self-paired blocks and its pairs: [[0, Q], [P, 0]] of n x n blocks is
-    diag(Q, P) times the swap of its two halves, n transpositions, so its
-    determinant is (-1)^n det P det Q (_pair_det), two n x n LU
-    factorizations in place of one of order 2n.  A singular block (an LU
-    pivot that is exactly 0) means B_even is not bijective.  The graded
-    determinant of a bijective B_even is never 0, so a value built from
-    blocks that are not singular must lie in the float range (_in_range)."""
+    self-paired blocks and its pairs, a pair's (-1)^n det P det Q
+    (_det_blocks, _pair_det): two n x n LU factorizations in place of one
+    of order 2n.  A singular block (an LU pivot that is exactly 0) means
+    B_even is not bijective.  The graded determinant of a bijective B_even
+    is never 0, so a value built from blocks that are not singular must lie
+    in the float range (_in_range)."""
     odd, even = _det_blocks(c, g)
     m = sum(b.shape[1] for b in even.values())
     # numpy's det leaves the floating-point range silently here, and only
@@ -350,7 +344,7 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     return _in_range(value, "the determinant of B_even")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPart:
     """A B^2-invariant piece of a chiral complex, with the embedding bases
     (orthonormal columns) and the restricted differentials and chirality."""
@@ -360,7 +354,7 @@ class SpectralPart:
     chirality: ChiralityOp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSplit:
     small: SpectralPart
     large: SpectralPart
@@ -731,23 +725,16 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     blocks are those of _det_blocks, so the + block is d Gamma on the odd
     - subspaces, similar to it through Gamma, and no Gamma-image is
     orthonormalized.  Each spectrum is taken one unit at a time: the
-    eigenvalues of a self-paired block, and for a pair [[0, Q], [P, 0]],
-    whose square is diag(QP, PQ) and whose characteristic polynomial is
-    det(z^2 - PQ) by the Schur complement, +-sqrt(nu) over nu in spec(PQ)
-    (_pair_spectrum), from one n x n matrix in place of a 2n x 2n one.
-    Both roots of each nu are listed, so a pair adds nothing to eta and
-    twice LDet_{2 theta}(nu) to its side of xi.  The split decided the
-    zeros, so every eigenvalue of the large part counts.  The graded
-    determinant is never 0, so its exp must lie in the float range
-    (_exp_in_range).
-    It takes no frame and no angle: the frame it reads is that of the large
-    part, through cohomology_frame, which factorizes a complex once and
-    keeps its read-only bases with it; a large part that is the complex
-    itself (at lam = 0 without cohomology) shares the complex's frame,
-    built on the first call that reads it.  theta is the Agmon angle of
-    that part's spectrum, the midpoint of its admissible arc
-    (pick_agmon_angle's rule).  The value does not depend on which
-    admissible theta is taken.
+    eigenvalues of a self-paired block, and for a pair +-sqrt(nu) over nu
+    in spec(PQ) (_det_blocks, _pair_spectrum), from one n x n matrix in
+    place of a 2n x 2n one.  Both roots of each nu are listed, so a pair
+    adds nothing to eta and twice LDet_{2 theta}(nu) to its side of xi.
+    The split decided the zeros, so every eigenvalue of the large part
+    counts.  The graded determinant is never 0, so its exp must lie in the
+    float range (_exp_in_range).  The blocks read the frame that the large
+    part's complex keeps, and theta is the midpoint of the admissible arc
+    of its spectrum (pick_agmon_angle's rule); the value does not depend
+    on which admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
     odd, even = _det_blocks(large.complex, large.chirality)

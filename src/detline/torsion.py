@@ -35,14 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiralityOp:
     """Degreewise blocks gamma[j] of Gamma_j : C^j -> C^{d-j}, read-only;
     construction checks that d is odd and Gamma_{d-j} Gamma_j = 1, and
     records the dimension vector (dim C^0, ..., dim C^d) it acts on."""
 
     gamma: tuple[np.ndarray, ...]
-    _dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _dims: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         gamma = tuple(_readonly(np.asarray(g, dtype=complex))

@@ -29,7 +29,10 @@ The corpus, all seeded:
   181, 182, 188, 189, 200};
 - the circle: the selftest's grid, and a at Re a = 0.3 with Im a in {-115,
   -113, 113, 225, 225.489, 225.49, 226, 237.1, 237.2, 300}, plus
-  a = 5e-324.
+  a = 5e-324;
+- the selftest's pair draws (_pairs at its default 40 cases and seed
+  12345): the refined torsions of the two summands fused into the
+  frame of their direct sum.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np  # noqa: E402
 import detline as dl  # noqa: E402
 from detline.cli import main  # noqa: E402
 from detline.selftest import (_circle_grid, _instance,  # noqa: E402
-                              _lambda_choices)
+                              _lambda_choices, _pairs)
 from test_laws import conjugated  # noqa: E402
 
 
@@ -162,9 +165,31 @@ class Ledger:
         put("cli circle", case,
             _cli(["circle", "--a", f"{a.real!r},{a.imag!r}"]))
 
+    def fusion(self, case: str, a, b):
+        def fused():
+            frame_sum = dl.cohomology_frame(dl.direct_sum(a[0], b[0]))
+            return dl.fused_in_sum_frame(dl.refined_torsion(*a),
+                                         dl.refined_torsion(*b),
+                                         frame_sum).coeff
+
+        self.put("fused_in_sum_frame", case, _outcome(fused))
+
 
 def _scaled(c, t):
     return dl.CochainComplex(c.dims, tuple(t * p for p in c.partial))
+
+
+def circle_corpus() -> list:
+    """The holonomy exponents of the circle cases: the selftest's grid, the
+    line Re a = 0.3 about the float range's edges, and a = 5e-324."""
+    return ([m.a for m in _circle_grid()]
+            + [complex(0.3, im) for im in (-115.0, -113.0, 113.0, 225.0,
+                                            225.489, 225.49, 226.0, 237.1,
+                                            237.2, 300.0)]
+            + [complex(5e-324, 0.0)])
+
+
+PAIRS = (40, 12345)  # the selftest's default cases and seed, for _pairs
 
 
 def run() -> dict:
@@ -197,12 +222,10 @@ def run() -> dict:
         for name, blocks in profiles.items():
             led.chiral(f"range {name}", *dl.gen_random(
                 1, 1, {"blocks": blocks, "harmonic": []}))
-        for m in _circle_grid():
-            led.circle(m.a)
-        for im in (-115.0, -113.0, 113.0, 225.0, 225.489, 225.49, 226.0, 237.1,
-                   237.2, 300.0):
-            led.circle(complex(0.3, im))
-        led.circle(complex(5e-324, 0.0))
+        for a in circle_corpus():
+            led.circle(a)
+        for i, (a, b) in enumerate(_pairs(*PAIRS)):
+            led.fusion(f"pair {i}", a, b)
     outcomes = {p: dict(sorted(cases.items()))
                 for p, cases in sorted(led.outcomes.items())}
     paths = {p: {"cases": len(cases), "sha256": _digest(cases)}
@@ -229,14 +252,17 @@ def _values(outcome: str):
 
 
 def _rel_change(old: str, new: str):
-    """max |new - old| / max |old| over two value outcomes' numbers, or None
-    when either is not a value (a raise, a CLI run) or the shapes differ."""
+    """max |new - old| / max |old| over two value outcomes' numbers (inf
+    when old is all 0 and new is not), or None when either is not a value
+    (a raise, a CLI run) or the shapes differ."""
     a, b = _values(old), _values(new)
     if a is None or b is None or len(a) != len(b):
         return None
     change = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    if not change:
+        return 0.0
     scale = max((abs(z) for z in a), default=0.0)
-    return change / scale if change else 0.0
+    return change / scale if scale else math.inf
 
 
 def diff(old: dict, new: dict) -> int:

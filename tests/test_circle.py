@@ -364,6 +364,17 @@ class TestCutTest:
                                match="not an Agmon angle"):
                 _agmon_angle(CircleModel(complex(0.3, im)), -math.pi / 4)
 
+    def test_refused_before_the_cancellation_costs_1e_7(self):
+        # the arc width rule is what keeps rho_an's cancellation in check:
+        # at Re a = 0.3 it admits Im a = 1e7 (relative error 1.8e-8) and
+        # refuses 1e8, where rho_an with the rule bypassed is off by 2.6e-7
+        m = CircleModel(complex(0.3, 1e7))
+        assert abs(rho_an_circle(m) / rho_an_closed(m) - 1) <= 1e-7
+        with pytest.raises(SpectralBoundaryError,
+                           match=r"^no admissible branch angle in "
+                                 r"\(-pi/2, 0\)$"):
+            rho_an_circle(CircleModel(complex(0.3, 1e8)))
+
     @pytest.mark.parametrize("a", PAST_RAY)
     @pytest.mark.parametrize("k", [2, 5])
     def test_split_past_the_former_default_ray(self, a, k):

@@ -644,6 +644,17 @@ class TestRankMargin:
             assert len(margins) == d
             assert all(m > 1 for m in margins)
 
+    def test_margins_are_computed_once_per_complex(self,
+                                                   count_factorizations):
+        # margins depend on (C, d) alone: a new frame of the same complex
+        # reads the tuple the complex keeps, with no SVD
+        c = _instance(4, 5, acyclic=False)[0]
+        first = cohomology_frame(c).rank_margin
+        calls = count_factorizations()
+        again = cohomology_frame(c).rank_margin
+        assert again is first
+        assert calls["svd"] == 0
+
     def test_betti_adds_under_direct_sum(self):
         a = _instance(10, 3, acyclic=False)[0]
         b = _instance(11, 3, acyclic=False)[0]

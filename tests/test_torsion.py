@@ -17,6 +17,7 @@ from detline import (
     c_gamma,
     chiral_direct_sum,
     cohomology_frame,
+    direct_sum,
     dual_chirality,
     dual_complex,
     dual_torsion_check,
@@ -202,13 +203,12 @@ class TestRefinedTorsion:
             d = 3 if seed % 2 else 1
             a = _instance(2 * seed, d, acyclic=(seed % 3 == 0))
             b = _instance(2 * seed + 1, d, acyclic=(seed % 2 == 0))
-            fra, frb = cohomology_frame(a[0]), cohomology_frame(b[0])
             csum, gsum = chiral_direct_sum([a, b])
-            frs = cohomology_frame(csum)
-            lhs = refined_torsion(csum, gsum).coeff
-            rhs = fused_in_sum_frame(fra, frb, refined_torsion(*a).coeff,
-                                     refined_torsion(*b).coeff, frs)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+            lhs = refined_torsion(csum, gsum)
+            rhs = fused_in_sum_frame(refined_torsion(*a), refined_torsion(*b),
+                                     lhs.frame)
+            assert rhs.frame is lhs.frame
+            np.testing.assert_allclose(lhs.coeff, rhs.coeff, rtol=1e-10)
 
     def test_duality_residual(self):
         for seed in range(10):
@@ -319,6 +319,17 @@ class TestElementRange:
                      lambda: dual_torsion_check(c, g)):
             with pytest.raises(SpectralBoundaryError, match=message):
                 call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, side", [(0.02, "under"), (50.0, "over")])
+    def test_out_of_range_fusion_is_a_boundary(self, z, side):
+        # each summand's torsion z^100 is in range, the fused z^200 is not
+        c, g = _ladder(100, z)
+        rho = refined_torsion(c, g)
+        frame_sum = cohomology_frame(direct_sum(c, c))
+        with pytest.raises(SpectralBoundaryError, match=f"^the cohomology "
+                           f"element {side}flows the float range$"):
+            fused_in_sum_frame(rho, rho, frame_sum)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_last_normal_torsion_is_returned(self):
