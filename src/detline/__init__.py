@@ -10,12 +10,11 @@ from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         dual_complex, fused_in_sum_frame, phi, sign_N)
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
-                           beta_line, dual_graded, fuse, invert, sign_M)
+                           beta_line, dual_graded, fuse, sign_M)
 from .signature import (EtaData, SignatureOp, SpectralPart, SpectralSplit,
                         build_signature, det_eta_check, eta_finite,
-                        graded_det_finite, graded_det_via_xi_eta, log_det_cut,
-                        pick_agmon_angle, plus_minus_split, spectral_split,
-                        torsion_via_split)
+                        graded_det_finite, graded_det_via_xi_eta,
+                        pick_agmon_angle, spectral_split, torsion_via_split)
 from .torsion import (ChiralityOp, c_gamma, dual_chirality,
                       dual_torsion_check, refined_torsion, sign_R, supertrace,
                       torsion_norm, validate_chirality, variation_check)

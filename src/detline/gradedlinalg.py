@@ -15,9 +15,11 @@ of anti-linear functionals (the tau-dual for tau = complex conjugation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ValidationError
 
 __all__ = [
     "GradedDims",
@@ -25,7 +27,6 @@ __all__ = [
     "alternating_det",
     "sign_M",
     "fuse",
-    "invert",
     "alpha_line",
     "beta_line",
     "dual_graded",
@@ -40,9 +41,9 @@ class GradedDims:
 
     def __post_init__(self):
         if len(self.dims) == 0:
-            raise ValueError("need at least one degree")
+            raise ValidationError("need at least one degree")
         if any(int(n) != n or n < 0 for n in self.dims):
-            raise ValueError("dimensions must be nonnegative integers")
+            raise ValidationError("dimensions must be nonnegative integers")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
     @property
@@ -59,7 +60,7 @@ class GradedDims:
 
     def __add__(self, other: "GradedDims") -> "GradedDims":
         if self.d != other.d:
-            raise ValueError("degree mismatch in direct sum")
+            raise ValidationError("degree mismatch in direct sum")
         return GradedDims(tuple(a + b for a, b in zip(self.dims, other.dims)))
 
 
@@ -98,7 +99,7 @@ def sign_M(v: GradedDims, w: GradedDims) -> int:
     Det(V) x Det(W) -> Det(V + W).
     """
     if v.d != w.d:
-        raise ValueError("degree mismatch")
+        raise ValidationError("degree mismatch")
     return sum(v.dims[j] * sum(w.dims[:j]) for j in range(1, v.d + 1)) % 2
 
 
@@ -109,17 +110,10 @@ def fuse(x: DetElement, y: DetElement) -> DetElement:
     of W^j.  The coefficient picks up the sign (-1)^{M(V, W)}.
     """
     if x.dualized != y.dualized:
-        raise ValueError("cannot fuse an element with a dualized element")
+        raise ValidationError("cannot fuse an element with a dualized element")
     coeff = x.coeff * y.coeff
     return DetElement(-coeff if sign_M(x.dims, y.dims) else coeff,
                       x.dims + y.dims, x.dualized)
-
-
-def invert(x: DetElement) -> DetElement:
-    """Pass to the inverse line: nonzero coefficient c becomes 1/c."""
-    if x.coeff == 0:
-        raise ZeroDivisionError("zero element of a determinant line")
-    return replace(x, coeff=1.0 / x.coeff)
 
 
 def alpha_line(coeff: complex) -> complex:
@@ -156,7 +150,7 @@ def dual_graded(x: DetElement) -> DetElement:
     """
     dims = x.dims
     if dims.d % 2 == 0:
-        raise ValueError("graded duality needs odd top degree")
+        raise ValidationError("graded duality needs odd top degree")
     coeff = complex(x.coeff).conjugate()
     if (sign_M(dims, dims) + sum(dims.dims[0::2])) % 2:
         coeff = -coeff

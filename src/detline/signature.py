@@ -5,22 +5,22 @@ B = Gamma d + d Gamma.  Its square preserves degrees, which allows splitting
 the complex along the spectrum of B^2, and the graded determinant of the even
 part of B recovers the refined torsion.  Log-determinants along a branch cut
 (an Agmon angle) and the finite-dimensional eta invariant take a spectrum as
-a Python list of complex; numpy only factorizes matrices.  A call forms B
-once, as a table of its nonzero degree blocks Gamma_{j+1} d_j : C^j ->
-C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and reads B_even, B_odd
-and each B^2_j = sum_t B[j, t] B[t, j] off it.
+a Python list of complex; numpy only factorizes matrices.  B is kept as
+one form, the table of its nonzero degree blocks Gamma_{j+1} d_j : C^j ->
+C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and each
+B^2_j = sum_t B[j, t] B[t, j] is read off it; B_even and B_odd are never
+assembled.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+.  The +/- independence test reads principal angles off the unitary
 frame, through its invertibility kernel, applied to the Gamma-images as
 they are; only a block it leaves open orthonormalizes its Gamma-image (by
-QR), and plus_minus_split, which hands out the + bases, is the one call
-that orthonormalizes them.  Gamma commutes with B and carries C^j_+
-onto C^{d-j}_-, so B_even on the even + subspaces is similar to d Gamma on
-the odd - subspaces: d Gamma on the odd and on the even - subspaces, in the
-frame's bases, gives the graded determinant and, through its spectra, eta
-and xi.  On the - subspaces d Gamma sends degree s to d+1-s, so each
-parity is read one degree pair at a time and never assembled (_det_blocks
+QR), and no basis of C_+ is handed out.  Gamma commutes with B and carries
+C^j_+ onto C^{d-j}_-, so B_even on the even + subspaces is similar to
+d Gamma on the odd - subspaces: d Gamma on the odd and on the even -
+subspaces, in the frame's bases, gives the graded determinant and,
+through its spectra, eta and xi.  On the - subspaces d Gamma sends degree
+s to d+1-s, so each parity is read one degree pair at a time (_det_blocks
 derives a pair's determinant and spectrum).  A split decides each degree
 pair (j, d-j) in degree j from the spectrum of B^2 and carries the result
 to degree d-j by Gamma_j.  The eigenvalues of the B^2 block decide, save
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _columns, _readonly, _sigma_min_above, _zero_cut,
+                        _columns, _sigma_min_above, _zero_cut,
                         cohomology_frame)
 from .errors import (SpectralBoundaryError, ValidationError, _exp_in_range,
                      _in_range)
@@ -59,13 +59,11 @@ from .torsion import (ChiralityOp, _frame_for, refined_torsion,
 __all__ = [
     "SignatureOp",
     "build_signature",
-    "plus_minus_split",
     "graded_det_finite",
     "SpectralPart",
     "SpectralSplit",
     "spectral_split",
     "torsion_via_split",
-    "log_det_cut",
     "EtaData",
     "eta_finite",
     "det_eta_check",
@@ -103,27 +101,11 @@ def _bsq(blocks: dict, j: int) -> np.ndarray:
     return sum(blocks[j, t] @ b for (t, s), b in blocks.items() if s == j)
 
 
-def _assemble(blocks: dict, sizes, parity: int) -> np.ndarray:
-    """Matrix of the degree blocks {(target, source): block} of the given
-    parity on the sum of those degrees, degree j of dimension sizes[j],
-    read-only."""
-    offs, pos = {}, 0
-    for j in range(parity, len(sizes), 2):
-        offs[j], pos = pos, pos + sizes[j]
-    out = np.zeros((pos, pos), dtype=complex)
-    for (t, s), b in blocks.items():
-        if s % 2 == parity:
-            out[offs[t]:offs[t] + sizes[t], offs[s]:offs[s] + sizes[s]] = b
-    return _readonly(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SignatureOp:
-    """B = Gamma d + d Gamma packaged with its even and odd matrices, both
-    read-only."""
+    """B = Gamma d + d Gamma as the table of its nonzero degree blocks
+    (_b_blocks), read through bsq_block."""
 
-    b_even: np.ndarray
-    b_odd: np.ndarray
     _blocks: dict = field(repr=False)
 
     def bsq_block(self, j: int) -> np.ndarray:
@@ -132,9 +114,7 @@ class SignatureOp:
 
 def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     validate_chirality(c, g)
-    blocks = _b_blocks(c, g)
-    return SignatureOp(_assemble(blocks, c.dims.dims, 0),
-                       _assemble(blocks, c.dims.dims, 1), blocks)
+    return SignatureOp(_b_blocks(c, g))
 
 
 def _gamma_image(gamma: np.ndarray, basis: np.ndarray):
@@ -220,24 +200,6 @@ def _minus_bases(c: CochainComplex, g: ChiralityOp):
                     f"degree {j}: the +/- subspaces are numerically dependent "
                     f"(sigma_min {smallest:.1e} < {_PM_TOL:.0e})")
     return minus, images
-
-
-def plus_minus_split(c: CochainComplex, g: ChiralityOp):
-    """Orthonormal bases of C^j_+ = ker(d Gamma) and C^j_- = ker(d) per degree.
-
-    C^j_- = B^j + H^j is read off the cohomology frame that c keeps, and
-    C^j_+ is Gamma_{d-j} ker(d_{d-j}) as Gamma_{d-j} Gamma_j = 1.
-    Raises SpectralBoundaryError unless the two intersect trivially and span,
-    which is the bijectivity condition for B.  This is the one call that
-    hands out orthonormal bases of the Gamma-images: one QR of each that is
-    a proper, nonzero subspace, after the test; the graded determinants
-    read them through the frame's invertibility kernel and through Gamma.
-    """
-    minus = _minus_bases(c, g)[0]
-    d = c.d
-    plus = [_gamma_image(g.gamma[d - j], minus[d - j])[0]
-            for j in range(d + 1)]
-    return plus, minus
 
 
 def _det_blocks(c: CochainComplex, g: ChiralityOp):
@@ -609,20 +571,12 @@ def _arg_in_window(z: complex, theta: float) -> float:
     return a + 2 * math.pi * (math.floor((theta - a) / (2 * math.pi)) + 1)
 
 
-def log_det_cut(m, theta: float) -> complex:
-    """Log-determinant over the nonzero spectrum with the branch cut along
-    the ray of angle theta: sum of log|z| + i arg(z), arg in (theta, theta+2pi).
-
-    Accepts a square matrix, or its eigenvalues as a list, tuple or array of
-    another shape.  Raises ValidationError for a non-finite theta and
-    SpectralBoundaryError when an eigenvalue sits on the cut.
-    """
-    return _log_det(_split_zero(_eig_input(m))[0], theta)
-
-
 def _log_det(eigs: list, theta: float) -> complex:
-    """log_det_cut of a spectrum whose zero eigenvalues are already dropped;
-    an exact zero left in it lies on every cut."""
+    """Log-determinant of a spectrum whose zero eigenvalues are already
+    dropped, with the branch cut along the ray of angle theta: the sum of
+    log|z| + i arg(z), arg in (theta, theta + 2 pi].  Raises ValidationError
+    for a non-finite theta and SpectralBoundaryError when an eigenvalue
+    sits on the cut; an exact zero left in it lies on every cut."""
     if not math.isfinite(theta):
         raise ValidationError("branch angle must be finite")
     total = 0.0 + 0.0j

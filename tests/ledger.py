@@ -8,14 +8,19 @@ Each case records one outcome: a value as hex floats ("value ..."; a complex
 as re,im, the items of a tuple joined by ";"), a raise as "raise" plus the
 exception's class and message, or a CLI run as its exit code and stdout,
 and its stderr unless it exits 0.  The ledger holds every outcome, a
-SHA-256 digest of each path's outcomes and one of the whole.  --diff
-prints, per path, how many outcomes are bit-identical, the worst relative
-change of a value, and every changed outcome; it runs nothing.
+SHA-256 digest of each path's outcomes and one of the whole, and a
+"machine" header: the numpy version, the BLAS name, version and OpenBLAS
+configuration that numpy reports, OPENBLAS_NUM_THREADS and
+OPENBLAS_CORETYPE as set (or null), and os.cpu_count().  --diff prints
+one line per header field that differs, then, per path, how many outcomes
+are bit-identical, the worst relative change of a value, and every
+changed outcome; it runs nothing.
 
-Bit-identity is a claim about one machine: another BLAS build may round
-differently.  The script imports detline from the src/ beside it, so a copy
-of it run in another checkout records that checkout.  It is not a test
-module (pytest collects only test_*.py) and nothing in src/ imports it.
+Bit-identity is a claim about one machine: another BLAS build, kernel or
+thread count may round differently, which the header names.  The script
+imports detline from the src/ beside it, so a copy of it run in another
+checkout records that checkout.  It is not a test module (pytest
+collects only test_*.py) and nothing in src/ imports it.
 
 The corpus, all seeded:
 - the selftest's profile draws (_instance) for d in {1, 3, 5, 7, 9}, with
@@ -43,6 +48,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
@@ -56,8 +62,8 @@ import numpy as np  # noqa: E402
 
 import detline as dl  # noqa: E402
 from detline.cli import main  # noqa: E402
-from detline.selftest import (_circle_grid, _instance,  # noqa: E402
-                              _lambda_choices, _pairs)
+from detline.selftest import (_b_even_odd, _circle_grid,  # noqa: E402
+                              _instance, _lambda_choices, _pairs)
 from test_laws import conjugated  # noqa: E402
 
 
@@ -116,12 +122,9 @@ class Ledger:
             _outcome(lambda: dl.graded_det_finite(c, g)))
         put("dual_torsion_check", case,
             _outcome(lambda: dl.dual_torsion_check(c, g)))
-        put("plus_minus_split", case, _outcome(lambda: [
-            [b.shape[1] for b in side]
-            for side in dl.plus_minus_split(c, g)[:2]]))
 
         def b_even():
-            return dl.build_signature(c, g).b_even
+            return _b_even_odd(c, g)[0]
 
         put("eta_finite", case, _outcome(lambda: dl.eta_finite(b_even()).eta))
         put("pick_agmon_angle", case,
@@ -192,6 +195,17 @@ def circle_corpus() -> list:
 PAIRS = (40, 12345)  # the selftest's default cases and seed, for _pairs
 
 
+def machine() -> dict:
+    """The header naming what the outcomes' rounding depends on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "openblas_configuration": blas.get("openblas configuration"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+            "cpu_count": os.cpu_count()}
+
+
 def run() -> dict:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             np.errstate(all="ignore"):
@@ -230,8 +244,8 @@ def run() -> dict:
                 for p, cases in sorted(led.outcomes.items())}
     paths = {p: {"cases": len(cases), "sha256": _digest(cases)}
              for p, cases in outcomes.items()}
-    return {"sha256": _digest(outcomes), "paths": paths,
-            "outcomes": outcomes}
+    return {"machine": machine(), "sha256": _digest(outcomes),
+            "paths": paths, "outcomes": outcomes}
 
 
 def _digest(obj) -> str:
@@ -266,10 +280,18 @@ def _rel_change(old: str, new: str):
 
 
 def diff(old: dict, new: dict) -> int:
-    """Print the per-path summary and every changed outcome; return the
-    number of changed outcomes.  The worst relative change is taken over
-    the outcomes that are values on both sides; any other change (a value
-    that now raises, a new message, another CLI run) counts as "other"."""
+    """Print each machine header field that differs, the per-path summary
+    and every changed outcome; return the number of changed outcomes.  The
+    worst relative change is taken over the outcomes that are values on
+    both sides; any other change (a value that now raises, a new message,
+    another CLI run) counts as "other".  A header field that one side lacks
+    reads "(absent)"."""
+    heads = old.get("machine", {}), new.get("machine", {})
+    for field in sorted(set(heads[0]) | set(heads[1])):
+        a, b = (json.dumps(h[field]) if field in h else "(absent)"
+                for h in heads)
+        if a != b:
+            print(f"machine {field}: {a} -> {b}")
     rows, changed = [], []
     for path in sorted(set(old["outcomes"]) | set(new["outcomes"])):
         a = old["outcomes"].get(path, {})

@@ -8,7 +8,7 @@ depend on the BLAS build: value or raise, the exception's class, the CLI's
 exit code, Betti numbers, split dimensions and eta.  The values of the
 paths in BOUNDS must also lie within a relative bound of the recorded hex
 value.  Bit-identity stays a claim that `python tests/ledger.py --diff`
-makes on one machine.
+makes on one machine, which the ledger's machine header names.
 """
 
 import json
@@ -19,14 +19,13 @@ import pytest
 
 from detline import cohomology_frame, gen_random
 from detline.selftest import _instance, _pairs
-from ledger import (PAIRS, ROOT, Ledger, _rel_change, _scaled, _values,
-                    circle_corpus)
+from ledger import (PAIRS, ROOT, Ledger, _main, _rel_change, _scaled,
+                    _values, circle_corpus, machine)
 
 GOLDEN = json.loads((ROOT / "LEDGER.json").read_text(
     encoding="utf-8"))["outcomes"]
 # paths whose values are discrete: Betti numbers, split dimensions, eta
-EXACT = ("cohomology_frame.betti", "plus_minus_split", "spectral_split",
-         "eta_finite")
+EXACT = ("cohomology_frame.betti", "spectral_split", "eta_finite")
 SPLIT_PATHS = ("spectral_split", "torsion_via_split", "graded_det_via_xi_eta",
                "cli split")
 # Relative bound per path: 100 times the worst drift measured on this slice
@@ -129,3 +128,20 @@ def test_values_hold_within_their_bound(run, path):
     for case, outcome in values.items():
         drift = _drift(golden[case], outcome, acyclic[case.split(" lam")[0]])
         assert drift <= BOUNDS[path], (case, drift)
+
+
+def test_diff_prints_the_header_field_that_differs(tmp_path, capsys):
+    # two ledgers alike but for the BLAS thread count: --diff names that
+    # field, before the per-path summary, and no outcome
+    old = {"machine": dict(machine(), OPENBLAS_NUM_THREADS=None),
+           "outcomes": {"refined_torsion": {"case": "value 0x1.0p+0"}}}
+    new = dict(old, machine=dict(old["machine"], OPENBLAS_NUM_THREADS="1"))
+    paths = []
+    for name, ledger in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(ledger), encoding="utf-8")
+    assert _main(["--diff", str(paths[0]), "--out", str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == 'machine OPENBLAS_NUM_THREADS: null -> "1"'
+    assert lines[1].startswith("path ")
+    assert lines[-1] == "0 changed outcome(s)"

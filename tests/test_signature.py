@@ -30,9 +30,7 @@ from detline import (
     gen_random,
     graded_det_finite,
     graded_det_via_xi_eta,
-    log_det_cut,
     pick_agmon_angle,
-    plus_minus_split,
     random_profile,
     refined_torsion,
     spectral_split,
@@ -40,10 +38,11 @@ from detline import (
     torsion_via_split,
 )
 from detline.complexes import _zero_cut
-from detline.selftest import _instance
+from detline.selftest import _b_even_odd, _instance
 from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
-                               _pair_det, _pair_spectrum, _restrict,
-                               _side_det, _side_spectrum, _split_degree)
+                               _eig_input, _log_det, _minus_bases, _pair_det,
+                               _pair_spectrum, _restrict, _side_det,
+                               _side_spectrum, _split_degree, _split_zero)
 
 from conftest import BIG_PROFILE, fresh, normal_matrix, traced_peak
 
@@ -55,6 +54,26 @@ def _singular_tables(singular):
     eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
     return ({(3, 1): eye if singular else zero, (1, 3): eye},
             {(2, 2): zero if singular else eye})
+
+
+def _plus_minus(c, g):
+    """Orthonormal bases of C^j_+ and C^j_- per degree, after the +/- test:
+    M^j of _minus_bases, and the QR of Gamma_{d-j} M^{d-j} for C^j_+."""
+    minus, d = _minus_bases(c, g)[0], c.d
+    plus = [np.linalg.qr(g.gamma[d - j] @ minus[d - j])[0]
+            for j in range(d + 1)]
+    return plus, minus
+
+
+def _plus_dims(c, g):
+    """dim C^j_+ = dim C^{d-j}_- per degree, after the +/- test."""
+    return [m.shape[1] for m in _minus_bases(c, g)[0]][::-1]
+
+
+def _ldet(m, theta):
+    """Log-determinant along the cut at theta over the nonzero spectrum of
+    a matrix or a list of eigenvalues: _log_det after the zero cut."""
+    return _log_det(_split_zero(_eig_input(m))[0], theta)
 
 
 class TestGradedDet:
@@ -135,9 +154,9 @@ def _qr_first_pm_decision(c, g, fr):
 class TestSignatureOp:
     def test_plus_minus_split_fills_each_degree(self):
         c, g = _instance(3, 3, acyclic=True)
-        plus, minus = plus_minus_split(c, g)
-        for j in range(c.d + 1):
-            assert plus[j].shape[1] + minus[j].shape[1] == c.dims.dims[j]
+        plus = _plus_dims(c, g)
+        for j, m in enumerate(_minus_bases(c, g)[0]):
+            assert plus[j] + m.shape[1] == c.dims.dims[j]
 
     @pytest.mark.parametrize("scale, dependent", [(1.3, True), (1.5, False)])
     def test_plus_minus_dependence_guard_at_its_threshold(self, scale,
@@ -145,10 +164,10 @@ class TestSignatureOp:
         c, g = _tilted(scale * 1e-10)
         if dependent:
             with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-                plus_minus_split(c, g)
+                graded_det_finite(c, g)
         else:
-            plus, minus = plus_minus_split(c, g)
-            assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+            assert cmath.isfinite(graded_det_finite(c, g))
+            assert _plus_dims(c, g) == [1, 1, 1, 0]
 
     @pytest.mark.parametrize("certify", [None, False, True],
                              ids=["kernel", "never", "always"])
@@ -166,11 +185,11 @@ class TestSignatureOp:
         assert fr.A[2].shape[1] == 16
         calls = count_factorizations()
         if certify:
-            plus = plus_minus_split(c, g)[0]
-            assert [p.shape[1] for p in plus] == [16, 1, 16, 0]
+            assert cmath.isfinite(graded_det_finite(c, g))
+            assert _plus_dims(c, g) == [16, 1, 16, 0]
             return
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g)
+            graded_det_finite(c, g)
         assert calls.shapes("svd", compute_uv=False)[-1] == (16, 16)
         assert calls["cholesky"] == (certify is None)
 
@@ -178,7 +197,7 @@ class TestSignatureOp:
     def test_decision_ladder_around_the_threshold(self, extra_a2):
         # the certificate reads (A^2)^H Gamma_1 M^1 with no orthonormal basis
         # formed, yet each rung raises exactly where the QR-first test does,
-        # with its message, in plus_minus_split and graded_det_finite alike
+        # with its message, in graded_det_finite
         raised = []
         for delta in (1.0, 1.2, 1.3, 1.4, 1.41, 1.414, 1.4142, 1.41421,
                       1.41422, 1.4143, 1.415, 1.42, 1.5, 2.0, 2.5, 3.0):
@@ -186,13 +205,12 @@ class TestSignatureOp:
             fr = cohomology_frame(c)
             expected = _qr_first_pm_decision(c, g, fr)
             raised.append(expected is not None)
-            for call in (plus_minus_split, graded_det_finite):
-                if expected is None:
-                    call(c, g)
-                    continue
-                with pytest.raises(SpectralBoundaryError) as err:
-                    call(c, g)
-                assert str(err.value) == expected
+            if expected is None:
+                graded_det_finite(c, g)
+                continue
+            with pytest.raises(SpectralBoundaryError) as err:
+                graded_det_finite(c, g)
+            assert str(err.value) == expected
         assert raised == [True] * 8 + [False] * 8
 
     def test_certificate_floor_scales_with_the_gamma_image(self,
@@ -204,10 +222,10 @@ class TestSignatureOp:
         c, g = _tilted(1.3e-10, stretch=1e3)
         assert max(float(np.abs(m).max()) for m in g.gamma) >= 1e3
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g)
+            graded_det_finite(c, g)
         monkeypatch.setattr(signature_mod, "_frobenius", lambda a: 1.0)
-        plus = plus_minus_split(c, g)[0]
-        assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
+        assert cmath.isfinite(graded_det_finite(c, g))
+        assert _plus_dims(c, g) == [1, 1, 1, 0]
 
     def test_dependent_block_is_decomposed_once(self, count_factorizations):
         # degree 1 passes on the singular values of (A^1)^H Y; degree 2 is
@@ -217,24 +235,21 @@ class TestSignatureOp:
         cohomology_frame(c)  # kept by c, so the count sees the test alone
         calls = count_factorizations()
         with pytest.raises(SpectralBoundaryError, match=_DEPENDENT):
-            plus_minus_split(c, g)
+            graded_det_finite(c, g)
         assert calls.shapes("svd", compute_uv=False) == [(1, 1)] * 3
         assert calls.shapes("qr") == [(2, 1)]
         assert calls["cholesky"] == 0
 
-    def test_open_block_plus_basis_is_the_qr_of_its_image(
-            self, count_factorizations):
+    def test_open_block_takes_one_qr_of_its_image(self,
+                                                   count_factorizations):
         # degree 2 is left open at 1.5e-10 and passes on the QR of
-        # Y = Gamma_1 M^1; after the test plus_minus_split takes one QR of
-        # each proper Gamma-image (degrees 1 and 2), so the basis of C^2_+
-        # is the QR of Y, the same bits as the test's own factor
+        # Y = Gamma_1 M^1; graded_det_finite forms no basis of C_+, so that
+        # QR is the only one
         c, g = _tilted(1.5e-10)
-        cohomology_frame(c)  # kept by c, so the count sees the split alone
+        cohomology_frame(c)  # kept by c, so the count sees the call alone
         calls = count_factorizations()
-        plus, minus = plus_minus_split(c, g)
-        assert calls.shapes("qr") == [(2, 1)] * 3
-        assert [p.shape[1] for p in plus] == [1, 1, 1, 0]
-        assert np.array_equal(plus[2], np.linalg.qr(g.gamma[1] @ minus[1])[0])
+        assert cmath.isfinite(graded_det_finite(c, g))
+        assert calls.shapes("qr") == [(2, 1)]
 
     def test_plus_minus_split_rejects_non_complex(self):
         # d_1 d_0 = 1 != 0; the chirality itself is valid
@@ -242,14 +257,13 @@ class TestSignatureOp:
         with pytest.raises(ValidationError):
             c = CochainComplex(GradedDims((1, 1, 1, 1)),
                                (np.array([[1.0]]),) * 3)
-            plus_minus_split(c, g)
+            graded_det_finite(c, g)
 
     def test_even_and_odd_parts_share_spectrum(self):
         for seed in range(5):
             c, g = _instance(seed + 10, 3, acyclic=(seed % 2 == 0))
-            s = build_signature(c, g)
-            ev = np.sort_complex(np.linalg.eigvals(s.b_even))
-            od = np.sort_complex(np.linalg.eigvals(s.b_odd))
+            ev, od = (np.sort_complex(np.linalg.eigvals(b))
+                      for b in _b_even_odd(c, g))
             np.testing.assert_allclose(ev, od, atol=1e-10)
 
 
@@ -273,7 +287,9 @@ def _rel_error(x, ref):
 
 
 class TestBlockTable:
-    """The degree blocks of B give what the dense operator gives."""
+    """The degree blocks of B give what the dense operator gives: B^2
+    through bsq_block, and B_even and B_odd as the selftest's oracle
+    assembles them from the table."""
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7])
     @pytest.mark.parametrize("acyclic", [True, False])
@@ -284,7 +300,7 @@ class TestBlockTable:
         b, offs = _dense_b(c, g)
         bsq = b @ b
         s = build_signature(c, g)
-        for parity, part in ((0, s.b_even), (1, s.b_odd)):
+        for parity, part in enumerate(_b_even_odd(c, g)):
             idx = np.concatenate([np.arange(offs[j], offs[j + 1])
                                   for j in range(parity, d + 1, 2)])
             ref = b[np.ix_(idx, idx)]
@@ -304,11 +320,17 @@ class TestBlockTable:
             assert (s, t) in blocks
             assert block.shape == (c.dims.dims[t], c.dims.dims[s])
 
+    def test_one_block_parts_at_degree_one(self):
+        # at d = 1, B_even is Gamma_1 d_0 and B_odd is d_0 Gamma_1
+        c, g = _instance(6, 1, acyclic=False)
+        b_even, b_odd = _b_even_odd(c, g)
+        assert np.array_equal(b_even, g.gamma[1] @ c.partial[0])
+        assert np.array_equal(b_odd, c.partial[0] @ g.gamma[1])
+
 
 # every public call that checks first that its chirality fits its complex
 _CHIRAL_ENTRY_POINTS = {
     "refined_torsion": refined_torsion,
-    "plus_minus_split": plus_minus_split,
     "graded_det_finite": graded_det_finite,
     "torsion_via_split": lambda c, g, *fr: torsion_via_split(c, g, 0.0, *fr),
 }
@@ -563,7 +585,7 @@ class TestEvenBlockSides:
             for lam in (0.0, _mid_gap_level(c, g)):
                 large = spectral_split(c, g, lam).large
                 cl, gl = large.complex, large.chirality
-                plus, minus = plus_minus_split(cl, gl)
+                plus, minus = _plus_minus(cl, gl)
                 for (t, s), b in _b_blocks(cl, gl).items():
                     if s % 2:
                         continue
@@ -626,15 +648,15 @@ def _assert_same_multiset(got, want, rtol=1e-10):
 
 class TestPlusSideThroughGamma:
     """The + side of B_even is read as d Gamma on the odd - subspaces, which
-    Gamma makes similar to it.  The oracle is B_even restricted to the
-    orthonormal + and - bases of plus_minus_split (the Gamma-images
-    orthonormalized by QR)."""
+    Gamma makes similar to it.  The oracle is the assembled B_even
+    restricted to the orthonormal + and - bases of _plus_minus (the
+    Gamma-images orthonormalized by QR)."""
 
     @staticmethod
     def _restricted_b_even(c, g):
         """P^H B_even P and M^H B_even M over the even degrees."""
-        plus, minus = plus_minus_split(c, g)
-        b_even = build_signature(c, g).b_even
+        plus, minus = _plus_minus(c, g)
+        b_even = _b_even_odd(c, g)[0]
         out = []
         for bases in (plus, minus):
             e = scipy.linalg.block_diag(*bases[::2])
@@ -740,9 +762,8 @@ class TestPairUnits:
 class TestLoneBlocks:
     """A lone block is used as it stands, with no copy: phi's T_j, a C^j_-
     with B^j or H^j empty, and the identity a square invertible first
-    degree gives as A^0 and B^1.  What a public function hands out this
-    way is a read-only view.  B_even and B_odd are always assembled, and
-    read-only too, even when one degree block fills them."""
+    degree gives as A^0 and B^1.  What is handed out this way is a
+    read-only view."""
 
     @pytest.fixture(scope="class")
     def big(self):
@@ -780,21 +801,11 @@ class TestLoneBlocks:
         # the split needs an acyclic complex, where C^j_- = B^j
         c, g = _instance(7, d, acyclic=True)
         fr = cohomology_frame(c)
-        minus = plus_minus_split(c, g)[1]
+        minus = _minus_bases(c, g)[0]
         lone = [(m, b) for m, b in zip(minus, fr.B) if b.size]
         assert lone
         for m, b in lone:
             assert np.shares_memory(m, b)
-            with pytest.raises(ValueError):
-                m[0, 0] = 2.0
-
-    def test_one_block_b_even_and_b_odd_are_read_only(self):
-        # at d = 1, B_even is Gamma_1 d_0 and B_odd is d_0 Gamma_1
-        c, g = _instance(6, 1, acyclic=False)
-        s = build_signature(c, g)
-        assert np.array_equal(s.b_even, g.gamma[1] @ c.partial[0])
-        assert np.array_equal(s.b_odd, c.partial[0] @ g.gamma[1])
-        for m in (s.b_even, s.b_odd):
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0
 
@@ -1101,7 +1112,7 @@ class TestFactorizationCounts:
         # else: no split block, no (Gamma d)^2 and never a whole parity
         c, g, _ = _ladder_instance(d, 40)
         fr = cohomology_frame(c)
-        minus = plus_minus_split(c, g)[1]
+        minus = _minus_bases(c, g)[0]
         n = c.dims.dims
         a = [x.shape[1] for x in fr.A]
         m = [x.shape[1] for x in minus]
@@ -1136,7 +1147,7 @@ class TestFactorizationCounts:
         # det sees the self-paired block of each side, or P and Q of each
         # pair, m_s x m_s, odd side first, and never a whole parity
         c, g, _ = _ladder_instance(d, 40)
-        m = [x.shape[1] for x in plus_minus_split(c, g)[1]]
+        m = [x.shape[1] for x in _minus_bases(c, g)[0]]
         expected = []
         for parity in (1, 0):
             for s in range(2 - parity, d + 1, 2):
@@ -1186,7 +1197,7 @@ class TestFactorizationCounts:
         c, g = _instance(seed, 1, acyclic=True)
         odd, even = _det_blocks(c, g)
         assert list(odd) == [(1, 1)]
-        assert np.array_equal(odd[1, 1], build_signature(c, g).b_odd)
+        assert np.array_equal(odd[1, 1], _b_even_odd(c, g)[1])
         assert even == {}
 
     @pytest.mark.parametrize("d", [1, 3, 5])
@@ -1613,31 +1624,31 @@ class TestOracleLadder:
 class TestLogDetCut:
     def test_hand_examples(self):
         np.testing.assert_allclose(
-            log_det_cut(np.diag([1.0, -1.0]), -math.pi / 2), 1j * math.pi,
+            _ldet(np.diag([1.0, -1.0]), -math.pi / 2), 1j * math.pi,
             atol=1e-14)
         for theta in (-math.pi / 4, -1.0):
             np.testing.assert_allclose(
-                log_det_cut(np.diag([4.0]), theta), math.log(4.0), atol=1e-14)
+                _ldet(np.diag([4.0]), theta), math.log(4.0), atol=1e-14)
         np.testing.assert_allclose(
-            log_det_cut(np.diag([-1.0j]), -math.pi / 4), 1.5j * math.pi,
+            _ldet(np.diag([-1.0j]), -math.pi / 4), 1.5j * math.pi,
             atol=1e-14)
 
     def test_zero_eigenvalues_are_skipped(self):
-        val = log_det_cut(np.diag([0.0, 4.0]), -math.pi / 4)
+        val = _ldet(np.diag([0.0, 4.0]), -math.pi / 4)
         np.testing.assert_allclose(val, math.log(4.0), atol=1e-12)
 
     def test_eigenvalue_on_cut_is_rejected(self):
         with pytest.raises(SpectralBoundaryError):
-            log_det_cut(np.diag([-1.0j]), -math.pi / 2)
+            _ldet(np.diag([-1.0j]), -math.pi / 2)
 
     def test_non_square_matrix_is_rejected(self):
         with pytest.raises(ValidationError, match="^matrix must be square$"):
-            log_det_cut(np.ones((2, 3)), -math.pi / 4)
+            _ldet(np.ones((2, 3)), -math.pi / 4)
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_is_rejected(self, theta):
         with pytest.raises(ValidationError, match="branch angle"):
-            log_det_cut(np.diag([4.0]), theta)
+            _ldet(np.diag([4.0]), theta)
         with pytest.raises(ValidationError, match="branch angle"):
             det_eta_check(np.diag([2.0, -3.0]), theta)
 
@@ -1647,8 +1658,8 @@ class TestLogDetCut:
         eigs = np.array([4.0, -1.0 + 2.0j, 0.5 - 3.0j])
         theta = 1e6
         k = math.floor(theta / (2 * math.pi))
-        near = log_det_cut(eigs, theta - 2 * math.pi * k)
-        far = log_det_cut(eigs, theta)
+        near = _ldet(eigs, theta - 2 * math.pi * k)
+        far = _ldet(eigs, theta)
         np.testing.assert_allclose(far, near + 2j * math.pi * k * eigs.size,
                                    rtol=1e-12)
 
@@ -1665,10 +1676,10 @@ class TestLogDetCut:
         eigs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         thetas = (-math.pi / 4, -2.5, 1.0, -7.0, 30.0)
         models = [CircleModel(a) for a in (0.3, 0.71, 0.3 + 0.2j, 0.6 - 0.4j)]
-        new = ([log_det_cut(eigs, t) for t in thetas],
+        new = ([_ldet(eigs, t) for t in thetas],
                [split_check(m, k) for m in models for k in (2, 5)])
         monkeypatch.setattr(signature_mod, "_arg_in_window", by_steps)
-        old = ([log_det_cut(eigs, t) for t in thetas],
+        old = ([_ldet(eigs, t) for t in thetas],
                [split_check(m, k) for m in models for k in (2, 5)])
         np.testing.assert_allclose(new[0], old[0], rtol=1e-12)
         np.testing.assert_allclose(new[1], old[1], rtol=0, atol=1e-12)
@@ -1681,8 +1692,8 @@ class TestNonFiniteSpectrum:
     @pytest.mark.parametrize("call", [
         lambda: eta_finite([1.0, math.inf, -2.0]),
         lambda: eta_finite(np.diag([1.0, math.nan])),
-        lambda: log_det_cut([1.0, math.nan], -math.pi / 4),
-        lambda: log_det_cut(np.array([[1.0, math.inf], [0.0, 1.0]]),
+        lambda: _ldet([1.0, math.nan], -math.pi / 4),
+        lambda: _ldet(np.array([[1.0, math.inf], [0.0, 1.0]]),
                             -math.pi / 4),
         lambda: det_eta_check([math.nan, 1.0], -math.pi / 4),
         lambda: pick_agmon_angle([1.0, complex(0.0, math.inf)]),
@@ -1722,7 +1733,7 @@ class TestListPath:
     def _results(spectrum):
         out = [_outcome(eta_finite, spectrum),
                _outcome(pick_agmon_angle, spectrum)]
-        out += [_outcome(log_det_cut, spectrum, theta)
+        out += [_outcome(_ldet, spectrum, theta)
                 for theta in (-math.pi / 4, 0.75 * math.pi, -1.0)]
         return out
 
@@ -1740,7 +1751,7 @@ class TestListPath:
         eigs = _LIST_SPECTRA["near-cut"]
         for e, theta in ((eigs[:1], -math.pi / 4), (eigs[1:2], 0.75 * math.pi)):
             with pytest.raises(SpectralBoundaryError, match="branch cut"):
-                log_det_cut(e, theta)
+                _ldet(e, theta)
         e = eta_finite(_LIST_SPECTRA["axis"])
         assert (e.m_plus, e.m_minus, e.asymmetry) == (2, 1, 1)
 
@@ -1751,7 +1762,7 @@ class TestListPath:
         eigs = [1.0, -2.0, 3.0j, 0.5, 4.0]
         eigs[pos] = bad
         for call in (eta_finite, pick_agmon_angle,
-                     lambda e: log_det_cut(e, -math.pi / 4),
+                     lambda e: _ldet(e, -math.pi / 4),
                      lambda e: det_eta_check(e, -math.pi / 4)):
             with pytest.raises(ValidationError, match="not finite"):
                 call(eigs)
@@ -1764,7 +1775,7 @@ class TestListPath:
                                        np.zeros((0, 0))],
                              ids=["list", "tuple", "vector", "matrix"])
     def test_empty_spectrum(self, empty):
-        assert log_det_cut(empty, -1.0) == 0
+        assert _ldet(empty, -1.0) == 0
         e = eta_finite(empty)
         assert (e.eta, e.asymmetry, e.m_plus, e.m_minus, e.m_zero) == (
             0.0, 0, 0, 0, 0)
@@ -1830,7 +1841,7 @@ def _xi_eta_by_degree(c, g, lam):
     cl, gl = large.complex, large.chirality
     d = cl.d
     b = _b_blocks(cl, gl)
-    plus = plus_minus_split(cl, gl)[0]
+    plus = _plus_minus(cl, gl)[0]
     num, den = (_assembled(t) for t in _det_blocks(cl, gl))
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
                            np.linalg.eigvals(den) if den.size else []])
@@ -1841,7 +1852,7 @@ def _xi_eta_by_degree(c, g, lam):
         if p.shape[1]:
             gd_sq = b[j, d - j - 1] @ b[d - j - 1, j]
             rest = _restrict(p, gd_sq @ p, f"(Gamma d)^2 on C^{j}_+")
-            xi += 0.5 * (-1) ** j * log_det_cut(rest, 2 * theta)
+            xi += 0.5 * (-1) ** j * _ldet(rest, 2 * theta)
     return cmath.exp(xi - 1j * math.pi * eta_finite(eigs).eta
                      + 1j * math.pi * (len(num) - len(den)) / 2.0)
 
