@@ -12,6 +12,7 @@ makes on one machine, which the ledger's machine header names.
 """
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -145,3 +146,32 @@ def test_diff_prints_the_header_field_that_differs(tmp_path, capsys):
     assert lines[0] == 'machine OPENBLAS_NUM_THREADS: null -> "1"'
     assert lines[1].startswith("path ")
     assert lines[-1] == "0 changed outcome(s)"
+
+
+def test_diff_reads_a_missing_header_field_as_absent(tmp_path, capsys):
+    # a ledger written before the header had a field: --diff prints the
+    # field as "(absent)" on that side
+    new = {"machine": {"cpu_count": 2},
+           "outcomes": {"refined_torsion": {"case": "value 0x1.0p+0"}}}
+    old = dict(new, machine={})
+    paths = []
+    for name, ledger in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(ledger), encoding="utf-8")
+    assert _main(["--diff", str(paths[0]), "--out", str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "machine cpu_count: (absent) -> 2"
+    assert lines[1].startswith("path ")
+
+
+def test_machine_header_reads_the_openblas_settings(monkeypatch):
+    # the two OpenBLAS variables as set, null when unset
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    head = machine()
+    assert head["OPENBLAS_NUM_THREADS"] == "3"
+    assert head["OPENBLAS_CORETYPE"] is None
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert machine()["OPENBLAS_CORETYPE"] == "Haswell"
+    assert head["numpy"] == np.__version__
+    assert head["cpu_count"] == os.cpu_count()

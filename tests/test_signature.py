@@ -333,6 +333,10 @@ _CHIRAL_ENTRY_POINTS = {
     "refined_torsion": refined_torsion,
     "graded_det_finite": graded_det_finite,
     "torsion_via_split": lambda c, g, *fr: torsion_via_split(c, g, 0.0, *fr),
+    "build_signature": build_signature,
+    "spectral_split": lambda c, g: spectral_split(c, g, 0.0),
+    "graded_det_via_xi_eta": lambda c, g: graded_det_via_xi_eta(c, g, 0.0),
+    "c_gamma": c_gamma,
 }
 # the two that still take a frame, c's own only: the benchmark's workloads
 # pass it by position
