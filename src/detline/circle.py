@@ -253,7 +253,10 @@ def split_check(m: CircleModel, k: int, theta: float | None = None) -> float:
     as in xi, and the finite part's log-determinants take its cut.  No n + a
     is zero, so the finite part's values are all taken as nonzero, and
     the large part's determinant, never 0, must lie in the normal float
-    range (past Im a ~ -113 it overflows)."""
+    range (past Im a ~ -113 it overflows).  k is an int or a numpy
+    integer; a bool is not a count, and is refused with the rest."""
+    if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValidationError("k must be nonnegative")
     theta = _agmon_angle(m, theta)

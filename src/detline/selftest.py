@@ -303,11 +303,17 @@ def check_torsion_graded_det(cases, seed):
 def _lambda_choices(c, g):
     """Split levels 0, mid-gap of the two least B^2 moduli above the cut
     1e-4 (when there are two) and twice the largest; no modulus above the
-    cut leaves no level, a numerical boundary."""
+    cut leaves no level, and a B^2 block that is not finite (an overflow)
+    has no moduli, each a numerical boundary."""
     s = build_signature(c, g)
-    # the zero complex has no eigenvalue: its largest modulus is 0
-    moduli = [abs(z) for j in range(c.d + 1)
-              for z in np.linalg.eigvals(s.bsq_block(j))] or [0.0]
+    moduli = []
+    for j in range(c.d + 1):
+        bsq = s.bsq_block(j)
+        if not np.isfinite(bsq).all():
+            raise SpectralBoundaryError(
+                f"degree {j}: the B^2 block is not finite (overflow)")
+        moduli += [abs(z) for z in np.linalg.eigvals(bsq)]
+    moduli = moduli or [0.0]  # the zero complex: its largest modulus is 0
     mods = sorted({round(r, 6) for r in moduli if r > 1e-4})
     if not mods:
         raise SpectralBoundaryError(f"largest B^2 modulus {max(moduli):.3g} "

@@ -50,8 +50,7 @@ import numpy as np
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         _columns, _sigma_min_above, _zero_cut,
                         cohomology_frame)
-from .errors import (SpectralBoundaryError, ValidationError, _exp_in_range,
-                     _in_range)
+from .errors import SpectralBoundaryError, ValidationError, _exp_in_range
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
                       validate_chirality)
@@ -243,40 +242,36 @@ def _det_blocks(c: CochainComplex, g: ChiralityOp):
     return side(1), side(0)
 
 
-def _units(table: dict):
-    """The nonempty units of a _det_blocks table: (B, None) for a
-    self-paired degree, and (P, Q) = (table[t, s], table[s, t]) once for
-    each pair s < t."""
-    for (t, s), b in table.items():
-        if b.size and s <= t:
-            yield b, (table[s, t] if s < t else None)
-
-
-def _pair_det(p: np.ndarray, q: np.ndarray):
-    """det [[0, Q], [P, 0]] = (-1)^n det P det Q for n x n P and Q."""
-    return (-1) ** p.shape[0] * np.linalg.det(p) * np.linalg.det(q)
-
-
 def _pair_spectrum(p: np.ndarray, q: np.ndarray) -> list:
     """Spectrum of [[0, Q], [P, 0]]: +-sqrt(nu) over nu in spec(PQ)."""
     roots = [cmath.sqrt(nu) for nu in _eig_input(p @ q)]
     return roots + [-r for r in roots]
 
 
-def _side_det(table: dict):
-    """Determinant of a _det_blocks table's operator, unit by unit."""
-    out = np.complex128(1.0)
-    for p, q in _units(table):
-        out *= np.linalg.det(p) if q is None else _pair_det(p, q)
-    return out
-
-
 def _side_spectrum(table: dict) -> list:
-    """Spectrum of a _det_blocks table's operator, unit by unit."""
-    eigs = []
-    for p, q in _units(table):
-        eigs += _eig_input(p) if q is None else _pair_spectrum(p, q)
-    return eigs
+    """Spectrum of a _det_blocks table's operator, unit by unit: each
+    nonempty self-paired block, and each pair s < t through
+    (P, Q) = (table[t, s], table[s, t])."""
+    return [z for (t, s), b in table.items() if b.size and s <= t
+            for z in (_eig_input(b) if s == t
+                      else _pair_spectrum(b, table[s, t]))]
+
+
+def _side_log_det(table: dict) -> complex:
+    """Log-determinant of a _det_blocks table's operator: over its nonempty
+    blocks, the sum of slogdet's log-modulus and phase, and i pi for each
+    pair of n x n blocks of odd n, the pair's sign (-1)^n.  A block whose
+    slogdet sign is 0 (an LU pivot that is exactly 0) is singular: B_even
+    is not bijective."""
+    total = 0j
+    for (t, s), b in table.items():
+        if b.size:
+            sign, log_mod = np.linalg.slogdet(b)
+            if sign == 0:
+                raise SpectralBoundaryError("B_even is not bijective")
+            pair = s < t and b.shape[0] % 2
+            total += complex(log_mod, cmath.phase(sign) + math.pi * pair)
+    return total
 
 
 def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
@@ -285,25 +280,17 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     cohomology frame that c keeps: det(B+_even) is that of
     d Gamma on the odd - subspaces (_det_blocks), so no Gamma-image is
     orthonormalized, and det(-B-_even) is (-1)^m det(B-_even) over its m
-    dimensions.  Each side's determinant is the product over its
-    self-paired blocks and its pairs, a pair's (-1)^n det P det Q
-    (_det_blocks, _pair_det): two n x n LU factorizations in place of one
-    of order 2n.  A singular block (an LU pivot that is exactly 0) means
-    B_even is not bijective.  The graded determinant of a bijective B_even
-    is never 0, so a value built from blocks that are not singular must lie
-    in the float range (_in_range)."""
+    dimensions.  It is taken as one log, _side_log_det of the odd table
+    less that of the even one and i pi m mod 2 pi, with one slogdet per
+    block: two n x n LU factorizations for a pair in place of one of order
+    2n, and no product that can leave the float range on the way.  The
+    graded determinant of a bijective B_even is never 0, so its exp must
+    lie in the float range (_exp_in_range), the exit and the message of
+    graded_det_via_xi_eta."""
     odd, even = _det_blocks(c, g)
     m = sum(b.shape[1] for b in even.values())
-    # numpy's det leaves the floating-point range silently here, and only
-    # the LU pivots of the blocks tell a singular one from a product that
-    # left the range
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = complex(_side_det(odd) / ((-1) ** m * _side_det(even)))
-        if not (value and cmath.isfinite(value)) and any(
-                np.linalg.slogdet(b)[0] == 0 for table in (odd, even)
-                for b in table.values() if b.size):
-            raise SpectralBoundaryError("B_even is not bijective")
-    return _in_range(value, "the determinant of B_even")
+    log = _side_log_det(odd) - _side_log_det(even) - 1j * math.pi * (m % 2)
+    return _exp_in_range(log, " (the graded determinant of B_even)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,12 +520,20 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
 
 
 def _eig_input(m) -> list:
-    """Eigenvalues of a finite square matrix, or a spectrum given as a flat
-    list or tuple or as an array of another shape, as a list of complex."""
-    if isinstance(m, (list, tuple)) and not (m and hasattr(m[0], "__len__")):
-        return [complex(z) for z in m]
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    """A spectrum as a list of complex: a 0-D or 1-D input (a flat list or
+    tuple read without numpy) as it stands, a 2-D one, a finite square
+    matrix, by its eigenvalues.  Any other input, a 3-D array or a ragged
+    nesting, raises ValidationError."""
+    try:
+        if isinstance(m, (list, tuple)) and not (
+                m and hasattr(m[0], "__len__")):
+            return [complex(z) for z in m]
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):  # a ragged nesting, or not numbers
+        a = None
+    if a is None or a.ndim > 2:
+        raise ValidationError("input is neither a spectrum nor a matrix")
+    if a.ndim < 2:
         return a.ravel().tolist()
     if a.shape[0] != a.shape[1]:
         raise ValidationError("matrix must be square")
@@ -685,10 +680,11 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     adds nothing to eta and twice LDet_{2 theta}(nu) to its side of xi.
     The split decided the zeros, so every eigenvalue of the large part
     counts.  The graded determinant is never 0, so its exp must lie in the
-    float range (_exp_in_range).  The blocks read the frame that the large
-    part's complex keeps, and theta is the midpoint of the admissible arc
-    of its spectrum (pick_agmon_angle's rule); the value does not depend
-    on which admissible theta is taken.
+    float range (_exp_in_range), as graded_det_finite's does, with the same
+    message.  The blocks read the frame that the large part's complex
+    keeps, and theta is the midpoint of the admissible arc of its spectrum
+    (pick_agmon_angle's rule); the value does not depend on which
+    admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
     odd, even = _det_blocks(large.complex, large.chirality)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import detline.signature as signature_mod
-from detline import ChiralityOp, CochainComplex
+from detline import (ChiralityOp, CochainComplex, SpectralBoundaryError,
+                     gen_random, refined_torsion)
 
 
 def normal_matrix(spectrum, seed=3):
@@ -24,6 +25,28 @@ def normal_matrix(spectrum, seed=3):
 BIG_PROFILE = {"blocks": [(0, complex(1 + 0.1 * k, 0.3)) for k in range(200)],
                "harmonic": []}
 BIG_UNIT = 200 * 200 * 16  # bytes of one 200 x 200 complex matrix
+
+
+def range_family():
+    """Acyclic pairs whose graded determinant multiplies to values near the
+    float range's edges: gen_random(seed, d, {"blocks": [(j1, z), (j2, z)],
+    "harmonic": []}) for d in {1, 3, 5, 7}, every j1, j2 < (d+1)/2,
+    z in {1e120, 1e155, 1e160, 1e200} and seeds 0-2, kept when the refined
+    torsion rho is in the float range, 180 of the 360.  Yields
+    (case, c, g, rho)."""
+    for d in (1, 3, 5, 7):
+        for j1 in range((d + 1) // 2):
+            for j2 in range((d + 1) // 2):
+                for z in (1e120, 1e155, 1e160, 1e200):
+                    for seed in range(3):
+                        c, g = gen_random(seed, d, {
+                            "blocks": [(j1, z), (j2, z)], "harmonic": []})
+                        try:
+                            rho = refined_torsion(c, g).coeff
+                        except SpectralBoundaryError:
+                            continue
+                        yield (f"d={d} j={j1},{j2} z={z:g} seed={seed}",
+                               c, g, rho)
 
 
 def fresh(c: CochainComplex) -> CochainComplex:

@@ -10,8 +10,9 @@ exception's class and message, or a CLI run as its exit code and stdout,
 and its stderr unless it exits 0.  The ledger holds every outcome, a
 SHA-256 digest of each path's outcomes and one of the whole, and a
 "machine" header: the numpy version, the BLAS name, version and OpenBLAS
-configuration that numpy reports, OPENBLAS_NUM_THREADS and
-OPENBLAS_CORETYPE as set (or null), and os.cpu_count().  --diff prints
+configuration that numpy reports, the OpenBLAS core that runs (or null),
+OPENBLAS_NUM_THREADS and OPENBLAS_CORETYPE as set (or null), and
+os.cpu_count().  --diff prints
 one line per header field that differs, then, per path, how many outcomes
 are bit-identical, the worst relative change of a value, and every
 changed outcome; it runs nothing.
@@ -32,6 +33,8 @@ The corpus, all seeded:
 - d = 1 documents past the float range: 200 blocks of z = 50, 500 blocks of
   z_j = (1.3 + 0.4i)(1 + 0.01 j), and n blocks of z = 0.02 for n in {180,
   181, 182, 188, 189, 200};
+- the 180 pairs of conftest's range_family: two blocks of z = 1e120 ..
+  1e200, whose torsion lies in the float range;
 - the circle: the selftest's grid, and a at Re a = 0.3 with Im a in {-115,
   -113, 113, 225, 225.489, 225.49, 226, 237.1, 237.2, 300}, plus
   a = 5e-324;
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -64,6 +68,7 @@ import detline as dl  # noqa: E402
 from detline.cli import main  # noqa: E402
 from detline.selftest import (_b_even_odd, _circle_grid,  # noqa: E402
                               _instance, _lambda_choices, _pairs)
+from conftest import range_family  # noqa: E402
 from test_laws import conjugated  # noqa: E402
 
 
@@ -195,12 +200,31 @@ def circle_corpus() -> list:
 PAIRS = (40, 12345)  # the selftest's default cases and seed, for _pairs
 
 
+def openblas_core(lib=None):
+    """The name of the OpenBLAS core that runs, read from lib (by default
+    numpy's own extension, whose symbols include those of the BLAS it
+    loaded): scipy_openblas_get_corename64_ in numpy's wheels,
+    openblas_get_corename in plain builds; None when lib has neither.  A
+    DYNAMIC_ARCH build picks its core when it loads, so the build string
+    may name another."""
+    if lib is None:
+        core = getattr(np, "_core", None) or np.core
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
 def machine() -> dict:
     """The header naming what the outcomes' rounding depends on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
             "openblas_configuration": blas.get("openblas configuration"),
+            "openblas_core": openblas_core(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
             "cpu_count": os.cpu_count()}
@@ -236,6 +260,8 @@ def run() -> dict:
         for name, blocks in profiles.items():
             led.chiral(f"range {name}", *dl.gen_random(
                 1, 1, {"blocks": blocks, "harmonic": []}))
+        for case, c, g, _ in range_family():
+            led.chiral(f"range pair {case}", c, g)
         for a in circle_corpus():
             led.circle(a)
         for i, (a, b) in enumerate(_pairs(*PAIRS)):

@@ -89,11 +89,20 @@ class TestCircleModel:
         (lambda: metric_scale_check(CircleModel(0.3), -2.0),
          "scale must be positive"),
         (lambda: split_check(CircleModel(0.3), -1), "k must be nonnegative"),
+        # a count must be an integer; a bool is not one
+        (lambda: split_check(CircleModel(0.3), 2.5), "k must be an integer"),
+        (lambda: split_check(CircleModel(0.3), "2"), "k must be an integer"),
+        (lambda: split_check(CircleModel(0.3), True), "k must be an integer"),
     ], ids=["zeta-q-0", "zeta-q-negative", "scale-0", "scale-negative",
-            "split-k-negative"])
+            "split-k-negative", "split-k-float", "split-k-str",
+            "split-k-bool"])
     def test_argument_out_of_range_is_rejected(self, call, message):
         with pytest.raises(ValidationError, match=message):
             call()
+
+    def test_split_check_takes_a_numpy_integer(self):
+        m = CircleModel(0.3)
+        assert split_check(m, np.int64(2)) == split_check(m, 2)
 
     def test_eta_real_holonomy(self):
         # eta = (1 - 2a)/2 on the real axis

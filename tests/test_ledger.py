@@ -2,7 +2,8 @@
 
 ledger.py's Ledger runs a seeded slice of the ledger's corpus: the selftest
 draws for d in {1, 3, 5}, with and without cohomology, seeds 0-1, every
-scaled complex, the whole circle corpus and every pair draw.  For every
+scaled complex, the 180 pairs of conftest's range_family, the whole circle
+corpus and every pair draw.  For every
 path that LEDGER.json records, each outcome must match it in what does not
 depend on the BLAS build: value or raise, the exception's class, the CLI's
 exit code, Betti numbers, split dimensions and eta.  The values of the
@@ -14,14 +15,17 @@ makes on one machine, which the ledger's machine header names.
 import json
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from detline import cohomology_frame, gen_random
 from detline.selftest import _instance, _pairs
+
+from conftest import range_family
 from ledger import (PAIRS, ROOT, Ledger, _main, _rel_change, _scaled,
-                    _values, circle_corpus, machine)
+                    _values, circle_corpus, machine, openblas_core)
 
 GOLDEN = json.loads((ROOT / "LEDGER.json").read_text(
     encoding="utf-8"))["outcomes"]
@@ -90,6 +94,8 @@ def run(tmp_path_factory):
             for seed in range(6):
                 c, g = gen_random(seed, 3)
                 chiral(f"scaled t={t:g} seed={seed}", _scaled(c, t), g)
+        for case, c, g, _ in range_family():
+            chiral(f"range pair {case}", c, g)
         for a in circle_corpus():
             led.circle(a)
             acyclic[f"a={a!r}"] = True  # 0 < Re a < 1
@@ -108,11 +114,12 @@ def test_every_ledger_path_is_run(run):
 def test_discrete_outcomes_match_the_ledger(run, path):
     golden, cases = GOLDEN[path], run[0][path]
     if any(case.startswith("instance") for case in golden):
-        # 30 chiral cases; a split path has one per level: three each for
-        # the 12 draws, one for the 18 scaled complexes, whose level
+        # 210 chiral cases; a split path has one per level: three each for
+        # the 12 draws and the 54 range pairs whose B^2 stays finite, one
+        # for the 18 scaled complexes and the 126 range pairs whose level
         # choice raises
-        assert len(cases) == (54 if path in SPLIT_PATHS else 30)
-    else:  # the circle corpus, the pairs, and _lambda_choices' 18 raises
+        assert len(cases) == (342 if path in SPLIT_PATHS else 210)
+    else:  # the circle corpus, the pairs, and _lambda_choices' 144 raises
         assert set(cases) == set(golden)
     for case, outcome in cases.items():
         assert _discrete(path, outcome) == _discrete(path, golden[case]), case
@@ -175,3 +182,41 @@ def test_machine_header_reads_the_openblas_settings(monkeypatch):
     assert machine()["OPENBLAS_CORETYPE"] == "Haswell"
     assert head["numpy"] == np.__version__
     assert head["cpu_count"] == os.cpu_count()
+
+
+def _corename(name: bytes):
+    """A stand-in for an OpenBLAS corename function returning name."""
+    def fn():
+        return name
+    return fn
+
+
+def test_machine_header_names_the_running_openblas_core():
+    # numpy's own BLAS: a core name whenever that BLAS is OpenBLAS
+    head = machine()
+    assert head["openblas_core"] == openblas_core()
+    if "openblas" in (head["blas"] or ""):
+        assert isinstance(head["openblas_core"], str)
+        assert head["openblas_core"]
+    # the wheel's symbol first, the plain build's otherwise, null for none
+    wheel = SimpleNamespace(scipy_openblas_get_corename64_=_corename(b"A"),
+                            openblas_get_corename=_corename(b"B"))
+    assert openblas_core(wheel) == "A"
+    plain = SimpleNamespace(openblas_get_corename=_corename(b"Haswell"))
+    assert openblas_core(plain) == "Haswell"
+    assert openblas_core(SimpleNamespace()) is None
+
+
+def test_diff_prints_the_openblas_core(tmp_path, capsys):
+    # a core that another run read, against one that none could
+    old = {"machine": dict(machine(), openblas_core="SkylakeX"),
+           "outcomes": {"refined_torsion": {"case": "value 0x1.0p+0"}}}
+    new = dict(old, machine=dict(old["machine"], openblas_core=None))
+    paths = []
+    for name, ledger in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(ledger), encoding="utf-8")
+    assert _main(["--diff", str(paths[0]), "--out", str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == 'machine openblas_core: "SkylakeX" -> null'
+    assert lines[1].startswith("path ")

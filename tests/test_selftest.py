@@ -109,9 +109,8 @@ _SIGN_M = gradedlinalg_mod.sign_M
 _ALTERNATING_DET = torsion_mod.alternating_det
 _SUPERTRACE = torsion_mod.supertrace
 _FMT_FLOAT = workbench_mod._fmt_float
-_SIDE_DET = signature_mod._side_det
+_SIDE_LOG_DET = signature_mod._side_log_det
 _B_BLOCKS = signature_mod._b_blocks
-_PAIR_DET = signature_mod._pair_det
 _PAIR_SPECTRUM = signature_mod._pair_spectrum
 
 
@@ -138,8 +137,9 @@ def _dual_graded_without_even_sign(x):
 CHIRAL_MUTANTS = [
     ("torsion-equals-graded-det", torsion_mod, "sign_R",
      lambda c: 1 - _SIGN_R(c), (1, 0)),
-    ("split-torsion-consistency", signature_mod, "_side_det",
-     lambda table: 1 / _SIDE_DET(table), (1, 0)),
+    # each side's determinant inverted: its log negated
+    ("split-torsion-consistency", signature_mod, "_side_log_det",
+     lambda table: -_SIDE_LOG_DET(table), (1, 0)),
     ("split-large-part-acyclic", signature_mod, "_zero_cut",
      lambda scale: 0.0, (1, 0)),
     ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
@@ -217,12 +217,19 @@ def test_unitary_norm_check_reads_ln2_when_rho_doubles(monkeypatch, module):
     assert detail.split()[-3] == f"{math.log(2.0):.2e}"
 
 
+def _side_log_det_unsigned(table):
+    """_side_log_det without the sign (-1)^n of its n x n pairs: i pi n
+    more, which flips the value at odd n."""
+    return _SIDE_LOG_DET(table) + 1j * math.pi * sum(
+        b.shape[0] for (t, s), b in table.items() if s < t)
+
+
 # mutants of a pair block [[0, Q], [P, 0]] of the +/- sides, each of which
 # must turn its check red; at (cases, seed) = (2, 1) the d = 3 case,
 # gen_random(2, 3), has a pair of 3 x 3 blocks on the + side
 PAIR_MUTANTS = [
-    ("torsion-equals-graded-det", "_pair_det",  # the sign (-1)^n dropped
-     lambda p, q: (-1) ** p.shape[0] * _PAIR_DET(p, q)),
+    ("torsion-equals-graded-det", "_side_log_det",  # the sign (-1)^n dropped
+     _side_log_det_unsigned),
     ("xi-eta-two-path", "_pair_spectrum",  # the root -sqrt(nu) dropped
      lambda p, q: _PAIR_SPECTRUM(p, q)[:p.shape[0]]),
 ]
@@ -285,6 +292,17 @@ def _old_lambda_rule(c, g):
 def test_split_levels_are_unchanged(seed, d, acyclic):
     c, g = st._instance(seed, d, acyclic)
     assert st._lambda_choices(c, g) == _old_lambda_rule(c, g)
+
+
+def test_overflowing_b_squared_leaves_no_level():
+    # z^2 = 1e400: the B^2 block has no moduli to place a level among, a
+    # named boundary as in the split itself, not numpy's LinAlgError;
+    # numpy's overflow warning is silenced as the CLI does
+    c, g = workbench_mod.gen_elementary(1, 0, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SpectralBoundaryError, match=r"^degree 0: the B\^2 block is not "
+                                         r"finite \(overflow\)$"):
+        st._lambda_choices(c, g)
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])

@@ -3,6 +3,7 @@ branch-cut determinants."""
 
 import cmath
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,11 +41,12 @@ from detline import (
 from detline.complexes import _zero_cut
 from detline.selftest import _b_even_odd, _instance
 from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
-                               _eig_input, _log_det, _minus_bases, _pair_det,
-                               _pair_spectrum, _restrict, _side_det,
+                               _eig_input, _log_det, _minus_bases,
+                               _pair_spectrum, _restrict, _side_log_det,
                                _side_spectrum, _split_degree, _split_zero)
 
-from conftest import BIG_PROFILE, fresh, normal_matrix, traced_peak
+from conftest import (BIG_PROFILE, fresh, normal_matrix, range_family,
+                      traced_peak)
 
 
 def _singular_tables(singular):
@@ -93,6 +95,16 @@ class TestGradedDet:
         with pytest.raises(SpectralBoundaryError,
                            match="^B_even is not bijective$"):
             graded_det_finite(c, g)
+
+    def test_values_near_the_range_edges(self):
+        # pairs of blocks z = 1e120 .. 1e200 whose graded determinant lies
+        # in the float range, while a product of its blocks' determinants
+        # may not: each is one log, left once
+        family = list(range_family())
+        assert len(family) == 180
+        for case, c, g, rho in family:
+            value = graded_det_finite(c, g)
+            assert abs(value - rho) <= 1e-12 * abs(rho), case
 
     def test_equals_refined_torsion_when_acyclic(self):
         for seed in range(10):
@@ -707,8 +719,8 @@ def _pair_block(p, q):
 class TestPairUnits:
     """Each parity of the - side is read one unit at a time: a self-paired
     block, or a pair [[0, Q], [P, 0]] through its two n x n blocks.  The
-    oracle is the assembled block: determinants within 1e-12, spectra as
-    multisets."""
+    oracle is the assembled block: determinants, the exp of _side_log_det,
+    within 1e-12, spectra as multisets."""
 
     @staticmethod
     def _check_against_assembled(c, g):
@@ -721,25 +733,29 @@ class TestPairUnits:
                     q = table[s, t]
                     block = _pair_block(p, q)
                     want = np.linalg.det(block)
-                    assert abs(_pair_det(p, q) - want) <= 1e-12 * abs(want)
+                    got = cmath.exp(_side_log_det({(t, s): p, (s, t): q}))
+                    assert abs(got - want) <= 1e-12 * abs(want)
                     _assert_same_multiset(_pair_spectrum(p, q),
                                           np.linalg.eigvals(block))
                     orders.append(p.shape[0])
             full = _assembled(table)
             want = np.linalg.det(full)  # 1 for an empty side
-            assert abs(_side_det(table) - want) <= 1e-12 * abs(want)
+            got = cmath.exp(_side_log_det(table))
+            assert abs(got - want) <= 1e-12 * abs(want)
             _assert_same_multiset(_side_spectrum(table),
                                   np.linalg.eigvals(full))
         return orders
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pair_sign(self, n):
-        # (-1)^n det P det Q: the sign is -1 exactly at odd n
+        # (-1)^n det P det Q: the sign is -1 exactly at odd n, the i pi
+        # that _side_log_det adds to the pair's log
         rng = np.random.default_rng(n)
         p, q = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 for _ in range(2))
         want = np.linalg.det(_pair_block(p, q))
-        assert abs(_pair_det(p, q) - want) <= 1e-12 * abs(want)
+        log = _side_log_det({(1, 0): p, (0, 1): q})
+        assert abs(cmath.exp(log) - want) <= 1e-12 * abs(want)
         unsigned = np.linalg.det(p) * np.linalg.det(q)
         assert abs(unsigned - (-1) ** n * want) <= 1e-12 * abs(want)
 
@@ -1147,22 +1163,21 @@ class TestFactorizationCounts:
         assert bool(pairs) == (d > 1)
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7])
-    def test_graded_det_takes_one_det_per_unit_block(self, monkeypatch, d):
-        # det sees the self-paired block of each side, or P and Q of each
-        # pair, m_s x m_s, odd side first, and never a whole parity
+    def test_graded_det_takes_one_slogdet_per_block(self, monkeypatch, d):
+        # slogdet sees each block of each side, m_s x m_s in source order,
+        # odd side first: the self-paired block and both P and Q of each
+        # pair, never a whole parity; det is not called
         c, g, _ = _ladder_instance(d, 40)
         m = [x.shape[1] for x in _minus_bases(c, g)[0]]
-        expected = []
-        for parity in (1, 0):
-            for s in range(2 - parity, d + 1, 2):
-                if s <= d + 1 - s and m[s]:
-                    expected += [(m[s], m[s])] * (2 if s < d + 1 - s else 1)
-        shapes, det = [], np.linalg.det
+        expected = [(m[s], m[s]) for parity in (1, 0)
+                    for s in range(2 - parity, d + 1, 2) if m[s]]
+        shapes, slogdet = [], np.linalg.slogdet
 
         def spy(a):
             shapes.append(a.shape)
-            return det(a)
-        monkeypatch.setattr(np.linalg, "det", spy)
+            return slogdet(a)
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
+        monkeypatch.setattr(np.linalg, "det", None)
         graded_det_finite(c, g)
         assert shapes == expected
         assert len(shapes) == d  # (d - 1) / 2 pairs, one self-paired block
@@ -1771,6 +1786,21 @@ class TestListPath:
             with pytest.raises(ValidationError, match="not finite"):
                 call(eigs)
 
+    @pytest.mark.parametrize("bad", [
+        np.ones((2, 2, 2)), np.ones((1, 1, 1)), [[1.0, 2.0], [3.0]],
+        [1.0, [2.0, 3.0]], [[[1.0]], [[2.0]]],
+    ], ids=["3-D", "3-D-single", "ragged", "ragged-flat", "nested-3-D"])
+    def test_other_shapes_are_rejected(self, bad):
+        # a spectrum is 0-D or 1-D and a matrix 2-D: a 3-D array is not
+        # flattened into eigenvalues, and a ragged nesting is refused by
+        # the package, not by numpy
+        for call in (eta_finite, pick_agmon_angle,
+                     lambda e: _ldet(e, -math.pi / 4),
+                     lambda e: det_eta_check(e, -math.pi / 4)):
+            with pytest.raises(ValidationError,
+                               match="is neither a spectrum nor a matrix"):
+                call(bad)
+
     def test_modulus_past_the_float_range_is_rejected(self):
         with pytest.raises(ValidationError, match="not finite"):
             eta_finite([1.0, complex(1.5e308, 1.5e308)])
@@ -1890,24 +1920,32 @@ class TestGradedDetViaXiEta:
             np.testing.assert_allclose(via, direct, rtol=1e-9)
 
 
+def _range_texts(c, g) -> set:
+    """The texts that graded_det_via_xi_eta at 0 and graded_det_finite
+    raise on (c, g), each required to raise SpectralBoundaryError."""
+    texts = set()
+    for call in (lambda: graded_det_via_xi_eta(c, g, 0.0),
+                 lambda: graded_det_finite(c, g)):
+        with pytest.raises(SpectralBoundaryError) as exc:
+            call()
+        texts.add(str(exc.value))
+    return texts
+
+
 class TestXiEtaOverflow:
-    """log|rho| = 200 log 50 ~ 782 leaves the float range: the xi/eta
-    graded determinant names the real part of its exponent, as the
-    circle's exp does, with no numpy warning on the way."""
+    """log|rho| = 200 log 50 ~ 782 leaves the float range: both routes to
+    the graded determinant leave the log domain by one exp, and raise one
+    text that names the real part of its exponent, as the circle's exp
+    does, with no numpy warning on the way."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_names_the_real_part(self):
         c, g = gen_random(1, 1, {"blocks": [(0, 50.0)] * 200,
                                  "harmonic": []})
-        with pytest.raises(SpectralBoundaryError,
-                           match=r"^exp of real part 782\.4\d* overflows the "
-                                 r"float range \(the graded determinant of "
-                                 r"B_even\)$"):
-            graded_det_via_xi_eta(c, g, 0.0)
-        with pytest.raises(SpectralBoundaryError,
-                           match=r"^the determinant of B_even overflows the "
-                                 r"float range$"):
-            graded_det_finite(c, g)
+        (text,) = _range_texts(c, g)
+        assert re.fullmatch(r"exp of real part 782\.4\d* overflows the "
+                            r"float range \(the graded determinant of "
+                            r"B_even\)", text)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n, real", [(182, r"-711\.98\d*"),
@@ -1919,15 +1957,10 @@ class TestXiEtaOverflow:
         # of 1e-4 at 188), and 1.6e-340 at n = 200 rounds to 0; a graded
         # determinant of a bijective B_even is never 0, so each underflows
         c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * n, "harmonic": []})
-        with pytest.raises(SpectralBoundaryError,
-                           match=rf"^exp of real part {real} underflows the "
-                                 r"float range \(the graded determinant of "
-                                 r"B_even\)$"):
-            graded_det_via_xi_eta(c, g, 0.0)
-        with pytest.raises(SpectralBoundaryError,
-                           match=r"^the determinant of B_even underflows the "
-                                 r"float range$"):
-            graded_det_finite(c, g)
+        (text,) = _range_texts(c, g)
+        assert re.fullmatch(rf"exp of real part {real} underflows the "
+                            r"float range \(the graded determinant of "
+                            r"B_even\)", text)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_last_normal_value_is_returned(self):

@@ -504,6 +504,19 @@ class TestCli:
         np.testing.assert_allclose(out["graded_det"], [2.0, 0.0], atol=1e-12)
         assert out["betti"] == [0, 0]
 
+    def test_torsion_prints_a_graded_det_near_the_range_edge(self, tmp_path,
+                                                              capsys):
+        # blocks of 1e200 in degrees 0 and 1 of a d = 5 complex: its torsion
+        # is 1, while its blocks' determinants reach about 1e400
+        path = tmp_path / "edge.json"
+        path.write_text(serialize_document(*gen_random(0, 5, {
+            "blocks": [(0, 1e200), (1, 1e200)], "harmonic": []})),
+            encoding="utf-8")
+        assert main(["torsion", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(out["torsion"], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out["graded_det"], [1.0, 0.0], atol=1e-12)
+
     def test_torsion_builds_one_frame(self, tmp_path, capsys, monkeypatch):
         # the report and the graded determinant each read the frame of the
         # document's complex, which factorizes it on the first read only
@@ -670,21 +683,27 @@ class TestCli:
         (["split", "--lambda", "1"],
          "the cohomology element underflows the float range"),
         (["split", "--lambda", "0"],
-         "the determinant of B_even underflows the float range"),
+         "exp of real part {log} underflows the float range (the graded "
+         "determinant of B_even)"),
     ], ids=["torsion", "split-above", "split-at-0"])
-    @pytest.mark.parametrize("n", [182, 188, 200])
+    @pytest.mark.parametrize("n, log", [(182, "-711.988"), (188, "-735.46"),
+                                        (200, "-782.405")],
+                             ids=["182", "188", "200"])
     def test_underflowing_torsion_exits_3(self, tmp_path, capsys, argv,
-                                          message, n):
+                                          message, n, log):
         # |rho| = 0.02^n: 6.1e-310 at n = 182 and 3.9e-320 at n = 188 are
         # subnormal, their digits lost, and 1.6e-340 at n = 200 rounds to
-        # 0; rho is never 0, so each is an underflow, not a value
+        # 0; rho is never 0, so each is an underflow, not a value.  At
+        # lam = 0 the large part is the whole complex, and its graded
+        # determinant names its log, n log 0.02
         c, g = gen_random(1, 1, {"blocks": [(0, 0.02)] * n, "harmonic": []})
         path = tmp_path / "underflow.json"
         path.write_text(serialize_document(c, g), encoding="utf-8")
         assert main([argv[0], str(path), *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"numerical boundary: {message}\n"
+        assert captured.err == ("numerical boundary: "
+                                f"{message.format(log=log)}\n")
 
     @pytest.mark.parametrize("n", [180, 181])
     def test_split_residual_is_relative_near_the_edge(self, tmp_path,
