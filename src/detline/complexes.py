@@ -25,9 +25,10 @@ takes the full SVD of R.  Any other degree takes one full SVD.
 The decomposition depends on (C, d) alone, so each complex is factorized
 once: the first cohomology_frame call computes the bases and the complex
 keeps them, read-only, and every later call hands them out again; the
-margins of the rank decisions are computed once per complex too.  The
-complex holds the bases, not a frame (a frame points back at its
-complex), so they are freed with the complex.
+margins of the rank decisions, and phi's determinant and sign in those
+bases, are computed once per complex too.  The complex holds the bases,
+not a frame (a frame points back at its complex), so they are freed with
+the complex.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class CochainComplex:
     ``partial[j]`` is the matrix of d_j : C^j -> C^{j+1}; the list has one
     entry per degree 0..d-1.  Construction checks the shapes and d.d = 0;
     the matrices are read-only views (the caller's arrays keep their flags).
-    The read-only B/H/A bases of its cohomology frame, and the margins of
-    their rank decisions, are computed on first read and kept here.  Like
+    The read-only B/H/A bases of its cohomology frame, the margins of
+    their rank decisions and phi's determinant and sign in them are
+    computed on first read and kept here.  Like
     every type of the package that holds arrays, it compares and hashes by
     identity.
     """
@@ -137,6 +139,10 @@ class CochainComplex:
               for j, (m, a, h) in enumerate(zip(self.partial, A, H)))
         return tuple(_rank_cut(np.linalg.svd(x, compute_uv=False))[1]
                      if x.size else math.inf for x in xs)
+
+    @cached_property
+    def _phi_det(self) -> tuple:
+        return _phi_factor(CohomologyFrame(self, *self._bases))
 
     def differential_residual(self) -> float:
         """Largest entry of any d_{j+1} d_j, relative to the scale of d;
@@ -358,19 +364,35 @@ class CohomologyElement:
 
 
 def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
-    """Canonical isomorphism Det(C) -> Det(H(C)).
-
-    Decomposing the standard wedge of C^j through the frame gives the change
-    of basis T_j = [d(A^{j-1}) | H^j | A^j]; the coefficient transforms by
-    prod_j det(T_j)^{(-1)^{j+1}} together with the sign (-1)^N.  A change
-    of basis of A^j moves det T_j and det T_{j+1} by the same factor, which
-    cancels.  So when ker d_0 = 0 (H^0 empty, A^0 = C^0) the standard basis
-    serves as A^0: T_0 is the identity, not formed (its det is 1), and the
-    first block of T_1 is d_0 itself.
-    """
+    """Canonical isomorphism Det(C) -> Det(H(C)): the coefficient times
+    _phi_factor of the frame.  For the frame of the bases its complex keeps
+    that factor is read off the complex, computed once; any other frame of
+    the complex (a rotated or a relabelled one) takes its own."""
     c = frame.complex
     if x.dims != c.dims or x.dualized:
         raise ValidationError("element does not live on this complex's line")
+    kept = vars(c).get("_bases")
+    own = kept is not None and all(
+        a is b for a, b in zip(kept, (frame.B, frame.H, frame.A)))
+    det, negate = c._phi_det if own else _phi_factor(frame)
+    # the product may leave the float range; the element names that
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = complex(x.coeff) * det
+    return CohomologyElement(-coeff if negate else coeff, frame)
+
+
+def _phi_factor(frame: CohomologyFrame) -> tuple:
+    """The factor prod_j det(T_j)^{(-1)^{j+1}} by which phi multiplies a
+    coefficient, and whether the sign (-1)^N (sign_N) negates it.
+
+    Decomposing the standard wedge of C^j through the frame gives the change
+    of basis T_j = [d(A^{j-1}) | H^j | A^j].  A change of basis of A^j
+    moves det T_j and det T_{j+1} by the same factor, which cancels.  So
+    when ker d_0 = 0 (H^0 empty, A^0 = C^0) the standard basis serves as
+    A^0: T_0 is the identity, not formed (its det is 1), and the first
+    block of T_1 is d_0 itself.
+    """
+    c = frame.complex
     standard = not frame.H[0].shape[1]  # the standard basis serves as A^0
     ts = []
     for j in range(c.d + 1):
@@ -384,10 +406,7 @@ def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
         ts.append(t[:0, :0] if j == 0 and standard else t)
     # numpy's det may leave the float range; the element names that
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coeff = complex(x.coeff) * alternating_det(ts)
-    if sign_N(frame):
-        coeff = -coeff
-    return CohomologyElement(coeff, frame)
+        return alternating_det(ts), bool(sign_N(frame))
 
 
 def dual_complex(c: CochainComplex) -> CochainComplex:

@@ -37,18 +37,33 @@ the check cannot fail.  For j < (d+1)/2 the part's basis Q of C^{d-j}
 comes from the QR Gamma_j U_j = Q R of the image of its basis U_j of
 C^j, so its Gamma_j block Q^H Gamma_j U_j = Q^H Q R is R itself; and a
 square basis is unitary, so a restriction onto it takes no residual.
+
+What a chiral pair (c, g) gives that no split level changes is derived
+once per pair and kept in its record, beside the frame that c keeps: per
+degree j < (d+1)/2 the moduli of spec B^2_j and the lam = 0 verdict of
+the invertibility kernel, the graded determinant, and the spectra of
+B_even on the +/- subspaces (phi's determinant sits on c itself).  The
+record holds numbers, never a matrix, and goes with either member, and a
+call that raises keeps nothing.  So a split forms a B^2 block only for
+what the record lacks and for a proper split, and a large part that is
+the complex itself reads its graded determinant and spectra off the
+record.  A proper part is a new complex on each split: it pays for its own
+frame and record every time.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
-                        _columns, _sigma_min_above, _zero_cut,
+                        _columns, _readonly, _sigma_min_above, _zero_cut,
                         cohomology_frame)
 from .errors import SpectralBoundaryError, ValidationError, _exp_in_range
 from .gradedlinalg import GradedDims, alternating_det
@@ -77,6 +92,23 @@ _RESTRICT_TOL = 1e-8  # relative residual of an image outside its subspace
 _SPLIT_TOL = 1e-8  # bound on torsion through a split against refined torsion
 _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
+
+# {c: {g: record}}: what the calls on a chiral pair (c, g) derived that no
+# split level changes, each entry computed on first read.  Both levels are
+# weak, so a record goes with either member, and it holds numbers, tuples
+# of them and read-only arrays of them, never a matrix, and nothing that
+# points back at c or g
+_PAIRS = weakref.WeakKeyDictionary()
+
+
+@contextlib.contextmanager
+def _pair_record(c: CochainComplex, g: ChiralityOp):
+    """A copy of the record of (c, g), {} at first, for a call to read and
+    add to; it becomes the record once the call's body returns, so a call
+    that raises keeps nothing."""
+    record = dict(_PAIRS.get(c, {}).get(g, {}))
+    yield record
+    _PAIRS.setdefault(c, weakref.WeakKeyDictionary())[g] = record
 
 
 def _b_blocks(c: CochainComplex, g: ChiralityOp, split: bool = False) -> dict:
@@ -286,11 +318,17 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     2n, and no product that can leave the float range on the way.  The
     graded determinant of a bijective B_even is never 0, so its exp must
     lie in the float range (_exp_in_range), the exit and the message of
-    graded_det_via_xi_eta."""
-    odd, even = _det_blocks(c, g)
-    m = sum(b.shape[1] for b in even.values())
-    log = _side_log_det(odd) - _side_log_det(even) - 1j * math.pi * (m % 2)
-    return _exp_in_range(log, " (the graded determinant of B_even)")
+    graded_det_via_xi_eta.  It depends on the pair alone, so the pair's
+    record keeps it: a second call on (c, g) factorizes nothing."""
+    with _pair_record(c, g) as kept:
+        if "graded_det" not in kept:
+            odd, even = _det_blocks(c, g)
+            m = sum(b.shape[1] for b in even.values())
+            log = (_side_log_det(odd) - _side_log_det(even)
+                   - 1j * math.pi * (m % 2))
+            kept["graded_det"] = _exp_in_range(
+                log, " (the graded determinant of B_even)")
+        return kept["graded_det"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,9 +393,11 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _split_degree(bsq: np.ndarray, lam: float, j: int):
+def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
-    C^j; a block that is not finite (an overflow) is a numerical boundary.
+    C^j, n = dim C^j.  bsq() forms the B^2 block of C^j; it is called only
+    for what the pair's record kept lacks, and for a proper split, and a
+    block that is not finite (an overflow) is a numerical boundary.
     The eigenvalues mu decide how many are small, k: at lam > 0 those with
     |mu| <= lam, unless some |mu| lies within _CLUSTER_RTOL max(lam, 1,
     max |mu|) of lam (a cluster, a numerical boundary); at lam = 0 those
@@ -367,21 +407,32 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     sigma_min > _zero_cut(sigma_max) >= _zero_cut(max |mu|) leaves none
     zero.  Below 16 columns the kernel answers by exactly that rule, from
     16 on by its Cholesky certificate, whose floor is at least that cut;
-    its False settles nothing.  A proper split (0 < k < n) takes the disk
-    split at a level mu inside the gap the eigenvalues leave: lam itself
-    when lam > 0.  At lam = 0 it is half the smallest modulus outside the
+    its False settles nothing.  Neither depends on lam, so kept holds the
+    kernel's verdict and the moduli |mu|, read-only, each taken once per
+    pair.  A proper split (0 < k < n) takes the disk split at a level mu
+    inside the gap the eigenvalues leave: lam itself when lam > 0.  At lam = 0 it is half the smallest modulus outside the
     zero cluster, or the geometric mean of that and the largest modulus
     inside when this is larger; B^2 + mu then stays as well conditioned as
     the gap allows."""
-    n = bsq.shape[0]
     if n == 0:
-        return bsq, bsq
-    if not np.isfinite(bsq).all():
-        raise SpectralBoundaryError(
-            f"degree {j}: the B^2 block is not finite (overflow)")
+        empty = np.zeros((0, 0), dtype=complex)
+        return empty, empty
+
+    def block():
+        b = bsq()
+        if not np.isfinite(b).all():
+            raise SpectralBoundaryError(
+                f"degree {j}: the B^2 block is not finite (overflow)")
+        return b
+
+    def read(name, derive):
+        if (name, j) not in kept:
+            kept[name, j] = derive(block())
+        return kept[name, j]
     k = 0
-    if lam > 0 or not _sigma_min_above(bsq):
-        mods = np.abs(np.linalg.eigvals(bsq))
+    if lam > 0 or not read("invertible", _sigma_min_above):
+        mods = read("moduli", lambda b: _readonly(
+            np.abs(np.linalg.eigvals(b))))
         top = float(mods.max())
         if lam > 0:
             gap = np.min(np.abs(mods - lam))
@@ -400,7 +451,15 @@ def _split_degree(bsq: np.ndarray, lam: float, j: int):
     else:
         lo, hi = float(mods[small].max()), float(mods[~small].min())
         mu = max(math.sqrt(lo * hi), 0.5 * hi)
-    return _disk_split(bsq, mu, k, j)
+    return _disk_split(block(), mu, k, j)
+
+
+def _bsq_blocks(c: CochainComplex, g: ChiralityOp) -> list:
+    """The B^2 blocks of C^j, j < (d+1)/2, off one table of B's blocks,
+    which is gone when they are returned, so that no B block is held beside
+    the kernel's Gram matrix."""
+    blocks = _b_blocks(c, g, split=True)
+    return [_bsq(blocks, j) for j in range((c.d + 1) // 2)]
 
 
 def _disk_split(bsq: np.ndarray, mu: float, k: int, j: int):
@@ -463,24 +522,29 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     part is its B^2-invariant complement.  Raises SpectralBoundaryError when
     lam falls inside an eigenvalue cluster, a block of B^2 overflows, or the
     disk split of a degree does not converge to a projector of the counted
-    rank.
+    rank.  What decides each degree is kept in the pair's record
+    (_split_degree), so a later split of the pair, at any level, forms
+    B^2 only for a proper split.
     """
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
-    d, blocks = c.d, _b_blocks(c, g, split=True)
-    bsqs = [_bsq(blocks, j) for j in range((d + 1) // 2)]
-    del blocks  # so that no B block is held beside the kernel's Gram matrix
+    d = c.d
+    # formed on the first degree that needs them, at most once per call
+    bsqs = functools.cache(lambda: _bsq_blocks(c, g))
     parts = [([None] * (d + 1), {}) for _ in range(2)]  # small, large
-    for j, bsq in enumerate(bsqs):
-        for (bases, gamma_r), u in zip(parts, _split_degree(bsq, lam, j)):
-            # Gamma commutes with B^2, so Gamma_j carries the split of C^j
-            # onto that of C^{d-j}
-            bases[j] = u
-            bases[d - j], r = _gamma_image(g.gamma[j], u)
-            if r is not None:
-                gamma_r[j] = r
-    return SpectralSplit(*(_part_from_bases(c, g, *p) for p in parts))
+    with _pair_record(c, g) as kept:
+        for j in range((d + 1) // 2):
+            halves = _split_degree(lambda j=j: bsqs()[j], c.dims.dims[j],
+                                   lam, j, kept)
+            for (bases, gamma_r), u in zip(parts, halves):
+                # Gamma commutes with B^2, so Gamma_j carries the split of
+                # C^j onto that of C^{d-j}
+                bases[j] = u
+                bases[d - j], r = _gamma_image(g.gamma[j], u)
+                if r is not None:
+                    gamma_r[j] = r
+        return SpectralSplit(*(_part_from_bases(c, g, *p) for p in parts))
 
 
 def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,
@@ -496,11 +560,12 @@ def _torsion_from_split(split: SpectralSplit, frame: CohomologyFrame):
     """Refined torsion of frame's complex through a split of it, together
     with the graded determinant of the large part and the refined torsion of
     the small part.  Each part's graded determinant or torsion reads the
-    frame its own complex keeps, computed on first read: a part that is the
-    complex itself has frame's bases, and a proper part, a new complex on
-    each split, is factorized once.  An empty part, the zero complex, has
-    det and torsion 1 and forms no frame; its Betti numbers are 0, so it
-    carries the full cohomology only when frame is acyclic."""
+    frame its own complex keeps, and the record of its pair, computed on
+    first read: a part that is the complex itself has frame's bases and
+    the pair's record, and a proper part, a new complex on each split, is
+    factorized once.  An empty part, the zero complex, has det and torsion
+    1 and forms no frame; its Betti numbers are 0, so it carries the full
+    cohomology only when frame is acyclic."""
     large, small = split.large, split.small
     det_large = (graded_det_finite(large.complex, large.chirality)
                  if large.complex.dims.total else 1 + 0j)
@@ -682,19 +747,24 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     counts.  The graded determinant is never 0, so its exp must lie in the
     float range (_exp_in_range), as graded_det_finite's does, with the same
     message.  The blocks read the frame that the large part's complex
-    keeps, and theta is the midpoint of the admissible arc of its spectrum
+    keeps, the large part's record keeps the two spectra, as tuples, and
+    theta is the midpoint of the admissible arc of its spectrum
     (pick_agmon_angle's rule); the value does not depend on which
     admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
-    odd, even = _det_blocks(large.complex, large.chirality)
-    eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
-    # spec(B_even) is the union of its spectra on the + and - subspaces
-    eigs = eig_plus + eig_minus
-    theta = _agmon_midpoint(*_agmon_arc(eigs))
-    xi = 0.5 * (_log_det([z * z for z in eig_plus], 2 * theta)
-                - _log_det([z * z for z in eig_minus], 2 * theta))
-    eta = _eta(eigs, 0).eta
-    z = (xi - 1j * math.pi * eta
-         + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
-    return _exp_in_range(z, " (the graded determinant of B_even)")
+    with _pair_record(large.complex, large.chirality) as kept:
+        if "spectra" not in kept:
+            odd, even = _det_blocks(large.complex, large.chirality)
+            kept["spectra"] = (tuple(_side_spectrum(odd)),
+                               tuple(_side_spectrum(even)))
+        eig_plus, eig_minus = kept["spectra"]
+        # spec(B_even) is the union of its spectra on the + and - subspaces
+        eigs = eig_plus + eig_minus
+        theta = _agmon_midpoint(*_agmon_arc(eigs))
+        xi = 0.5 * (_log_det([z * z for z in eig_plus], 2 * theta)
+                    - _log_det([z * z for z in eig_minus], 2 * theta))
+        eta = _eta(eigs, 0).eta
+        z = (xi - 1j * math.pi * eta
+             + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
+        return _exp_in_range(z, " (the graded determinant of B_even)")

@@ -133,7 +133,9 @@ def _frame_for(c: CochainComplex,
 
 def refined_torsion(c: CochainComplex, g: ChiralityOp,
                     frame: CohomologyFrame | None = None) -> CohomologyElement:
-    """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line."""
+    """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line.
+    In the frame that c keeps, phi's determinant is c's too, computed once
+    per complex, so a later call, with any chirality, forms no T_j."""
     return phi(c_gamma(c, g), _frame_for(c, frame))
 
 
@@ -206,7 +208,8 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
     (ker d-hat_j)^perp = B^{d-j}.  The frame of the dual complex is c's
     relabelled, and no differential is factorized twice: each side is
     phi(c_Gamma) in its frame, and c's frame is the one c keeps, computed
-    once per complex.
+    once per complex, with phi's determinant in it; the relabelled frame
+    takes its own.
     """
     frame = cohomology_frame(c)
     chat = dual_complex(c)

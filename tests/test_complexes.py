@@ -11,6 +11,7 @@ import pytest
 
 import detline.complexes as complexes_mod
 from detline import (
+    ChiralityOp,
     CochainComplex,
     CohomologyFrame,
     DetElement,
@@ -392,9 +393,13 @@ class TestFrameKeptByComplex:
     @pytest.mark.parametrize("blocks", [3, 48])
     def test_second_call_takes_no_factorization_for_the_frame(
             self, count_factorizations, name, d, blocks):
-        # the first call on a complex takes the factorizations of its one
-        # frame beside its own work, a second call its own work only; with
-        # 48 blocks the frame takes Cholesky certificates, and QRs at d > 1
+        # the first call on a pair takes the factorizations of its
+        # complex's one frame beside its own work; the pair keeps what that
+        # work derived, so a second call on the pair factorizes nothing,
+        # restrictions included, and a new chirality of the same blocks on
+        # the same complex takes the first call's own work again, without
+        # the frame; with 48 blocks the frame takes Cholesky certificates,
+        # and QRs at d > 1
         call = _FRAME_READERS[name]
         r = (d + 1) // 2
         c, g = gen_random(blocks + d, d, {"blocks": [
@@ -404,6 +409,9 @@ class TestFrameKeptByComplex:
         def tally(calls):  # the log as a multiset, restrictions left out
             return collections.Counter(
                 (n, shape) for n, shape, _ in calls.log if n != "restrict")
+
+        def value(x):
+            return getattr(x, "coeff", x)
         calls = count_factorizations()
         cohomology_frame(fresh(c))
         one_frame = tally(calls)
@@ -413,14 +421,17 @@ class TestFrameKeptByComplex:
         first_log = tally(calls)
         calls = count_factorizations()
         again = call(c, g)
-        second = tally(calls)
-        assert getattr(again, "coeff", again) == getattr(first, "coeff", first)
-        assert first_log == one_frame + second
+        assert calls.log == []
+        assert value(again) == value(first)
+        calls = count_factorizations()
+        other = call(c, ChiralityOp(g.gamma))
+        assert value(other) == value(first)
+        assert first_log == one_frame + tally(calls)
         if blocks > 3:
             assert {"qr", "cholesky"} & {n for n, _ in one_frame} == (
                 {"qr", "cholesky"} if d > 1 else {"cholesky"})
         if name in ("refined_torsion", "dual_torsion_check"):
-            assert not second  # they factorize nothing but the frame
+            assert first_log == one_frame  # they factorize nothing else
 
     def test_framed_complex_is_freed_with_its_bases(self):
         c, g = _instance(5, 3, acyclic=False)

@@ -2,9 +2,13 @@
 branch-cut determinants."""
 
 import cmath
+import collections
+import gc
 import math
 import re
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,11 +47,17 @@ from detline.selftest import _b_even_odd, _instance
 from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
                                _eig_input, _log_det, _minus_bases,
                                _pair_spectrum, _restrict, _side_log_det,
-                               _side_spectrum, _split_degree, _split_zero)
+                               _side_spectrum, _split_zero)
 
-from conftest import (BIG_PROFILE, fresh, normal_matrix, range_family,
-                      traced_peak)
+from conftest import (BIG_PROFILE, BIG_UNIT, fresh, normal_matrix,
+                      range_family, traced_peak)
 
+
+
+def _split_block(bsq, lam, j):
+    """signature._split_degree of the formed B^2 block bsq of C^j, under an
+    empty record, as spectral_split's first call on a pair takes it."""
+    return signature_mod._split_degree(lambda: bsq, bsq.shape[0], lam, j, {})
 
 def _singular_tables(singular):
     """_det_blocks tables of a d = 3 layout, 2 x 2 identity blocks but for
@@ -486,7 +496,7 @@ class TestSpectralSplit:
         calls = count_factorizations()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SpectralBoundaryError, match=r"^degree 1: "):
-                _split_degree(_bsq(_b_blocks(c, g), 1), 0.0, 1)
+                _split_block(_bsq(_b_blocks(c, g), 1), 0.0, 1)
         assert calls.log == []
 
 
@@ -507,6 +517,21 @@ def _mid_gap_level(c, g):
     k = len(mods) // 2
     return 0.5 * (mods[k - 1] + mods[k]) if k else 0.5 * mods[0]
 
+
+
+def _every_path(c, g) -> tuple:
+    """The values of every public path on the pair (c, g): the refined
+    torsion, the dual check, and at the levels 0, mid-gap and above the
+    spectrum the small part's dimensions and the torsion through the
+    split; on an acyclic complex both graded determinants too."""
+    out = [refined_torsion(c, g).coeff, dual_torsion_check(c, g)]
+    for lam in (0.0, _mid_gap_level(c, g), 2.0 * _spectral_radius(c, g)):
+        small = spectral_split(c, g, lam).small
+        out += [tuple(b.shape[1] for b in small.bases),
+                torsion_via_split(c, g, lam).coeff]
+    if cohomology_frame(c).acyclic:
+        out += [graded_det_finite(c, g), graded_det_via_xi_eta(c, g, 0.0)]
+    return tuple(out)
 
 class TestValidateOnce:
     """The input complex and chirality were checked when they were built,
@@ -830,6 +855,112 @@ class TestLoneBlocks:
                 m[0, 0] = 2.0
 
 
+    def test_pair_record_is_below_a_tenth_of_a_block(self, big):
+        # what the pair keeps after every path, with phi's determinant on
+        # the complex: moduli, spectra and numbers, no matrix
+        c, g = fresh(big[0]), big[1]
+        tracemalloc.start()
+        try:
+            _every_path(c, g)
+            held = tracemalloc.get_traced_memory()[0]
+            del signature_mod._PAIRS[c]
+            del vars(c)["_phi_det"]
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < kept <= 0.1 * BIG_UNIT
+
+
+class TestPairRecord:
+    """What the calls on a chiral pair derive that no split level changes
+    is kept once per pair: per degree j < (d+1)/2 the moduli of spec B^2_j
+    and the lam = 0 verdict of the invertibility kernel, the graded
+    determinant and the B_even spectra on the +/- subspaces; phi's
+    determinant and sign sit on the complex, beside its frame.  It holds
+    no matrix, goes with either member, and a call that raises keeps
+    nothing."""
+
+    @pytest.mark.parametrize("member", ["complex", "chirality"])
+    def test_record_is_freed_with_either_member(self, member):
+        c, g = _instance(7, 3, acyclic=True)
+        _every_path(c, g)
+        kept = signature_mod._PAIRS[c][g]
+        refs = [weakref.ref(v) for v in kept.values()
+                if isinstance(v, np.ndarray)]
+        assert refs
+        refs.append(weakref.ref(c if member == "complex" else g))
+        if member == "complex":
+            refs.append(weakref.ref(signature_mod._PAIRS[c]))
+        gc.disable()  # reference counting alone must free them
+        try:
+            del kept
+            if member == "complex":
+                del c
+            else:
+                del g
+                assert len(signature_mod._PAIRS[c]) == 0
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_two_chiralities_on_one_complex_keep_separate_records(self):
+        # -Gamma is a chirality of the same complex; at d = 5 it turns the
+        # sign of rho and of the graded determinants.  Each pair's values,
+        # read back from its record, are those of a fresh pair
+        c, g = _instance(7, 5, acyclic=True)
+        neg = ChiralityOp(tuple(-a for a in g.gamma))
+        values = [_every_path(c, h) for h in (g, neg)]
+        records = signature_mod._PAIRS[c]
+        assert len(records) == 2 and records[g] is not records[neg]
+        assert values[0] != values[1]
+        for h, v in zip((g, neg), values):
+            assert _every_path(c, h) == v
+            assert _every_path(fresh(c), ChiralityOp(h.gamma)) == v
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_record_holds_read_only_moduli_numbers_and_tuples(self, d):
+        c, g = _instance(7, d, acyclic=True)
+        _every_path(c, g)
+        kept = signature_mod._PAIRS[c][g]
+        n = c.dims.dims
+        degrees = {j for j in range((d + 1) // 2) if n[j]}
+        assert {key for key in kept if key[0] == "moduli"} == {
+            ("moduli", j) for j in degrees}
+        assert {key for key in kept if key[0] == "invertible"} == {
+            ("invertible", j) for j in degrees}
+        assert {"graded_det", "spectra"} <= set(kept)
+        for key, v in kept.items():
+            if key[0] == "moduli":
+                assert v.shape == (n[key[1]],) and v.dtype == float
+                assert not v.flags.writeable
+                with pytest.raises(ValueError):
+                    v[0] = 0.0
+            elif key == "spectra":
+                assert type(v) is tuple and len(v) == 2
+                assert all(type(side) is tuple for side in v)
+                assert all(type(z) is complex for side in v for z in side)
+            else:
+                assert type(v) is (bool if key[0] == "invertible"
+                                   else complex)
+        det, negate = c._phi_det
+        assert np.isscalar(det) and type(negate) is bool
+
+    @pytest.mark.parametrize("call", [
+        graded_det_finite,
+        lambda c, g: spectral_split(c, g, _spectral_radius(c, g)),
+    ], ids=["graded_det_finite", "split_at_a_modulus"])
+    def test_a_raising_call_keeps_nothing(self, call):
+        # with cohomology B_even is not bijective; a level equal to a
+        # modulus of spec B^2 lies inside its cluster
+        c, g = _instance(7, 3, acyclic=False)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SpectralBoundaryError) as exc:
+                call(c, g)
+            messages.append(str(exc.value))
+            assert g not in signature_mod._PAIRS.get(c, {})
+        assert messages[0] == messages[1]
+
 class TestEmptySplitPart:
     """An empty part of a split is the zero complex: it adds det 1 (large)
     or torsion 1 (small), and no frame, graded determinant or torsion of it
@@ -1090,8 +1221,12 @@ class TestFactorizationCounts:
             self, count_factorizations, d, above):
         # at 0 the large part of an acyclic complex is the complex itself,
         # above the spectrum the small part is; either way the complex's
-        # frame serves it: the first call builds that one frame before
-        # anything else, and a second call builds none
+        # frame serves it.  The split before the first call left its B^2
+        # data in the pair's record, so the first call builds that one
+        # frame before anything else and then takes, at 0, the large
+        # part's graded determinant, as a new pair on the framed complex
+        # takes it, and above nothing more; a second call factorizes
+        # nothing
         c, g = _instance(7, d, acyclic=True)
         lam = 2.0 * _spectral_radius(c, g) if above else 0.0
         sp = spectral_split(c, g, lam)
@@ -1103,7 +1238,39 @@ class TestFactorizationCounts:
         first = torsion_via_split(c, g, lam).coeff
         calls = count_factorizations()
         assert torsion_via_split(c, g, lam).coeff == first
-        assert first_call.log == one_frame.log + calls.log
+        assert calls.log == []
+        det_large = count_factorizations()
+        if not above:
+            graded_det_finite(c, ChiralityOp(g.gamma))
+        assert first_call.log == one_frame.log + det_large.log
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_second_split_takes_only_its_level_work(
+            self, count_factorizations, d, acyclic):
+        # the pair keeps the moduli of each B^2 block, so a second split at
+        # a mid-gap level takes no eigenvalues: it repeats only the work of
+        # its level, the disk split of each proper degree, the QR of its
+        # Gamma-image and what the proper parts, new complexes, take for
+        # their frames and graded determinant
+        c, g = _instance(7, d, acyclic)
+        lam = _mid_gap_level(c, g)
+        cohomology_frame(c)
+        n = c.dims.dims
+
+        def tally(calls):  # the log as a multiset, restrictions left out
+            return collections.Counter(
+                (name, shape) for name, shape, _ in calls.log
+                if name != "restrict")
+        calls = count_factorizations()
+        first = torsion_via_split(c, g, lam).coeff
+        first_log = tally(calls)
+        calls = count_factorizations()
+        assert torsion_via_split(c, g, lam).coeff == first
+        second = tally(calls)
+        assert calls["disk"] and not calls["eigvals"]
+        assert first_log == second + collections.Counter(
+            ("eigvals", (n[j], n[j])) for j in range((d + 1) // 2) if n[j])
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_plus_minus_test_is_one_a_by_a_svd_per_proper_degree(
@@ -1282,7 +1449,7 @@ class TestFactorizationCounts:
         with pytest.raises(SpectralBoundaryError,
                            match="projector at level 2.5 has rank 2 where "
                                  "the spectrum has 3 small of 4"):
-            _split_degree(bsq, 2.5, 0)
+            _split_block(bsq, 2.5, 0)
 
 
 class TestSplitCertificate:
@@ -1304,7 +1471,7 @@ class TestSplitCertificate:
                           settled):
         bsq = normal_matrix(spectrum)
         calls = count_factorizations()
-        small, large = _split_degree(bsq, lam, 0)
+        small, large = _split_block(bsq, lam, 0)
         assert (small.shape[1], large.shape[1]) == (k, len(spectrum) - k)
         # one values-only SVD, the kernel's, at lam = 0 only
         assert calls.shapes("svd", compute_uv=False) == (
@@ -1324,7 +1491,7 @@ class TestSplitCertificate:
         # singular-value bounds could not clear it either
         calls = count_factorizations()
         with pytest.raises(SpectralBoundaryError, match="cluster"):
-            _split_degree(normal_matrix(spectrum), 2.0, 0)
+            _split_block(normal_matrix(spectrum), 2.0, 0)
         assert calls["eigvals"] == 1
 
     @pytest.mark.parametrize("mu, lam", [(1e-4, 0.0), (2.5, 2.0)])
@@ -1338,7 +1505,7 @@ class TestSplitCertificate:
         cut = lam if lam > 0 else _zero_cut(sv[0])
         assert sv[-1] < cut < mu
         calls = count_factorizations()
-        small, large = _split_degree(bsq, lam, 0)
+        small, large = _split_block(bsq, lam, 0)
         assert calls["eigvals"] == 1
         assert calls["disk"] == 0
         assert small.shape[1] == int(np.sum(
@@ -1417,9 +1584,9 @@ class TestOneRuleAboveZero:
         k = _svd_settle_count(bsq, lam)
         if k is None:
             with pytest.raises(SpectralBoundaryError, match="cluster"):
-                _split_degree(bsq, lam, 0)
+                _split_block(bsq, lam, 0)
             return None
-        small, large = _split_degree(bsq, lam, 0)
+        small, large = _split_block(bsq, lam, 0)
         if k == 0:
             expected = np.zeros((n, 0)), np.eye(n)
         elif k == n:
@@ -1497,7 +1664,7 @@ class TestZeroSplitKernel:
             expected = _svd_zero_count(bsq)
             counts.append(expected)
             calls = count_factorizations()
-            small, large = _split_degree(bsq, 0.0, 0)
+            small, large = _split_block(bsq, 0.0, 0)
             assert (small.shape[1], large.shape[1]) == (expected,
                                                         n - expected), x
             # one kernel call, by the kernel's size rule, and eigenvalues
@@ -1553,7 +1720,7 @@ class TestDiskSplit:
         diag = (np.exp(rng.uniform(np.log(0.1), np.log(10.0), 400))
                 * np.exp(1j * rng.uniform(-1.0, 1.0, 400)))
         bsq = _triangular_block(diag, 1, 0.056)
-        small, large = _split_degree(bsq, 1.0, 0)
+        small, large = _split_block(bsq, 1.0, 0)
         ref_small, ref_large = _schur_bases(bsq, 1.0)
         assert small.shape == ref_small.shape
         assert large.shape == ref_large.shape
@@ -1564,7 +1731,7 @@ class TestDiskSplit:
         # at lam = 0 the level sits at half the smallest nonzero modulus, so
         # B^2 + mu stays well conditioned next to the zero eigenvalues
         bsq = _triangular_block([0.0, 0.0, 1.0, 1.1, 4.5], 4, 1.0)
-        small, large = _split_degree(bsq, 0.0, 0)
+        small, large = _split_block(bsq, 0.0, 0)
         ref_small, ref_large = _schur_bases(
             bsq, _zero_cut(float(np.abs(np.linalg.eigvals(bsq)).max())))
         assert (small.shape[1], large.shape[1]) == (2, 3)
@@ -1575,7 +1742,7 @@ class TestDiskSplit:
     def test_coupled_pair_across_a_wide_gap(self, delta):
         bsq = _triangular_block([0.5, 1 - delta, 1 + delta, 2.0], 0, 0.0,
                                 [(1, 2, 1.0)])
-        small, large = _split_degree(bsq, 1.0, 0)
+        small, large = _split_block(bsq, 1.0, 0)
         ref_small, ref_large = _schur_bases(bsq, 1.0)
         assert (small.shape[1], large.shape[1]) == (2, 2)
         assert _subspace_gap(small, ref_small) <= 1e-10
@@ -1592,7 +1759,7 @@ class TestDiskSplit:
                            match=r"^degree 0: the sign iteration at level 1 "
                                  r"did not converge in 50 steps \(residual "
                                  r"\d\.\d{3}e-\d\d\)$"):
-            _split_degree(bsq, 1.0, 0)
+            _split_block(bsq, 1.0, 0)
 
 
 def _ladder_instance(d, total):
@@ -2028,8 +2195,8 @@ class TestZeroDecidedOnce:
     def test_split_zero_cut_has_no_floor_of_one(self):
         # B^2 = diag(1e-8, 1e-8): nothing is zero at its own scale
         bsq = np.diag([1e-8, 1e-8]).astype(complex)
-        small, large = _split_degree(bsq, 0.0, 0)
+        small, large = _split_block(bsq, 0.0, 0)
         assert small.shape[1] == 0 and large.shape[1] == 2
-        small, large = _split_degree(np.diag([1e-8, 1e-17]).astype(complex),
+        small, large = _split_block(np.diag([1e-8, 1e-17]).astype(complex),
                                      0.0, 0)
         assert small.shape[1] == 1 and large.shape[1] == 1
