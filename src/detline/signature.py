@@ -65,7 +65,8 @@ import numpy as np
 from .complexes import (CochainComplex, CohomologyElement, CohomologyFrame,
                         _columns, _readonly, _sigma_min_above, _zero_cut,
                         cohomology_frame)
-from .errors import SpectralBoundaryError, ValidationError, _exp_in_range
+from .errors import (SpectralBoundaryError, ValidationError, _exp_in_range,
+                     _in_range)
 from .gradedlinalg import GradedDims, alternating_det
 from .torsion import (ChiralityOp, _frame_for, refined_torsion,
                       validate_chirality)
@@ -617,6 +618,14 @@ def _moduli(eigs: list) -> list:
         raise ValidationError("spectrum is not finite") from None
 
 
+def _squares(eigs) -> list:
+    """The squares of a finite spectrum, each finite (_in_range): a square
+    that overflows is a numerical boundary of the arithmetic, not an input
+    that is not finite.  A zero stays a zero, for _log_det to refuse."""
+    return [_in_range(z * z, "the square of an eigenvalue", nonzero=False)
+            for z in eigs]
+
+
 def _split_zero(eigs: list):
     """Nonzero eigenvalues and the count of zero ones of a finite spectrum."""
     mods = _moduli(eigs)
@@ -683,11 +692,13 @@ def det_eta_check(m, theta: float) -> float:
 
     where N_nonzero counts nonzero eigenvalues of D^2 (the value of the
     finite-dimensional zeta function of D^2 at zero).  The zeros of D are
-    decided once; the nonzero spectrum of D^2 is their squares.
+    decided once; the nonzero spectrum of D^2 is their squares (_squares).
+    A spectrum that is not finite raises ValidationError; a finite one
+    whose square leaves the float range, SpectralBoundaryError.
     """
     nonzero, m_zero = _split_zero(_eig_input(m))
     lhs = _log_det(nonzero, theta)
-    half = 0.5 * _log_det([z * z for z in nonzero], 2 * theta)
+    half = 0.5 * _log_det(_squares(nonzero), 2 * theta)
     rhs = half - 1j * math.pi * (_eta(nonzero, m_zero).eta
                                  - (len(nonzero) + m_zero) / 2.0)
     return abs(lhs - rhs)
@@ -762,8 +773,8 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
         # spec(B_even) is the union of its spectra on the + and - subspaces
         eigs = eig_plus + eig_minus
         theta = _agmon_midpoint(*_agmon_arc(eigs))
-        xi = 0.5 * (_log_det([z * z for z in eig_plus], 2 * theta)
-                    - _log_det([z * z for z in eig_minus], 2 * theta))
+        xi = 0.5 * (_log_det(_squares(eig_plus), 2 * theta)
+                    - _log_det(_squares(eig_minus), 2 * theta))
         eta = _eta(eigs, 0).eta
         z = (xi - 1j * math.pi * eta
              + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)

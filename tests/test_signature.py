@@ -1890,6 +1890,39 @@ class TestNonFiniteSpectrum:
             call()
 
 
+class TestSquaredSpectrum:
+    """det_eta_check and xi/eta square a spectrum: a finite value whose
+    square leaves the float range is a numerical boundary of that
+    arithmetic, named as an overflow, and an input that is not finite
+    stays an input error."""
+
+    _OVERFLOW = r"^the square of an eigenvalue overflows the float range$"
+
+    @pytest.mark.parametrize("spectrum", [
+        [1e200, 2.0], np.diag([2.0, -1e160]), [complex(1e200, 0.5e200), 1.0],
+    ], ids=["list", "matrix", "complex"])
+    def test_det_eta_square_that_overflows_is_a_boundary(self, spectrum):
+        with pytest.raises(SpectralBoundaryError, match=self._OVERFLOW):
+            det_eta_check(spectrum, -math.pi / 4)
+
+    @pytest.mark.parametrize("spectrum", [
+        [math.inf, 2.0], [1.0, complex(1.5e308, 1.5e308)],
+        np.diag([math.nan, 1.0]),
+    ], ids=["infinity", "modulus", "matrix"])
+    def test_det_eta_input_not_finite_is_an_input_error(self, spectrum):
+        with pytest.raises(ValidationError, match="not finite"):
+            det_eta_check(spectrum, -math.pi / 4)
+
+    def test_xi_eta_square_that_overflows_is_a_boundary(self, monkeypatch):
+        # spectra whose squares overflow, on a fresh pair, so that the
+        # pair's record holds none yet
+        monkeypatch.setattr(signature_mod, "_side_spectrum",
+                            lambda table: [1e160, -1e160])
+        c, g = _instance(7, 1, acyclic=True)
+        with pytest.raises(SpectralBoundaryError, match=self._OVERFLOW):
+            graded_det_via_xi_eta(c, g, 0.0)
+
+
 def _outcome(call, *args):
     """The value of call(*args), or the type and message of the error it
     raises."""
