@@ -28,12 +28,15 @@ keeps them, read-only, and every later call hands them out again; the
 margins of the rank decisions, and phi's determinant and sign in those
 bases, are computed once per complex too.  The complex holds the bases,
 not a frame (a frame points back at its complex), so they are freed with
-the complex.
+the complex.  It also holds, keyed weakly on the chirality, the record
+that signature derives once for each chiral pair on it (spectra and
+scalars, no matrix), freed with either member of the pair.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,7 +103,8 @@ class CochainComplex:
     the matrices are read-only views (the caller's arrays keep their flags).
     The read-only B/H/A bases of its cohomology frame, the margins of
     their rank decisions and phi's determinant and sign in them are
-    computed on first read and kept here.  Like
+    computed on first read and kept here, and so is the record of each
+    chiral pair on it, keyed weakly on the chirality.  Like
     every type of the package that holds arrays, it compares and hashes by
     identity.
     """
@@ -143,6 +147,13 @@ class CochainComplex:
     @cached_property
     def _phi_det(self) -> tuple:
         return _phi_factor(CohomologyFrame(self, *self._bases))
+
+    @cached_property
+    def _pairs(self) -> weakref.WeakKeyDictionary:
+        # {chirality: record} of the chiral pairs on this complex, which
+        # signature keeps (_pair_record); weak on the chirality, so a
+        # record goes with either member
+        return weakref.WeakKeyDictionary()
 
     def differential_residual(self) -> float:
         """Largest entry of any d_{j+1} d_j, relative to the scale of d;

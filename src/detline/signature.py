@@ -57,7 +57,6 @@ import cmath
 import contextlib
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,22 +93,19 @@ _SPLIT_TOL = 1e-8  # bound on torsion through a split against refined torsion
 _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
-# {c: {g: record}}: what the calls on a chiral pair (c, g) derived that no
-# split level changes, each entry computed on first read.  Both levels are
-# weak, so a record goes with either member, and it holds numbers, tuples
-# of them and read-only arrays of them, never a matrix, and nothing that
-# points back at c or g
-_PAIRS = weakref.WeakKeyDictionary()
-
 
 @contextlib.contextmanager
 def _pair_record(c: CochainComplex, g: ChiralityOp):
-    """A copy of the record of (c, g), {} at first, for a call to read and
-    add to; it becomes the record once the call's body returns, so a call
-    that raises keeps nothing."""
-    record = dict(_PAIRS.get(c, {}).get(g, {}))
+    """A copy of the record of the pair (c, g), {} at first, for a call to
+    read and add to; it becomes the record, kept by c under g
+    (CochainComplex._pairs), once the call's body returns, so a call that
+    raises keeps nothing.  A record holds what the calls on the pair
+    derived that no split level changes, each entry computed on first
+    read: numbers, tuples of them and read-only arrays of them, never a
+    matrix, and nothing that points back at c or g."""
+    record = dict(c._pairs.get(g, {}))
     yield record
-    _PAIRS.setdefault(c, weakref.WeakKeyDictionary())[g] = record
+    c._pairs[g] = record
 
 
 def _b_blocks(c: CochainComplex, g: ChiralityOp, split: bool = False) -> dict:
@@ -411,10 +407,10 @@ def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
     its False settles nothing.  Neither depends on lam, so kept holds the
     kernel's verdict and the moduli |mu|, read-only, each taken once per
     pair.  A proper split (0 < k < n) takes the disk split at a level mu
-    inside the gap the eigenvalues leave: lam itself when lam > 0.  At lam = 0 it is half the smallest modulus outside the
-    zero cluster, or the geometric mean of that and the largest modulus
-    inside when this is larger; B^2 + mu then stays as well conditioned as
-    the gap allows."""
+    inside the gap the eigenvalues leave: lam itself when lam > 0.  At
+    lam = 0 it is half the smallest modulus outside the zero cluster, or
+    the geometric mean of that and the largest modulus inside when this is
+    larger; B^2 + mu then stays as well conditioned as the gap allows."""
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return empty, empty

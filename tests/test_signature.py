@@ -53,11 +53,11 @@ from conftest import (BIG_PROFILE, BIG_UNIT, fresh, normal_matrix,
                       range_family, traced_peak)
 
 
-
 def _split_block(bsq, lam, j):
     """signature._split_degree of the formed B^2 block bsq of C^j, under an
     empty record, as spectral_split's first call on a pair takes it."""
     return signature_mod._split_degree(lambda: bsq, bsq.shape[0], lam, j, {})
+
 
 def _singular_tables(singular):
     """_det_blocks tables of a d = 3 layout, 2 x 2 identity blocks but for
@@ -518,7 +518,6 @@ def _mid_gap_level(c, g):
     return 0.5 * (mods[k - 1] + mods[k]) if k else 0.5 * mods[0]
 
 
-
 def _every_path(c, g) -> tuple:
     """The values of every public path on the pair (c, g): the refined
     torsion, the dual check, and at the levels 0, mid-gap and above the
@@ -532,6 +531,7 @@ def _every_path(c, g) -> tuple:
     if cohomology_frame(c).acyclic:
         out += [graded_det_finite(c, g), graded_det_via_xi_eta(c, g, 0.0)]
     return tuple(out)
+
 
 class TestValidateOnce:
     """The input complex and chirality were checked when they were built,
@@ -854,7 +854,6 @@ class TestLoneBlocks:
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0
 
-
     def test_pair_record_is_below_a_tenth_of_a_block(self, big):
         # what the pair keeps after every path, with phi's determinant on
         # the complex: moduli, spectra and numbers, no matrix
@@ -863,7 +862,7 @@ class TestLoneBlocks:
         try:
             _every_path(c, g)
             held = tracemalloc.get_traced_memory()[0]
-            del signature_mod._PAIRS[c]
+            del vars(c)["_pairs"]
             del vars(c)["_phi_det"]
             kept = held - tracemalloc.get_traced_memory()[0]
         finally:
@@ -884,13 +883,13 @@ class TestPairRecord:
     def test_record_is_freed_with_either_member(self, member):
         c, g = _instance(7, 3, acyclic=True)
         _every_path(c, g)
-        kept = signature_mod._PAIRS[c][g]
+        kept = c._pairs[g]
         refs = [weakref.ref(v) for v in kept.values()
                 if isinstance(v, np.ndarray)]
         assert refs
         refs.append(weakref.ref(c if member == "complex" else g))
         if member == "complex":
-            refs.append(weakref.ref(signature_mod._PAIRS[c]))
+            refs.append(weakref.ref(c._pairs))
         gc.disable()  # reference counting alone must free them
         try:
             del kept
@@ -898,7 +897,7 @@ class TestPairRecord:
                 del c
             else:
                 del g
-                assert len(signature_mod._PAIRS[c]) == 0
+                assert len(c._pairs) == 0
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
@@ -910,7 +909,7 @@ class TestPairRecord:
         c, g = _instance(7, 5, acyclic=True)
         neg = ChiralityOp(tuple(-a for a in g.gamma))
         values = [_every_path(c, h) for h in (g, neg)]
-        records = signature_mod._PAIRS[c]
+        records = c._pairs
         assert len(records) == 2 and records[g] is not records[neg]
         assert values[0] != values[1]
         for h, v in zip((g, neg), values):
@@ -921,7 +920,7 @@ class TestPairRecord:
     def test_record_holds_read_only_moduli_numbers_and_tuples(self, d):
         c, g = _instance(7, d, acyclic=True)
         _every_path(c, g)
-        kept = signature_mod._PAIRS[c][g]
+        kept = c._pairs[g]
         n = c.dims.dims
         degrees = {j for j in range((d + 1) // 2) if n[j]}
         assert {key for key in kept if key[0] == "moduli"} == {
@@ -958,8 +957,9 @@ class TestPairRecord:
             with pytest.raises(SpectralBoundaryError) as exc:
                 call(c, g)
             messages.append(str(exc.value))
-            assert g not in signature_mod._PAIRS.get(c, {})
+            assert g not in c._pairs
         assert messages[0] == messages[1]
+
 
 class TestEmptySplitPart:
     """An empty part of a split is the zero complex: it adds det 1 (large)
