@@ -426,6 +426,7 @@ def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
         if (name, j) not in kept:
             kept[name, j] = derive(block())
         return kept[name, j]
+
     k = 0
     if lam > 0 or not read("invertible", _sigma_min_above):
         mods = read("moduli", lambda b: _readonly(
