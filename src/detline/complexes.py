@@ -29,8 +29,9 @@ margins of the rank decisions, and phi's determinant and sign in those
 bases, are computed once per complex too.  The complex holds the bases,
 not a frame (a frame points back at its complex), so they are freed with
 the complex.  It also holds, keyed weakly on the chirality, the record
-that signature derives once for each chiral pair on it (spectra and
-scalars, no matrix), freed with either member of the pair.
+that signature derives once for each chiral pair on it (the moduli of
+B^2's spectrum and scalars, no matrix), freed with either member of the
+pair.
 """
 
 from __future__ import annotations

@@ -41,13 +41,13 @@ square basis is unitary, so a restriction onto it takes no residual.
 What a chiral pair (c, g) gives that no split level changes is derived
 once per pair and kept in its record, beside the frame that c keeps: per
 degree j < (d+1)/2 the moduli of spec B^2_j and the lam = 0 verdict of
-the invertibility kernel, the graded determinant, and the spectra of
-B_even on the +/- subspaces (phi's determinant sits on c itself).  The
-record holds numbers, never a matrix, and goes with either member, and a
-call that raises keeps nothing.  So a split forms a B^2 block only for
-what the record lacks and for a proper split, and a large part that is
-the complex itself reads its graded determinant and spectra off the
-record.  A proper part is a new complex on each split: it pays for its own
+the invertibility kernel, and the graded determinant (phi's determinant
+sits on c itself).  The record holds numbers, never a matrix, and goes
+with either member, and a call that raises keeps nothing.  So a split
+forms a B^2 block only for what the record lacks and for a proper split,
+and a large part that is the complex itself reads its graded determinant
+off the record.  xi/eta takes the B_even spectra afresh on each call.
+A proper part is a new complex on each split: it pays for its own
 frame and record every time.
 """
 
@@ -101,8 +101,8 @@ def _pair_record(c: CochainComplex, g: ChiralityOp):
     (CochainComplex._pairs), once the call's body returns, so a call that
     raises keeps nothing.  A record holds what the calls on the pair
     derived that no split level changes, each entry computed on first
-    read: numbers, tuples of them and read-only arrays of them, never a
-    matrix, and nothing that points back at c or g."""
+    read: numbers and read-only vectors of them, never a matrix, and
+    nothing that points back at c or g."""
     record = dict(c._pairs.get(g, {}))
     yield record
     c._pairs[g] = record
@@ -755,24 +755,19 @@ def graded_det_via_xi_eta(c: CochainComplex, g: ChiralityOp,
     counts.  The graded determinant is never 0, so its exp must lie in the
     float range (_exp_in_range), as graded_det_finite's does, with the same
     message.  The blocks read the frame that the large part's complex
-    keeps, the large part's record keeps the two spectra, as tuples, and
-    theta is the midpoint of the admissible arc of its spectrum
+    keeps, and theta is the midpoint of the admissible arc of its spectrum
     (pick_agmon_angle's rule); the value does not depend on which
     admissible theta is taken.
     """
     large = spectral_split(c, g, lam).large
-    with _pair_record(large.complex, large.chirality) as kept:
-        if "spectra" not in kept:
-            odd, even = _det_blocks(large.complex, large.chirality)
-            kept["spectra"] = (tuple(_side_spectrum(odd)),
-                               tuple(_side_spectrum(even)))
-        eig_plus, eig_minus = kept["spectra"]
-        # spec(B_even) is the union of its spectra on the + and - subspaces
-        eigs = eig_plus + eig_minus
-        theta = _agmon_midpoint(*_agmon_arc(eigs))
-        xi = 0.5 * (_log_det(_squares(eig_plus), 2 * theta)
-                    - _log_det(_squares(eig_minus), 2 * theta))
-        eta = _eta(eigs, 0).eta
-        z = (xi - 1j * math.pi * eta
-             + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
-        return _exp_in_range(z, " (the graded determinant of B_even)")
+    odd, even = _det_blocks(large.complex, large.chirality)
+    eig_plus, eig_minus = _side_spectrum(odd), _side_spectrum(even)
+    # spec(B_even) is the union of its spectra on the + and - subspaces
+    eigs = eig_plus + eig_minus
+    theta = _agmon_midpoint(*_agmon_arc(eigs))
+    xi = 0.5 * (_log_det(_squares(eig_plus), 2 * theta)
+                - _log_det(_squares(eig_minus), 2 * theta))
+    eta = _eta(eigs, 0).eta
+    z = (xi - 1j * math.pi * eta
+         + 1j * math.pi * (len(eig_plus) - len(eig_minus)) / 2.0)
+    return _exp_in_range(z, " (the graded determinant of B_even)")

@@ -856,7 +856,7 @@ class TestLoneBlocks:
 
     def test_pair_record_is_below_a_tenth_of_a_block(self, big):
         # what the pair keeps after every path, with phi's determinant on
-        # the complex: moduli, spectra and numbers, no matrix
+        # the complex: moduli and numbers, no matrix
         c, g = fresh(big[0]), big[1]
         tracemalloc.start()
         try:
@@ -873,11 +873,10 @@ class TestLoneBlocks:
 class TestPairRecord:
     """What the calls on a chiral pair derive that no split level changes
     is kept once per pair: per degree j < (d+1)/2 the moduli of spec B^2_j
-    and the lam = 0 verdict of the invertibility kernel, the graded
-    determinant and the B_even spectra on the +/- subspaces; phi's
-    determinant and sign sit on the complex, beside its frame.  It holds
-    no matrix, goes with either member, and a call that raises keeps
-    nothing."""
+    and the lam = 0 verdict of the invertibility kernel, and the graded
+    determinant; phi's determinant and sign sit on the complex, beside its
+    frame.  It holds no matrix, goes with either member, and a call that
+    raises keeps nothing."""
 
     @pytest.mark.parametrize("member", ["complex", "chirality"])
     def test_record_is_freed_with_either_member(self, member):
@@ -917,27 +916,21 @@ class TestPairRecord:
             assert _every_path(fresh(c), ChiralityOp(h.gamma)) == v
 
     @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_record_holds_read_only_moduli_numbers_and_tuples(self, d):
+    def test_record_holds_read_only_moduli_and_numbers(self, d):
         c, g = _instance(7, d, acyclic=True)
         _every_path(c, g)
         kept = c._pairs[g]
         n = c.dims.dims
         degrees = {j for j in range((d + 1) // 2) if n[j]}
-        assert {key for key in kept if key[0] == "moduli"} == {
-            ("moduli", j) for j in degrees}
-        assert {key for key in kept if key[0] == "invertible"} == {
-            ("invertible", j) for j in degrees}
-        assert {"graded_det", "spectra"} <= set(kept)
+        assert set(kept) == ({("moduli", j) for j in degrees}
+                             | {("invertible", j) for j in degrees}
+                             | {"graded_det"})
         for key, v in kept.items():
             if key[0] == "moduli":
                 assert v.shape == (n[key[1]],) and v.dtype == float
                 assert not v.flags.writeable
                 with pytest.raises(ValueError):
                     v[0] = 0.0
-            elif key == "spectra":
-                assert type(v) is tuple and len(v) == 2
-                assert all(type(side) is tuple for side in v)
-                assert all(type(z) is complex for side in v for z in side)
             else:
                 assert type(v) is (bool if key[0] == "invertible"
                                    else complex)
