@@ -29,9 +29,9 @@ margins of the rank decisions, and phi's determinant and sign in those
 bases, are computed once per complex too.  The complex holds the bases,
 not a frame (a frame points back at its complex), so they are freed with
 the complex.  It also holds, keyed weakly on the chirality, the record
-that signature derives once for each chiral pair on it (the moduli of
-B^2's spectrum and scalars, no matrix), freed with either member of the
-pair.
+of each chiral pair on it: one plain dict that signature writes as it
+derives each entry (the moduli of B^2's spectrum and scalars, no matrix),
+freed with either member of the pair.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ class CochainComplex:
     @cached_property
     def _pairs(self) -> weakref.WeakKeyDictionary:
         # {chirality: record} of the chiral pairs on this complex, which
-        # signature keeps (_pair_record); weak on the chirality, so a
-        # record goes with either member
+        # signature fills as it derives each entry; weak on the chirality,
+        # so a record goes with either member
         return weakref.WeakKeyDictionary()
 
     def differential_residual(self) -> float:

@@ -341,14 +341,22 @@ def check_large_part_acyclic(cases, seed):
     return ok, "rank test on every large part"
 
 
+def _b_block(c, g, t, s):
+    """The degree block of B = Gamma d + d Gamma from C^s to C^t:
+    Gamma_{s+1} d_s at t = d-s-1, d_{d-s} Gamma_s at t = d-s+1, else 0."""
+    d = c.d
+    if t == d - s - 1:
+        return g.gamma[s + 1] @ c.partial[s]
+    if t == d - s + 1:
+        return c.partial[d - s] @ g.gamma[s]
+    return np.zeros((c.dims.dims[t], c.dims.dims[s]), complex)
+
+
 def _b_even_odd(c, g):
-    """B_even and B_odd assembled from the degree-block table of
-    build_signature(c, g), each on the sum of the degrees of its parity.
-    The package reads B only through its table; this is the oracle of
-    signature-odd-even-spectrum."""
-    blocks, n = build_signature(c, g)._blocks, c.dims.dims
-    return [np.block([[blocks.get((t, s), np.zeros((n[t], n[s]), complex))
-                       for s in range(p, c.d + 1, 2)]
+    """B_even and B_odd assembled from d and Gamma (_b_block), each on the
+    sum of the degrees of its parity.  The package never forms B; this is
+    the oracle of signature-odd-even-spectrum."""
+    return [np.block([[_b_block(c, g, t, s) for s in range(p, c.d + 1, 2)]
                       for t in range(p, c.d + 1, 2)]) for p in (0, 1)]
 
 

@@ -5,11 +5,9 @@ B = Gamma d + d Gamma.  Its square preserves degrees, which allows splitting
 the complex along the spectrum of B^2, and the graded determinant of the even
 part of B recovers the refined torsion.  Log-determinants along a branch cut
 (an Agmon angle) and the finite-dimensional eta invariant take a spectrum as
-a Python list of complex; numpy only factorizes matrices.  B is kept as
-one form, the table of its nonzero degree blocks Gamma_{j+1} d_j : C^j ->
-C^{d-j-1} and d_{d-j} Gamma_j : C^j -> C^{d-j+1}, and each
-B^2_j = sum_t B[j, t] B[t, j] is read off it; B_even and B_odd are never
-assembled.
+a Python list of complex; numpy only factorizes matrices.  B is never
+formed whole: B^2 is read one degree at a time, B^2_j from d and Gamma by
+one formula (_bsq), and B_even and B_odd are never assembled.
 
 The cohomology frame gives C^j_- = ker d = B^j + H^j and, through Gamma,
 C^j_+.  The +/- independence test reads principal angles off the unitary
@@ -42,9 +40,11 @@ What a chiral pair (c, g) gives that no split level changes is derived
 once per pair and kept in its record, beside the frame that c keeps: per
 degree j < (d+1)/2 the moduli of spec B^2_j and the lam = 0 verdict of
 the invertibility kernel, and the graded determinant (phi's determinant
-sits on c itself).  The record holds numbers, never a matrix, and goes
-with either member, and a call that raises keeps nothing.  So a split
-forms a B^2 block only for what the record lacks and for a proper split,
+sits on c itself).  The record is one plain dict, which holds numbers,
+never a matrix, and goes with either member.  Each entry is written as it
+is derived and is an exact function of the pair, so a call that raises
+keeps what it derived before the raise, and the next call raises the same
+message.  So a split forms a B^2 block only for what the record lacks and for a proper split,
 and a large part that is the complex itself reads its graded determinant
 off the record.  xi/eta takes the B_even spectra afresh on each call.
 A proper part is a new complex on each split: it pays for its own
@@ -54,10 +54,9 @@ frame and record every time.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,55 +93,44 @@ _SIGN_STEPS = 50  # Newton sign steps before a split counts as not converged
 _SIGN_SCALE_STOP = 1e-2  # relative step below which the scaling stops
 
 
-@contextlib.contextmanager
-def _pair_record(c: CochainComplex, g: ChiralityOp):
-    """A copy of the record of the pair (c, g), {} at first, for a call to
-    read and add to; it becomes the record, kept by c under g
-    (CochainComplex._pairs), once the call's body returns, so a call that
-    raises keeps nothing.  A record holds what the calls on the pair
-    derived that no split level changes, each entry computed on first
-    read: numbers and read-only vectors of them, never a matrix, and
-    nothing that points back at c or g."""
-    record = dict(c._pairs.get(g, {}))
-    yield record
-    c._pairs[g] = record
+def _bsq(c: CochainComplex, g: ChiralityOp, j: int) -> np.ndarray:
+    """B^2 restricted to C^j, formed from d and Gamma one term at a time,
+    each the product of two degree blocks of B:
 
+        B^2_j = Gamma_{d-j} d_{d-j-1} Gamma_{j+1} d_j     (j < d)
+              + d_{j-1} Gamma_{d-j+1} d_{d-j} Gamma_j     (j > 0),
 
-def _b_blocks(c: CochainComplex, g: ChiralityOp, split: bool = False) -> dict:
-    """B's nonzero degree blocks {(target, source): block}.  No two share a
-    key, each keeps the parity of its source (d is odd), and (t, j) is a key
-    exactly when (j, t) is.  With split, the block d_{r-1} Gamma_r : C^r ->
-    C^r, r = (d+1)/2, is left out: it is the only one that no B^2_j with
-    j < r reads, as its source and target both lie at r."""
-    d = c.d
-    blocks = {}
-    for j in range(d + 1):
-        if j < d:
-            blocks[d - j - 1, j] = g.gamma[j + 1] @ c.partial[j]
-        if j > 0 and not (split and 2 * j == d + 1):
-            blocks[d - j + 1, j] = c.partial[d - j] @ g.gamma[j]
-    return blocks
-
-
-def _bsq(blocks: dict, j: int) -> np.ndarray:
-    """B^2 restricted to C^j: the sum over t of B[j, t] B[t, j]."""
-    return sum(blocks[j, t] @ b for (t, s), b in blocks.items() if s == j)
+    through C^{d-j-1} and C^{d-j+1}, added to 0 in that order.  No other
+    block of B is formed."""
+    d, p, gamma = c.d, c.partial, g.gamma
+    bsq = 0
+    if j < d:
+        bsq += (gamma[d - j] @ p[d - j - 1]) @ (gamma[j + 1] @ p[j])
+    if j > 0:
+        bsq += (p[j - 1] @ gamma[d - j + 1]) @ (p[d - j] @ gamma[j])
+    return bsq
 
 
 @dataclass(frozen=True, eq=False)
 class SignatureOp:
-    """B = Gamma d + d Gamma as the table of its nonzero degree blocks
-    (_b_blocks), read through bsq_block."""
+    """B = Gamma d + d Gamma of a chiral pair, read one degree at a time:
+    bsq_block(j) is B^2 on C^j (_bsq), for an integer 0 <= j <= d (a numpy
+    integer too; a bool is not a degree)."""
 
-    _blocks: dict = field(repr=False)
+    complex: CochainComplex
+    chirality: ChiralityOp
 
     def bsq_block(self, j: int) -> np.ndarray:
-        return _bsq(self._blocks, j)
+        if (isinstance(j, bool) or not hasattr(type(j), "__index__")
+                or not 0 <= j <= self.complex.d):
+            raise ValidationError(f"degree must be an integer in "
+                                  f"0..{self.complex.d}, got {j!r}")
+        return _bsq(self.complex, self.chirality, int(j))
 
 
 def build_signature(c: CochainComplex, g: ChiralityOp) -> SignatureOp:
     validate_chirality(c, g)
-    return SignatureOp(_b_blocks(c, g))
+    return SignatureOp(c, g)
 
 
 def _gamma_image(gamma: np.ndarray, basis: np.ndarray):
@@ -317,15 +305,15 @@ def graded_det_finite(c: CochainComplex, g: ChiralityOp) -> complex:
     lie in the float range (_exp_in_range), the exit and the message of
     graded_det_via_xi_eta.  It depends on the pair alone, so the pair's
     record keeps it: a second call on (c, g) factorizes nothing."""
-    with _pair_record(c, g) as kept:
-        if "graded_det" not in kept:
-            odd, even = _det_blocks(c, g)
-            m = sum(b.shape[1] for b in even.values())
-            log = (_side_log_det(odd) - _side_log_det(even)
-                   - 1j * math.pi * (m % 2))
-            kept["graded_det"] = _exp_in_range(
-                log, " (the graded determinant of B_even)")
-        return kept["graded_det"]
+    kept = c._pairs.setdefault(g, {})
+    if "graded_det" not in kept:
+        odd, even = _det_blocks(c, g)
+        m = sum(b.shape[1] for b in even.values())
+        log = (_side_log_det(odd) - _side_log_det(even)
+               - 1j * math.pi * (m % 2))
+        kept["graded_det"] = _exp_in_range(
+            log, " (the graded determinant of B_even)")
+    return kept["graded_det"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,11 +378,28 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _bsq_entry(kept: dict, name: str, j: int, bsq):
+    """The entry (name, j) of a pair's record kept, for a degree
+    j < (d+1)/2 with C^j nonempty: the invertibility kernel's verdict on
+    B^2_j ("invertible") or the moduli of its spectrum, read-only
+    ("moduli").  It is derived on first read from the block bsq() forms,
+    and written into the record at once; a block that is not finite (an
+    overflow) is a numerical boundary."""
+    if (name, j) not in kept:
+        b = bsq()
+        if not np.isfinite(b).all():
+            raise SpectralBoundaryError(
+                f"degree {j}: the B^2 block is not finite (overflow)")
+        kept[name, j] = (_sigma_min_above(b) if name == "invertible" else
+                         _readonly(np.abs(np.linalg.eigvals(b))))
+    return kept[name, j]
+
+
 def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
     """Orthonormal bases of the small and large B^2-invariant subspaces of
-    C^j, n = dim C^j.  bsq() forms the B^2 block of C^j; it is called only
-    for what the pair's record kept lacks, and for a proper split, and a
-    block that is not finite (an overflow) is a numerical boundary.
+    C^j, n = dim C^j.  bsq() forms the B^2 block of C^j; it is called at
+    most once, and only for what the pair's record kept lacks
+    (_bsq_entry) and for a proper split.
     The eigenvalues mu decide how many are small, k: at lam > 0 those with
     |mu| <= lam, unless some |mu| lies within _CLUSTER_RTOL max(lam, 1,
     max |mu|) of lam (a cluster, a numerical boundary); at lam = 0 those
@@ -405,32 +410,19 @@ def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
     zero.  Below 16 columns the kernel answers by exactly that rule, from
     16 on by its Cholesky certificate, whose floor is at least that cut;
     its False settles nothing.  Neither depends on lam, so kept holds the
-    kernel's verdict and the moduli |mu|, read-only, each taken once per
-    pair.  A proper split (0 < k < n) takes the disk split at a level mu
-    inside the gap the eigenvalues leave: lam itself when lam > 0.  At
-    lam = 0 it is half the smallest modulus outside the zero cluster, or
-    the geometric mean of that and the largest modulus inside when this is
-    larger; B^2 + mu then stays as well conditioned as the gap allows."""
+    kernel's verdict and the moduli |mu|, each taken once per pair.  A
+    proper split (0 < k < n) takes the disk split at a level mu inside the
+    gap the eigenvalues leave: lam itself when lam > 0.  At lam = 0 it is
+    half the smallest modulus outside the zero cluster, or the geometric
+    mean of that and the largest modulus inside when this is larger; B^2 +
+    mu then stays as well conditioned as the gap allows."""
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return empty, empty
-
-    def block():
-        b = bsq()
-        if not np.isfinite(b).all():
-            raise SpectralBoundaryError(
-                f"degree {j}: the B^2 block is not finite (overflow)")
-        return b
-
-    def read(name, derive):
-        if (name, j) not in kept:
-            kept[name, j] = derive(block())
-        return kept[name, j]
-
+    block = functools.cache(bsq)  # the one block of this call
     k = 0
-    if lam > 0 or not read("invertible", _sigma_min_above):
-        mods = read("moduli", lambda b: _readonly(
-            np.abs(np.linalg.eigvals(b))))
+    if lam > 0 or not _bsq_entry(kept, "invertible", j, block):
+        mods = _bsq_entry(kept, "moduli", j, block)
         top = float(mods.max())
         if lam > 0:
             gap = np.min(np.abs(mods - lam))
@@ -450,14 +442,6 @@ def _split_degree(bsq, n: int, lam: float, j: int, kept: dict):
         lo, hi = float(mods[small].max()), float(mods[~small].min())
         mu = max(math.sqrt(lo * hi), 0.5 * hi)
     return _disk_split(block(), mu, k, j)
-
-
-def _bsq_blocks(c: CochainComplex, g: ChiralityOp) -> list:
-    """The B^2 blocks of C^j, j < (d+1)/2, off one table of B's blocks,
-    which is gone when they are returned, so that no B block is held beside
-    the kernel's Gram matrix."""
-    blocks = _b_blocks(c, g, split=True)
-    return [_bsq(blocks, j) for j in range((c.d + 1) // 2)]
 
 
 def _disk_split(bsq: np.ndarray, mu: float, k: int, j: int):
@@ -527,22 +511,19 @@ def spectral_split(c: CochainComplex, g: ChiralityOp,
     if not 0 <= lam < math.inf:
         raise ValidationError("split level must be finite and nonnegative")
     validate_chirality(c, g)
-    d = c.d
-    # formed on the first degree that needs them, at most once per call
-    bsqs = functools.cache(lambda: _bsq_blocks(c, g))
+    d, kept = c.d, c._pairs.setdefault(g, {})
     parts = [([None] * (d + 1), {}) for _ in range(2)]  # small, large
-    with _pair_record(c, g) as kept:
-        for j in range((d + 1) // 2):
-            halves = _split_degree(lambda j=j: bsqs()[j], c.dims.dims[j],
-                                   lam, j, kept)
-            for (bases, gamma_r), u in zip(parts, halves):
-                # Gamma commutes with B^2, so Gamma_j carries the split of
-                # C^j onto that of C^{d-j}
-                bases[j] = u
-                bases[d - j], r = _gamma_image(g.gamma[j], u)
-                if r is not None:
-                    gamma_r[j] = r
-        return SpectralSplit(*(_part_from_bases(c, g, *p) for p in parts))
+    for j in range((d + 1) // 2):
+        halves = _split_degree(functools.partial(_bsq, c, g, j),
+                               c.dims.dims[j], lam, j, kept)
+        for (bases, gamma_r), u in zip(parts, halves):
+            # Gamma commutes with B^2, so Gamma_j carries the split of C^j
+            # onto that of C^{d-j}
+            bases[j] = u
+            bases[d - j], r = _gamma_image(g.gamma[j], u)
+            if r is not None:
+                gamma_r[j] = r
+    return SpectralSplit(*(_part_from_bases(c, g, *p) for p in parts))
 
 
 def torsion_via_split(c: CochainComplex, g: ChiralityOp, lam: float,

@@ -110,13 +110,13 @@ _ALTERNATING_DET = torsion_mod.alternating_det
 _SUPERTRACE = torsion_mod.supertrace
 _FMT_FLOAT = workbench_mod._fmt_float
 _SIDE_LOG_DET = signature_mod._side_log_det
-_B_BLOCKS = signature_mod._b_blocks
+_B_BLOCK = st._b_block
 _PAIR_SPECTRUM = signature_mod._pair_spectrum
 
 
-def _odd_blocks_doubled(c, g):
-    return {key: 2 * b if key[1] % 2 else b
-            for key, b in _B_BLOCKS(c, g).items()}
+def _odd_blocks_doubled(c, g, t, s):
+    """The oracle's block of B from C^s to C^t, doubled at odd s."""
+    return (2 if s % 2 else 1) * _B_BLOCK(c, g, t, s)
 
 
 def _unsigned_fuse(x, y):
@@ -142,7 +142,7 @@ CHIRAL_MUTANTS = [
      lambda table: -_SIDE_LOG_DET(table), (1, 0)),
     ("split-large-part-acyclic", signature_mod, "_zero_cut",
      lambda scale: 0.0, (1, 0)),
-    ("signature-odd-even-spectrum", signature_mod, "_b_blocks",
+    ("signature-odd-even-spectrum", st, "_b_block",
      _odd_blocks_doubled, (1, 0)),
     ("xi-eta-two-path", signature_mod, "_eta", _eta_plus_half, (1, 0)),
     # the dual chirality's blocks transposed but not conjugated

@@ -43,8 +43,8 @@ from detline import (
     torsion_via_split,
 )
 from detline.complexes import _zero_cut
-from detline.selftest import _b_even_odd, _instance
-from detline.signature import (_RAY_TOL, _b_blocks, _bsq, _det_blocks,
+from detline.selftest import _b_block, _b_even_odd, _instance
+from detline.signature import (_RAY_TOL, _bsq, _det_blocks,
                                _eig_input, _log_det, _minus_bases,
                                _pair_spectrum, _restrict, _side_log_det,
                                _side_spectrum, _split_zero)
@@ -308,12 +308,22 @@ def _rel_error(x, ref):
                  / max(np.abs(ref).max(initial=0), 1e-300))
 
 
-class TestBlockTable:
-    """The degree blocks of B give what the dense operator gives: B^2
-    through bsq_block, and B_even and B_odd as the selftest's oracle
-    assembles them from the table."""
+def _b_table(c, g):
+    """B's nonzero degree blocks {(target, source): block}, by source, from
+    the selftest oracle's _b_block: the table of B that the package never
+    forms."""
+    d = c.d
+    return {(t, s): _b_block(c, g, t, s) for s in range(d + 1)
+            for t in (d - s - 1, d - s + 1) if 0 <= t <= d}
 
-    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+
+class TestBSquared:
+    """B^2_j from its one formula (_bsq, read through bsq_block) gives what
+    the dense operator gives in every degree, those j >= (d+1)/2 that the
+    split never forms included, and B_even and B_odd as the selftest's
+    oracle assembles them from d and Gamma."""
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
     @pytest.mark.parametrize("acyclic", [True, False])
     def test_matches_a_dense_oracle(self, d, acyclic):
         prof = random_profile(np.random.default_rng(80 + d), d,
@@ -330,12 +340,38 @@ class TestBlockTable:
             assert _rel_error(part, ref) <= 1e-12
         for j in range(d + 1):
             ref = bsq[offs[j]:offs[j + 1], offs[j]:offs[j + 1]]
-            assert s.bsq_block(j).shape == ref.shape
-            assert _rel_error(s.bsq_block(j), ref) <= 1e-12
+            assert _bsq(c, g, j).shape == ref.shape
+            assert _rel_error(_bsq(c, g, j), ref) <= 1e-12
+            assert np.array_equal(s.bsq_block(j), _bsq(c, g, j))
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+    def test_is_the_table_sum_bit_for_bit(self, d):
+        # sum_t B[j, t] B[t, j] over the nonzero blocks, in the table's
+        # order and from 0, as B^2_j was read off B's block table
+        c, g = _instance(5, d, acyclic=False)
+        table = _b_table(c, g)
+        for j in range(d + 1):
+            ref = sum(table[j, t] @ b for (t, s), b in table.items()
+                      if s == j)
+            got = _bsq(c, g, j)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("j", [-1, 4, 99, 1.5, True, False, "1", None])
+    def test_bsq_block_refuses_a_degree_outside_0_to_d(self, j):
+        s = build_signature(*gen_random(1, 3))
+        with pytest.raises(ValidationError, match=r"^degree must be an "
+                                                  r"integer in 0\.\.3, got "):
+            s.bsq_block(j)
+
+    @pytest.mark.parametrize("j", [np.int64(2), np.int32(0), np.uint8(3)])
+    def test_bsq_block_takes_a_numpy_integer(self, j):
+        c, g = gen_random(1, 3)
+        assert np.array_equal(build_signature(c, g).bsq_block(j),
+                              _bsq(c, g, int(j)))
 
     def test_keys_are_unique_and_keep_parity(self):
         c, g = _instance(5, 5, acyclic=False)
-        blocks = _b_blocks(c, g)
+        blocks = _b_table(c, g)
         assert len(blocks) == 2 * c.d
         for (t, s), block in blocks.items():
             assert t % 2 == s % 2
@@ -496,14 +532,13 @@ class TestSpectralSplit:
         calls = count_factorizations()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SpectralBoundaryError, match=r"^degree 1: "):
-                _split_block(_bsq(_b_blocks(c, g), 1), 0.0, 1)
+                _split_block(_bsq(c, g, 1), 0.0, 1)
         assert calls.log == []
 
 
 def _spectral_radius(c, g):
     """max |spec(B^2)| over all degrees."""
-    b = _b_blocks(c, g)
-    return max(float(np.abs(np.linalg.eigvals(_bsq(b, j))).max())
+    return max(float(np.abs(np.linalg.eigvals(_bsq(c, g, j))).max())
                for j in range(c.d + 1) if c.dims.dims[j])
 
 
@@ -627,7 +662,7 @@ class TestEvenBlockSides:
                 large = spectral_split(c, g, lam).large
                 cl, gl = large.complex, large.chirality
                 plus, minus = _plus_minus(cl, gl)
-                for (t, s), b in _b_blocks(cl, gl).items():
+                for (t, s), b in _b_table(cl, gl).items():
                     if s % 2:
                         continue
                     side = plus if t + s == d + 1 else minus
@@ -643,7 +678,7 @@ class TestEvenBlockSides:
     @pytest.mark.parametrize("d", [3, 5])
     def test_each_side_restricts_only_its_blocks(self, monkeypatch, d):
         c, g = _instance(100, d, acyclic=True)
-        keys = list(_b_blocks(c, g))
+        keys = list(_b_table(c, g))
         seen = []
         orig = signature_mod._restricted
 
@@ -819,9 +854,10 @@ class TestLoneBlocks:
     # matrix), as phi's T_1 is d_0 itself; that, or the frame's one identity
     # and the d Gamma block; the frame's one identity, built first, beside
     # three more: B^2_0 and the certificate's two temporaries (the
-    # conjugate of B^2_0 and its Gram matrix).  The split forms one B
-    # block, Gamma_1 d_0 (d_0 Gamma_1 is never read), so before the
-    # certificate it holds two beside the identity, below that peak.  Each
+    # conjugate of B^2_0 and its Gram matrix).  The split forms B^2_0 by
+    # its one formula, from two factors Gamma_1 d_0, and holds no table of
+    # B, so while it forms B^2_0 it holds three beside the identity, at
+    # that peak (d_0 Gamma_1, which only B^2_1 reads, is never formed).  Each
     # call takes a fresh copy of the complex, which keeps no frame yet, so
     # the frame is built under the trace
     @pytest.mark.parametrize("call, bound", [
@@ -875,8 +911,9 @@ class TestPairRecord:
     is kept once per pair: per degree j < (d+1)/2 the moduli of spec B^2_j
     and the lam = 0 verdict of the invertibility kernel, and the graded
     determinant; phi's determinant and sign sit on the complex, beside its
-    frame.  It holds no matrix, goes with either member, and a call that
-    raises keeps nothing."""
+    frame.  It is one plain dict, written as each entry is derived, holds
+    no matrix and goes with either member; a call that raises keeps what
+    it derived before the raise, which is what a fresh pair derives."""
 
     @pytest.mark.parametrize("member", ["complex", "chirality"])
     def test_record_is_freed_with_either_member(self, member):
@@ -937,21 +974,34 @@ class TestPairRecord:
         det, negate = c._phi_det
         assert np.isscalar(det) and type(negate) is bool
 
-    @pytest.mark.parametrize("call", [
-        graded_det_finite,
-        lambda c, g: spectral_split(c, g, _spectral_radius(c, g)),
+    @pytest.mark.parametrize("call, derives", [
+        (graded_det_finite, False),
+        (lambda c, g: spectral_split(c, g, _spectral_radius(c, g)), True),
     ], ids=["graded_det_finite", "split_at_a_modulus"])
-    def test_a_raising_call_keeps_nothing(self, call):
+    def test_a_raising_call_keeps_only_a_fresh_pairs_entries(self, call,
+                                                             derives):
         # with cohomology B_even is not bijective; a level equal to a
-        # modulus of spec B^2 lies inside its cluster
+        # modulus of spec B^2 lies inside its cluster, after the split
+        # derived the entries of the degrees before it.  Each entry is an
+        # exact function of the pair, so a fresh pair derives the same,
+        # and the next call raises the same message
         c, g = _instance(7, 3, acyclic=False)
         messages = []
         for _ in range(2):
             with pytest.raises(SpectralBoundaryError) as exc:
                 call(c, g)
             messages.append(str(exc.value))
-            assert g not in c._pairs
         assert messages[0] == messages[1]
+        kept = c._pairs[g]
+        assert bool(kept) == derives
+        f, h = fresh(c), ChiralityOp(g.gamma)
+        for lam in (0.0, 2.0 * _spectral_radius(c, g)):
+            spectral_split(f, h, lam)
+        again = f._pairs[h]
+        assert set(kept) <= set(again)
+        for key, v in kept.items():
+            assert type(v) is type(again[key])
+            assert np.array_equal(v, again[key])
 
 
 class TestEmptySplitPart:
@@ -1086,25 +1136,27 @@ class TestSplitStructure:
                     assert f"Gamma restricted, degree {d - j}" in whats
         assert proper
 
-    def test_split_forms_no_b_block_it_does_not_read(self, monkeypatch):
-        # B^2_j for j < r = (d+1)/2 never reads d_{r-1} Gamma_r, so the
-        # split leaves it out of the table; its B^2 blocks are unchanged
-        for d in (1, 3, 5, 7):
-            c, g = _instance(8, d, acyclic=False)
-            r = (d + 1) // 2
-            full, split = _b_blocks(c, g), _b_blocks(c, g, split=True)
-            assert set(full) - set(split) == {(r, r)}
-            for j in range(r):
-                assert np.array_equal(_bsq(split, j), _bsq(full, j))
-        tables = []
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_split_forms_each_b_squared_block_at_most_once(
+            self, monkeypatch, d, acyclic):
+        # a split forms B^2_j only in degrees j < r = (d+1)/2, so never the
+        # block d_{r-1} Gamma_r that only B^2_r reads, and each at most
+        # once, though a degree may read the kernel's verdict, the moduli
+        # and the disk split off it
+        formed = []
 
-        def spy(c, g, split=False, _orig=signature_mod._b_blocks):
-            tables.append(_orig(c, g, split))
-            return tables[-1]
-        monkeypatch.setattr(signature_mod, "_b_blocks", spy)
-        c, g = _instance(8, 3, acyclic=False)
-        spectral_split(c, g, 0.0)
-        assert len(tables) == 1 and (2, 2) not in tables[0]
+        def spy(c, g, j, _orig=signature_mod._bsq):
+            formed.append(j)
+            return _orig(c, g, j)
+        monkeypatch.setattr(signature_mod, "_bsq", spy)
+        c, g = _instance(8, d, acyclic)
+        for lam in (0.0, _mid_gap_level(c, g)):
+            formed.clear()
+            spectral_split(fresh(c), g, lam)
+            assert formed
+            assert len(formed) == len(set(formed))
+            assert max(formed) < (d + 1) // 2
 
     def test_restrict_rejects_non_invariant_subspace(self):
         basis = np.array([[1.0], [0.0]], dtype=complex)
@@ -1550,8 +1602,7 @@ def _widest_gap_middle(c, g):
 
 def _bsqs(c, g):
     """The B^2 blocks a split decides: degrees j < (d+1)/2, nonempty."""
-    blocks = _b_blocks(c, g, split=True)
-    return [_bsq(blocks, j) for j in range((c.d + 1) // 2) if c.dims.dims[j]]
+    return [_bsq(c, g, j) for j in range((c.d + 1) // 2) if c.dims.dims[j]]
 
 
 def _normal_ladder():
@@ -2067,7 +2118,7 @@ def _xi_eta_by_degree(c, g, lam):
     large = spectral_split(c, g, lam).large
     cl, gl = large.complex, large.chirality
     d = cl.d
-    b = _b_blocks(cl, gl)
+    b = _b_table(cl, gl)
     plus = _plus_minus(cl, gl)[0]
     num, den = (_assembled(t) for t in _det_blocks(cl, gl))
     eigs = np.concatenate([np.linalg.eigvals(num) if num.size else [],
