@@ -46,6 +46,7 @@ rho_an with the closed form 1 - exp(2 pi i a).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -57,9 +58,10 @@ from .complexes import (CochainComplex, CohomologyFrame, _rank_cut,
 from .errors import SpectralBoundaryError, ValidationError
 from .gradedlinalg import (DetElement, GradedDims, alpha_line, alternating_det,
                            beta_line, dual_graded, fuse)
-from .signature import (_SPLIT_TOL, build_signature, det_eta_check,
-                        graded_det_finite, graded_det_via_xi_eta,
-                        pick_agmon_angle, spectral_split, torsion_via_split)
+from .signature import (_CLUSTER_RTOL, _SPLIT_TOL, _bsq, _bsq_entry,
+                        det_eta_check, graded_det_finite,
+                        graded_det_via_xi_eta, pick_agmon_angle,
+                        spectral_split, torsion_via_split)
 from .torsion import (ChiralityOp, dual_torsion_check, refined_torsion,
                       variation_check)
 from .workbench import (chiral_direct_sum, deserialize_document, gen_random,
@@ -302,26 +304,29 @@ def check_torsion_graded_det(cases, seed):
 
 def _lambda_choices(c, g):
     """Split levels 0, mid-gap of the two least B^2 moduli above the cut
-    1e-4 (when there are two) and twice the largest; no modulus above the
-    cut leaves no level, and a B^2 block that is not finite (an overflow)
-    has no moduli, each a numerical boundary."""
-    s = build_signature(c, g)
-    moduli = []
-    for j in range(c.d + 1):
-        bsq = s.bsq_block(j)
-        if not np.isfinite(bsq).all():
-            raise SpectralBoundaryError(
-                f"degree {j}: the B^2 block is not finite (overflow)")
-        moduli += [abs(z) for z in np.linalg.eigvals(bsq)]
-    moduli = moduli or [0.0]  # the zero complex: its largest modulus is 0
-    mods = sorted({round(r, 6) for r in moduli if r > 1e-4})
-    if not mods:
-        raise SpectralBoundaryError(f"largest B^2 modulus {max(moduli):.3g} "
+    1e-4 (when there are two) and twice the largest.  The moduli are those
+    the split reads off the pair's record (_bsq_entry), of the degrees
+    j < (d+1)/2, which carry the whole spectrum, as Gamma_j carries B^2_j
+    to B^2_{d-j}; each is read in six decimals.  Sorted, a modulus within
+    2 _CLUSTER_RTOL max(1, largest) of the one before it joins its
+    cluster, so the mid level lies halfway across the first gap between
+    two clusters, outside the split's cluster margin.  No modulus above
+    the cut leaves no level, and a B^2 block that is not finite (an
+    overflow) has no moduli, each a numerical boundary."""
+    kept = c._pairs.setdefault(g, {})
+    moduli = np.concatenate([[0.0]] + [  # the zero complex's largest is 0
+        _bsq_entry(kept, "moduli", j, functools.partial(_bsq, c, g, j))
+        for j in range((c.d + 1) // 2) if c.dims.dims[j]])
+    mods = np.sort(np.round(moduli[moduli > 1e-4], 6))
+    if not mods.size:
+        raise SpectralBoundaryError(f"largest B^2 modulus {moduli.max():.3g} "
                                     "is at or below the split level cut 1e-4")
+    gaps = np.flatnonzero(np.diff(mods)
+                          > 2 * _CLUSTER_RTOL * max(1.0, mods[-1]))
     lams = [0.0]
-    if len(mods) > 1:
-        lams.append((mods[0] + mods[1]) / 2.0)
-    lams.append(2.0 * max(mods))
+    if gaps.size:
+        lams.append((mods[gaps[0]] + mods[gaps[0] + 1]) / 2.0)
+    lams.append(2.0 * mods[-1])
     return lams
 
 

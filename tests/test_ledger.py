@@ -115,10 +115,10 @@ def test_discrete_outcomes_match_the_ledger(run, path):
     golden, cases = GOLDEN[path], run[0][path]
     if any(case.startswith("instance") for case in golden):
         # 210 chiral cases; a split path has one per level: three each for
-        # the 12 draws and the 54 range pairs whose B^2 stays finite, one
-        # for the 18 scaled complexes and the 126 range pairs whose level
-        # choice raises
-        assert len(cases) == (342 if path in SPLIT_PATHS else 210)
+        # the 12 draws, two for the 54 range pairs whose B^2 stays finite
+        # (their moduli form one cluster, so no mid level), one for the 18
+        # scaled complexes and the 126 range pairs whose level choice raises
+        assert len(cases) == (288 if path in SPLIT_PATHS else 210)
     else:  # the circle corpus, the pairs, and _lambda_choices' 144 raises
         assert set(cases) == set(golden)
     for case, outcome in cases.items():

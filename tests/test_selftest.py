@@ -15,7 +15,9 @@ import detline.signature as signature_mod
 import detline.torsion as torsion_mod
 import detline.workbench as workbench_mod
 from detline import (ChiralityOp, DetElement, SpectralBoundaryError,
-                     ValidationError)
+                     ValidationError, build_signature, spectral_split)
+
+from conftest import range_family
 
 
 @pytest.mark.parametrize("residuals", [[0.0, math.nan, 1e-15],
@@ -276,7 +278,7 @@ def test_circle_zeta_zero_fails_on_a_wrong_zeta_at_zero(monkeypatch, mutant):
 def _old_lambda_rule(c, g):
     """The level rule as written before a complex with no modulus above the
     cut raised a named boundary: the reference for every other complex."""
-    s = st.build_signature(c, g)
+    s = build_signature(c, g)
     mods = sorted({round(abs(z), 6) for j in range(c.d + 1)
                    for z in np.linalg.eigvals(s.bsq_block(j))
                    if abs(z) > 1e-4})
@@ -292,6 +294,39 @@ def _old_lambda_rule(c, g):
 def test_split_levels_are_unchanged(seed, d, acyclic):
     c, g = st._instance(seed, d, acyclic)
     assert st._lambda_choices(c, g) == _old_lambda_rule(c, g)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7])
+@pytest.mark.parametrize("acyclic", [True, False])
+def test_levels_and_their_splits_take_one_eigvals_per_degree(
+        count_factorizations, d, acyclic):
+    # the levels read the moduli off the pair's record, where each split
+    # reads them again: one eigvals per nonempty degree j < (d+1)/2 in all
+    c, g = st._instance(3, d, acyclic)
+    calls = count_factorizations()
+    for lam in st._lambda_choices(c, g):
+        st.torsion_via_split(c, g, lam)
+    assert calls["eigvals"] == sum(map(bool, c.dims.dims[:(d + 1) // 2]))
+
+
+def test_range_pair_levels_lie_outside_every_cluster():
+    # the B^2 moduli of the range pairs, 1e240 and up, keep their rounding
+    # error past six decimals; merged within the split's own cluster
+    # margin, no level of a pair whose B^2 is finite lies in a cluster
+    finite = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for case, c, g, _ in range_family():
+            try:
+                lams = st._lambda_choices(c, g)
+            except SpectralBoundaryError:  # B^2 is not finite
+                continue
+            finite += 1
+            for lam in lams:
+                try:
+                    spectral_split(c, g, lam)
+                except SpectralBoundaryError as exc:
+                    assert "cluster" not in str(exc), (case, lam)
+    assert finite == 54
 
 
 def test_overflowing_b_squared_leaves_no_level():
