@@ -346,8 +346,9 @@ class TestBSquared:
 
     @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
     def test_is_the_table_sum_bit_for_bit(self, d):
-        # sum_t B[j, t] B[t, j] over the nonzero blocks, in the table's
-        # order and from 0, as B^2_j was read off B's block table
+        # sum_t B[j, t] B[t, j] over B's nonzero blocks, by source and
+        # from 0: the formula forms each factor and adds the terms in that
+        # order, so it gives the same bits, signs of zeros included
         c, g = _instance(5, d, acyclic=False)
         table = _b_table(c, g)
         for j in range(d + 1):
