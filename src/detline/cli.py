@@ -79,9 +79,8 @@ def _cmd_split(args) -> dict:
     c, g, _ = _load_chiral(args.file)
     frame = cohomology_frame(c)
     split = spectral_split(c, g, args.lam)
-    via, det_large, rho_small = _torsion_from_split(split, frame)
-    # above the spectrum the small part is the complex itself
-    rho = rho_small if split.small.complex is c else refined_torsion(c, g)
+    via, det_large, _ = _torsion_from_split(split, frame)
+    rho = refined_torsion(c, g)
     residual = float(abs(via.coeff - rho.coeff) / abs(rho.coeff))
     out = {
         "lambda": args.lam,

@@ -25,13 +25,13 @@ takes the full SVD of R.  Any other degree takes one full SVD.
 The decomposition depends on (C, d) alone, so each complex is factorized
 once: the first cohomology_frame call computes the bases and the complex
 keeps them, read-only, and every later call hands them out again; the
-margins of the rank decisions, and phi's determinant and sign in those
-bases, are computed once per complex too.  The complex holds the bases,
-not a frame (a frame points back at its complex), so they are freed with
-the complex.  It also holds, keyed weakly on the chirality, the record
-of each chiral pair on it: one plain dict that signature writes as it
-derives each entry (the moduli of B^2's spectrum and scalars, no matrix),
-freed with either member of the pair.
+margins of the rank decisions are computed once per complex too.  The
+complex holds the bases, not a frame (a frame points back at its
+complex), so they are freed with the complex.  phi takes its determinant
+in the frame it is given.  What belongs to a chiral pair, the refined
+torsion among it, is kept in the pair's record: one plain dict of
+numbers, no matrix, which the complex holds keyed weakly on the
+chirality and torsion and signature write as they derive each entry.
 """
 
 from __future__ import annotations
@@ -102,12 +102,11 @@ class CochainComplex:
     ``partial[j]`` is the matrix of d_j : C^j -> C^{j+1}; the list has one
     entry per degree 0..d-1.  Construction checks the shapes and d.d = 0;
     the matrices are read-only views (the caller's arrays keep their flags).
-    The read-only B/H/A bases of its cohomology frame, the margins of
-    their rank decisions and phi's determinant and sign in them are
-    computed on first read and kept here, and so is the record of each
-    chiral pair on it, keyed weakly on the chirality.  Like
-    every type of the package that holds arrays, it compares and hashes by
-    identity.
+    The read-only B/H/A bases of its cohomology frame and the margins of
+    their rank decisions are computed on first read and kept here, and so
+    is the record of each chiral pair on it, keyed weakly on the
+    chirality.  Like every type of the package that holds arrays, it
+    compares and hashes by identity.
     """
 
     dims: GradedDims
@@ -146,14 +145,10 @@ class CochainComplex:
                      if x.size else math.inf for x in xs)
 
     @cached_property
-    def _phi_det(self) -> tuple:
-        return _phi_factor(CohomologyFrame(self, *self._bases))
-
-    @cached_property
     def _pairs(self) -> weakref.WeakKeyDictionary:
         # {chirality: record} of the chiral pairs on this complex, which
-        # signature fills as it derives each entry; weak on the chirality,
-        # so a record goes with either member
+        # torsion and signature fill as they derive each entry; weak on the
+        # chirality, so a record goes with either member
         return weakref.WeakKeyDictionary()
 
     def differential_residual(self) -> float:
@@ -377,25 +372,8 @@ class CohomologyElement:
 
 def phi(x: DetElement, frame: CohomologyFrame) -> CohomologyElement:
     """Canonical isomorphism Det(C) -> Det(H(C)): the coefficient times
-    _phi_factor of the frame.  For the frame of the bases its complex keeps
-    that factor is read off the complex, computed once; any other frame of
-    the complex (a rotated or a relabelled one) takes its own."""
-    c = frame.complex
-    if x.dims != c.dims or x.dualized:
-        raise ValidationError("element does not live on this complex's line")
-    kept = vars(c).get("_bases")
-    own = kept is not None and all(
-        a is b for a, b in zip(kept, (frame.B, frame.H, frame.A)))
-    det, negate = c._phi_det if own else _phi_factor(frame)
-    # the product may leave the float range; the element names that
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeff = complex(x.coeff) * det
-    return CohomologyElement(-coeff if negate else coeff, frame)
-
-
-def _phi_factor(frame: CohomologyFrame) -> tuple:
-    """The factor prod_j det(T_j)^{(-1)^{j+1}} by which phi multiplies a
-    coefficient, and whether the sign (-1)^N (sign_N) negates it.
+    prod_j det(T_j)^{(-1)^{j+1}}, negated when the sign (-1)^N (sign_N) is
+    -1, in the frame it is given.
 
     Decomposing the standard wedge of C^j through the frame gives the change
     of basis T_j = [d(A^{j-1}) | H^j | A^j].  A change of basis of A^j
@@ -405,6 +383,8 @@ def _phi_factor(frame: CohomologyFrame) -> tuple:
     block of T_1 is d_0 itself.
     """
     c = frame.complex
+    if x.dims != c.dims or x.dualized:
+        raise ValidationError("element does not live on this complex's line")
     standard = not frame.H[0].shape[1]  # the standard basis serves as A^0
     ts = []
     for j in range(c.d + 1):
@@ -416,9 +396,11 @@ def _phi_factor(frame: CohomologyFrame) -> tuple:
         if t.shape[1] != c.dims.dims[j]:
             raise ValidationError(f"degree {j}: frame does not span C^{j}")
         ts.append(t[:0, :0] if j == 0 and standard else t)
-    # numpy's det may leave the float range; the element names that
+    # numpy's det and the product may leave the float range; the element
+    # names that
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return alternating_det(ts), bool(sign_N(frame))
+        coeff = complex(x.coeff) * alternating_det(ts)
+    return CohomologyElement(-coeff if sign_N(frame) else coeff, frame)
 
 
 def dual_complex(c: CochainComplex) -> CochainComplex:

@@ -304,29 +304,34 @@ def check_torsion_graded_det(cases, seed):
 
 def _lambda_choices(c, g):
     """Split levels 0, mid-gap of the two least B^2 moduli above the cut
-    1e-4 (when there are two) and twice the largest.  The moduli are those
-    the split reads off the pair's record (_bsq_entry), of the degrees
-    j < (d+1)/2, which carry the whole spectrum, as Gamma_j carries B^2_j
-    to B^2_{d-j}; each is read in six decimals.  Sorted, a modulus within
-    2 _CLUSTER_RTOL max(1, largest) of the one before it joins its
-    cluster, so the mid level lies halfway across the first gap between
-    two clusters, outside the split's cluster margin.  No modulus above
-    the cut leaves no level, and a B^2 block that is not finite (an
-    overflow) has no moduli, each a numerical boundary."""
+    1e-4 (when there are two) and twice the largest, as Python floats, all
+    finite.  The moduli are those the split reads off the pair's record
+    (_bsq_entry), of the degrees j < (d+1)/2, which carry the whole
+    spectrum, as Gamma_j carries B^2_j to B^2_{d-j}; each below 1e300 is
+    read in six decimals (np.round scales by 1e6).  Sorted, a modulus
+    within 2 _CLUSTER_RTOL max(1, largest) of the one before it joins its
+    cluster, so the mid level, a sum of halves, lies halfway across the
+    first gap between two clusters, outside the split's cluster margin.
+    Past the float range, twice the largest is the largest float.  No
+    modulus above the cut leaves no level, and a B^2 block that is not
+    finite (an overflow) has no moduli, each a numerical boundary."""
     kept = c._pairs.setdefault(g, {})
     moduli = np.concatenate([[0.0]] + [  # the zero complex's largest is 0
         _bsq_entry(kept, "moduli", j, functools.partial(_bsq, c, g, j))
         for j in range((c.d + 1) // 2) if c.dims.dims[j]])
-    mods = np.sort(np.round(moduli[moduli > 1e-4], 6))
+    mods = moduli[moduli > 1e-4]
     if not mods.size:
         raise SpectralBoundaryError(f"largest B^2 modulus {moduli.max():.3g} "
                                     "is at or below the split level cut 1e-4")
+    fit = mods < 1e300
+    mods[fit] = np.round(mods[fit], 6)
+    mods = np.sort(mods).tolist()
     gaps = np.flatnonzero(np.diff(mods)
                           > 2 * _CLUSTER_RTOL * max(1.0, mods[-1]))
     lams = [0.0]
     if gaps.size:
-        lams.append((mods[gaps[0]] + mods[gaps[0] + 1]) / 2.0)
-    lams.append(2.0 * mods[-1])
+        lams.append(mods[gaps[0]] / 2.0 + mods[gaps[0] + 1] / 2.0)
+    lams.append(min(2.0 * mods[-1], math.nextafter(math.inf, 0.0)))
     return lams
 
 

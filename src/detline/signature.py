@@ -39,16 +39,17 @@ square basis is unitary, so a restriction onto it takes no residual.
 What a chiral pair (c, g) gives that no split level changes is derived
 once per pair and kept in its record, beside the frame that c keeps: per
 degree j < (d+1)/2 the moduli of spec B^2_j and the lam = 0 verdict of
-the invertibility kernel, and the graded determinant (phi's determinant
-sits on c itself).  The record is one plain dict, which holds numbers,
-never a matrix, and goes with either member.  Each entry is written as it
-is derived and is an exact function of the pair, so a call that raises
-keeps what it derived before the raise, and the next call raises the same
-message.  So a split forms a B^2 block only for what the record lacks and
-for a proper split, and a large part that is the complex itself reads its
-graded determinant off the record.  xi/eta takes the B_even spectra afresh
-on each call.  A proper part is a new complex on each split: it pays for
-its own frame and record every time.
+the invertibility kernel, the graded determinant, and the refined
+torsion's coefficient (torsion.refined_torsion).  The record is one plain
+dict, which holds numbers, never a matrix, and goes with either member.
+Each entry is written as it is derived and is an exact function of the
+pair, so a call that raises keeps what it derived before the raise, and
+the next call raises the same message.  So a split forms a B^2 block
+only for what the record lacks and for a proper split, and a part that
+is the complex itself reads its graded determinant or refined torsion
+off the record.  xi/eta takes the B_even spectra afresh on each call.  A
+proper part is a new complex on each split: it pays for its own frame
+and record every time.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Gamma_j : C^j -> C^{d-j} squaring to the identity, checked once, when it is
 built (validate_chirality only checks that it fits a complex).  It singles out
 an element c_Gamma of the determinant line of the complex; its image under the
 canonical map phi is the refined torsion, an element of the determinant line
-of cohomology.
+of cohomology.  It belongs to the pair, not to the complex: the pair's
+record (CochainComplex._pairs) keeps its coefficient, taken once per pair.
 """
 
 from __future__ import annotations
@@ -118,25 +119,36 @@ def c_gamma(c: CochainComplex, g: ChiralityOp) -> DetElement:
 def _frame_for(c: CochainComplex,
                frame: CohomologyFrame | None) -> CohomologyFrame:
     """The cohomology frame of c: frame when given, which must be c's own,
-    or else cohomology_frame(c), which factorizes c only on its first call
-    and then hands out the read-only bases c keeps.  Only refined_torsion
-    and torsion_via_split take a frame, and no call in the package passes
-    one.  They keep it, and this check, only because perfbench's workloads
-    pass c's own by position; it goes with ROADMAP item 1's benchmark
-    change, which passes none."""
+    of the bases that c keeps (a frame of another complex, or a rotated or
+    relabelled one of c, raises ValidationError), or else
+    cohomology_frame(c), which factorizes c only on its first call.  Only
+    refined_torsion and torsion_via_split take a frame, and in the package
+    only dual_torsion_check passes one, c's, which it read already.  They
+    keep it, and this check, because perfbench's workloads pass c's own
+    by position; it goes with ROADMAP item 1's benchmark change."""
     if frame is None:
         return cohomology_frame(c)
-    if frame.complex is not c:
-        raise ValidationError("the cohomology frame is not of this complex")
+    if frame.complex is not c or any(
+            a is not b for a, b in zip(c._bases, (frame.B, frame.H, frame.A))):
+        raise ValidationError("the cohomology frame is not this complex's own")
     return frame
 
 
 def refined_torsion(c: CochainComplex, g: ChiralityOp,
                     frame: CohomologyFrame | None = None) -> CohomologyElement:
-    """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line.
-    In the frame that c keeps, phi's determinant is c's too, computed once
-    per complex, so a later call, with any chirality, forms no T_j."""
-    return phi(c_gamma(c, g), _frame_for(c, frame))
+    """Refined torsion rho = phi(c_Gamma) in the cohomology determinant line,
+    in the frame that c keeps.  The first call on a pair takes c_Gamma,
+    which checks that g fits c, and writes rho's coefficient (a number: the
+    element points back at its frame) into the pair's record; a later call
+    checks the fit and reads it, with no determinant.  A chirality that
+    does not fit leaves no entry."""
+    kept = c._pairs.get(g, {})
+    if "rho" in kept:
+        validate_chirality(c, g)
+        return CohomologyElement(kept["rho"], _frame_for(c, frame))
+    rho = phi(c_gamma(c, g), _frame_for(c, frame))
+    c._pairs.setdefault(g, {})["rho"] = rho.coeff
+    return rho
 
 
 def torsion_norm(c: CochainComplex, g: ChiralityOp) -> float:
@@ -206,15 +218,14 @@ def dual_torsion_check(c: CochainComplex, g: ChiralityOp) -> float:
     ker d-hat_j = (im d_{d-1-j})^perp = (B^{d-j})^perp, whose part
     orthogonal to A^{d-j} is H-hat^j = H^{d-j}, and A-hat^j =
     (ker d-hat_j)^perp = B^{d-j}.  The frame of the dual complex is c's
-    relabelled, and no differential is factorized twice: each side is
-    phi(c_Gamma) in its frame, and c's frame is the one c keeps, computed
-    once per complex, with phi's determinant in it; the relabelled frame
-    takes its own.
+    relabelled, and no differential is factorized twice.  c's side is
+    refined_torsion(c, g), off the pair's record after the first call; the
+    dual side, a new pair on each call, is phi(c_Gamma) in that frame.
     """
     frame = cohomology_frame(c)
     chat = dual_complex(c)
     frame_hat = CohomologyFrame(chat, frame.A[::-1], frame.H[::-1],
                                 frame.B[::-1])
     lhs = phi(c_gamma(chat, dual_chirality(g)), frame_hat).coeff
-    rhs = alpha_cohomology(phi(c_gamma(c, g), frame), frame_hat).coeff
+    rhs = alpha_cohomology(refined_torsion(c, g, frame), frame_hat).coeff
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,30 @@ def test_range_pair_levels_lie_outside_every_cluster():
                 except SpectralBoundaryError as exc:
                     assert "cluster" not in str(exc), (case, lam)
     assert finite == 54
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: workbench_mod.gen_elementary(1, 0, 1e152),
+    lambda: workbench_mod.gen_elementary(1, 0, 1e154),
+    lambda: workbench_mod.gen_random(0, 1, {"blocks": [(0, 1.2e154),
+                                                       (0, 1.3e154)],
+                                            "harmonic": []}, True),
+], ids=["square-1e304", "square-1e308", "two-past-9e307"])
+def test_levels_of_a_finite_b_squared_are_finite_floats(pair):
+    # B^2 moduli 1e304, where np.round's scaling by 1e6 overflows; 1e308,
+    # whose double overflows; and 1.44e308 and 1.69e308, whose sum
+    # overflows.  Every level is a finite Python float, above the moduli
+    # below it, with no warning
+    c, g = pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lams = st._lambda_choices(c, g)
+    assert all(type(lam) is float and math.isfinite(lam) for lam in lams)
+    assert lams == sorted(set(lams))
+    assert lams[-1] > float(np.abs(np.linalg.eigvals(st._bsq(c, g, 0))).max())
+    # the top level leaves the whole complex small: the split forms nothing
+    small = spectral_split(c, g, lams[-1]).small
+    assert small.complex is c
 
 
 def test_overflowing_b_squared_leaves_no_level():

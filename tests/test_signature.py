@@ -42,7 +42,7 @@ from detline import (
     split_check,
     torsion_via_split,
 )
-from detline.complexes import _zero_cut
+from detline.complexes import CohomologyFrame, _zero_cut, phi
 from detline.selftest import _b_block, _b_even_odd, _instance
 from detline.signature import (_RAY_TOL, _bsq, _det_blocks,
                                _eig_input, _log_det, _minus_bases,
@@ -448,6 +448,33 @@ class TestFrameAndChirality:
                  torsion_via_split(c, g, lam))):
             assert with_fr.coeff == without.coeff
             assert with_fr.frame.betti == without.frame.betti == fr.betti
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_a_rotated_or_copied_frame_of_c_is_rejected(self, d, acyclic):
+        # a frame of c whose bases are not those c keeps: A^j turned by a
+        # unitary, or every basis copied.  phi takes either (its value
+        # is a function of the frame); the two entry points take neither,
+        # and derive nothing for the pair
+        c, g = _instance(50 + d, d, acyclic)
+        fr = cohomology_frame(c)
+        j = next(j for j, a in enumerate(fr.A) if a.shape[1])
+        k = fr.A[j].shape[1]
+        rng = np.random.default_rng(d)
+        w = np.linalg.qr(rng.standard_normal((k, k))
+                         + 1j * rng.standard_normal((k, k)))[0]
+        turned = CohomologyFrame(c, fr.B, fr.H,
+                                 fr.A[:j] + (fr.A[j] @ w,) + fr.A[j + 1:])
+        copied = CohomologyFrame(c, *(tuple(np.array(b) for b in bases)
+                                      for bases in (fr.B, fr.H, fr.A)))
+        for frame in (turned, copied):
+            assert phi(c_gamma(c, g), frame).frame is frame
+            for call in (lambda: refined_torsion(c, g, frame),
+                         lambda: torsion_via_split(c, g, 0.0, frame)):
+                with pytest.raises(ValidationError, match=r"^the cohomology "
+                                   r"frame is not this complex's own$"):
+                    call()
+        assert g not in c._pairs
 
 
 class TestSpectralSplit:
@@ -892,15 +919,14 @@ class TestLoneBlocks:
                 m[0, 0] = 2.0
 
     def test_pair_record_is_below_a_tenth_of_a_block(self, big):
-        # what the pair keeps after every path, with phi's determinant on
-        # the complex: moduli and numbers, no matrix
+        # what the pair keeps after every path, rho's coefficient among
+        # it: moduli and numbers, no matrix
         c, g = fresh(big[0]), big[1]
         tracemalloc.start()
         try:
             _every_path(c, g)
             held = tracemalloc.get_traced_memory()[0]
             del vars(c)["_pairs"]
-            del vars(c)["_phi_det"]
             kept = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -910,11 +936,11 @@ class TestLoneBlocks:
 class TestPairRecord:
     """What the calls on a chiral pair derive that no split level changes
     is kept once per pair: per degree j < (d+1)/2 the moduli of spec B^2_j
-    and the lam = 0 verdict of the invertibility kernel, and the graded
-    determinant; phi's determinant and sign sit on the complex, beside its
-    frame.  It is one plain dict, written as each entry is derived, holds
-    no matrix and goes with either member; a call that raises keeps what
-    it derived before the raise, which is what a fresh pair derives."""
+    and the lam = 0 verdict of the invertibility kernel, the graded
+    determinant and the refined torsion's coefficient.  It is one plain
+    dict, written as each entry is derived, holds no matrix and goes with
+    either member; a call that raises keeps what it derived before the
+    raise, which is what a fresh pair derives."""
 
     @pytest.mark.parametrize("member", ["complex", "chirality"])
     def test_record_is_freed_with_either_member(self, member):
@@ -962,18 +988,80 @@ class TestPairRecord:
         degrees = {j for j in range((d + 1) // 2) if n[j]}
         assert set(kept) == ({("moduli", j) for j in degrees}
                              | {("invertible", j) for j in degrees}
-                             | {"graded_det"})
+                             | {"graded_det", "rho"})
         for key, v in kept.items():
             if key[0] == "moduli":
                 assert v.shape == (n[key[1]],) and v.dtype == float
                 assert not v.flags.writeable
                 with pytest.raises(ValueError):
                     v[0] = 0.0
+            elif key == "rho":
+                # the coefficient as phi returns it, numpy's complex scalar
+                assert isinstance(v, complex) and np.isscalar(v)
             else:
                 assert type(v) is (bool if key[0] == "invertible"
                                    else complex)
-        det, negate = c._phi_det
-        assert np.isscalar(det) and type(negate) is bool
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_second_refined_torsion_takes_no_det(self, monkeypatch, d,
+                                                 acyclic):
+        c, g = _instance(7, d, acyclic)
+        shapes, det = [], np.linalg.det
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return det(a)
+        monkeypatch.setattr(np.linalg, "det", spy)
+        first = refined_torsion(c, g)
+        assert shapes
+        shapes.clear()
+        again = refined_torsion(c, g)
+        assert shapes == []
+        assert again.coeff == first.coeff == c._pairs[g]["rho"]
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("acyclic", [True, False])
+    def test_warm_dual_check_takes_dets_only_for_the_dual_side(
+            self, monkeypatch, d, acyclic):
+        # c's side is read off the record: a warm check takes the
+        # determinants of a cold one less those of a fresh pair's refined
+        # torsion, and every c_Gamma and phi it takes is on the dual complex
+        c, g = _instance(7, d, acyclic)
+        shapes, seen = [], []
+        det, orig_c_gamma, orig_phi = (np.linalg.det, torsion_mod.c_gamma,
+                                       torsion_mod.phi)
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return det(a)
+
+        def dets(call, *args):
+            shapes.clear()
+            value = call(*args)
+            return len(shapes), value
+        monkeypatch.setattr(np.linalg, "det", spy)
+        cold, value = dets(dual_torsion_check, c, g)
+        rho, _ = dets(refined_torsion, fresh(c), ChiralityOp(g.gamma))
+        monkeypatch.setattr(torsion_mod, "c_gamma", lambda cc, gg: (
+            seen.append(cc), orig_c_gamma(cc, gg))[1])
+        monkeypatch.setattr(torsion_mod, "phi", lambda x, fr: (
+            seen.append(fr.complex), orig_phi(x, fr))[1])
+        warm, again = dets(dual_torsion_check, c, g)
+        assert rho and warm == cold - rho
+        assert again == value
+        assert len(seen) == 2 and all(cc is not c for cc in seen)
+        assert seen[0].dims.dims == c.dims.dims[::-1]
+
+    def test_a_misfit_chirality_leaves_no_entry(self):
+        c, _ = gen_random(1, 1, {"blocks": [(0, 2.0), (0, 3.0)],
+                                 "harmonic": []})
+        _, g = gen_elementary(1, 0, 2.0)
+        for call in (refined_torsion, dual_torsion_check,
+                     lambda c, g: torsion_via_split(c, g, 0.0)):
+            with pytest.raises(ValidationError, match=r"^Gamma_0 has shape"):
+                call(c, g)
+        assert g not in c._pairs
 
     @pytest.mark.parametrize("call, derives", [
         (graded_det_finite, False),
